@@ -2,15 +2,16 @@
 //!
 //! Theorem 1 states that from *any* configuration the protocol converges to a legitimate
 //! configuration.  Experimentally we measure the convergence time as the first moment from
-//! which the legitimacy predicate ([`klex_core::is_legitimate`]) holds *continuously* for a
-//! confirmation window: the instantaneous predicate can hold transiently while the
-//! counter-flushing controller is still unstable, so a single observation is not evidence of
-//! stabilization (see the discussion in `crates/core/src/ss.rs`).
+//! which the legitimacy predicate ([`klex_core::is_legitimate`], read per activation from a
+//! [`klex_core::LiveCensus`]) holds *continuously* for a confirmation window: the
+//! instantaneous predicate can hold transiently while the counter-flushing controller is
+//! still unstable, so a single observation is not evidence of stabilization (see the
+//! discussion in `crates/core/src/ss.rs`).
 
-use klex_core::{is_legitimate, KlConfig, KlInspect, Message};
+use klex_core::{KlConfig, KlInspect, LiveCensus, Message};
 use serde::Serialize;
 use topology::Topology;
-use treenet::{Network, Process, Scheduler};
+use treenet::{EventScheduler, Network, Process, RunOutcome};
 
 /// Result of a convergence measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -42,13 +43,15 @@ impl ConvergenceOutcome {
     }
 }
 
-/// Runs `net` under `scheduler` until the legitimacy predicate has held for `window`
+/// Runs `net` under `daemon` until the legitimacy predicate has held for `window`
 /// consecutive activations, or `max_steps` activations have elapsed.
 ///
 /// The returned stabilization time is the activation at which the successful window began.
+/// The daemon is driven through the fused event path ([`Network::step_event`]), which picks
+/// the same activations as [`Network::step`].
 pub fn measure_convergence<P, T>(
     net: &mut Network<P, T>,
-    scheduler: &mut impl Scheduler,
+    daemon: &mut impl EventScheduler,
     cfg: &KlConfig,
     max_steps: u64,
     window: u64,
@@ -57,22 +60,63 @@ where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
-    let mut streak_start: Option<u64> = if is_legitimate(net, cfg) { Some(net.now()) } else { None };
-    for _ in 0..max_steps {
-        net.step(scheduler);
-        if is_legitimate(net, cfg) {
+    let outcome = run_sustained(
+        net,
+        cfg,
+        max_steps,
+        window,
+        |net, census| {
+            census.step(net, daemon);
+        },
+        |_, census| census.is_legitimate(),
+    );
+    match outcome {
+        RunOutcome::Satisfied(stabilized_at) => {
+            ConvergenceOutcome::Converged { stabilized_at, confirmed_at: net.now() }
+        }
+        _ => ConvergenceOutcome::DidNotConverge,
+    }
+}
+
+/// The one sustained-streak loop: runs `step` until `pred` has held after `window`
+/// **consecutive** activations, returning `Satisfied(t)` with `t` the time the streak
+/// *started*, or `Exhausted` after `max_steps` activations.  With `window == 0` it stops the
+/// first time `pred` holds (before any step, if it holds on entry).
+///
+/// `pred` reads legitimacy from the [`LiveCensus`] the loop owns — built from one full scan
+/// on entry, valid because nothing but `step` touches `net` until the loop returns — so
+/// `step` must execute exactly one activation **through** the census
+/// ([`LiveCensus::step`] or [`LiveCensus::track`]).
+pub(crate) fn run_sustained<P, T>(
+    net: &mut Network<P, T>,
+    cfg: &KlConfig,
+    max_steps: u64,
+    window: u64,
+    mut step: impl FnMut(&mut Network<P, T>, &mut LiveCensus),
+    mut pred: impl FnMut(&Network<P, T>, &LiveCensus) -> bool,
+) -> RunOutcome
+where
+    P: Process<Msg = Message> + KlInspect,
+    T: Topology,
+{
+    let mut census = LiveCensus::new(net, cfg);
+    let mut streak_start = None;
+    let mut remaining = max_steps;
+    loop {
+        if pred(net, &census) {
             let start = *streak_start.get_or_insert(net.now());
             if net.now() - start >= window {
-                return ConvergenceOutcome::Converged {
-                    stabilized_at: start,
-                    confirmed_at: net.now(),
-                };
+                return RunOutcome::Satisfied(start);
             }
         } else {
             streak_start = None;
         }
+        if remaining == 0 {
+            return RunOutcome::Exhausted(net.now());
+        }
+        remaining -= 1;
+        step(net, &mut census);
     }
-    ConvergenceOutcome::DidNotConverge
 }
 
 /// A reasonable confirmation window for a network of `n` processes: several full controller

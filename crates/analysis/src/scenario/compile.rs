@@ -21,13 +21,14 @@ use super::spec::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use crate::convergence::{measure_convergence, run_sustained};
 use crate::fairness::FairnessReport;
 use crate::harness::{self, ExperimentRow};
 use crate::progress::ProgressSink;
 use crate::snapshot::{CutVerdict, SnapshotMonitor};
 use crate::stats::Summary;
 use crate::waiting::waiting_times;
-use klex_core::{count_tokens, naive, nonstab, pusher, ss, KlConfig, KlInspect, Message};
+use klex_core::{count_tokens, naive, nonstab, pusher, ss, KlConfig, KlInspect, LiveCensus, Message};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use topology::{OrientedTree, Topology};
@@ -504,7 +505,7 @@ impl CompiledScenario {
                     }
                     _ => unreachable!("tree-only fault epochs are rejected at compile time"),
                 };
-                self.drive(&mut net, victim, stream, baselines::ring::is_legitimate, sink, &mut apply)
+                self.drive(&mut net, victim, stream, sink, &mut apply)
             }
         }
     }
@@ -543,7 +544,7 @@ impl CompiledScenario {
                 construct(tree.clone(), cfg, &mut *drivers)
             });
         };
-        self.drive(net, fallback_victim, stream, klex_core::is_legitimate, sink, &mut apply)
+        self.drive(net, fallback_victim, stream, sink, &mut apply)
     }
 
     /// Runs the spec's trial plan sharded across up to `shards` worker threads.  Per-trial
@@ -786,19 +787,17 @@ impl CompiledScenario {
     ///
     /// Takes the network by `&mut` so harness workers can reuse one network across trials;
     /// the run-accumulated trace is moved out into the outcome either way.
-    fn drive<P, T, L>(
+    fn drive<P, T>(
         &self,
         net: &mut Network<P, T>,
         fallback_victim: NodeId,
         stream: u64,
-        legit: L,
         sink: Option<&dyn ProgressSink>,
         apply_event: EventApplier<'_, P, T>,
     ) -> ScenarioOutcome
     where
         P: ScenarioNode,
         T: Topology,
-        L: Fn(&Network<P, T>, &KlConfig) -> bool,
     {
         let n = net.len();
         let cfg = self.spec.config.to_kl(n);
@@ -810,19 +809,16 @@ impl CompiledScenario {
                 sink.progress("warmup", 0, 1);
             }
             let window = warmup.window.unwrap_or_else(|| crate::convergence::default_window(n));
-            let stabilized = {
-                let mut daemon = warmup
-                    .daemon
-                    .as_ref()
-                    .unwrap_or(&self.spec.daemon)
-                    .instantiate(stream, fallback_victim);
-                run_sustained(&mut *net, &mut daemon, warmup.max_steps, window, |net| {
-                    legit(net, &cfg)
-                })
-            };
-            match stabilized {
-                RunOutcome::Satisfied(at) => warmup_activations = Some(at),
-                _ => {
+            let mut daemon = warmup
+                .daemon
+                .as_ref()
+                .unwrap_or(&self.spec.daemon)
+                .instantiate(stream, fallback_victim);
+            let stabilized =
+                measure_convergence(&mut *net, &mut daemon, &cfg, warmup.max_steps, window);
+            match stabilized.stabilization_time() {
+                Some(at) => warmup_activations = Some(at),
+                None => {
                     // Warmup failed: no measurement phase ran, so only the failure flags are
                     // reported — measurement metrics (waits, fairness, …) computed over an
                     // unconverged warmup execution would contaminate harness summaries.
@@ -898,14 +894,10 @@ impl CompiledScenario {
                     let window = sched
                         .window
                         .unwrap_or_else(|| crate::convergence::default_window(net.len()));
-                    let outcome =
-                        run_sustained(&mut *net, &mut daemon, sched.max_steps, window, |net| {
-                            legit(net, &cfg)
-                        });
-                    let convergence = match outcome {
-                        RunOutcome::Satisfied(at) => Some(at - started_at),
-                        _ => None,
-                    };
+                    let convergence =
+                        measure_convergence(&mut *net, &mut daemon, &cfg, sched.max_steps, window)
+                            .stabilization_time()
+                            .map(|at| at - started_at);
                     epochs.push(EpochOutcome {
                         event: event.label().to_string(),
                         nodes: net.len(),
@@ -966,24 +958,37 @@ impl CompiledScenario {
                 }
             }
             StopSpec::Predicate { name, max_steps, sustained_for } => {
-                let pred = |net: &Network<P, T>| match name.as_str() {
-                    "legitimate" => legit(net, &cfg),
-                    "census-complete" => count_tokens(net).matches(cfg.l),
+                let pred = |net: &Network<P, T>, census: &LiveCensus| match name.as_str() {
+                    "legitimate" => census.is_legitimate(),
+                    "census-complete" => census.census().matches(cfg.l),
                     "all-requesters-served" => requesters.iter().zip(&requester_base).all(
                         |(&v, &base)| net.trace().cs_entries(Some(v)) as u64 > base,
                     ),
                     _ => unreachable!("predicate names are validated at compile time"),
                 };
-                match (&mut snapshots, *sustained_for > 0) {
-                    (None, true) => {
-                        run_sustained(&mut *net, &mut daemon, *max_steps, *sustained_for, pred)
-                    }
-                    (None, false) => treenet::run_until(&mut *net, &mut daemon, *max_steps, pred),
-                    (Some((runner, monitor)), true) => run_sustained_snapshots(
-                        &mut *net, &mut daemon, *max_steps, *sustained_for, runner, monitor, pred,
+                // `sustained_for == 0` is the loop's "first time the predicate holds" case.
+                match &mut snapshots {
+                    None => run_sustained(
+                        &mut *net,
+                        &cfg,
+                        *max_steps,
+                        *sustained_for,
+                        |net, census| {
+                            census.step(net, &mut daemon);
+                        },
+                        pred,
                     ),
-                    (Some((runner, monitor)), false) => treenet::run_until_with_snapshots(
-                        &mut *net, &mut daemon, *max_steps, runner, monitor, pred,
+                    Some((runner, monitor)) => run_sustained(
+                        &mut *net,
+                        &cfg,
+                        *max_steps,
+                        *sustained_for,
+                        |net, census| {
+                            census.track(net, |net, effects| {
+                                runner.step_with(net, &mut daemon, monitor, effects)
+                            });
+                        },
+                        pred,
                     ),
                 }
             }
@@ -1045,6 +1050,11 @@ impl CompiledScenario {
         } else {
             Vec::new()
         };
+        // Likewise one O(n) census scan serves every census metric selected.
+        let census = selected
+            .iter()
+            .any(|m| m == "resource_tokens" || m == "census_matches")
+            .then(|| count_tokens(net));
         for name in selected {
             let value = match name.as_str() {
                 "steps" => Some((net.now() - phase_start) as f64),
@@ -1083,10 +1093,8 @@ impl CompiledScenario {
                             && outcome.is_satisfied()
                     })
                 }
-                "resource_tokens" => Some(count_tokens(net).resource as f64),
-                "census_matches" => {
-                    Some(f64::from(u8::from(count_tokens(net).matches(cfg.l))))
-                }
+                "resource_tokens" => census.map(|c| c.resource as f64),
+                "census_matches" => census.map(|c| f64::from(u8::from(c.matches(cfg.l)))),
                 "epochs_total" | "epochs_converged" | "epoch_convergence_mean"
                 | "epoch_convergence_max" => None, // inserted below for schedule runs
                 "snapshots_taken" | "snapshots_clean" => None, // inserted below for snapshot runs
@@ -1162,40 +1170,6 @@ where
     }
 }
 
-/// [`run_sustained`] with snapshot interposition ([`SnapshotRunner::step`] instead of the
-/// plain step) — same streak accounting, same convergence boundary.
-#[allow(clippy::too_many_arguments)]
-fn run_sustained_snapshots<P, T, S, O>(
-    net: &mut Network<P, T>,
-    daemon: &mut S,
-    max_steps: u64,
-    window: u64,
-    runner: &mut SnapshotRunner,
-    observer: &mut O,
-    mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> RunOutcome
-where
-    P: Process,
-    P::Msg: SnapshotMessage,
-    T: Topology,
-    S: EventScheduler,
-    O: SnapshotObserver<P>,
-{
-    let mut streak_start = if pred(net) { Some(net.now()) } else { None };
-    for _ in 0..max_steps {
-        runner.step(net, daemon, observer);
-        if pred(net) {
-            let start = *streak_start.get_or_insert(net.now());
-            if net.now() - start >= window {
-                return RunOutcome::Satisfied(start);
-            }
-        } else {
-            streak_start = None;
-        }
-    }
-    RunOutcome::Exhausted(net.now())
-}
-
 /// [`treenet::run_until_quiescent`] with snapshot interposition.  Marker traffic counts as
 /// in-flight, so each cut resets the quiet streak; callers keep the grace below the
 /// snapshot interval (see [`super::spec::SnapshotSpec`]).
@@ -1256,36 +1230,4 @@ impl TrialObserver<'_> {
 /// The deepest node of a tree — the default victim of an adversarial daemon.
 pub fn deepest_node(tree: &OrientedTree) -> NodeId {
     (0..tree.len()).max_by_key(|&v| tree.depth(v)).unwrap_or(0)
-}
-
-/// Runs until `pred` has held for `window` **consecutive** activations, returning
-/// `Satisfied(t)` with `t` the time the sustained streak *started* — exactly the loop and
-/// convergence condition of [`crate::convergence::measure_convergence`], generalized over
-/// the predicate, so scenario-measured stabilization times are boundary-identical to the
-/// hand-wired convergence experiments.
-fn run_sustained<P, T, S>(
-    net: &mut Network<P, T>,
-    daemon: &mut S,
-    max_steps: u64,
-    window: u64,
-    mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> RunOutcome
-where
-    P: Process,
-    T: Topology,
-    S: Scheduler,
-{
-    let mut streak_start = if pred(net) { Some(net.now()) } else { None };
-    for _ in 0..max_steps {
-        net.step(daemon);
-        if pred(net) {
-            let start = *streak_start.get_or_insert(net.now());
-            if net.now() - start >= window {
-                return RunOutcome::Satisfied(start);
-            }
-        } else {
-            streak_start = None;
-        }
-    }
-    RunOutcome::Exhausted(net.now())
 }

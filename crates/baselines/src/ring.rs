@@ -312,44 +312,10 @@ pub fn network(
     Network::new(Ring::new(n), |id| RingSsNode::new(id, n, cfg, driver_for(id)))
 }
 
-/// Counts the tokens currently in the ring network (in flight plus held).
-pub fn count_tokens(net: &Network<RingSsNode, Ring>) -> klex_core::TokenCensus {
-    let mut census = klex_core::TokenCensus::default();
-    for (_, _, msg) in net.iter_messages() {
-        match msg {
-            Message::ResT => census.resource += 1,
-            Message::PushT => census.pusher += 1,
-            Message::PrioT => census.priority += 1,
-            Message::Ctrl { .. } => census.ctrl += 1,
-            Message::Garbage(_) => census.garbage += 1,
-            Message::Marker(_) => {}
-        }
-    }
-    for node in net.nodes() {
-        census.resource += node.reserved();
-        if node.holds_priority() {
-            census.priority += 1;
-        }
-    }
-    census
-}
-
-/// The ring counterpart of [`klex_core::is_legitimate`].
-pub fn is_legitimate(net: &Network<RingSsNode, Ring>, cfg: &KlConfig) -> bool {
-    let census = count_tokens(net);
-    let mut in_use = 0usize;
-    for node in net.nodes() {
-        if node.reserved() > cfg.k || node.units_in_use() > cfg.k {
-            return false;
-        }
-        in_use += node.units_in_use();
-    }
-    census.matches(cfg.l) && census.garbage == 0 && in_use <= cfg.l
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klex_core::{count_tokens, is_legitimate};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, FaultInjector, FaultPlan, RoundRobin};
 

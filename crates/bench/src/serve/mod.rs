@@ -42,7 +42,7 @@ use analysis::scenario::{preset, ScenarioSpec};
 use analysis::{Counter, MetricsRegistry, ProgressSink};
 use jobs::{event_line, EventValue, JobTable};
 use serde_json::Value;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -69,6 +69,9 @@ impl Default for ServeOptions {
 
 /// State shared by the accept thread, the workers, and every connection handler.
 struct Shared {
+    /// The bound address (the actual port, when `0` was requested); also the target of the
+    /// shutdown wake-up connect.
+    addr: SocketAddr,
     jobs: JobTable,
     registry: MetricsRegistry,
     started: Instant,
@@ -84,15 +87,27 @@ impl Shared {
         self.started.elapsed().as_secs_f64()
     }
 
+    /// Raises the shutdown flag, releases the workers, and — the first time — wakes the
+    /// accept thread out of its blocking `accept()` with one loopback connect.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.shutdown.swap(true, Ordering::SeqCst);
         self.jobs.request_shutdown();
+        if first {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // A refused connect means the accept thread is already gone.
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
     }
 }
 
 /// A running daemon.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -102,10 +117,10 @@ impl Server {
     /// Binds the address, spawns the worker pool and the accept thread, and returns.
     pub fn start(opts: &ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers_total = auto_workers(opts.workers);
         let shared = Arc::new(Shared {
+            addr,
             jobs: JobTable::new(opts.queue_cap),
             registry: MetricsRegistry::new(),
             started: Instant::now(),
@@ -125,12 +140,12 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-        Ok(Server { addr, shared, accept: Some(accept), workers })
+        Ok(Server { shared, accept: Some(accept), workers })
     }
 
     /// The bound address (the actual port, when `0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Asks the daemon to shut down (same effect as `POST /shutdown`).
@@ -149,29 +164,24 @@ impl Server {
     }
 }
 
-/// The accept loop: non-blocking accepts polled every 20ms so a shutdown request is
-/// noticed promptly; each connection gets a detached handler thread (connections are
-/// short-lived except streams, which end when their job does).
+/// The accept loop: blocks in `accept()`, so a connection is picked up the moment it
+/// arrives, and checks the shutdown flag each time `accept()` returns —
+/// [`Shared::request_shutdown`] makes it return with a loopback connect of its own.  Each
+/// connection gets a detached handler thread (connections are short-lived except streams,
+/// which end when their job does).
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || api::handle(stream, &shared));
             }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // A failing accept (descriptor exhaustion, an aborted handshake) must not spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
 }

@@ -2,10 +2,10 @@
 //! kernels reused by both the binaries and the Criterion benches.
 
 use analysis::convergence::{default_window, measure_convergence};
-use klex_core::{is_legitimate, ss, KlConfig, KlInspect, Message};
+use klex_core::{ss, KlConfig, KlInspect, LiveCensus, Message};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
-use treenet::{Network, NodeId, Process, RandomFair, Scheduler};
+use treenet::{EventScheduler, Network, NodeId, Process, RandomFair, Scheduler};
 
 /// How big/long each experiment runs.
 #[derive(Clone, Debug)]
@@ -92,7 +92,7 @@ pub fn stabilized_ss_network(
     tree: OrientedTree,
     cfg: KlConfig,
     driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     max_steps: u64,
 ) -> Option<Network<ss::SsNode, OrientedTree>> {
     let n = tree.len();
@@ -133,7 +133,7 @@ pub fn scheduler(seed: u64) -> RandomFair {
 /// Sustained-legitimacy check used by a few experiments that manage their own run loop.
 pub fn run_until_stable<P, T>(
     net: &mut Network<P, T>,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     cfg: &KlConfig,
     max_steps: u64,
     window: u64,
@@ -142,10 +142,11 @@ where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
+    let mut census = LiveCensus::new(net, cfg);
     let mut streak: u64 = 0;
     for _ in 0..max_steps {
-        net.step(sched);
-        if is_legitimate(net, cfg) {
+        census.step(net, sched);
+        if census.is_legitimate() {
             streak += 1;
             if streak >= window {
                 return Some(net.now() - window);
@@ -160,6 +161,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klex_core::is_legitimate;
     use treenet::app::Idle;
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`stabilized_ss`] — bootstraps and runs a fair schedule until the configuration is
 //!   (sustainably) legitimate, returning a network ready for closure exploration.
 
-use klex_core::{is_legitimate, KlConfig, Message, SsNode};
+use klex_core::{KlConfig, LiveCensus, Message, SsNode};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{Network, NodeId, RoundRobin};
@@ -62,10 +62,11 @@ pub fn stabilized_ss(
     launch_controller(&mut net);
     let mut sched = RoundRobin::new();
     let window = (2 * n * (2 * n).saturating_sub(2)).max(8) as u64;
+    let mut census = LiveCensus::new(&net, &cfg);
     let mut consecutive = 0u64;
     for _ in 0..max_steps {
-        net.step(&mut sched);
-        if is_legitimate(&net, &cfg) {
+        census.step(&mut net, &mut sched);
+        if census.is_legitimate() {
             consecutive += 1;
             if consecutive >= window {
                 return net;
@@ -85,7 +86,7 @@ pub fn stabilized_ss(
 mod tests {
     use super::*;
     use crate::drivers::{AlwaysRequest, NeverRequest};
-    use klex_core::count_tokens;
+    use klex_core::{count_tokens, is_legitimate};
 
     #[test]
     fn disabled_timeout_produces_no_spontaneous_controller() {

@@ -57,7 +57,7 @@ pub mod wire;
 
 pub use config::KlConfig;
 pub use inspect::KlInspect;
-pub use legitimacy::{count_tokens, is_legitimate, TokenCensus};
+pub use legitimacy::{count_tokens, is_legitimate, LiveCensus, TokenCensus};
 pub use message::Message;
 pub use node::AppSide;
 pub use ss::{SsNode, SsRole};

@@ -16,10 +16,10 @@
 
 use crate::extract::{distances_are_exact, extract_tree, parents_form_tree, ExtractedTree};
 use crate::protocol::{self, StConfig};
-use klex_core::{is_legitimate, KlConfig, SsNode};
+use klex_core::{KlConfig, LiveCensus, SsNode};
 use topology::{OrientedTree, RootedGraph};
 use treenet::app::BoxedDriver;
-use treenet::{Network, NodeId, Scheduler};
+use treenet::{EventScheduler, Network, NodeId};
 
 /// Why a composition attempt failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub fn compose(
     st_cfg: StConfig,
     kl_cfg: KlConfig,
     mut driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     budget: CompositionBudget,
 ) -> Result<Composition, CompositionError> {
     // Layer 1: spanning-tree construction.
@@ -121,7 +121,7 @@ pub fn compose(
     let mut st_activations = 0u64;
     let mut stabilized = false;
     while st_activations < budget.st_max_steps {
-        st_net.step(sched);
+        st_net.step_event(sched);
         st_activations += 1;
         if parents_form_tree(&st_net) && distances_are_exact(&st_net) {
             stable_for += 1;
@@ -146,13 +146,14 @@ pub fn compose(
     let mut kl_net = klex_core::ss::network(extracted.tree.clone(), kl_cfg, |tree_id| {
         driver_for(tree_to_graph[tree_id])
     });
+    let mut census = LiveCensus::new(&kl_net, &kl_cfg);
     let mut kl_activations = 0u64;
     let mut legitimate_for = 0u64;
     let mut kl_ok = false;
     while kl_activations < budget.kl_max_steps {
-        kl_net.step(sched);
+        census.step(&mut kl_net, sched);
         kl_activations += 1;
-        if is_legitimate(&kl_net, &kl_cfg) {
+        if census.is_legitimate() {
             legitimate_for += 1;
             if legitimate_for >= budget.kl_window {
                 kl_ok = true;
@@ -181,7 +182,7 @@ pub fn compose_with_defaults(
     graph: RootedGraph,
     kl_cfg: KlConfig,
     driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
 ) -> Result<Composition, CompositionError> {
     let st_cfg = StConfig::for_graph(&graph);
     let budget = CompositionBudget::for_size(graph.len());
@@ -191,7 +192,7 @@ pub fn compose_with_defaults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use klex_core::count_tokens;
+    use klex_core::{count_tokens, is_legitimate};
     use topology::Topology;
     use treenet::app::{AppDriver, Idle};
     use treenet::{RandomFair, RoundRobin};

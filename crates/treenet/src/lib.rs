@@ -68,7 +68,7 @@ pub use clocks::LamportClocks;
 pub use engine::{EnabledSet, EnabledShape, EventScheduler};
 pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
 pub use metrics::Metrics;
-pub use network::{ChannelMut, EnabledView, Network, NetworkView, StepUndo};
+pub use network::{ChannelMut, EnabledView, Network, NetworkView, StepEffects, StepUndo};
 pub use process::{Context, Event, MessageKind, Process};
 pub use runner::{run_for, run_until, run_until_quiescent, RunOutcome};
 pub use scheduler::{

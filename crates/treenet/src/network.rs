@@ -168,37 +168,40 @@ impl<M> StepUndo<M> {
     }
 }
 
-/// The recording hook threaded through the execution core: [`Network::execute`] instantiates
-/// it with the no-op `()` (compiling to exactly the unrecorded step), while
-/// [`Network::execute_undoable`] instantiates it with a [`StepUndo`].  Monomorphization
-/// keeps the plain path free of both the clone and the journal pushes.
-trait UndoSink<M> {
-    /// Called once when the activation consumes a delivered message.
-    fn record_delivered(&mut self, node: NodeId, label: ChannelLabel, msg: &M);
+/// What one activation did to the channels, reported while it executes: the message it
+/// consumed and every message it sent.  Together with the activated process's own state —
+/// the only process state an activation can change — that is the activation's whole effect
+/// on the configuration, so an observer that maintains a function of the configuration
+/// incrementally (an undo journal, a token census) needs nothing else.
+///
+/// [`Network::execute_with`] is monomorphized over the implementor; the no-op `()` compiles
+/// to exactly the unobserved step, which is what [`Network::execute`] runs.
+pub trait StepEffects<M> {
+    /// The activation consumed `msg` from the head of `node`'s incoming channel `label`.
+    fn delivered(&mut self, node: NodeId, label: ChannelLabel, msg: &M);
 
-    /// The journal receiving `(node, label)` per pushed message, when recording.
-    fn journal(&mut self) -> Option<&mut Vec<(NodeId, ChannelLabel)>>;
+    /// The activation is about to push `msg` onto the tail of `node`'s incoming channel
+    /// `label` (called once per message, in send order).
+    fn sent(&mut self, node: NodeId, label: ChannelLabel, msg: &M);
 }
 
-impl<M> UndoSink<M> for () {
+impl<M> StepEffects<M> for () {
     #[inline]
-    fn record_delivered(&mut self, _node: NodeId, _label: ChannelLabel, _msg: &M) {}
+    fn delivered(&mut self, _node: NodeId, _label: ChannelLabel, _msg: &M) {}
 
     #[inline]
-    fn journal(&mut self) -> Option<&mut Vec<(NodeId, ChannelLabel)>> {
-        None
-    }
+    fn sent(&mut self, _node: NodeId, _label: ChannelLabel, _msg: &M) {}
 }
 
-impl<M: Clone> UndoSink<M> for StepUndo<M> {
+impl<M: Clone> StepEffects<M> for StepUndo<M> {
     #[inline]
-    fn record_delivered(&mut self, node: NodeId, label: ChannelLabel, msg: &M) {
+    fn delivered(&mut self, node: NodeId, label: ChannelLabel, msg: &M) {
         self.delivered = Some((node, label, msg.clone()));
     }
 
     #[inline]
-    fn journal(&mut self) -> Option<&mut Vec<(NodeId, ChannelLabel)>> {
-        Some(&mut self.sent)
+    fn sent(&mut self, node: NodeId, label: ChannelLabel, _msg: &M) {
+        self.sent.push((node, label));
     }
 }
 
@@ -468,7 +471,7 @@ impl<P: Process, T: Topology> Network<P, T> {
 
     /// Executes a specific activation (exposed so tests can drive precise interleavings).
     pub fn execute(&mut self, activation: Activation) {
-        self.execute_recorded(activation, &mut ());
+        self.execute_with(activation, &mut ());
     }
 
     /// Executes `activation` exactly like [`Network::execute`] while recording its channel
@@ -484,7 +487,7 @@ impl<P: Process, T: Topology> Network<P, T> {
         P::Msg: Clone,
     {
         undo.clear();
-        self.execute_recorded(activation, undo);
+        self.execute_with(activation, undo);
     }
 
     /// Reverts the channel effects recorded by [`Network::execute_undoable`], draining
@@ -519,7 +522,9 @@ impl<P: Process, T: Topology> Network<P, T> {
         }
     }
 
-    fn execute_recorded<U: UndoSink<P::Msg>>(&mut self, activation: Activation, undo: &mut U) {
+    /// Executes `activation` exactly like [`Network::execute`], reporting the consumed and
+    /// the sent messages to `effects` as they happen (see [`StepEffects`]).
+    pub fn execute_with<E: StepEffects<P::Msg>>(&mut self, activation: Activation, effects: &mut E) {
         self.now += 1;
         self.metrics.activations += 1;
         match activation {
@@ -533,8 +538,8 @@ impl<P: Process, T: Topology> Network<P, T> {
                         if let Some(clocks) = self.clocks.as_deref_mut() {
                             clocks.on_deliver(node, self.slab.flat(node, channel));
                         }
-                        undo.record_delivered(node, channel, &msg);
-                        self.run_node(node, Some((channel, msg)), undo);
+                        effects.delivered(node, channel, &msg);
+                        self.run_node(node, Some((channel, msg)), effects);
                     }
                     None => {
                         // The scheduler raced an empty channel; treat it as a tick so time
@@ -543,7 +548,7 @@ impl<P: Process, T: Topology> Network<P, T> {
                         if let Some(clocks) = self.clocks.as_deref_mut() {
                             clocks.on_tick(node);
                         }
-                        self.run_node(node, None, undo);
+                        self.run_node(node, None, effects);
                     }
                 }
             }
@@ -552,16 +557,16 @@ impl<P: Process, T: Topology> Network<P, T> {
                 if let Some(clocks) = self.clocks.as_deref_mut() {
                     clocks.on_tick(node);
                 }
-                self.run_node(node, None, undo);
+                self.run_node(node, None, effects);
             }
         }
     }
 
-    fn run_node<U: UndoSink<P::Msg>>(
+    fn run_node<E: StepEffects<P::Msg>>(
         &mut self,
         node: NodeId,
         incoming: Option<(ChannelLabel, P::Msg)>,
-        undo: &mut U,
+        effects: &mut E,
     ) {
         debug_assert!(self.outbox.is_empty() && self.event_buf.is_empty());
         let degree = self.topo.degree(node);
@@ -590,13 +595,11 @@ impl<P: Process, T: Topology> Network<P, T> {
                 if let Some(clocks) = self.clocks.as_deref_mut() {
                     clocks.on_send(node, self.slab.flat(dest, dest_label));
                 }
+                effects.sent(dest, dest_label, &msg);
                 let channel = self.slab.get_mut(dest, dest_label);
                 channel.push(msg);
                 let len = channel.len();
                 self.enabled.note_len(dest, dest_label, len);
-                if let Some(journal) = undo.journal() {
-                    journal.push((dest, dest_label));
-                }
             }
             self.outbox = outbox;
         }

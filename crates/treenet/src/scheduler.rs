@@ -59,6 +59,16 @@ pub enum Activation {
     },
 }
 
+impl Activation {
+    /// The activated process — the only process whose state the activation can change.
+    #[inline]
+    pub fn node(&self) -> NodeId {
+        match *self {
+            Activation::Deliver { node, .. } | Activation::Tick { node } => node,
+        }
+    }
+}
+
 /// Chooses the next activation based on the observable network shape.
 pub trait Scheduler {
     /// Returns the next activation to execute.

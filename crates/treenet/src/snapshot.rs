@@ -28,7 +28,7 @@
 //! one branch, so the configured interval directly bounds the overhead.
 
 use crate::engine::{EnabledShape, EventScheduler};
-use crate::network::Network;
+use crate::network::{Network, StepEffects};
 use crate::process::Process;
 use crate::scheduler::Activation;
 use crate::{ChannelLabel, NodeId};
@@ -161,6 +161,28 @@ impl SnapshotRunner {
         S: EventScheduler,
         O: SnapshotObserver<P>,
     {
+        self.step_with(net, daemon, observer, &mut ());
+    }
+
+    /// [`SnapshotRunner::step`] reporting the executed activation's channel effects to
+    /// `effects` ([`Network::execute_with`]) and returning the activation.  Marker traffic —
+    /// the broadcasts and the network-layer consumption — is the snapshot layer's own and
+    /// is not reported: markers are not protocol messages.
+    pub fn step_with<P, T, S, O, E>(
+        &mut self,
+        net: &mut Network<P, T>,
+        daemon: &mut S,
+        observer: &mut O,
+        effects: &mut E,
+    ) -> Activation
+    where
+        P: Process,
+        P::Msg: SnapshotMessage,
+        T: Topology,
+        S: EventScheduler,
+        O: SnapshotObserver<P>,
+        E: StepEffects<P::Msg>,
+    {
         if self.initiation_due(net.now()) {
             self.initiate(net, observer);
         }
@@ -172,7 +194,7 @@ impl SnapshotRunner {
                 if let Some(snap) = head_marker {
                     net.consume_marker(node, channel);
                     self.on_marker(snap, node, channel, net, observer);
-                    return;
+                    return activation;
                 }
                 // A protocol message delivered on a recorded node's still-open channel is
                 // part of the cut's in-transit record (peeked before the delivery consumes
@@ -185,7 +207,8 @@ impl SnapshotRunner {
                 }
             }
         }
-        net.execute(activation);
+        net.execute_with(activation, effects);
+        activation
     }
 
     /// Starts a new cut: record the initiator, broadcast its markers, open every other

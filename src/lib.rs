@@ -72,12 +72,13 @@ pub mod prelude {
         FairnessReport, Histogram, MonitorReport, SafetyMonitor, Summary, Verdict,
     };
     pub use klex_core::{
-        count_tokens, is_legitimate, KlConfig, KlInspect, Message, SsNode, TokenCensus,
+        count_tokens, is_legitimate, KlConfig, KlInspect, LiveCensus, Message, SsNode,
+        TokenCensus,
     };
     pub use topology::{OrientedTree, Ring, Topology, VirtualRing};
     pub use treenet::{
         engine, run_for, run_until, run_until_quiescent, Adversarial, AppDriver, CsState, Event,
-        FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin, Scheduler,
-        Synchronous,
+        EventScheduler, FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin,
+        Scheduler, Synchronous,
     };
 }

@@ -111,6 +111,36 @@ fn harness_results_are_independent_of_shard_count() {
     assert_eq!(sequential.per_trial, sharded.per_trial);
 }
 
+/// Per-trial convergence times of a fixed Theorem-1 spec, as the O(n)-scan streak loops
+/// measured them before the live census replaced the scan.  A drift of one activation in
+/// the streak boundary, the daemon path or the census itself moves these numbers.
+#[test]
+fn theorem1_convergence_times_are_pinned_on_the_reuse_and_rebuild_paths() {
+    // A fixed shape reuses one network per harness worker; a seeded one rebuilds per trial.
+    let cases: [(&str, TopologySpec, [u64; 5]); 2] = [
+        ("reuse", TopologySpec::Binary { n: 15 }, PINNED_REUSE),
+        ("rebuild", TopologySpec::Random { n: 12, seed: 5 }, PINNED_REBUILD),
+    ];
+    for (path, topology, expected) in cases {
+        let mut spec =
+            convergence_scenario(topology, 2, 4, FaultPlanSpec::Catastrophic, 11).spec().clone();
+        spec.trials = expected.len() as u64;
+        let scenario = spec.compile().unwrap();
+        for shards in [1, 3] {
+            let times: Vec<u64> = scenario
+                .run_harness(shards)
+                .per_trial
+                .iter()
+                .map(|trial| trial["convergence_activations"] as u64)
+                .collect();
+            assert_eq!(times, expected, "{path} path at {shards} shard(s)");
+        }
+    }
+}
+
+const PINNED_REUSE: [u64; 5] = [4257, 5160, 8897, 7424, 7853];
+const PINNED_REBUILD: [u64; 5] = [12497, 6486, 7908, 4682, 12517];
+
 #[test]
 fn recovers_from_forged_token_surplus_and_total_loss() {
     let tree = topology::builders::binary(9);

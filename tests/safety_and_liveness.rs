@@ -7,7 +7,7 @@ use kl_exclusion::prelude::*;
 /// Stabilize a network and clear its counters, panicking if it never stabilizes.
 fn stabilize(
     net: &mut Network<protocol::SsNode, OrientedTree>,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     cfg: &KlConfig,
 ) {
     let out = measure_convergence(net, sched, cfg, 4_000_000, 2_000);
