@@ -37,12 +37,13 @@ impl FairnessReport {
         let mut entries = vec![0u64; n];
         let mut requests = vec![0u64; n];
         for ev in trace.events() {
-            if ev.node >= n {
+            let node = ev.node as NodeId;
+            if node >= n {
                 continue;
             }
             match ev.event {
-                Event::EnterCs { .. } => entries[ev.node] += 1,
-                Event::RequestIssued { .. } => requests[ev.node] += 1,
+                Event::EnterCs { .. } => entries[node] += 1,
+                Event::RequestIssued { .. } => requests[node] += 1,
                 _ => {}
             }
         }

@@ -399,15 +399,16 @@ impl TemporalMonitor for ConvergenceWitnessed {
 /// [`MonitorEvent::Legitimate`]) have been delivered.
 pub fn feed_trace(monitors: &mut [Box<dyn TemporalMonitor>], trace: &Trace) {
     for traced in trace.events() {
+        let (at, node) = (traced.at, traced.node as NodeId);
         let event = match traced.event {
             treenet::Event::RequestIssued { units } => {
-                MonitorEvent::Request { at: traced.at, node: traced.node, units }
+                MonitorEvent::Request { at, node, units: units.into() }
             }
             treenet::Event::EnterCs { units } => {
-                MonitorEvent::Enter { at: traced.at, node: traced.node, units }
+                MonitorEvent::Enter { at, node, units: units.into() }
             }
             treenet::Event::ExitCs { units } => {
-                MonitorEvent::Exit { at: traced.at, node: traced.node, units }
+                MonitorEvent::Exit { at, node, units: units.into() }
             }
             treenet::Event::Note(_) => continue,
         };

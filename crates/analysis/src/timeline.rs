@@ -22,7 +22,8 @@ pub fn render_activity_gantt(trace: &Trace, n: usize, from: u64, to: u64, width:
     // Per-node, time-ordered (timestamp, state-char) change points.
     let mut changes: Vec<Vec<(u64, char)>> = vec![Vec::new(); n];
     for ev in trace.events() {
-        if ev.node >= n {
+        let node = ev.node as usize;
+        if node >= n {
             continue;
         }
         let state = match ev.event {
@@ -32,7 +33,7 @@ pub fn render_activity_gantt(trace: &Trace, n: usize, from: u64, to: u64, width:
             Event::Note(_) => None,
         };
         if let Some(c) = state {
-            changes[ev.node].push((ev.at, c));
+            changes[node].push((ev.at, c));
         }
     }
     let mut out = String::new();

@@ -40,7 +40,7 @@ pub fn waiting_times(trace: &Trace) -> Vec<WaitingRecord> {
         .events()
         .iter()
         .filter(|e| matches!(e.event, Event::EnterCs { .. }))
-        .map(|e| (e.at, e.node))
+        .map(|e| (e.at, e.node as NodeId))
         .collect();
 
     let mut records = Vec::new();
@@ -48,18 +48,19 @@ pub fn waiting_times(trace: &Trace) -> Vec<WaitingRecord> {
     let mut pending: std::collections::BTreeMap<NodeId, (u64, usize)> =
         std::collections::BTreeMap::new();
     for ev in trace.events() {
+        let node = ev.node as NodeId;
         match ev.event {
             Event::RequestIssued { units } => {
-                pending.entry(ev.node).or_insert((ev.at, units));
+                pending.entry(node).or_insert((ev.at, units.into()));
             }
             Event::EnterCs { .. } => {
-                if let Some((requested_at, units)) = pending.remove(&ev.node) {
+                if let Some((requested_at, units)) = pending.remove(&node) {
                     let waited = entries
                         .iter()
-                        .filter(|&&(t, n)| n != ev.node && t > requested_at && t < ev.at)
+                        .filter(|&&(t, n)| n != node && t > requested_at && t < ev.at)
                         .count() as u64;
                     records.push(WaitingRecord {
-                        node: ev.node,
+                        node,
                         units,
                         requested_at,
                         entered_at: ev.at,

@@ -135,7 +135,7 @@ impl Process for CentralizedNode {
                     self.granted = units;
                     self.state = CsState::In;
                     self.entered_at = ctx.now;
-                    ctx.emit(Event::EnterCs { units });
+                    ctx.emit(Event::EnterCs { units: Event::units(units) });
                 } else {
                     // Spurious grant (e.g. injected by a fault): hand the units straight back.
                     ctx.send(0, CoordMessage::Release { units });
@@ -156,7 +156,7 @@ impl Process for CentralizedNode {
                     self.need = units.clamp(1, self.cfg.k);
                     self.state = CsState::Req;
                     self.request_sent = false;
-                    ctx.emit(Event::RequestIssued { units: self.need });
+                    ctx.emit(Event::RequestIssued { units: Event::units(self.need) });
                 }
             }
             CsState::Req => {
@@ -168,7 +168,7 @@ impl Process for CentralizedNode {
             CsState::In => {
                 if self.driver.release_cs(self.node, ctx.now, self.entered_at) {
                     ctx.send(0, CoordMessage::Release { units: self.granted });
-                    ctx.emit(Event::ExitCs { units: self.granted });
+                    ctx.emit(Event::ExitCs { units: Event::units(self.granted) });
                     self.granted = 0;
                     self.need = 0;
                     self.state = CsState::Out;

@@ -162,7 +162,7 @@ impl PermissionNode {
         if self.held.len() >= self.need {
             self.state = CsState::In;
             self.entered_at = ctx.now;
-            ctx.emit(Event::EnterCs { units: self.held.len() });
+            ctx.emit(Event::EnterCs { units: Event::units(self.held.len()) });
         }
     }
 
@@ -244,7 +244,7 @@ impl Process for PermissionNode {
                     self.state = CsState::Req;
                     self.next_to_ask = 0;
                     self.asked = false;
-                    ctx.emit(Event::RequestIssued { units: self.need });
+                    ctx.emit(Event::RequestIssued { units: Event::units(self.need) });
                 }
             }
             CsState::Req => {
@@ -259,7 +259,7 @@ impl Process for PermissionNode {
             CsState::In => {
                 if self.driver.release_cs(self.node, ctx.now, self.entered_at) {
                     let held = std::mem::take(&mut self.held);
-                    ctx.emit(Event::ExitCs { units: held.len() });
+                    ctx.emit(Event::ExitCs { units: Event::units(held.len()) });
                     for unit in held {
                         self.give_back(unit, ctx);
                     }

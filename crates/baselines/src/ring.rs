@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use topology::Ring;
 use treenet::app::BoxedDriver;
-use treenet::{Context, Corruptible, CsState, Event, Network, NodeId, Process};
+use treenet::{Context, Corruptible, CsState, Event, Network, NodeId, Note, Process};
 
 /// Messages of the ring baseline: the same vocabulary as the tree protocol.
 pub type RingMessage = Message;
@@ -150,7 +150,7 @@ impl RingSsNode {
         if reset {
             self.app.rset.clear();
             self.prio = false;
-            ctx.emit(Event::Note("reset-start"));
+            ctx.emit(Event::Note(Note::ResetStart));
         } else {
             if ppr as u64 + s_prio as u64 == 0 {
                 ctx.send(0, Message::PrioT);
@@ -172,7 +172,7 @@ impl RingSsNode {
         root.s_prio = 0;
         root.last_restart = root.ticks;
         ctx.send(0, Message::Ctrl { c: new_c, r: reset, pt: 0, ppr: 0 });
-        ctx.emit(Event::Note("circulation"));
+        ctx.emit(Event::Note(Note::Circulation));
     }
 
     fn nonroot_handle_ctrl(
@@ -219,7 +219,7 @@ impl RingSsNode {
             if let Some(r) = &mut self.root {
                 r.last_restart = r.ticks;
             }
-            ctx.emit(Event::Note("timeout"));
+            ctx.emit(Event::Note(Note::Timeout));
         }
     }
 }

@@ -128,7 +128,7 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
                 .trace()
                 .events()
                 .iter()
-                .filter(|e| matches!(e.event, treenet::Event::Note("reset-start")))
+                .filter(|e| matches!(e.event, treenet::Event::Note(treenet::Note::ResetStart)))
                 .count() as f64;
         }
         resets / scale.trials as f64

@@ -46,7 +46,9 @@ pub fn e7_kl_liveness(scale: Scale) -> ExperimentReport {
             let late_entries_of = |v: usize| {
                 net.trace()
                     .in_window(horizon / 2, horizon + 1)
-                    .filter(|e| e.node == v && matches!(e.event, treenet::Event::EnterCs { .. }))
+                    .filter(|e| {
+                        e.node as usize == v && matches!(e.event, treenet::Event::EnterCs { .. })
+                    })
                     .count()
             };
             let entries: usize = requesters.iter().map(|&v| late_entries_of(v)).sum();

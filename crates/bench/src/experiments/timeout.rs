@@ -23,7 +23,7 @@ use analysis::scenario::{
 use analysis::{ExperimentRow, Summary};
 use klex_core::{ss, KlConfig, Message};
 use topology::Topology;
-use treenet::Event;
+use treenet::{Event, Note};
 
 /// Deletes every in-flight controller message — the fault class the timeout exists for.
 fn drop_all_controllers(
@@ -102,7 +102,7 @@ pub fn e13_timeout_sweep(scale: Scale) -> ExperimentReport {
                 .trace()
                 .events()
                 .iter()
-                .filter(|e| matches!(e.event, Event::Note("timeout")))
+                .filter(|e| matches!(e.event, Event::Note(Note::Timeout)))
                 .count() as f64;
             ctrl_per_1k.push(ctrl_msgs * 1_000.0 / scale.measure_steps as f64);
             timeouts_per_1k.push(timeout_events * 1_000.0 / scale.measure_steps as f64);
@@ -117,12 +117,10 @@ pub fn e13_timeout_sweep(scale: Scale) -> ExperimentReport {
             let mut new_circulation_at = None;
             for _ in 0..scale.max_steps {
                 net.step(&mut sched);
-                if let Some(ev) = net
-                    .trace()
-                    .events()
-                    .iter()
-                    .rev()
-                    .find(|e| matches!(e.event, Event::Note("circulation")) && e.at > drop_at)
+                if let Some(ev) =
+                    net.trace().events().iter().rev().find(|e| {
+                        matches!(e.event, Event::Note(Note::Circulation)) && e.at > drop_at
+                    })
                 {
                     new_circulation_at = Some(ev.at);
                     break;

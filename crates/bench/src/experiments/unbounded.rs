@@ -10,7 +10,7 @@ use analysis::scenario::{
 use analysis::{ExperimentRow, Summary};
 use klex_core::{ss, KlConfig, Message};
 use topology::Topology;
-use treenet::Event;
+use treenet::{Event, Note};
 
 /// How the counter-flushing domain is sized in one E14 variant.
 #[derive(Clone, Copy, Debug)]
@@ -147,7 +147,7 @@ pub fn e14_unbounded_counter(scale: Scale) -> ExperimentReport {
                         net.trace()
                             .events()
                             .iter()
-                            .filter(|e| matches!(e.event, Event::Note("reset-start")))
+                            .filter(|e| matches!(e.event, Event::Note(Note::ResetStart)))
                             .count() as f64,
                     );
                 }

@@ -877,7 +877,7 @@ fn collect_cs_entries<P: CheckableNode, T: Topology>(net: &Network<P, T>) -> Vec
         .events()
         .iter()
         .filter(|e| matches!(e.event, treenet::Event::EnterCs { .. }))
-        .map(|e| e.node)
+        .map(|e| e.node as NodeId)
         .collect()
 }
 

@@ -81,6 +81,12 @@ impl Process for NaiveNode {
             }
         }
     }
+
+    /// A blocked requester past the root's one-time bootstrap: no guard of `on_tick` is
+    /// enabled until a delivery changes `RSet`.
+    fn tick_is_noop(&self) -> bool {
+        (!self.is_root || self.bootstrapped) && self.app.wants_more()
+    }
 }
 
 impl KlInspect for NaiveNode {

@@ -69,7 +69,7 @@ impl AppSide {
             let units = units.clamp(1, cfg.k);
             self.need = units;
             self.state = CsState::Req;
-            ctx.emit(Event::RequestIssued { units });
+            ctx.emit(Event::RequestIssued { units: Event::units(units) });
         }
     }
 
@@ -79,7 +79,7 @@ impl AppSide {
         if self.can_enter() {
             self.state = CsState::In;
             self.entered_at = ctx.now;
-            ctx.emit(Event::EnterCs { units: self.need });
+            ctx.emit(Event::EnterCs { units: Event::units(self.need) });
             true
         } else {
             false
@@ -97,7 +97,7 @@ impl AppSide {
             let tokens = self.take_reserved();
             self.state = CsState::Out;
             self.need = 0;
-            ctx.emit(Event::ExitCs { units: tokens.len() });
+            ctx.emit(Event::ExitCs { units: Event::units(tokens.len()) });
             Some(tokens)
         } else {
             None

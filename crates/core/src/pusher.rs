@@ -93,6 +93,12 @@ impl Process for PusherNode {
             }
         }
     }
+
+    /// A blocked requester past the root's one-time bootstrap: no guard of `on_tick` is
+    /// enabled until a delivery changes `RSet`.
+    fn tick_is_noop(&self) -> bool {
+        (!self.is_root || self.bootstrapped) && self.app.wants_more()
+    }
 }
 
 impl KlInspect for PusherNode {

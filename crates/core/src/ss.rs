@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
-use treenet::{ChannelLabel, Context, Corruptible, CsState, Event, Network, NodeId, Process};
+use treenet::{ChannelLabel, Context, Corruptible, CsState, Event, Network, NodeId, Note, Process};
 
 /// Root-only state of Algorithm 1.
 #[derive(Clone, Debug)]
@@ -307,7 +307,7 @@ impl SsNode {
                 // Lines 48–50: start a reset circulation; drop local reservations.
                 self.app.rset.clear();
                 self.prio = None;
-                ctx.emit(Event::Note("reset-start"));
+                ctx.emit(Event::Note(Note::ResetStart));
             } else {
                 // Lines 51–62: repair deficits by creating the missing tokens on channel 0.
                 let create_prio = {
@@ -345,7 +345,7 @@ impl SsNode {
             }
             pt = 0;
             ppr = 0;
-            ctx.emit(Event::Note("circulation"));
+            ctx.emit(Event::Note(Note::Circulation));
         }
         // Lines 69–74 in the printed order (ablation only): count the root's passed tokens
         // after the completion block, crediting them to the next circulation.
@@ -452,7 +452,7 @@ impl SsNode {
             };
             ctx.send(succ, Message::Ctrl { c: my_c, r: reset, pt: 0, ppr: 0 });
             self.root_restart_timer();
-            ctx.emit(Event::Note("timeout"));
+            ctx.emit(Event::Note(Note::Timeout));
         }
     }
 
@@ -531,6 +531,13 @@ impl Process for SsNode {
         if self.is_root() {
             self.root_timeout(ctx);
         }
+    }
+
+    /// A blocked non-root requester: every guard of `bottom_of_loop` reads false (`poll_request`
+    /// wants `Out`, `try_enter` wants `|RSet| ≥ Need`, `try_release` wants `In`, the priority
+    /// release wants a satisfied process).  Never the root, whose timer counts every tick.
+    fn tick_is_noop(&self) -> bool {
+        !self.is_root() && self.app.wants_more()
     }
 }
 
@@ -1044,7 +1051,7 @@ mod controller_unit_tests {
             out.iter().all(|(_, m)| !m.is_resource()),
             "corrected ordering must not create surplus tokens, got {out:?}"
         );
-        assert!(events.iter().any(|e| matches!(e, Event::Note("circulation"))));
+        assert!(events.iter().any(|e| matches!(e, Event::Note(Note::Circulation))));
         // The next circulation starts with a fresh stamp.
         if let SsRole::Root(r) = &root.role {
             assert_eq!(r.my_c, 1);
@@ -1079,7 +1086,7 @@ mod controller_unit_tests {
         let (_, events) =
             deliver(&mut root, 1, Message::Ctrl { c: 1, r: false, pt: 1, ppr: 0 }, 2);
         assert!(
-            events.iter().any(|e| matches!(e, Event::Note("reset-start"))),
+            events.iter().any(|e| matches!(e, Event::Note(Note::ResetStart))),
             "the following circulation must detect the surplus and reset"
         );
     }

@@ -35,6 +35,30 @@
 //! drop).  Because each activation of `p` touches only the channels of `p` and its
 //! neighbours, the maintenance cost per step is O(messages moved), not O(network).
 //!
+//! # Tick guards
+//!
+//! The same reasoning covers the guards at the bottom of a process's loop.  In the regime
+//! ℓ ≪ n almost every process is a blocked requester (`State = Req ∧ |RSet| < Need`): none of
+//! its tick guards is enabled, nothing but a delivery to it can enable one, and an activation
+//! that finds no enabled guard is a stutter step.  The set therefore also keeps one *quiet*
+//! bit per node and their popcount, with the invariant
+//!
+//! > bit `v` is set **only if** `node(v).tick_is_noop()` holds (see
+//! > [`crate::Process::tick_is_noop`] for the contract that makes the answer stable).
+//!
+//! The bit is refreshed from the activated process at the end of every activation that runs
+//! it, and cleared by every path that hands out `&mut P` or replaces processes:
+//! `Network::node_mut`, `reset_trial`, `reset_from` and `rebuild_from` — with the
+//! activation itself, the five places `network.rs` mutates a process.  A tick (or a delivery
+//! that raced an empty channel) on a quiet node advances the clock, the activation and tick
+//! counters and the node's Lamport clock and returns, without touching the topology, the
+//! channel slab, the process, or the scratch buffers.  Daemons never see the bits
+//! ([`EnabledShape`] does not expose them), so activation sequences, RNG draws, traces and
+//! metrics are those of an engine that runs every handler.  There is one execute path and no
+//! switch: under `debug_assertions` a quiet tick still runs `on_tick` and asserts that it
+//! sent nothing, emitted nothing and left the hint true, which makes every debug-mode suite
+//! a differential test of the hint.
+//!
 //! # Daemon equivalence
 //!
 //! Event-driven daemons draw from the maintained set with the *same RNG discipline* as their
@@ -76,6 +100,10 @@ pub struct EnabledSet {
     pos: Vec<u32>,
     /// Total number of in-flight messages.
     in_flight: u64,
+    /// Quiet-tick bitset, one bit per node (see the module docs, "Tick guards").
+    quiet: Vec<u64>,
+    /// Number of set bits in `quiet`.
+    quiet_count: usize,
 }
 
 const ABSENT: u32 = u32::MAX;
@@ -105,6 +133,8 @@ impl EnabledSet {
             nodes: Vec::with_capacity(n),
             pos: vec![ABSENT; n],
             in_flight: 0,
+            quiet: vec![0; n.div_ceil(64)],
+            quiet_count: 0,
         }
     }
 
@@ -130,6 +160,19 @@ impl EnabledSet {
     #[inline]
     pub fn in_flight(&self) -> u64 {
         self.in_flight
+    }
+
+    /// True when `node`'s ticks are known to be stutter steps (its quiet bit is set).
+    #[inline]
+    pub fn tick_is_quiet(&self, node: NodeId) -> bool {
+        self.quiet[node / 64] & (1u64 << (node % 64)) != 0
+    }
+
+    /// Number of nodes whose quiet bit is set, maintained in O(1) (read through
+    /// [`Network::blocked_processes`]).
+    #[inline]
+    pub(crate) fn quiet_count(&self) -> usize {
+        self.quiet_count
     }
 
     /// Number of delivery-enabled nodes (nodes with at least one non-empty channel).
@@ -212,6 +255,23 @@ impl EnabledSet {
         self.nodes.clear();
         self.pos.fill(ABSENT);
         self.in_flight = 0;
+        self.quiet.fill(0);
+        self.quiet_count = 0;
+    }
+
+    /// Sets `node`'s quiet bit to `quiet`, keeping the popcount.  O(1).
+    #[inline]
+    pub(crate) fn note_tick_quiet(&mut self, node: NodeId, quiet: bool) {
+        let mask = 1u64 << (node % 64);
+        let word = &mut self.quiet[node / 64];
+        if (*word & mask != 0) != quiet {
+            *word ^= mask;
+            if quiet {
+                self.quiet_count += 1;
+            } else {
+                self.quiet_count -= 1;
+            }
+        }
     }
 
     /// Records that channel `channel` of `node` now holds `new_len` messages, updating the
@@ -425,6 +485,22 @@ mod tests {
         s.note_len(0, 0, 3);
         assert_eq!(s.in_flight(), 3);
         assert_eq!(s.deliverable_count(0), 1);
+    }
+
+    #[test]
+    fn quiet_bits_keep_their_popcount_and_reset_with_the_set() {
+        let mut s = set_of(&[1; 70]);
+        s.note_tick_quiet(3, true);
+        s.note_tick_quiet(69, true);
+        s.note_tick_quiet(69, true);
+        assert!(s.tick_is_quiet(3) && s.tick_is_quiet(69) && !s.tick_is_quiet(4));
+        assert_eq!(s.quiet_count(), 2);
+        s.note_tick_quiet(3, false);
+        s.note_tick_quiet(4, false);
+        assert_eq!(s.quiet_count(), 1);
+        s.reset();
+        assert_eq!(s.quiet_count(), 0);
+        assert!(!s.tick_is_quiet(69));
     }
 
     #[test]

@@ -291,7 +291,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Context, Event};
+    use crate::process::Context;
     use crate::ChannelLabel;
     use topology::builders;
 
@@ -320,9 +320,7 @@ mod tests {
     impl Process for Node {
         type Msg = M;
         fn on_message(&mut self, _f: ChannelLabel, _m: M, _ctx: &mut Context<'_, M>) {}
-        fn on_tick(&mut self, _ctx: &mut Context<'_, M>) {
-            let _ = Event::Note("noop");
-        }
+        fn on_tick(&mut self, _ctx: &mut Context<'_, M>) {}
     }
     impl Corruptible for Node {
         fn corrupt(&mut self, rng: &mut StdRng) {

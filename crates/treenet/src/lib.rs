@@ -69,7 +69,7 @@ pub use engine::{EnabledSet, EnabledShape, EventScheduler};
 pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
 pub use metrics::Metrics;
 pub use network::{ChannelMut, EnabledView, Network, NetworkView, StepEffects, StepUndo};
-pub use process::{Context, Event, MessageKind, Process};
+pub use process::{Context, Event, MessageKind, Note, Process};
 pub use runner::{run_for, run_until, run_until_quiescent, RunOutcome};
 pub use scheduler::{
     Activation, Adversarial, AdversarialDaemon, CentralDaemon, DistributedDaemon, RandomFair,

@@ -4,6 +4,9 @@
 //! every mutation of a channel (delivery, send, injection, or direct surgery through
 //! [`Network::channel_mut`]) immediately updates the maintained [`EnabledSet`], so
 //! event-driven daemons can read "which guards are enabled" in O(1) instead of rescanning.
+//! The same set carries the tick-guard clause: one quiet bit per process, refreshed by the
+//! activation that runs the process and cleared wherever a process is handed out mutably or
+//! replaced, so a blocked process's tick executes without touching the process at all.
 
 use crate::channel::Channel;
 use crate::clocks::LamportClocks;
@@ -275,7 +278,11 @@ impl<P: Process, T: Topology> Network<P, T> {
     }
 
     /// Mutable access to the process at `node` (used by fault injection and scenario setup).
+    ///
+    /// The caller may leave the process in any state, so its quiet-tick bit is cleared: the
+    /// node's next activation runs its handlers and re-derives the bit.
     pub fn node_mut(&mut self, node: NodeId) -> &mut P {
+        self.enabled.note_tick_quiet(node, false);
         &mut self.nodes[node]
     }
 
@@ -323,6 +330,15 @@ impl<P: Process, T: Topology> Network<P, T> {
     /// brute-force consistency proptest).
     pub fn enabled_set(&self) -> &EnabledSet {
         &self.enabled
+    }
+
+    /// Number of processes currently known to be blocked — their ticks are stutter steps
+    /// ([`Process::tick_is_noop`]), for the paper's protocols requesters waiting for tokens.
+    /// Maintained in O(1): it changes only when an activation flips a process's quiet bit.
+    /// A process touched through [`Network::node_mut`] or a reset is not counted until its
+    /// next activation re-derives its bit.
+    pub fn blocked_processes(&self) -> usize {
+        self.enabled.quiet_count()
     }
 
     /// Direct access to one incoming channel (fault injection and tests).
@@ -406,7 +422,7 @@ impl<P: Process, T: Topology> Network<P, T> {
     /// code — the marker broadcast of the Chandy–Lamport snapshot layer.  Returns the number
     /// of copies sent (the node's degree).
     pub fn broadcast_from(&mut self, node: NodeId, msg: P::Msg) -> usize {
-        let degree = self.topo.degree(node);
+        let degree = self.slab.degree(node);
         for label in 0..degree {
             self.inject_from(node, label, msg.clone());
         }
@@ -527,39 +543,57 @@ impl<P: Process, T: Topology> Network<P, T> {
     pub fn execute_with<E: StepEffects<P::Msg>>(&mut self, activation: Activation, effects: &mut E) {
         self.now += 1;
         self.metrics.activations += 1;
-        match activation {
+        let node = match activation {
             Activation::Deliver { node, channel } => {
-                let msg = self.slab.get_mut(node, channel).pop();
-                match msg {
-                    Some(msg) => {
-                        let len = self.slab.get(node, channel).len();
-                        self.enabled.note_len(node, channel, len);
-                        self.metrics.deliveries += 1;
-                        if let Some(clocks) = self.clocks.as_deref_mut() {
-                            clocks.on_deliver(node, self.slab.flat(node, channel));
-                        }
-                        effects.delivered(node, channel, &msg);
-                        self.run_node(node, Some((channel, msg)), effects);
+                if let Some(msg) = self.slab.get_mut(node, channel).pop() {
+                    let len = self.slab.get(node, channel).len();
+                    self.enabled.note_len(node, channel, len);
+                    self.metrics.deliveries += 1;
+                    if let Some(clocks) = self.clocks.as_deref_mut() {
+                        clocks.on_deliver(node, self.slab.flat(node, channel));
                     }
-                    None => {
-                        // The scheduler raced an empty channel; treat it as a tick so time
-                        // still advances and fairness is preserved.
-                        self.metrics.ticks += 1;
-                        if let Some(clocks) = self.clocks.as_deref_mut() {
-                            clocks.on_tick(node);
-                        }
-                        self.run_node(node, None, effects);
-                    }
+                    effects.delivered(node, channel, &msg);
+                    self.run_node(node, Some((channel, msg)), effects);
+                    return;
                 }
+                // The scheduler raced an empty channel; treat it as a tick so time still
+                // advances and fairness is preserved.
+                node
             }
-            Activation::Tick { node } => {
-                self.metrics.ticks += 1;
-                if let Some(clocks) = self.clocks.as_deref_mut() {
-                    clocks.on_tick(node);
-                }
-                self.run_node(node, None, effects);
-            }
+            Activation::Tick { node } => node,
+        };
+        self.metrics.ticks += 1;
+        if let Some(clocks) = self.clocks.as_deref_mut() {
+            clocks.on_tick(node);
         }
+        if self.enabled.tick_is_quiet(node) {
+            // A stutter step (see `crate::engine`, "Tick guards"): the process is not touched.
+            if cfg!(debug_assertions) {
+                self.assert_tick_is_noop(node);
+            }
+            return;
+        }
+        self.run_node(node, None, effects);
+    }
+
+    /// The debug oracle of the quiet-tick bit: runs the handler the release build skips and
+    /// checks the observable half of the [`Process::tick_is_noop`] contract.
+    fn assert_tick_is_noop(&mut self, node: NodeId) {
+        let mut ctx = Context {
+            node,
+            degree: self.slab.degree(node),
+            now: self.now,
+            outbox: &mut self.outbox,
+            events: &mut self.event_buf,
+        };
+        self.nodes[node].on_tick(&mut ctx);
+        assert!(
+            self.outbox.is_empty() && self.event_buf.is_empty() && self.nodes[node].tick_is_noop(),
+            "process {node} reported tick_is_noop() but its tick sent {} message(s), emitted {} \
+             event(s) or changed the hint",
+            self.outbox.len(),
+            self.event_buf.len(),
+        );
     }
 
     fn run_node<E: StepEffects<P::Msg>>(
@@ -569,8 +603,10 @@ impl<P: Process, T: Topology> Network<P, T> {
         effects: &mut E,
     ) {
         debug_assert!(self.outbox.is_empty() && self.event_buf.is_empty());
-        let degree = self.topo.degree(node);
-        {
+        // The CSR slab's degree (two adjacent `u32`s) rather than the topology's, which on an
+        // `OrientedTree` reads a `Vec` header and the parent array.
+        let degree = self.slab.degree(node);
+        let quiet = {
             let mut ctx = Context {
                 node,
                 degree,
@@ -583,10 +619,12 @@ impl<P: Process, T: Topology> Network<P, T> {
                 proc.on_message(label, msg, &mut ctx);
             }
             proc.on_tick(&mut ctx);
-        }
+            proc.tick_is_noop()
+        };
+        self.enabled.note_tick_quiet(node, quiet);
         // Flush sends: route each buffered message through the topology.  The scratch
         // buffers are drained in place and handed back, so their capacity is reused and the
-        // (dominant) tick-only steps touch nothing beyond the two emptiness checks.
+        // tick-only steps touch nothing beyond the two emptiness checks.
         if !self.outbox.is_empty() {
             let mut outbox = std::mem::take(&mut self.outbox);
             for (label, msg) in outbox.drain(..) {
@@ -752,6 +790,8 @@ impl<P: Process, T: Topology> Network<P, T> {
 
         let slab = ChannelSlab::from_rows(&new_topo, channels);
         let degrees: Vec<usize> = (0..new_n).map(|v| new_topo.degree(v)).collect();
+        // A fresh set: ids shifted and the churn locus restarted, so no quiet-tick bit
+        // carries over; each process re-derives its bit at its next activation.
         let mut enabled = EnabledSet::new(&degrees);
         for (v, l, channel) in slab.iter() {
             enabled.note_len(v, l, channel.len());
@@ -778,7 +818,8 @@ impl<P: Process, T: Topology> Network<P, T> {
     }
 
     /// Zeroes every run-time accumulator in place (channels, enabled set, clock, trace,
-    /// metrics), keeping all allocations.  Process state is untouched.
+    /// metrics), keeping all allocations.  Process state is untouched; the callers have just
+    /// replaced it, which the enabled set's reset covers by clearing every quiet-tick bit.
     fn reset_runtime(&mut self) {
         self.slab.reset();
         self.enabled.reset();
@@ -797,7 +838,7 @@ impl<P: Process, T: Topology> NetworkView for Network<P, T> {
     }
 
     fn degree(&self, node: NodeId) -> usize {
-        self.topo.degree(node)
+        self.slab.degree(node)
     }
 
     fn channel_len(&self, node: NodeId, label: ChannelLabel) -> usize {
@@ -839,7 +880,7 @@ impl<P: Process, T: Topology> EnabledView for Network<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Event, MessageKind};
+    use crate::process::{Event, MessageKind, Note};
     use crate::scheduler::RoundRobin;
     use topology::builders;
 
@@ -872,7 +913,7 @@ mod tests {
             if self.is_root && !self.started {
                 self.started = true;
                 ctx.send(0, Num(0));
-                ctx.emit(Event::Note("started"));
+                ctx.emit(Event::Note(Note::Started));
             }
         }
     }

@@ -36,29 +36,94 @@ pub trait Process {
 
     /// Executes the bottom-of-loop actions.
     fn on_tick(&mut self, ctx: &mut Context<'_, Self::Msg>);
+
+    /// The tick-guard hint: true when no bottom-of-loop guard of this process is enabled.
+    ///
+    /// # Contract
+    ///
+    /// If this returns `true`, then [`Process::on_tick`] called in the current state sends
+    /// nothing, emits nothing, calls no application driver and leaves `self` unchanged —
+    /// whatever `ctx.now` is.  The process stays in that state until something other than a
+    /// tick touches it (a delivery, or surgery through [`crate::Network::node_mut`]), so the
+    /// network may remember the answer and execute the process's ticks as stutter steps
+    /// without calling `on_tick` at all (see [`crate::engine`], "Tick guards").  Returning
+    /// `false` is always sound; the default never claims anything.
+    ///
+    /// For the paper's protocols the quiet state is the blocked requester,
+    /// `State = Req ∧ |RSet| < Need`: no request to issue, no critical section to enter or
+    /// leave, and a held priority token stays put.  Two kinds of process must never report
+    /// it.  A process whose tick advances a timer (the self-stabilizing root counts its ticks
+    /// towards `TimeOut()`) changes state on every tick.  A process in `Out` or `In` consults
+    /// its application driver through an opaque `&mut` call (`next_request`, `release_cs`)
+    /// whose answer and internal state (an RNG draw, a script cursor) the process cannot
+    /// predict, so skipping the call would change the execution.
+    fn tick_is_noop(&self) -> bool {
+        false
+    }
 }
 
 /// An application-level event emitted by a process, recorded in the execution trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+///
+/// Four bytes: a long run appends one [`crate::TracedEvent`] per event forever, so unit
+/// counts are `u16` (narrow with [`Event::units`]) and notes are a fieldless enum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Event {
     /// The application switched `State` from `Out` to `Req`, asking for `units` resource units.
     RequestIssued {
         /// Number of resource units requested (1 ≤ units ≤ k).
-        units: usize,
+        units: u16,
     },
     /// The protocol granted the request: `State` switched from `Req` to `In` (`EnterCS()`).
     EnterCs {
         /// Number of resource units held during this critical section.
-        units: usize,
+        units: u16,
     },
     /// The application finished its critical section: `State` switched from `In` to `Out`.
     ExitCs {
         /// Number of resource units released.
-        units: usize,
+        units: u16,
     },
-    /// The protocol detected (or decided) something noteworthy, e.g. `"reset"` when the root
-    /// starts a reset traversal, or `"circulation"` when the controller completes a traversal.
-    Note(&'static str),
+    /// The protocol detected (or decided) something noteworthy, see [`Note`].
+    Note(Note),
+}
+
+impl Event {
+    /// Narrows a unit count to the trace record's `u16`, saturating (a count beyond 65 535
+    /// is recorded as 65 535 rather than wrapped).
+    pub fn units(units: usize) -> u16 {
+        u16::try_from(units).unwrap_or(u16::MAX)
+    }
+}
+
+/// The noteworthy protocol-level happenings a process can record with [`Event::Note`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Note {
+    /// The root started a reset traversal.
+    ResetStart,
+    /// The controller completed a traversal.
+    Circulation,
+    /// The root's timeout fired and retransmitted the controller.
+    Timeout,
+    /// A process performed its one-time start-up action.
+    Started,
+}
+
+impl Note {
+    /// The note's name as traces render it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Note::ResetStart => "reset-start",
+            Note::Circulation => "circulation",
+            Note::Timeout => "timeout",
+            Note::Started => "started",
+        }
+    }
+}
+
+impl Serialize for Note {
+    fn serialize_json(&self, out: &mut String) {
+        self.as_str().serialize_json(out);
+    }
 }
 
 /// The execution context handed to a process during one activation.

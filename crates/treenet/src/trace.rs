@@ -9,11 +9,15 @@ use serde::Serialize;
 pub struct TracedEvent {
     /// The global activation counter when the event was emitted.
     pub at: u64,
-    /// The process that emitted the event.
-    pub node: NodeId,
+    /// The process that emitted the event (a [`NodeId`], stored narrow).
+    pub node: u32,
     /// The event itself.
     pub event: Event,
 }
+
+// A trace grows by one record per event for as long as a run lasts (about 57 k records per
+// 10^9 steps of the 1023-node benchmark spec), so the record size is a resident-set term.
+const _: () = assert!(std::mem::size_of::<TracedEvent>() <= 16);
 
 /// An append-only log of application events for one execution.
 #[derive(Clone, Debug, Default, Serialize)]
@@ -28,7 +32,12 @@ impl Trace {
     }
 
     /// Appends an event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` does not fit the record's `u32`.
     pub fn push(&mut self, at: u64, node: NodeId, event: Event) {
+        let node = u32::try_from(node).expect("node ids fit in u32");
         self.events.push(TracedEvent { at, node, event });
     }
 
@@ -57,7 +66,7 @@ impl Trace {
         self.events
             .iter()
             .filter(|e| matches!(e.event, Event::EnterCs { .. }))
-            .filter(|e| node.is_none_or(|n| e.node == n))
+            .filter(|e| node.is_none_or(|n| e.node as NodeId == n))
             .count()
     }
 
@@ -66,13 +75,13 @@ impl Trace {
         self.events
             .iter()
             .filter(|e| matches!(e.event, Event::RequestIssued { .. }))
-            .filter(|e| node.is_none_or(|n| e.node == n))
+            .filter(|e| node.is_none_or(|n| e.node as NodeId == n))
             .count()
     }
 
     /// Events emitted by `node`, in order.
     pub fn of_node(&self, node: NodeId) -> impl Iterator<Item = &TracedEvent> {
-        self.events.iter().filter(move |e| e.node == node)
+        self.events.iter().filter(move |e| e.node as NodeId == node)
     }
 
     /// Events within the half-open logical-time window `[from, to)`.
@@ -111,6 +120,28 @@ mod tests {
         assert_eq!(t.of_node(1).count(), 2);
         assert_eq!(t.in_window(0, 6).count(), 3);
         assert_eq!(t.in_window(9, 13).count(), 2);
+    }
+
+    #[test]
+    fn narrow_records_serialize_like_the_wide_ones_did() {
+        use crate::process::Note;
+        let mut t = Trace::new();
+        t.push(7, 3, Event::RequestIssued { units: 2 });
+        t.push(9, 0, Event::Note(Note::ResetStart));
+        let mut json = String::new();
+        t.serialize_json(&mut json);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"events":[{"at":7,"node":3,"event":{"RequestIssued":{"units":2}}},"#,
+                r#"{"at":9,"node":0,"event":{"Note":"reset-start"}}]}"#
+            )
+        );
+        let names: Vec<&str> = [Note::ResetStart, Note::Circulation, Note::Timeout, Note::Started]
+            .iter()
+            .map(|n| n.as_str())
+            .collect();
+        assert_eq!(names, ["reset-start", "circulation", "timeout", "started"]);
     }
 
     #[test]

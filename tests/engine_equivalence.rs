@@ -9,14 +9,15 @@
 //! 3. the event-driven daemon through the fused loop `engine::run_observed`,
 //!
 //! — must produce **identical activation sequences, traces, and metrics**.  A proptest
-//! additionally checks the enabled-set invariant itself against brute-force recomputation
-//! after arbitrary execution, injection and channel-surgery histories.
+//! additionally checks the enabled-set invariant itself — tick-guard clause included —
+//! against brute-force recomputation after arbitrary execution, injection and
+//! channel-surgery histories.
 
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
 use treenet::engine;
 use treenet::scheduler::baseline;
-use treenet::{Activation, EventScheduler, Synchronous};
+use treenet::{Activation, EventScheduler, Process, Synchronous};
 use workloads::UniformRandom;
 
 type SsNet = Network<SsNode, OrientedTree>;
@@ -219,7 +220,14 @@ fn assert_enabled_invariant(net: &SsNet) {
         if !non_empty.is_empty() {
             expected_enabled.insert(v);
         }
+        // The tick-guard clause: a quiet bit is only ever set on a process whose hint holds.
+        assert!(
+            !es.tick_is_quiet(v) || net.node(v).tick_is_noop(),
+            "node {v}: quiet bit set but tick_is_noop() is false"
+        );
     }
+    let quiet = (0..net.len()).filter(|&v| es.tick_is_quiet(v)).count();
+    assert_eq!(net.blocked_processes(), quiet, "Network::blocked_processes mismatch");
     assert_eq!(es.in_flight() as usize, total_in_flight, "in-flight total mismatch");
     assert_eq!(es.enabled_len(), expected_enabled.len(), "enabled list length mismatch");
     let listed: std::collections::BTreeSet<usize> =

@@ -148,3 +148,52 @@ fn parallel_workers_reproduce_carried_drivers_after_renumbering_churn() {
         assert_reports_identical(&format!("delta vs parallel({threads})"), &delta, &parallel);
     }
 }
+
+/// Handlers and schedulers read a process's degree from the CSR channel slab, not from the
+/// tree; `rebuild_from` must keep the two in step across every kind of churn, and the
+/// protocol must keep running on the slab's degrees afterwards (a wrong one sends on a
+/// channel that does not exist, which panics).
+#[test]
+fn slab_degrees_match_the_topology_after_every_churn_event() {
+    use treenet::NetworkView;
+
+    let cfg = KlConfig::new(1, 2, 8);
+    let build =
+        |tree: OrientedTree| protocol::ss::network(tree, cfg, workloads::all_saturated(1, 4));
+    let mut net = build(topology::builders::figure1_tree());
+    let mut daemon = RoundRobin::new();
+    let assert_degrees = |net: &Network<SsNode, OrientedTree>, event: &str| {
+        for v in 0..net.len() {
+            assert_eq!(
+                NetworkView::degree(net, v),
+                net.topology().degree(v),
+                "after {event}: slab degree of node {v}"
+            );
+        }
+    };
+
+    treenet::engine::run(&mut net, &mut daemon, 500);
+    assert_degrees(&net, "boot");
+
+    // A leaf joins under node 1; ids are stable, the newcomer is fresh.
+    let grown = net.topology().with_leaf_added(1);
+    let map: Vec<Option<usize>> = (0..net.len()).map(Some).chain([None]).collect();
+    net.rebuild_from(build(grown), &map);
+    assert_degrees(&net, "join-leaf");
+    treenet::engine::run(&mut net, &mut daemon, 500);
+
+    // Leaf 3 leaves; every id above it shifts down.
+    let (shrunk, old_of_new) = net.topology().with_leaf_removed(3);
+    let map: Vec<Option<usize>> = old_of_new.into_iter().map(Some).collect();
+    net.rebuild_from(build(shrunk), &map);
+    assert_degrees(&net, "leave-leaf");
+    treenet::engine::run(&mut net, &mut daemon, 500);
+
+    // Node 2 is re-hung under node 4: three degrees change at once.
+    let rewired = net.topology().with_edge_rewired(2, 4);
+    let map: Vec<Option<usize>> = (0..net.len()).map(Some).collect();
+    net.rebuild_from(build(rewired), &map);
+    assert_degrees(&net, "rewire-edge");
+    treenet::engine::run(&mut net, &mut daemon, 500);
+    assert_degrees(&net, "the run after rewire-edge");
+}

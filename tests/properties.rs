@@ -330,6 +330,7 @@ fn assert_net_consistent<P: treenet::Process>(net: &treenet::Network<P, Oriented
     for v in 0..net.len() {
         let degree = net.topology().degree(v);
         assert_eq!(enabled.degree(v), degree, "node {v} degree");
+        assert_eq!(treenet::NetworkView::degree(net, v), degree, "node {v} slab degree");
         let nonempty: Vec<usize> =
             (0..degree).filter(|&l| !net.channel(v, l).is_empty()).collect();
         assert_eq!(enabled.deliverable_count(v), nonempty.len(), "node {v} deliverable count");
