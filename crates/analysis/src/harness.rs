@@ -1,10 +1,10 @@
 //! Experiment harness: repeated trials, sharded parallel execution, parameter sweeps, and
 //! table rendering.
 //!
-//! Each experiment binary in the `bench` crate builds a list of [`Trial`]s (one per parameter
+//! Each experiment in the `bench` crate builds a list of [`Trial`]s (one per parameter
 //! point × seed), runs them — optionally in parallel across OS threads with
 //! [`run_trials_parallel`] — and renders the aggregated [`ExperimentRow`]s as a markdown
-//! table (for `EXPERIMENTS.md`) and as JSON lines (for machine post-processing).
+//! table (for reading) and as JSON lines (for machine post-processing).
 //!
 //! # Sharded trials
 //!

@@ -26,9 +26,9 @@
 //!   [`scenario::ScenarioSpec`] drives the simulator, the sharded trial harness, and the
 //!   bounded-exhaustive checker (plus the `klex` CLI in the `bench` crate);
 //! * [`scenarios`] — the exact configurations of the paper's figures (now thin wrappers over
-//!   [`scenario::preset`]s), shared by tests, examples and benchmark binaries;
+//!   [`scenario::preset`]s), shared by tests, examples and experiments;
 //! * [`harness`] — parameter sweeps, repeated trials (optionally in parallel) and
-//!   markdown/JSONL/CSV rendering of result tables for `EXPERIMENTS.md`.
+//!   markdown/JSONL/CSV rendering of result tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,7 +46,7 @@ fn usage() -> &'static str {
        klex list                                     list presets and experiments\n\
        klex show <preset>                            print a preset's JSON spec\n\
        klex run <spec.json | preset> [options]       run a scenario\n\
-       klex experiment <e1..e15 | all>               run a full experiment table\n\
+       klex experiment <e1..e15 | all> [--json]      run a full experiment table\n\
        klex fuzz [options]                           cross-engine differential campaign\n\
        klex serve [options]                          scenario-as-a-service daemon\n\
        klex submit <spec.json | preset> [options]    enqueue a run job on a daemon\n\
@@ -71,6 +71,9 @@ fn usage() -> &'static str {
                                                      interval: 128n activations, min 1024)\n\
        --snapshot-interval N                         like --snapshots with an explicit\n\
                                                      interval of N activations\n\
+     \n\
+     OPTIONS (experiment):\n\
+       --json                                        also print each table as JSON lines\n\
      \n\
      OPTIONS (fuzz):\n\
        --smoke                                       the fixed-seed CI campaign\n\
@@ -402,16 +405,42 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     }
 }
 
+/// Parses `klex experiment` arguments into `(name, json, quick)`: the first non-flag
+/// argument is the experiment name and `--json` may stand anywhere; `scale` is the value of
+/// `KLEX_SCALE`, if set.
+fn parse_experiment_args(
+    args: &[String],
+    scale: Option<&str>,
+) -> Result<(String, bool, bool), String> {
+    let mut name = None;
+    let mut json = false;
+    for arg in args {
+        match arg.as_str() {
+            "--json" => json = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
+            other if name.is_none() => name = Some(other.to_string()),
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    let name = name.ok_or_else(|| "experiment name missing (e1..e15 or `all`)".to_string())?;
+    let quick = match scale {
+        None | Some("" | "full") => false,
+        Some("quick") => true,
+        Some(other) => return Err(format!("unknown KLEX_SCALE `{other}` (quick|full)")),
+    };
+    Ok((name, json, quick))
+}
+
 fn experiment_command(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
+    let scale = std::env::var("KLEX_SCALE").ok();
+    let (name, json, quick) = match parse_experiment_args(args, scale.as_deref()) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
     };
-    let scale = match std::env::var("KLEX_SCALE").as_deref() {
-        Ok("quick") => Scale::quick(),
-        _ => Scale::full(),
-    };
-    let json = args.iter().any(|a| a == "--json");
+    let scale = if quick { Scale::quick() } else { Scale::full() };
     let run = |name: &str, scale: Scale| -> Option<ExperimentReport> {
         Some(match name {
             "e1" => experiments::figures::e1_dfs_circulation(scale),
@@ -712,5 +741,38 @@ fn cancel_command(args: &[String]) -> ExitCode {
             eprintln!("{message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], scale: Option<&str>) -> Result<(String, bool, bool), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_experiment_args(&args, scale)
+    }
+
+    fn parsed(name: &str, json: bool, quick: bool) -> (String, bool, bool) {
+        (name.to_string(), json, quick)
+    }
+
+    #[test]
+    fn experiment_name_is_the_first_non_flag_argument() {
+        assert_eq!(parse(&["e5"], None), Ok(parsed("e5", false, false)));
+        assert_eq!(parse(&["--json", "e5"], None), Ok(parsed("e5", true, false)));
+        assert_eq!(parse(&["all", "--json"], Some("quick")), Ok(parsed("all", true, true)));
+        assert!(parse(&[], None).is_err());
+        assert!(parse(&["--json"], None).is_err());
+        assert!(parse(&["e5", "e6"], None).is_err());
+        assert!(parse(&["e5", "--jsn"], None).is_err());
+    }
+
+    #[test]
+    fn unrecognised_scale_is_an_error() {
+        assert_eq!(parse(&["e1"], Some("full")), Ok(parsed("e1", false, false)));
+        assert_eq!(parse(&["e1"], Some("")), Ok(parsed("e1", false, false)));
+        let err = parse(&["e1"], Some("quik")).unwrap_err();
+        assert!(err.contains("quik"), "{err}");
     }
 }

@@ -1,4 +1,4 @@
-//! One module per experiment group of `DESIGN.md` §4.
+//! One module per experiment group; `klex experiment eN` runs experiment N.
 //!
 //! | Function | Paper artifact |
 //! |---|---|

@@ -1,13 +1,13 @@
-//! `bench` — the experiment library behind every figure/theorem reproduction.
+//! `bench` — the experiment library behind every figure/theorem reproduction, and the
+//! `klex` scenario CLI.
 //!
-//! Each experiment of `DESIGN.md` §4 is a function in [`experiments`] returning a titled list
-//! of [`analysis::ExperimentRow`]s; the binaries in `src/bin/` are thin wrappers that run one
-//! experiment and print its markdown table (plus JSON lines when `--json` is passed), and the
-//! Criterion benches in `benches/` time the underlying simulation kernels.
+//! Each experiment E1–E15 is a function in [`experiments`] returning a titled list of
+//! [`analysis::ExperimentRow`]s; `klex experiment <e1..e15 | all>` runs them and prints each
+//! markdown table (plus JSON lines when `--json` is passed).  [`runner`] and [`serve`] carry
+//! `klex run` and the `klex serve` daemon, [`fuzz`] the cross-engine differential campaign.
 //!
 //! Scale knobs: every experiment accepts a [`Scale`] so the same code serves quick smoke runs
-//! (`Scale::quick()`, used in tests and CI) and the fuller runs recorded in `EXPERIMENTS.md`
-//! (`Scale::full()`).
+//! (`Scale::quick()`, used in tests and CI) and the fuller runs (`Scale::full()`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,20 +40,5 @@ impl ExperimentReport {
     /// Renders the report as JSON lines.
     pub fn to_jsonl(&self) -> String {
         analysis::harness::render_jsonl(&self.rows)
-    }
-}
-
-/// Standard `main` body for the experiment binaries: runs the report produced by `f` at the
-/// scale selected by the `KLEX_SCALE` environment variable (`quick` or `full`, default full)
-/// and prints markdown (and JSON lines when `--json` is among the arguments).
-pub fn run_binary(f: impl FnOnce(Scale) -> ExperimentReport) {
-    let scale = match std::env::var("KLEX_SCALE").as_deref() {
-        Ok("quick") => Scale::quick(),
-        _ => Scale::full(),
-    };
-    let report = f(scale);
-    println!("{}", report.to_markdown());
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", report.to_jsonl());
     }
 }

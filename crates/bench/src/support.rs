@@ -1,5 +1,5 @@
 //! Shared support code for the experiments: scales, stabilization helpers, measurement
-//! kernels reused by both the binaries and the Criterion benches.
+//! kernels.
 
 use analysis::convergence::{default_window, measure_convergence};
 use klex_core::{ss, KlConfig, KlInspect, LiveCensus, Message};
@@ -26,7 +26,7 @@ impl Scale {
         Scale { trials: 2, max_steps: 1_500_000, measure_steps: 40_000, sizes: vec![5, 9] }
     }
 
-    /// The scale used to produce the numbers recorded in `EXPERIMENTS.md`.
+    /// The full scale: what `klex experiment` runs unless `KLEX_SCALE=quick`.
     pub fn full() -> Self {
         Scale { trials: 5, max_steps: 6_000_000, measure_steps: 150_000, sizes: vec![5, 9, 15, 25] }
     }

@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn pusher_only_protocol_with_instantaneous_critical_sections_has_no_cycle() {
-        // A finding of the exhaustive analysis (recorded in EXPERIMENTS.md): the Figure-3
+        // A finding of the exhaustive analysis: the Figure-3
         // livelock requires critical sections that span activations.  With instantaneous
         // critical sections no process ever holds a token while the pusher passes, the FIFO
         // channels keep every token moving, and no reachable cycle starves the big requester.

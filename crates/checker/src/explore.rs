@@ -1491,10 +1491,11 @@ impl<'p> Engine<'p> {
 }
 
 /// A faithful retention of the pre-interning exploration loop (full `Configuration` values in
-/// a `HashMap`, cloned on every pop and push), kept as the reference point for the
-/// `exhaustive_checker` benchmark's speedup measurements.  Counts configurations and
-/// transitions only — no properties, graph recording, or deadlock detection.
-pub mod baseline {
+/// a `HashMap`, cloned on every pop and push), kept as an independent reference the engines
+/// are tested against.  Counts configurations and transitions only — no properties, graph
+/// recording, or deadlock detection.
+#[cfg(test)]
+mod baseline {
     use super::{Limits, Network, Topology};
     use crate::snapshot::{capture, restore, CheckableNode, Configuration};
     use std::collections::{HashMap, VecDeque};
@@ -1948,19 +1949,18 @@ mod tests {
     #[test]
     fn baseline_engine_agrees_with_the_interned_engine() {
         let limits = Limits { max_configurations: 200_000, max_depth: usize::MAX };
-        let tree = topology::builders::chain(3);
         let cfg = KlConfig::new(2, 2, 3);
         let needs = [0usize, 2, 2];
-        let mut net = klex_core::naive::network(tree, cfg, drivers::from_needs(&needs));
-        let base = baseline::explore(&mut net, limits);
-        let mut net = klex_core::naive::network(
-            topology::builders::chain(3),
-            cfg,
-            drivers::from_needs(&needs),
-        );
-        let report = Explorer::new(&mut net).with_limits(limits).run();
-        assert_eq!(base.configurations, report.configurations);
-        assert_eq!(base.transitions, report.transitions);
-        assert!(!base.truncated && !report.truncated);
+        let make = || {
+            klex_core::naive::network(topology::builders::chain(3), cfg, drivers::from_needs(&needs))
+        };
+        let base = baseline::explore(&mut make(), limits);
+        assert!(!base.truncated);
+        for engine in [ExploreEngine::Delta, ExploreEngine::Interned] {
+            let report = Explorer::new(&mut make()).with_limits(limits).run_with(engine);
+            assert_eq!(base.configurations, report.configurations, "{engine:?}");
+            assert_eq!(base.transitions, report.transitions, "{engine:?}");
+            assert!(!report.truncated, "{engine:?}");
+        }
     }
 }

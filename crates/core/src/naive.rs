@@ -6,7 +6,7 @@
 //!
 //! This protocol is safe but **not live**: as Figure 2 of the paper shows, several requesters
 //! can each reserve part of the tokens they need and wait forever for the rest (a deadlock).
-//! The experiment `fig2_deadlock` reproduces that execution.
+//! `klex experiment e2` reproduces that execution.
 
 use crate::config::KlConfig;
 use crate::inspect::KlInspect;

@@ -7,8 +7,8 @@
 //!
 //! The price is the **livelock** of Figure 3: a process with a large request can be forced to
 //! release its tokens over and over while smaller requests keep being satisfied, so it may
-//! starve.  The experiment `fig3_livelock` reproduces that execution; rung 3 ([`crate::nonstab`])
-//! adds the priority token to fix it.
+//! starve.  `klex experiment e3` reproduces that execution; rung 3 ([`crate::nonstab`]) adds
+//! the priority token to fix it.
 
 use crate::config::KlConfig;
 use crate::inspect::KlInspect;

@@ -37,8 +37,8 @@
 //! | lines 62–76 (bottom of loop) | `SsNode::bottom_of_loop` |
 //!
 //! Two deliberate deviations from the printed pseudo-code are applied by default (both are
-//! documented in `DESIGN.md` §4b, quantified by experiment E10, and reversible through
-//! [`crate::KlConfig`]): the pusher guard reads `Prio = ⊥` instead of the printed `Prio ≠ ⊥`
+//! documented on the [`crate::KlConfig`] flags that reverse them and quantified by experiment
+//! E10, `klex experiment e10`): the pusher guard reads `Prio = ⊥` instead of the printed `Prio ≠ ⊥`
 //! ([`crate::KlConfig::literal_pusher_guard`]), and the root counts its own passed tokens
 //! *before* the circulation-completion block rather than after it
 //! ([`crate::KlConfig::literal_completion_order`]; see `SsNode::root_handle_ctrl`).
@@ -258,8 +258,8 @@ impl SsNode {
 
     /// ctrl reception at the root — Algorithm 1 lines 42–76.
     ///
-    /// One accounting correction is applied by default (see the crate documentation and
-    /// `EXPERIMENTS.md`): the root's own *passed* tokens (`|RSet|_q`, line 69) are added to
+    /// One accounting correction is applied by default (see the module documentation and
+    /// experiment E10): the root's own *passed* tokens (`|RSet|_q`, line 69) are added to
     /// `PT` **before** the completion block of lines 45–68 rather than after it.  With the
     /// printed ordering, resource tokens reserved at the root that arrived from its last
     /// channel are credited to the *next* circulation, so the completed circulation

@@ -30,7 +30,7 @@
 //!   allocation-free hot loop;
 //! * the **scan-based baseline** ([`scheduler::baseline`]) — the original engine that
 //!   re-derives channel occupancy on every step, retained as the executable specification
-//!   for the trace-equivalence suite and the `BENCH_treenet.json` comparison.
+//!   for the trace-equivalence suite.
 //!
 //! Transient faults are modelled by [`fault::FaultInjector`], which corrupts local process
 //! state (through the [`fault::Corruptible`] trait), injects bounded channel garbage

@@ -414,8 +414,7 @@ pub mod baseline {
     //! through [`crate::NetworkView`] — O(degree) virtual calls and, for [`RandomFair`], a fresh
     //! `Vec` per delivery decision.  The event-driven daemons in [`super`] produce
     //! bit-identical activation sequences (asserted by the trace-equivalence suite); these
-    //! implementations exist as the specification they are checked against, and as the
-    //! baseline of the `BENCH_treenet.json` engine comparison.
+    //! implementations exist as the specification they are checked against.
 
     use super::{Activation, Scheduler};
     use crate::network::EnabledView;
