@@ -125,11 +125,10 @@ pub fn host_cores() -> usize {
 /// Resolves a worker-count knob against a host core count: `0` means "one worker per core"
 /// and anything else is taken literally.
 ///
-/// This is *the* worker/thread derivation rule of the workspace — `CheckSpec.threads`
-/// dispatch, the fuzzer's per-campaign thread split, the serve daemon's worker pool and the
-/// benchmark binaries all resolve through it.  A pure function of `(requested, host_cores)`
-/// so the policy is unit-testable off-host; in particular a 1-core host resolves `0` to `1`
-/// — auto never oversubscribes a single core (the PR 6 fix).
+/// This is *the* worker/thread derivation rule of the workspace — the serve daemon's worker
+/// pool resolves through it.  A pure function of `(requested, host_cores)` so the policy is
+/// unit-testable off-host; in particular a 1-core host resolves `0` to `1` — auto never
+/// oversubscribes a single core.
 pub fn worker_count(requested: usize, host_cores: usize) -> usize {
     if requested == 0 {
         host_cores.max(1)

@@ -23,7 +23,6 @@ use super::compile::{CompiledScenario, ScenarioNode};
 use super::schedule;
 use super::spec::{ProtocolSpec, WorkloadSpec};
 use super::ScenarioError;
-use crate::harness::auto_workers;
 use crate::progress::ProgressSink;
 use checker::snapshot::CheckableNode;
 use checker::{
@@ -43,36 +42,27 @@ impl CompiledScenario {
     ///
     /// Returns an error when the scenario cannot be lowered soundly: the ring baseline has no
     /// snapshot support, and stateful workloads would break the explorer's state abstraction.
-    ///
-    /// The engine is selected by the spec's [`super::spec::CheckSpec::threads`] knob: `1`
-    /// runs the sequential delta engine, anything else the work-stealing parallel engine
-    /// (`0`, the default, auto-sizes to one worker per available core — which resolves to
-    /// the sequential engine on a single-core host).  The choice never changes the report:
-    /// the engines are field-for-field identical by the parity contract.
     pub fn check(&self) -> Result<ExplorationReport, ScenarioError> {
         self.check_observed(None, None)
     }
 
-    /// [`CompiledScenario::check`] under observation: same thread dispatch (with an optional
-    /// override of the spec's `threads` knob), but the exploration reports throttled
+    /// [`CompiledScenario::check`] under observation: the exploration reports throttled
     /// `"explore"` progress through `sink` and winds down early — with `truncated` set —
     /// when the sink cancels.  Observation never changes the report of an uncancelled run.
+    ///
+    /// Nothing reads `_threads`: it was the worker count of the removed parallel engine and
+    /// stays only so existing callers compile; ROADMAP item 9 removes it.
     pub fn check_observed(
         &self,
-        threads_override: Option<usize>,
+        _threads: Option<usize>,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ExplorationReport, ScenarioError> {
-        let threads = auto_workers(threads_override.unwrap_or(self.spec().check.threads));
-        if threads <= 1 {
-            self.check_with_sink(ExploreEngine::Delta, sink)
-        } else {
-            self.check_parallel_sink(threads, sink)
-        }
+        self.check_with_sink(ExploreEngine::Delta, sink)
     }
 
     /// [`CompiledScenario::check`] with an explicit engine choice — the hook the delta-parity
-    /// suite uses to run the same lowered instance through both sequential engines and
-    /// compare the reports.
+    /// suite uses to run the same lowered instance through both engines and compare the
+    /// reports.
     pub fn check_with(&self, engine: ExploreEngine) -> Result<ExplorationReport, ScenarioError> {
         self.check_with_sink(engine, None)
     }
@@ -195,82 +185,6 @@ impl CompiledScenario {
         }
     }
 
-    /// [`CompiledScenario::check`] on the work-stealing parallel engine
-    /// ([`Explorer::run_parallel`]) with an explicit worker count (`0` = one per available
-    /// core).  The report is field-for-field identical to the sequential engines' at every
-    /// thread count; `threads <= 1` degenerates to the sequential delta engine.
-    pub fn check_parallel(&self, threads: usize) -> Result<ExplorationReport, ScenarioError> {
-        self.check_parallel_sink(auto_workers(threads), None)
-    }
-
-    fn check_parallel_sink(
-        &self,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<ExplorationReport, ScenarioError> {
-        let spec = self.spec();
-        match spec.protocol {
-            ProtocolSpec::Naive => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| naive::network(t, c, d);
-                let mut net = self.lowered_net(construct)?;
-                self.apply_schedule_prologue(&mut net, &construct);
-                let make = || self.worker_net(construct);
-                self.check_net_parallel(net, make, threads, sink)
-            }
-            ProtocolSpec::Pusher => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| pusher::network(t, c, d);
-                let mut net = self.lowered_net(construct)?;
-                self.apply_schedule_prologue(&mut net, &construct);
-                let make = || self.worker_net(construct);
-                self.check_net_parallel(net, make, threads, sink)
-            }
-            ProtocolSpec::NonStab => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| nonstab::network(t, c, d);
-                let mut net = self.lowered_net(construct)?;
-                self.apply_schedule_prologue(&mut net, &construct);
-                let make = || self.worker_net(construct);
-                self.check_net_parallel(net, make, threads, sink)
-            }
-            ProtocolSpec::Ss if spec.check.from_legitimate => {
-                let tree = spec.topology.build(0);
-                let cfg = spec.config.to_kl(tree.len());
-                let mut drivers = lower_workload(&spec.workload)?;
-                let mut net = checker::scenarios::stabilized_ss(
-                    tree,
-                    cfg,
-                    &mut *drivers,
-                    STABILIZATION_BUDGET,
-                );
-                drop(drivers);
-                let construct =
-                    |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| checker::scenarios::ss_for_checking(t, c, d);
-                self.apply_schedule_prologue(&mut net, &construct);
-                // Workers only need the stabilized network's *shape* (same disabled-timeout
-                // construction); every configuration they touch is restored over.
-                let make = || self.worker_net(construct);
-                self.check_net_parallel(net, make, threads, sink)
-            }
-            ProtocolSpec::Ss => {
-                let construct = |t, c: KlConfig, d: &mut dyn FnMut(NodeId) -> BoxedDriver| {
-                    ss::network(t, c.with_timeout(checker::scenarios::DISABLED_TIMEOUT), d)
-                };
-                let mut net = self.lowered_net(construct)?;
-                let inject_bootstrap =
-                    spec.init.as_ref().is_none_or(|init| init.inject.is_empty());
-                if inject_bootstrap {
-                    let root = 0;
-                    net.inject_from(root, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
-                }
-                self.apply_schedule_prologue(&mut net, &construct);
-                let make = || self.worker_net(|t, c, d| checker::scenarios::ss_for_checking(t, c, d));
-                self.check_net_parallel(net, make, threads, sink)
-            }
-            ProtocolSpec::Ring => Err(ScenarioError::NotCheckable(
-                "the ring baseline has no checker snapshot support".to_string(),
-            )),
-        }
-    }
-
     /// Builds the network with checker-lowered (stateless) drivers and init overrides.
     fn lowered_net<P, F>(&self, construct: F) -> Result<Network<P, OrientedTree>, ScenarioError>
     where
@@ -290,42 +204,7 @@ impl CompiledScenario {
         Ok(net)
     }
 
-    /// Builds a parallel worker's network: same shape as [`CompiledScenario::lowered_net`]
-    /// (topology, config, lowered drivers) minus the init overrides — workers restore a
-    /// packed configuration over every state before using it, so only the shape and the
-    /// driver assignment matter.  Under a fault schedule the campaign's churn is replayed
-    /// ([`schedule::replay_churn`]), reproducing both the **post-campaign** tree and the
-    /// carryover driver assignment of the root network the prologue produced (survivors
-    /// keep the driver of their pre-churn id).  Callable only after the main lowering
-    /// validated the workload.
-    fn worker_net<P, F>(&self, construct: F) -> Network<P, OrientedTree>
-    where
-        P: ScenarioNode,
-        F: Fn(
-            OrientedTree,
-            KlConfig,
-            &mut dyn FnMut(NodeId) -> BoxedDriver,
-        ) -> Network<P, OrientedTree>,
-    {
-        let spec = self.spec();
-        let tree = spec.topology.build(0);
-        // Config pinned to the pre-churn size, exactly like the prologue's donor templates.
-        let cfg = spec.config.to_kl(tree.len());
-        let mut drivers =
-            lower_workload(&spec.workload).expect("workload validated by the main lowering");
-        let mut net = construct(tree, cfg, &mut *drivers);
-        if let Some(sched) = &spec.fault_schedule {
-            schedule::replay_churn(&mut net, sched, 0, &mut |new_tree| {
-                let mut drivers = lower_workload(&spec.workload)
-                    .expect("workload validated by the main lowering");
-                construct(new_tree.clone(), cfg, &mut *drivers)
-            });
-        }
-        net
-    }
-
-    /// Configures an explorer over `net` with the spec's limits and properties — the one
-    /// lowering both the sequential and the parallel backend run.
+    /// Configures an explorer over `net` with the spec's limits and properties.
     fn lowered_explorer<'n, P>(&self, net: &'n mut Network<P, OrientedTree>) -> Explorer<'n, P, OrientedTree>
     where
         P: CheckableNode,
@@ -381,27 +260,6 @@ impl CompiledScenario {
             explorer = explorer.with_progress(adapter);
         }
         Ok(explorer.run_with(engine))
-    }
-
-    /// Runs the work-stealing parallel explorer over `net` with the spec's limits and
-    /// properties, building one worker network per thread via `factory`.
-    fn check_net_parallel<P, F>(
-        &self,
-        mut net: Network<P, OrientedTree>,
-        factory: F,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<ExplorationReport, ScenarioError>
-    where
-        P: CheckableNode,
-        F: Fn() -> Network<P, OrientedTree> + Sync,
-    {
-        let adapter = sink.map(|sink| ExploreSinkAdapter { sink, total: self.explore_total() });
-        let mut explorer = self.lowered_explorer(&mut net);
-        if let Some(adapter) = &adapter {
-            explorer = explorer.with_progress(adapter);
-        }
-        Ok(explorer.run_parallel(factory, threads))
     }
 }
 

@@ -444,12 +444,6 @@ fn check_of(v: &Value) -> Parsed<CheckSpec> {
             Some(Value::Null) | None => false,
             Some(field) => bool_of(field, ctx)?,
         },
-        // Optional for backward compatibility with pre-parallel spec documents
-        // (0 = auto-size to the available cores).
-        threads: match v.get("threads") {
-            Some(Value::Null) | None => 0,
-            Some(field) => usize_of(field, ctx)?,
-        },
     })
 }
 

@@ -4,22 +4,20 @@
 //! # Determinism contract
 //!
 //! A schedule consumes two independent seeded streams derived from
-//! [`FaultScheduleSpec::seed`] and the per-trial stream:
+//! [`super::spec::FaultScheduleSpec::seed`] and the per-trial stream:
 //!
 //! - the **placement** stream decides *where* churn lands (which node gains a leaf, which
 //!   leaf leaves, which edge is rewired) and is consumed by **churn epochs only**;
 //! - the **injector** stream feeds the [`FaultInjector`] that corrupts state and channels.
 //!
 //! Because the placement stream is untouched by non-churn epochs, the epoch-by-epoch
-//! topology sequence is a function of the spec alone and can be replayed without running the
-//! protocol — [`replay_churn`] does exactly that, which is how the parallel engine's
-//! workers reconstruct the post-campaign network shape and driver assignment.
+//! topology sequence is a function of the spec alone.
 
 use super::compile::{deepest_node, ScenarioNode};
-use super::spec::{FaultEventSpec, FaultScheduleSpec};
+use super::spec::FaultEventSpec;
 use klex_core::KlConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use topology::{OrientedTree, Topology};
 use treenet::{FaultInjector, FaultPlan, Network, NodeId, Restartable};
 
@@ -97,37 +95,6 @@ pub(super) fn place_churn(
             }
         }
         other => panic!("place_churn called with non-churn event {:?}", other.label()),
-    }
-}
-
-/// Replays only the churn epochs of `schedule` on `net` (placement stream `stream`),
-/// rebuilding through donor templates exactly like the live campaign — without running the
-/// protocol.  The result matches the post-campaign network in shape *and* in per-node
-/// driver assignment: [`Network::rebuild_from`]'s survivor rule is purely structural, so
-/// survivors end up holding the driver built for their *original* id while restarted nodes
-/// get the donor's driver at their current id, exactly as in the live run.  The parallel
-/// engine's workers need this: they restore packed configurations over every state, but the
-/// driver assignment participates in successor generation and must match the root
-/// network's — a tree of the right shape with drivers re-indexed by post-churn ids would
-/// silently explore a different protocol instance.
-pub(crate) fn replay_churn<P>(
-    net: &mut Network<P, OrientedTree>,
-    schedule: &FaultScheduleSpec,
-    stream: u64,
-    make_template: &mut dyn FnMut(&OrientedTree) -> Network<P, OrientedTree>,
-) where
-    P: ScenarioNode,
-{
-    let mut placement = StdRng::seed_from_u64(placement_seed(schedule.seed, stream));
-    for event in &schedule.epochs {
-        if !event.is_churn() {
-            continue;
-        }
-        if let Some((new_tree, old_of_new)) = place_churn(net.topology(), event, &mut placement)
-        {
-            let donor = make_template(&new_tree);
-            net.rebuild_from(donor, &old_of_new);
-        }
     }
 }
 

@@ -98,8 +98,12 @@ impl TopologySpec {
             | TopologySpec::Random { n, .. }
             | TopologySpec::BoundedDegree { n, .. }
             | TopologySpec::SpanningTree { n, .. } => n,
-            TopologySpec::Caterpillar { spine, legs } => spine + spine * legs,
-            TopologySpec::Broom { handle, bristles } => handle + bristles,
+            // Saturating, so a hostile size reads as huge (and fails validation) instead of
+            // wrapping to a small count.
+            TopologySpec::Caterpillar { spine, legs } => {
+                spine.saturating_add(spine.saturating_mul(legs))
+            }
+            TopologySpec::Broom { handle, bristles } => handle.saturating_add(bristles),
             TopologySpec::Figure1 => 8,
             TopologySpec::Figure3 => 3,
         }
@@ -657,12 +661,6 @@ pub struct CheckSpec {
     /// (the closure half of Definition 1).  Only meaningful for the `ss` rung, and
     /// incompatible with init overrides.
     pub from_legitimate: bool,
-    /// Worker threads for the exploration: `0` (the default) auto-sizes to one worker per
-    /// available core, `1` forces the sequential delta engine, `N > 1` runs the
-    /// work-stealing parallel engine with `N` workers.  The report is identical at every
-    /// setting (the engine parity contract); the knob only trades wall-clock for cores.
-    /// Decoded as optional (defaulting to `0`) for pre-parallel spec documents.
-    pub threads: usize,
 }
 
 impl CheckSpec {
@@ -678,7 +676,6 @@ impl Default for CheckSpec {
             max_depth: 0,
             properties: vec!["safety".to_string()],
             from_legitimate: false,
-            threads: 0,
         }
     }
 }
@@ -818,6 +815,10 @@ impl ScenarioSpec {
         if n < 2 {
             return err(format!("topology has {n} processes; at least 2 are required"));
         }
+        // Trace records carry node ids as `u32`.
+        if u32::try_from(n).is_err() {
+            return err(format!("topology has {n} processes; at most {} are supported", u32::MAX));
+        }
         if self.config.k < 1 {
             return err("k must be at least 1".into());
         }
@@ -828,6 +829,18 @@ impl ScenarioSpec {
             if needs.len() > n {
                 return err(format!("needs lists {} nodes but the topology has {n}", needs.len()));
             }
+        }
+        // Trace records carry a request's unit count as `u16`; a larger one would be
+        // recorded saturated rather than as requested.
+        let units = match &self.workload {
+            WorkloadSpec::Idle => None,
+            WorkloadSpec::Saturated { units, .. } => Some(*units),
+            WorkloadSpec::Needs { needs, .. } => needs.iter().copied().max(),
+            WorkloadSpec::Uniform { max_units, .. }
+            | WorkloadSpec::LeafUniform { max_units, .. } => Some(*max_units),
+        };
+        if let Some(units) = units.filter(|&u| u > usize::from(u16::MAX)) {
+            return err(format!("a request of {units} units exceeds the supported {}", u16::MAX));
         }
         if let WorkloadSpec::Uniform { p_request, .. }
         | WorkloadSpec::LeafUniform { p_request, .. } = &self.workload

@@ -59,9 +59,6 @@ fn usage() -> &'static str {
        --backend sim|harness|check|all               backend selection (default: sim)\n\
        --format markdown|jsonl|csv                   output rendering (default: markdown)\n\
        --shards N                                    harness worker threads (default: cores)\n\
-       --threads N                                   checker worker threads (default: the\n\
-                                                     spec's `check.threads`; 0 = one per\n\
-                                                     core, 1 = sequential delta engine)\n\
        --bench                                       add checker throughput columns\n\
                                                      (states_per_sec, arena_bytes)\n\
        --fault-schedule FILE.json                    override the spec's fault campaign\n\
@@ -89,8 +86,6 @@ fn usage() -> &'static str {
                                                      entries instead of drawing blind\n\
        --shards N                                    concurrently evaluated scenarios\n\
                                                      (default: cores; results identical)\n\
-       --threads N                                   parallel-checker-arm workers\n\
-                                                     (default: cores/shards, min 2)\n\
        --verbose                                     one line per scenario\n\
      \n\
      OPTIONS (serve):\n\
@@ -218,9 +213,6 @@ fn run_command(args: &[String]) -> ExitCode {
             "--shards" => value("--shards").and_then(|v| {
                 v.parse::<usize>().map(|v| request.shards = v.max(1)).map_err(|e| e.to_string())
             }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse::<usize>().map(|v| request.threads = Some(v)).map_err(|e| e.to_string())
-            }),
             "--bench" => {
                 request.bench = true;
                 Ok(())
@@ -331,9 +323,6 @@ fn fuzz_command(args: &[String]) -> ExitCode {
             "--shards" => value("--shards")
                 .and_then(|v| v.parse::<usize>().map_err(|e| e.to_string()))
                 .map(|v| opts.shards = v),
-            "--threads" => value("--threads")
-                .and_then(|v| v.parse::<usize>().map_err(|e| e.to_string()))
-                .map(|v| opts.threads = v),
             "--verbose" => {
                 opts.verbose = true;
                 Ok(())
@@ -570,11 +559,6 @@ fn submit_command(args: &[String]) -> ExitCode {
             "--shards" => value("--shards").and_then(|v| {
                 v.parse::<usize>()
                     .map(|v| run_fields.push(format!("\"shards\": {v}")))
-                    .map_err(|e| e.to_string())
-            }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|v| run_fields.push(format!("\"threads\": {v}")))
                     .map_err(|e| e.to_string())
             }),
             "--bench" => {

@@ -17,14 +17,6 @@ fn limits(max_configurations: usize) -> Limits {
     Limits { max_configurations, max_depth: usize::MAX }
 }
 
-/// Worker threads for the parallel explorations: one per core the host can actually run
-/// concurrently — no forced minimum, so a single-core host gets the sequential engine
-/// instead of two time-slicing workers.  (The canonical replay guarantees results identical
-/// to a sequential run at any count.)
-fn explore_threads() -> usize {
-    analysis::harness::host_cores()
-}
-
 /// E12 — exhaustive checking of small instances.
 ///
 /// The instance sizes are fixed by what is exhaustively enumerable, so `scale` only controls
@@ -60,24 +52,20 @@ pub fn e12_exhaustive(scale: Scale) -> ExperimentReport {
     {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        // The two graph-recording explorations are the heaviest of the suite; run them with
-        // parallel frontier expansion (reports and graphs are identical to sequential runs).
         let (report, cycle_len) = if with_priority {
-            let factory =
-                || klex_core::nonstab::network(tree.clone(), cfg, drivers::from_needs_holding(&fig3_needs));
-            let mut net = factory();
+            let mut net =
+                klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&fig3_needs));
             let mut explorer =
                 Explorer::new(&mut net).with_limits(limits(budget * 3)).record_graph(true);
-            let report = explorer.run_parallel(factory, explore_threads());
+            let report = explorer.run();
             let cycle = cycles::find_progress_cycle(explorer.graph(), 1);
             (report, cycle.map(|c| c.len()).unwrap_or(0))
         } else {
-            let factory =
-                || klex_core::pusher::network(tree.clone(), cfg, drivers::from_needs_holding(&fig3_needs));
-            let mut net = factory();
+            let mut net =
+                klex_core::pusher::network(tree, cfg, drivers::from_needs_holding(&fig3_needs));
             let mut explorer =
                 Explorer::new(&mut net).with_limits(limits(budget)).record_graph(true);
-            let report = explorer.run_parallel(factory, explore_threads());
+            let report = explorer.run();
             let cycle = cycles::find_progress_cycle(explorer.graph(), 1);
             (report, cycle.map(|c| c.len()).unwrap_or(0))
         };

@@ -2,7 +2,7 @@
 //!
 //! # The differential oracle
 //!
-//! Every scenario the campaign evaluates is run through **four** executions of the same
+//! Every scenario the campaign evaluates is run through **three** executions of the same
 //! spec and their answers are compared:
 //!
 //! 1. the **delta** checker engine ([`checker::ExploreEngine::Delta`]);
@@ -10,13 +10,7 @@
 //!    reports must be identical field for field (states, transitions, per-level frontier
 //!    sizes, violations, deadlocks, fair-cycle lassos, and the recorded
 //!    [`checker::GraphSummary`]);
-//! 3. the **work-stealing parallel** engine
-//!    ([`analysis::scenario::CompiledScenario::check_parallel`]) — held to the same
-//!    field-for-field identity against the delta report, so every fuzzed scenario also
-//!    exercises the sharded-arena discovery and canonical-replay machinery.  The worker
-//!    count derives from the host's cores (never fewer than two, so real stealing happens)
-//!    and can be pinned with `klex fuzz --threads N`;
-//! 4. the **simulator under monitors** ([`analysis::scenario::CompiledScenario::run_monitored`])
+//! 3. the **simulator under monitors** ([`analysis::scenario::CompiledScenario::run_monitored`])
 //!    — a monitor-observed safety violation on a concrete execution of a fault-free,
 //!    override-free scenario must be reproduced by the exhaustive exploration (the
 //!    simulated execution is one of the schedules the checker covers), and a checker lasso
@@ -61,7 +55,7 @@
 //! novelty-finding result is a regression gate.
 
 use analysis::coverage::CoverageSignature;
-use analysis::harness::{auto_shards, host_cores, run_sharded, trial_seed};
+use analysis::harness::{auto_shards, run_sharded, trial_seed};
 use analysis::monitor;
 use analysis::{NullSink, ProgressSink};
 use analysis::scenario::{mutate_spec, random_spec, GenLimits, ScenarioSpec, StopSpec};
@@ -87,9 +81,8 @@ pub struct FuzzOptions {
     pub out_dir: PathBuf,
     /// Print one line per scenario instead of a progress summary.
     pub verbose: bool,
-    /// Worker count of the parallel checker arm; `0` derives it from the available cores
-    /// (never below 2, so the work-stealing engine actually runs) and divides it by the
-    /// shard count so sharded campaigns do not oversubscribe the host.
+    /// Nothing reads it: it was the worker count of the removed parallel checker arm and
+    /// stays only so existing callers compile; ROADMAP item 9 removes it.
     pub threads: usize,
     /// Campaign shards: how many scenarios are cross-checked concurrently
     /// ([`analysis::harness::run_sharded`]); `0` = one per core.  Results are identical at
@@ -225,7 +218,7 @@ impl FuzzSummary {
     }
 }
 
-/// The result of one clean four-way evaluation of a spec.
+/// The result of one clean three-way evaluation of a spec.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
     /// Distinct configurations the exploration visited.
@@ -415,7 +408,6 @@ pub fn run_campaign_observed(
         ..GenLimits::default()
     };
     let shards = if opts.shards == 0 { auto_shards() } else { opts.shards };
-    let threads = resolved_threads(opts.threads, shards);
     // Persistent corpora are the regression suite: keep their entries minimal.  In-memory
     // campaigns skip the (evaluation-heavy) signature-preserving shrink.
     let shrink_novel = corpus.is_persistent();
@@ -437,7 +429,7 @@ pub fn run_campaign_observed(
         let specs: Vec<ScenarioSpec> =
             (0..batch).map(|b| generate_one(opts, &limits, &bases, &strata, index + b)).collect();
         let outcomes =
-            run_sharded(batch, opts.seed, shards, |b, _seed| evaluate(&specs[b as usize], threads));
+            run_sharded(batch, opts.seed, shards, |b, _seed| evaluate(&specs[b as usize], 0));
         for (offset, outcome) in outcomes.into_iter().enumerate() {
             let scenario_index = index + offset as u64;
             let spec = &specs[offset];
@@ -464,7 +456,7 @@ pub fn run_campaign_observed(
                     if !corpus.contains(&key) {
                         summary.novel_signatures += 1;
                         let entry = if shrink_novel {
-                            shrink_to_signature(spec.clone(), &key, threads)
+                            shrink_to_signature(spec.clone(), &key)
                         } else {
                             spec.clone()
                         };
@@ -472,7 +464,7 @@ pub fn run_campaign_observed(
                     }
                 }
                 Err(detail) => {
-                    let shrunk = shrink(spec.clone(), threads);
+                    let shrunk = shrink(spec.clone());
                     let written_to = write_reproduction(opts, scenario_index, &shrunk);
                     summary.disagreements.push(Disagreement {
                         scenario_index,
@@ -489,18 +481,6 @@ pub fn run_campaign_observed(
     summary.distinct_signatures = seen.len();
     summary.corpus_size = corpus.len();
     summary
-}
-
-/// Resolves the parallel-arm worker count: an explicit `--threads` wins; otherwise derive
-/// from the available cores, split across the campaign shards, and keep at least two
-/// workers so the work-stealing engine runs for real (one worker silently degrades to the
-/// sequential engine).
-fn resolved_threads(threads: usize, shards: usize) -> usize {
-    if threads != 0 {
-        threads
-    } else {
-        (host_cores() / shards.max(1)).max(2)
-    }
 }
 
 /// Produces the spec of scenario `index`: a mutation chain off a corpus entry in guided
@@ -561,9 +541,12 @@ fn generate_one(
     spec
 }
 
-/// Runs the four executions of one spec, applies the oracles, and fingerprints the
+/// Runs the three executions of one spec, applies the oracles, and fingerprints the
 /// behaviour.  `Err` carries a human-readable description of the first disagreement.
-pub fn evaluate(spec: &ScenarioSpec, threads: usize) -> Result<Evaluation, String> {
+///
+/// Nothing reads `_threads`: it was the worker count of the removed parallel checker arm
+/// and stays only so existing callers compile; ROADMAP item 9 removes it.
+pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, String> {
     let scenario = spec
         .clone()
         .compile()
@@ -576,10 +559,6 @@ pub fn evaluate(spec: &ScenarioSpec, threads: usize) -> Result<Evaluation, Strin
         .check_with(ExploreEngine::Interned)
         .map_err(|e| format!("interned lowering failed: {e}"))?;
     compare_reports("delta", &delta, "interned", &interned)?;
-    let parallel = scenario
-        .check_parallel(threads.max(2))
-        .map_err(|e| format!("parallel lowering failed: {e}"))?;
-    compare_reports("delta", &delta, "parallel", &parallel)?;
 
     // The simulator run, monitored.  Monitors are advisory on faulty scenarios (a fault can
     // legitimately break the safety bounds); on fault-free, override-free scenarios whose
@@ -740,16 +719,16 @@ pub fn shrink_with(mut spec: ScenarioSpec, keep: &dyn Fn(&ScenarioSpec) -> bool)
 
 /// Shrinks a disagreeing spec while *some* disagreement reproduces (any disagreement
 /// counts, so the reduction cannot wander off to a different-but-real bug).
-fn shrink(spec: ScenarioSpec, threads: usize) -> ScenarioSpec {
-    shrink_with(spec, &|candidate| evaluate(candidate, threads).is_err())
+fn shrink(spec: ScenarioSpec) -> ScenarioSpec {
+    shrink_with(spec, &|candidate| evaluate(candidate, 0).is_err())
 }
 
 /// Shrinks a spec while it keeps evaluating cleanly **to the same signature key** — the
 /// corpus-minimization shrink.  Because the signature encodes the verdict flags (safety,
 /// deadlock, lasso, monitor verdicts), the shrunken spec still reproduces its verdict.
-pub fn shrink_to_signature(spec: ScenarioSpec, key: &str, threads: usize) -> ScenarioSpec {
+pub fn shrink_to_signature(spec: ScenarioSpec, key: &str) -> ScenarioSpec {
     shrink_with(spec, &|candidate| {
-        evaluate(candidate, threads).map(|e| e.signature.key() == key).unwrap_or(false)
+        evaluate(candidate, 0).map(|e| e.signature.key() == key).unwrap_or(false)
     })
 }
 

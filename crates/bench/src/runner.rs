@@ -57,8 +57,8 @@ pub struct RunRequest {
     pub backend: Backend,
     /// Harness worker threads (`0` = one per core).
     pub shards: usize,
-    /// Checker worker-thread override (`None` = the spec's `check.threads` knob;
-    /// `Some(0)` = one per core, `Some(1)` = sequential delta engine).
+    /// Nothing reads it: it was the worker count of the removed parallel checker engine
+    /// and stays only so existing callers compile; ROADMAP item 9 removes it.
     pub threads: Option<usize>,
     /// Add checker throughput columns (`states_per_sec`, `arena_bytes`).
     pub bench: bool,
@@ -146,10 +146,7 @@ pub fn run_rows(
             return Ok(product);
         }
         let started = std::time::Instant::now();
-        // `threads` overrides the spec's `check.threads` knob: 0 resolves to one worker
-        // per core, 1 forces the sequential delta engine, N>1 pins the work-stealing
-        // engine to N workers.  The report is identical either way.
-        match scenario.check_observed(request.threads, sink) {
+        match scenario.check_observed(None, sink) {
             Ok(report) => {
                 let elapsed = started.elapsed().as_secs_f64();
                 let mut row = ExperimentRow::new(format!("{} [check]", scenario.spec().name))

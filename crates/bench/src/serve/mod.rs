@@ -346,11 +346,13 @@ impl ProgressSink for JobSink<'_> {
 /// Accepted shapes (all fields beyond the kind selector optional):
 ///
 /// ```json
-/// {"preset": "checker-safety", "backend": "check", "shards": 2, "threads": 1, "bench": false}
+/// {"preset": "checker-safety", "backend": "check", "shards": 2, "bench": false}
 /// {"spec": { …full ScenarioSpec… }, "backend": "all"}
 /// {"fuzz": {"seed": 7, "scenarios": 64, "max_configurations": 6000, "sim_steps": 1500,
-///           "guided": true, "shards": 2, "threads": 2}}
+///           "guided": true, "shards": 2}}
 /// ```
+///
+/// Unknown keys are ignored, so bodies that still carry the removed `"threads"` key load.
 fn parse_job(body: &str, default_seed: u64) -> Result<(String, JobKind), String> {
     let doc = serde_json::from_str(body).map_err(|e| format!("request body: {e}"))?;
 
@@ -363,7 +365,6 @@ fn parse_job(body: &str, default_seed: u64) -> Result<(String, JobKind), String>
         opts.max_configurations = field("max_configurations").unwrap_or(6_000) as usize;
         opts.sim_steps = field("sim_steps").unwrap_or(1_500);
         opts.shards = field("shards").unwrap_or(0) as usize;
-        opts.threads = field("threads").unwrap_or(0) as usize;
         opts.guided = fuzz_spec.get("guided").and_then(Value::as_bool).unwrap_or(true);
         opts.out_dir = std::env::temp_dir();
         let name = format!("fuzz-campaign seed={seed} x{}", opts.scenarios);
@@ -390,7 +391,7 @@ fn parse_job(body: &str, default_seed: u64) -> Result<(String, JobKind), String>
     let request = RunRequest {
         backend,
         shards: doc.get("shards").and_then(Value::as_u64).unwrap_or(0) as usize,
-        threads: doc.get("threads").and_then(Value::as_u64).map(|t| t as usize),
+        threads: None,
         bench: doc.get("bench").and_then(Value::as_bool).unwrap_or(false),
     };
     Ok((spec.name.clone(), JobKind::Run { spec: Box::new(spec), request }))
@@ -423,7 +424,6 @@ mod tests {
         assert_eq!(name, preset("checker-safety").unwrap().name);
         let JobKind::Run { request, .. } = kind else { panic!("expected a run job") };
         assert_eq!(request.backend, Backend::Check);
-        assert_eq!(request.threads, Some(1));
 
         let spec_json = preset("checker-safety").unwrap().to_json();
         let (_, kind) =

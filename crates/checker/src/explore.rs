@@ -36,33 +36,6 @@
 //! oracle the delta-parity test suite checks the delta engine against (identical reachable
 //! sets, frontier sizes per level, violation and deadlock reports).
 //!
-//! # Work-stealing parallel exploration
-//!
-//! [`Explorer::run_parallel`] splits a run into a parallel **discovery** phase and a
-//! sequential **canonical replay**:
-//!
-//! * *Discovery.*  N workers — each owning a private network built by a caller-supplied
-//!   factory and running the same delta hot loop as the sequential engine — pull states
-//!   from per-worker deques, Chase-Lev style: owners push and pop at one end, an idle
-//!   worker steals a batch from the opposite end of a victim's deque.  Successors are
-//!   deduplicated concurrently in a [`crate::snapshot::ShardedArena`] (the
-//!   [`StateArena`] lock-striped into 64 shards keyed by the top bits of the segmented
-//!   hash) under *provisional* ids, and each worker logs, per expanded state, the ordered
-//!   transition list the sequential loop would have produced.  The log is
-//!   schedule-independent because activation enumeration is a pure function of the
-//!   parent's bytes (deliveries in `(node, channel)` order, then ticks in node order).
-//! * *Replay.*  A sequential pass walks the logs in canonical BFS discovery order,
-//!   renumbering provisional ids into the dense [`StateId`]s a sequential run assigns and
-//!   driving the same (private) `Engine` state machine [`Explorer::run_delta`] drives — it only
-//!   substitutes an arena probe plus memcpy (replaying a logged transition) for the
-//!   simulate-and-patch work the workers already did.  Any state the workers did not
-//!   expand (beyond a depth limit as measured canonically, or abandoned after the
-//!   discovery budget tripped) is *repaired* inline with a live delta expansion on the
-//!   explorer's own network.  By induction over the BFS queue the replay issues the
-//!   identical `Engine` call sequence as a sequential run, so sequential and parallel
-//!   runs return field-for-field identical reports — same ids, same frontier sizes, same
-//!   shortest traces, same graphs, same liveness lassos — at every thread count.
-//!
 //! The exploration is exhaustive with respect to scheduling: every interleaving the paper's
 //! asynchronous model allows is covered, because at each configuration *every* enabled
 //! activation is expanded.  It is bounded by [`Limits`]; if a limit is hit the report's
@@ -74,10 +47,8 @@ use crate::snapshot::{
     encode_channel_segment, encode_node_segment, restore_packed_mapped, segment_term,
     SegmentMap,
 };
-use crate::snapshot::{InternOutcome, ProvisionalId, ShardedArena, StateArena, StateId};
+use crate::snapshot::{InternOutcome, StateArena, StateId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use topology::Topology;
 use treenet::{Activation, Network, NodeId, StepUndo};
 
@@ -213,8 +184,8 @@ impl StateGraph {
 /// `analysis::coverage`): strongly-connected-component structure and channel-occupancy
 /// extremes summarize the *shape* of the explored graph in a handful of integers, cheaply
 /// (one linear Tarjan pass plus the per-configuration decode the liveness pass performs
-/// anyway).  Identical across engines and thread counts — the graphs are identical by the
-/// parity contract, and the summary is a pure function of the graph.
+/// anyway).  Identical across engines — the graphs are identical by the parity contract,
+/// and the summary is a pure function of the graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphSummary {
     /// Number of strongly connected components of the recorded graph.
@@ -293,7 +264,7 @@ pub struct ExplorationReport {
     pub deadlocks: Vec<DeadlockWitness>,
     /// Number of configurations first discovered at each BFS depth (`frontier_sizes[d]` is
     /// the size of level `d`; the entries sum to `configurations`).  Identical across
-    /// engines and thread counts — the per-level fingerprint the parity tests compare.
+    /// engines — the per-level fingerprint the parity tests compare.
     pub frontier_sizes: Vec<usize>,
     /// Fair starvation lassos found by the liveness pass (one witness per starved victim);
     /// only populated when [`Explorer::check_liveness`] was enabled.  Emptiness proves
@@ -304,8 +275,8 @@ pub struct ExplorationReport {
     pub arena_bytes: usize,
     /// Structural summary of the recorded state graph (SCC structure, channel-occupancy
     /// extremes); `None` unless graph recording ([`Explorer::record_graph`] or
-    /// [`Explorer::check_liveness`]) was enabled.  Engine- and thread-count-independent,
-    /// like every other field.
+    /// [`Explorer::check_liveness`]) was enabled.  Engine-independent, like every other
+    /// field.
     pub graph_summary: Option<GraphSummary>,
 }
 
@@ -340,13 +311,12 @@ impl ExplorationReport {
 /// current interned-configuration and transition counts, and polls
 /// [`ExploreProgress::should_stop`] before every expansion.  A `true` answer abandons the
 /// run: the report comes back with `truncated` set, exactly as if a [`Limits`] bound had
-/// tripped.  Observers are shared across worker threads during parallel discovery, hence
-/// the [`Sync`] bound; both methods default to no-ops so an observer can implement only
-/// the half it cares about.
+/// tripped.  Both methods default to no-ops so an observer can implement only the half it
+/// cares about.
 ///
 /// Observation never changes what a run computes — a cancelled run aside, reports are
 /// bit-identical with and without an observer (the parity contract is indifferent to it).
-pub trait ExploreProgress: Sync {
+pub trait ExploreProgress {
     /// Called with the configurations interned and transitions executed so far.
     fn on_progress(&self, configurations: usize, transitions: usize) {
         let _ = (configurations, transitions);
@@ -441,8 +411,8 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         self.graph
     }
 
-    /// Runs the exploration on the current thread with the default ([`ExploreEngine::Delta`])
-    /// engine and returns its report.
+    /// Runs the exploration with the default ([`ExploreEngine::Delta`]) engine and returns
+    /// its report.
     pub fn run(&mut self) -> ExplorationReport {
         self.run_delta()
     }
@@ -601,190 +571,9 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         self.finish_run(engine.finish())
     }
 
-    /// Runs the exploration on `threads` OS threads: work-stealing delta workers discover the
-    /// space concurrently over a sharded arena, and a sequential replay renumbers their
-    /// provisional ids into canonical BFS order (see the module docs).  The returned report —
-    /// and the recorded graph and liveness witnesses — are field-for-field identical to
-    /// [`Explorer::run`]'s at every thread count.
-    ///
-    /// `factory` builds one network per worker thread; it must produce networks of the same
-    /// shape (topology, protocol, drivers) as the explorer's own — typically by calling the
-    /// same scenario constructor.  Worker networks start from arbitrary states; every state
-    /// they touch is overwritten by a packed restore before use.
-    pub fn run_parallel<F>(&mut self, factory: F, threads: usize) -> ExplorationReport
-    where
-        F: Fn() -> Network<P, T> + Sync,
-    {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self.run();
-        }
-
-        // ---- Discovery: work-stealing delta workers over the sharded arena.
-        let progress = self.progress;
-        let net = &mut *self.net;
-        let mut scratch = DeltaScratch::for_net(net);
-        let mut root_buf = Vec::new();
-        capture_packed(net, &mut root_buf);
-        restore_packed_mapped(net, &root_buf, &mut scratch.map);
-        let h_root = compute_terms(&root_buf, &scratch.map, &mut scratch.terms);
-
-        let arena = ShardedArena::new();
-        let (root_prov, fresh) = arena.intern_hashed(&root_buf, h_root);
-        debug_assert!(fresh);
-
-        // Workers can't enforce the configuration cap exactly (it is defined in terms of the
-        // canonical discovery order they don't know), so they run to a generous multiple of
-        // it; the replay enforces the exact cap and repairs any gap an early stop left.
-        let budget = if self.limits.max_configurations == usize::MAX {
-            usize::MAX
-        } else {
-            self.limits.max_configurations.saturating_mul(2).saturating_add(1024)
-        };
-
-        let pool = StealPool::new(threads);
-        pool.push(0, (root_prov, 0));
-        let record_graph = self.record_graph;
-        let max_depth = self.limits.max_depth;
-
-        let logs: Vec<WorkerLog> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let pool = &pool;
-                    let arena = &arena;
-                    let factory = &factory;
-                    scope.spawn(move || {
-                        discover(w, pool, arena, factory, record_graph, max_depth, budget, progress)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-
-        // ---- Canonical replay: renumber provisional ids in BFS discovery order.
-        let shards = arena.into_shards();
-        // Provisional id -> packed (worker, record index); `u64::MAX` = never expanded.
-        let mut rec_of: Vec<Vec<u64>> = shards.iter().map(|s| vec![u64::MAX; s.len()]).collect();
-        for (w, log) in logs.iter().enumerate() {
-            for (r, rec) in log.records.iter().enumerate() {
-                let (shard, index) = ShardedArena::split(rec.parent);
-                rec_of[shard][index as usize] = ((w as u64) << 32) | r as u64;
-            }
-        }
-
-        let mut engine =
-            Engine::new(self.limits, &self.properties, self.record_graph, self.stop_on_violation);
-        engine.admit_initial_hashed(&root_buf, h_root);
-        // Canonical id -> provisional id (`NO_PROVISIONAL` for states only the repair path
-        // discovered).
-        let mut prov_of: Vec<ProvisionalId> = vec![root_prov];
-        let mut queue: VecDeque<StateId> = VecDeque::new();
-        queue.push_back(0);
-        let mut parent_buf = root_buf;
-
-        let mut ticker = ProgressTicker::new(progress);
-        'outer: while let Some(id) = queue.pop_front() {
-            if ticker.observe(&mut engine) {
-                break 'outer;
-            }
-            let depth = engine.depths[id as usize] as usize;
-            engine.report.max_depth = engine.report.max_depth.max(depth);
-            if depth >= engine.limits.max_depth {
-                engine.report.truncated = true;
-                continue;
-            }
-            engine.begin_expansion(id);
-
-            let prov = prov_of[id as usize];
-            let rec_ref = if prov == NO_PROVISIONAL {
-                u64::MAX
-            } else {
-                let (shard, index) = ShardedArena::split(prov);
-                rec_of[shard][index as usize]
-            };
-
-            if rec_ref != u64::MAX {
-                // Replay the worker's log: an arena probe plus memcpy per transition.
-                let log = &logs[(rec_ref >> 32) as usize];
-                let rec = &log.records[(rec_ref & u64::from(u32::MAX)) as usize];
-                let trans = &log.transitions
-                    [rec.trans_start as usize..(rec.trans_start + rec.trans_len) as usize];
-                for tr in trans {
-                    let cs_entries = log.cs_pool
-                        [tr.cs_start as usize..(tr.cs_start + tr.cs_len) as usize]
-                        .to_vec();
-                    if tr.successor == SELF_LOOP {
-                        engine.on_known_transition(tr.action, id, cs_entries);
-                    } else {
-                        let (shard, index) = ShardedArena::split(tr.successor);
-                        let bytes = shards[shard].get(index);
-                        let hash = shards[shard].stored_hash(index);
-                        if let Some(new_id) =
-                            engine.on_transition_hashed(id, tr.action, bytes, hash, cs_entries)
-                        {
-                            debug_assert_eq!(prov_of.len(), new_id as usize);
-                            prov_of.push(tr.successor);
-                            queue.push_back(new_id);
-                        }
-                    }
-                    if engine.stopped {
-                        break 'outer;
-                    }
-                }
-                if rec.quiescent {
-                    engine.on_quiescent(id);
-                }
-            } else {
-                // Repair: the workers never expanded this state (its discovery depth overshot
-                // the limit although its canonical depth did not, or discovery was abandoned
-                // at the budget) — expand it live, exactly like the sequential loop would.
-                parent_buf.clear();
-                parent_buf.extend_from_slice(engine.arena.get(id));
-                let (quiescent, stopped) = expand_state_delta(
-                    net,
-                    &mut scratch,
-                    &parent_buf,
-                    record_graph,
-                    &mut |act, step, cs_entries| {
-                        match step {
-                            DeltaStep::SelfLoop => {
-                                engine.on_known_transition(act, id, cs_entries)
-                            }
-                            DeltaStep::Successor { bytes, hash } => {
-                                if let Some(new_id) =
-                                    engine.on_transition_hashed(id, act, bytes, hash, cs_entries)
-                                {
-                                    let shard = ShardedArena::shard_of(hash);
-                                    let succ_prov = shards[shard]
-                                        .lookup_hashed(bytes, hash)
-                                        .map_or(NO_PROVISIONAL, |index| {
-                                            ShardedArena::compose(shard, index)
-                                        });
-                                    debug_assert_eq!(prov_of.len(), new_id as usize);
-                                    prov_of.push(succ_prov);
-                                    queue.push_back(new_id);
-                                }
-                            }
-                        }
-                        engine.stopped
-                    },
-                );
-                if stopped {
-                    break 'outer;
-                }
-                if quiescent {
-                    engine.on_quiescent(id);
-                }
-            }
-        }
-
-        ticker.finish(&engine);
-        self.finish_run(engine.finish())
-    }
-
     /// Stores the recorded graph and runs the optional liveness pass — the single exit path
-    /// of every engine, so sequential, parallel, delta and interned runs all report
-    /// identical liveness witnesses (they record identical graphs).
+    /// of both engines, so delta and interned runs report identical liveness witnesses
+    /// (they record identical graphs).
     fn finish_run(&mut self, (mut report, graph): (ExplorationReport, StateGraph)) -> ExplorationReport {
         self.graph = graph;
         if self.record_graph {
@@ -797,8 +586,8 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     }
 }
 
-/// Per-loop progress bookkeeping shared by the sequential engines and the canonical replay:
-/// polls [`ExploreProgress::should_stop`] before every expansion and emits throttled
+/// Per-loop progress bookkeeping shared by the delta and interned engines: polls
+/// [`ExploreProgress::should_stop`] before every expansion and emits throttled
 /// [`ExploreProgress::on_progress`] callbacks every [`PROGRESS_STRIDE`] expansions.
 struct ProgressTicker<'a> {
     progress: Option<&'a dyn ExploreProgress>,
@@ -902,8 +691,8 @@ fn execute_transition<P: CheckableNode, T: Topology>(
     (same_as_parent, cs_entries)
 }
 
-/// Reusable buffers of one delta expansion engine — one set per sequential run and per
-/// parallel discovery worker, so expansions allocate nothing per state.
+/// Reusable buffers of the delta engine — one set per run, so expansions allocate nothing
+/// per state.
 struct DeltaScratch {
     /// Flat channel ids: channel `(v, l)` has flat index `chan_base[v] + l`.
     chan_base: Vec<usize>,
@@ -965,9 +754,9 @@ enum DeltaStep<'a> {
 /// Expands one state with the delta discipline — restore the parent once, then per enabled
 /// activation execute in place with an undo log, re-encode only the dirty segments, splice
 /// and hash-patch, call `sink`, revert.  Activations are enumerated in the canonical order
-/// (deliveries in `(node, channel)` order, then ticks in node order), a pure function of the
-/// parent's bytes: every caller — sequential loop, discovery worker, replay repair — sees
-/// the identical transition sequence, which is what the parity contract rests on.
+/// (deliveries in `(node, channel)` order, then ticks in node order) — the order
+/// [`enumerate_activations`] gives the interned engine, which is what the parity contract
+/// rests on.
 ///
 /// `sink` returning `true` stops the expansion after reverting (remaining activations
 /// untried).  Returns `(quiescent, stopped)`; `quiescent` means no message was in flight
@@ -1092,208 +881,9 @@ where
     (first_tick == 0 && every_tick_is_self_loop, stopped)
 }
 
-/// Sentinel "successor" in a worker log marking a self-loop transition.  Provisional ids
-/// never reach `u32::MAX`: each shard caps its index space strictly below the sentinel.
-const SELF_LOOP: ProvisionalId = u32::MAX;
-/// Sentinel in the replay's canonical-id → provisional-id table for states the workers never
-/// interned (discovered only by the repair path).
-const NO_PROVISIONAL: ProvisionalId = u32::MAX;
-
-/// One logged transition of a discovery worker.
-struct LoggedTransition {
-    action: Activation,
-    /// Provisional id of the successor, or [`SELF_LOOP`].
-    successor: ProvisionalId,
-    /// Span of this transition's critical-section entries in the worker's `cs_pool`.
-    cs_start: u32,
-    cs_len: u32,
-}
-
-/// One expanded state in a worker's log: its provisional id plus the span of its
-/// transitions in the worker's flat transition vector.
-struct LoggedExpansion {
-    parent: ProvisionalId,
-    trans_start: u32,
-    trans_len: u32,
-    /// True when no message was in flight and every tick was a self-loop.
-    quiescent: bool,
-}
-
-/// Everything one discovery worker learned, flattened into three vectors so logging a
-/// transition is two pushes and no per-state allocation.
-#[derive(Default)]
-struct WorkerLog {
-    records: Vec<LoggedExpansion>,
-    transitions: Vec<LoggedTransition>,
-    cs_pool: Vec<NodeId>,
-}
-
-/// A unit of discovery work: a provisional state id plus the depth along its discovery path
-/// (an upper bound on the canonical BFS depth — any path is at least as long as the
-/// shortest, which is all the worker-side depth horizon needs).
-type WorkItem = (ProvisionalId, u32);
-
-/// Most items a thief takes in one steal (bounded at half the victim's deque).
-const STEAL_BATCH: usize = 64;
-
-/// The work-stealing pool: one deque per worker plus termination and abandon bookkeeping.
-/// Owners push and pop at the back; thieves steal a batch from the front — the Chase-Lev
-/// split, with a mutex per deque instead of lock-free CAS (a steal locks exactly one deque,
-/// so there is no lock ordering to get wrong, and steals are rare once the space fans out).
-struct StealPool {
-    deques: Vec<Mutex<VecDeque<WorkItem>>>,
-    /// Queued + in-flight items; discovery is complete when this reaches zero.
-    pending: AtomicUsize,
-    /// Set when the discovery budget trips; workers drain out and the replay repairs the
-    /// remainder sequentially.
-    abandoned: AtomicBool,
-}
-
-impl StealPool {
-    fn new(threads: usize) -> Self {
-        StealPool {
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            abandoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues one item on `worker`'s deque.  `pending` is raised *before* the item
-    /// becomes stealable, so the count never under-reads while work is still reachable.
-    fn push(&self, worker: usize, item: WorkItem) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.deques[worker].lock().expect("unpoisoned deque").push_back(item);
-    }
-
-    /// Owner pop (newest first, for locality), falling back to stealing a batch from the
-    /// front of the first non-empty victim deque (oldest first — the states a victim will
-    /// not touch for the longest).
-    fn pop(&self, worker: usize) -> Option<WorkItem> {
-        if let Some(item) = self.deques[worker].lock().expect("unpoisoned deque").pop_back() {
-            return Some(item);
-        }
-        let t = self.deques.len();
-        for step in 1..t {
-            let victim = (worker + step) % t;
-            let mut stolen: VecDeque<WorkItem> = {
-                let mut deque = self.deques[victim].lock().expect("unpoisoned deque");
-                let take = deque.len().div_ceil(2).min(STEAL_BATCH);
-                deque.drain(..take).collect()
-            };
-            if let Some(first) = stolen.pop_front() {
-                if !stolen.is_empty() {
-                    self.deques[worker].lock().expect("unpoisoned deque").append(&mut stolen);
-                }
-                return Some(first);
-            }
-        }
-        None
-    }
-
-    /// Marks one previously popped item complete.
-    fn complete_one(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// True when every enqueued item has been completed.
-    fn done(&self) -> bool {
-        self.pending.load(Ordering::SeqCst) == 0
-    }
-}
-
-/// One discovery worker: pops (or steals) states, expands each with the shared delta loop on
-/// its private network, interns successors into the sharded arena, and logs every transition
-/// for the canonical replay.
-#[allow(clippy::too_many_arguments)]
-fn discover<P, T, F>(
-    worker: usize,
-    pool: &StealPool,
-    arena: &ShardedArena,
-    factory: &F,
-    record_graph: bool,
-    max_depth: usize,
-    budget: usize,
-    progress: Option<&dyn ExploreProgress>,
-) -> WorkerLog
-where
-    P: CheckableNode,
-    T: Topology,
-    F: Fn() -> Network<P, T> + Sync,
-{
-    let mut net = factory();
-    let mut scratch = DeltaScratch::for_net(&net);
-    let mut parent_buf = Vec::new();
-    let mut log = WorkerLog::default();
-
-    loop {
-        if pool.abandoned.load(Ordering::Relaxed) {
-            break;
-        }
-        // A cancelled observer abandons discovery exactly like a tripped budget: workers
-        // drain out and the canonical replay (which polls the observer itself) stops early.
-        if progress.is_some_and(|p| p.should_stop()) {
-            pool.abandoned.store(true, Ordering::Relaxed);
-            break;
-        }
-        let Some((prov, depth)) = pool.pop(worker) else {
-            if pool.done() {
-                break;
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        // States at the depth horizon are left unexpanded, like the sequential loop leaves
-        // them; the discovery depth can overshoot the canonical one, in which case the
-        // replay repairs the gap.
-        if (depth as usize) < max_depth {
-            arena.fetch(prov, &mut parent_buf);
-            let trans_start = log.transitions.len() as u32;
-            let (quiescent, _) = expand_state_delta(
-                &mut net,
-                &mut scratch,
-                &parent_buf,
-                record_graph,
-                &mut |action, step, cs_entries| {
-                    let successor = match step {
-                        DeltaStep::SelfLoop => SELF_LOOP,
-                        DeltaStep::Successor { bytes, hash } => {
-                            let (succ, inserted) = arena.intern_hashed(bytes, hash);
-                            if inserted {
-                                if arena.len() > budget {
-                                    pool.abandoned.store(true, Ordering::Relaxed);
-                                }
-                                pool.push(worker, (succ, depth + 1));
-                            }
-                            succ
-                        }
-                    };
-                    let cs_start = log.cs_pool.len() as u32;
-                    log.cs_pool.extend_from_slice(&cs_entries);
-                    log.transitions.push(LoggedTransition {
-                        action,
-                        successor,
-                        cs_start,
-                        cs_len: cs_entries.len() as u32,
-                    });
-                    false
-                },
-            );
-            log.records.push(LoggedExpansion {
-                parent: prov,
-                trans_start,
-                trans_len: log.transitions.len() as u32 - trans_start,
-                quiescent,
-            });
-        }
-        pool.complete_one();
-    }
-    log
-}
-
 /// The shared bookkeeping of an exploration run: the arena, flat per-state vectors, the
-/// report under construction, and the graph recorder.  The sequential loop and the parallel
-/// canonical replay drive exactly this state machine, which is what makes their reports
-/// identical.
+/// report under construction, and the graph recorder.  The delta and interned loops drive
+/// exactly this state machine, which is what makes their reports identical.
 struct Engine<'p> {
     limits: Limits,
     properties: &'p [Box<dyn Property>],
@@ -1748,110 +1338,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exploration_matches_sequential_on_a_seeded_7_node_tree() {
-        // The satellite regression test: a 7-node random tree (fixed seed), two requesters
-        // competing for two tokens plus a third small requester.  Sequential and parallel
-        // exploration must visit identical state counts, record identically sized graphs, and
-        // report identical deadlock depths.
-        let needs = [0usize, 2, 0, 2, 0, 1, 0];
-        let cfg = KlConfig::new(2, 2, 7);
-        let make = || {
-            let tree = topology::builders::random_tree(7, 0xD153A5E);
-            klex_core::naive::network(tree, cfg, drivers::from_needs(&needs))
-        };
-        let limits = Limits { max_configurations: 2_000_000, max_depth: usize::MAX };
-
-        let mut net = make();
-        let mut seq_explorer = Explorer::new(&mut net).with_limits(limits).record_graph(true);
-        let sequential = seq_explorer.run();
-        let seq_graph = seq_explorer.into_graph();
-        assert!(sequential.exhaustive(), "the 7-node instance must fit the limits");
-
-        for threads in [2, 4] {
-            let mut net = make();
-            let mut par_explorer =
-                Explorer::new(&mut net).with_limits(limits).record_graph(true);
-            let parallel = par_explorer.run_parallel(make, threads);
-            let par_graph = par_explorer.into_graph();
-
-            assert_eq!(parallel.configurations, sequential.configurations);
-            assert_eq!(parallel.transitions, sequential.transitions);
-            assert_eq!(parallel.max_depth, sequential.max_depth);
-            assert_eq!(parallel.truncated, sequential.truncated);
-            assert_eq!(parallel.deadlocks.len(), sequential.deadlocks.len());
-            for (p, s) in parallel.deadlocks.iter().zip(&sequential.deadlocks) {
-                assert_eq!(p.depth, s.depth);
-                assert_eq!(p.blocked, s.blocked);
-                assert_eq!(p.config, s.config);
-            }
-            assert_eq!(par_graph.len(), seq_graph.len());
-            assert_eq!(par_graph.transition_count(), seq_graph.transition_count());
-            // Identical ids: spot-check that both graphs store the same packed states.
-            for id in (0..seq_graph.len()).step_by(97) {
-                assert_eq!(par_graph.packed(id), seq_graph.packed(id));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_exploration_reports_identical_violation_depths() {
-        let cfg = KlConfig::new(1, 1, 2);
-        let make = || {
-            let tree = topology::builders::chain(2);
-            klex_core::naive::network(tree, cfg, |_| drivers::HoldOneActivation::boxed(1))
-        };
-        let never_enter = || {
-            properties::property("never-enter", |c: &Configuration| {
-                if c.nodes.iter().any(|s| s.cs == CsState::In) {
-                    Err("a process entered its critical section".into())
-                } else {
-                    Ok(())
-                }
-            })
-        };
-        let limits = Limits { max_configurations: 50_000, max_depth: usize::MAX };
-        let mut net = make();
-        let sequential = Explorer::new(&mut net)
-            .with_limits(limits)
-            .with_property(never_enter())
-            .run();
-        let mut net = make();
-        let parallel = Explorer::new(&mut net)
-            .with_limits(limits)
-            .with_property(never_enter())
-            .run_parallel(make, 4);
-        assert_eq!(sequential.violations.len(), 1);
-        assert_eq!(parallel.violations.len(), 1);
-        assert_eq!(parallel.violations[0].depth, sequential.violations[0].depth);
-        assert_eq!(parallel.violations[0].trace, sequential.violations[0].trace);
-        assert_eq!(parallel.violations[0].config, sequential.violations[0].config);
-        assert_eq!(parallel.configurations, sequential.configurations);
-        assert_eq!(parallel.transitions, sequential.transitions);
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_under_truncation() {
-        let cfg = KlConfig::new(1, 1, 2);
-        let make = || {
-            let tree = topology::builders::chain(2);
-            klex_core::naive::network(tree, cfg, |_| drivers::AlwaysRequest::boxed(1))
-        };
-        let limits = Limits { max_configurations: 7, max_depth: usize::MAX };
-        let mut net = make();
-        let sequential = Explorer::new(&mut net).with_limits(limits).run();
-        let mut net = make();
-        let parallel = Explorer::new(&mut net).with_limits(limits).run_parallel(make, 3);
-        assert!(sequential.truncated && parallel.truncated);
-        assert_eq!(parallel.configurations, sequential.configurations);
-        assert_eq!(parallel.transitions, sequential.transitions);
-        assert_eq!(parallel.max_depth, sequential.max_depth);
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_under_a_depth_limit() {
-        // A finite depth limit exercises the replay's repair path: a worker can first reach
-        // a state along a path longer than its canonical BFS depth and skip it at the
-        // horizon, in which case the replay must expand it live.
+    fn delta_and_interned_engines_agree_under_a_depth_limit() {
+        // A finite depth limit leaves the horizon's states unexpanded; both engines must
+        // leave the same ones and report the same truncated space.
         let needs = [0usize, 2, 0, 2, 0, 1, 0];
         let cfg = KlConfig::new(2, 2, 7);
         let make = || {
@@ -1860,18 +1349,15 @@ mod tests {
         };
         for max_depth in [2, 5, 9] {
             let limits = Limits { max_configurations: 2_000_000, max_depth };
-            let mut net = make();
-            let sequential = Explorer::new(&mut net).with_limits(limits).run();
-            for threads in [2, 4] {
-                let mut net = make();
-                let parallel =
-                    Explorer::new(&mut net).with_limits(limits).run_parallel(make, threads);
-                assert_eq!(parallel.configurations, sequential.configurations);
-                assert_eq!(parallel.transitions, sequential.transitions);
-                assert_eq!(parallel.max_depth, sequential.max_depth);
-                assert_eq!(parallel.truncated, sequential.truncated);
-                assert_eq!(parallel.frontier_sizes, sequential.frontier_sizes);
-            }
+            let interned =
+                Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Interned);
+            let delta =
+                Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Delta);
+            assert_eq!(delta.configurations, interned.configurations, "depth {max_depth}");
+            assert_eq!(delta.transitions, interned.transitions, "depth {max_depth}");
+            assert_eq!(delta.max_depth, interned.max_depth, "depth {max_depth}");
+            assert_eq!(delta.truncated, interned.truncated, "depth {max_depth}");
+            assert_eq!(delta.frontier_sizes, interned.frontier_sizes, "depth {max_depth}");
         }
     }
 

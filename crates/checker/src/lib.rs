@@ -48,11 +48,10 @@
 //!   ([`snapshot::restore_packed`]); the hot loop performs no configuration clones and no
 //!   SipHash hashing.
 //!
-//! [`Explorer::run_parallel`] discovers the reachable set with N work-stealing delta
-//! workers interning into a lock-striped sharded arena, then replays the workers'
-//! schedule-independent expansion logs through the sequential engine in canonical BFS
-//! order, so sequential and parallel runs produce **identical** ids, counts, and reports;
-//! see [`explore`] for details.
+//! [`Explorer::run`] is the one production engine (the delta engine: execute in place,
+//! re-encode only the dirty segments, revert).  [`Explorer::run_interned`] is the
+//! executable oracle it is tested against: both produce **identical** ids, counts, and
+//! reports; see [`explore`] for details.
 //!
 //! # Quickstart
 //!

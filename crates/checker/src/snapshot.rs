@@ -826,10 +826,6 @@ pub enum InternOutcome {
 /// uses an open-addressing table of fx hashes with linear probing; collisions fall back to a
 /// byte comparison against the arena, so no separate key copies exist (unlike a
 /// `HashMap<Vec<u8>, u32>`, which would store every configuration twice).
-///
-/// Reads ([`StateArena::get`], [`StateArena::lookup`]) take `&self`, so a frozen arena can be
-/// shared across worker threads during parallel frontier expansion; interning requires
-/// `&mut self` and happens on the coordinating thread.
 #[derive(Clone, Debug, Default)]
 pub struct StateArena {
     bytes: Vec<u8>,
@@ -960,13 +956,6 @@ impl StateArena {
         InternOutcome::Inserted(id)
     }
 
-    /// The hash that accompanied state `id`'s insertion (under the arena's single hash
-    /// scheme — see [`StateArena::intern_capped_hashed`]).  Lets a consumer that moves
-    /// states between arenas of the same scheme re-intern without re-hashing.
-    pub fn stored_hash(&self, id: StateId) -> u64 {
-        self.hashes[id as usize]
-    }
-
     fn grow_slots(&mut self, new_size: usize) {
         debug_assert!(new_size.is_power_of_two());
         self.slots = vec![0; new_size];
@@ -978,141 +967,6 @@ impl StateArena {
             }
             self.slots[slot] = id as u32 + 1;
         }
-    }
-}
-
-// -------------------------------------------------------------------------- sharded arena
-
-/// Number of lock stripes in a [`ShardedArena`] (a power of two).
-///
-/// 64 stripes keep the expected contention negligible for any realistic worker count (the
-/// probability that two of `t` workers intern into the same shard at the same instant is
-/// ≈ t²/2S), while the per-shard fixed cost (one empty [`StateArena`] each) stays trivial.
-pub const ARENA_SHARDS: usize = 64;
-
-const SHARD_BITS: u32 = ARENA_SHARDS.trailing_zeros();
-/// Bits of a [`ProvisionalId`] carrying the in-shard insertion index.
-const SHARD_INDEX_BITS: u32 = 32 - SHARD_BITS;
-/// States one shard can hold; keeps every composed id strictly below `u32::MAX`, so the
-/// explorer can use `u32::MAX` as a sentinel.
-const SHARD_CAP: usize = (1usize << SHARD_INDEX_BITS) - 1;
-
-/// A state id handed out by a [`ShardedArena`]: the shard index in the top [`ARENA_SHARDS`]
-/// bits, the in-shard insertion index below.
-///
-/// Provisional ids are *stable* (a state keeps its id for the arena's lifetime) but — unlike
-/// [`StateId`]s — **not dense and not discovery-ordered**: concurrent workers intern in
-/// whatever order the schedule produces.  The parallel explorer renumbers them into
-/// canonical [`StateId`]s during its sequential replay pass.
-pub type ProvisionalId = u32;
-
-/// A lock-striped, concurrently internable [`StateArena`]: `ARENA_SHARDS` independent
-/// arenas, each behind its own mutex, with the shard selected by the **top** bits of the
-/// 64-bit key hash (the bottom bits index the open-addressing slots *within* a shard, so
-/// the two probes stay independent).
-///
-/// Shared-`&self` interning is what lets parallel exploration workers deduplicate states
-/// without a global visited-set lock: two workers serialize only when their keys hash into
-/// the same stripe.  The one-hash-scheme-per-arena rule of
-/// [`StateArena::intern_capped_hashed`] applies across the whole sharded arena.
-#[derive(Debug, Default)]
-pub struct ShardedArena {
-    shards: Vec<std::sync::Mutex<StateArena>>,
-    len: std::sync::atomic::AtomicUsize,
-}
-
-impl ShardedArena {
-    /// An empty arena with [`ARENA_SHARDS`] stripes.
-    pub fn new() -> Self {
-        ShardedArena {
-            shards: (0..ARENA_SHARDS).map(|_| std::sync::Mutex::new(StateArena::new())).collect(),
-            len: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// The shard a key with this hash belongs to.
-    pub fn shard_of(hash: u64) -> usize {
-        (hash >> (64 - SHARD_BITS)) as usize
-    }
-
-    /// Composes a provisional id from a shard index and an in-shard state id.
-    pub fn compose(shard: usize, index: StateId) -> ProvisionalId {
-        debug_assert!(shard < ARENA_SHARDS && (index as usize) < SHARD_CAP);
-        ((shard as u32) << SHARD_INDEX_BITS) | index
-    }
-
-    /// Splits a provisional id into its shard index and in-shard state id.
-    pub fn split(id: ProvisionalId) -> (usize, StateId) {
-        ((id >> SHARD_INDEX_BITS) as usize, id & ((1 << SHARD_INDEX_BITS) - 1))
-    }
-
-    /// Total states interned across all shards.
-    ///
-    /// Monotone and safe to read concurrently; the count is updated after the owning
-    /// shard's insertion completes, so it may momentarily trail an in-flight intern.
-    pub fn len(&self) -> usize {
-        self.len.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Interns `packed` under its caller-supplied hash, returning its provisional id and
-    /// whether this call inserted it.  Locks exactly one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a single shard exceeds [`ARENA_SHARDS`]⁻¹ of the 32-bit id space (≈ 67M
-    /// states per shard — beyond any exploration that fits in memory).
-    pub fn intern_hashed(&self, packed: &[u8], hash: u64) -> (ProvisionalId, bool) {
-        let shard = Self::shard_of(hash);
-        let mut guard = self.shards[shard].lock().expect("unpoisoned shard");
-        match guard.intern_capped_hashed(packed, hash, SHARD_CAP) {
-            InternOutcome::Existing(index) => (Self::compose(shard, index), false),
-            InternOutcome::Inserted(index) => {
-                self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                (Self::compose(shard, index), true)
-            }
-            InternOutcome::Full => panic!(
-                "ShardedArena shard {shard} overflowed its {SHARD_CAP}-state id space"
-            ),
-        }
-    }
-
-    /// Looks up previously interned bytes (same hash scheme as the inserts) without
-    /// modifying the arena.
-    pub fn lookup_hashed(&self, packed: &[u8], hash: u64) -> Option<ProvisionalId> {
-        let shard = Self::shard_of(hash);
-        let guard = self.shards[shard].lock().expect("unpoisoned shard");
-        guard.lookup_hashed(packed, hash).map(|index| Self::compose(shard, index))
-    }
-
-    /// Copies state `id`'s packed bytes into `out` (replacing its contents) and returns the
-    /// hash it was interned under.  A copy, not a borrow: the shard's byte buffer can be
-    /// reallocated by concurrent inserts, so bytes can't leave the lock by reference.
-    pub fn fetch(&self, id: ProvisionalId, out: &mut Vec<u8>) -> u64 {
-        let (shard, index) = Self::split(id);
-        let guard = self.shards[shard].lock().expect("unpoisoned shard");
-        out.clear();
-        out.extend_from_slice(guard.get(index));
-        guard.stored_hash(index)
-    }
-
-    /// Total bytes of packed configuration data across all shards.
-    pub fn bytes_used(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("unpoisoned shard").bytes_used()).sum()
-    }
-
-    /// Unwraps the shards for single-threaded, lock-free reads (the replay pass runs after
-    /// every worker has joined).  `shards()[s].get(i)` resolves provisional id
-    /// `compose(s, i)`.
-    pub fn into_shards(self) -> Vec<StateArena> {
-        self.shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("unpoisoned shard"))
-            .collect()
     }
 }
 
@@ -1472,76 +1326,5 @@ mod tests {
         }
         assert_eq!(arena.len(), 5_000);
         assert!(arena.bytes_used() >= 5_000 * 11);
-    }
-
-    /// Satellite (shard collision): two distinct packed configurations whose hashes land in
-    /// the same shard — here forced by interning them under the *same* hash — must intern to
-    /// distinct provisional ids, both retrievable afterwards.
-    #[test]
-    fn sharded_arena_separates_colliding_states_within_one_shard() {
-        let arena = ShardedArena::new();
-        let a = b"packed configuration alpha".as_slice();
-        let b = b"packed configuration beta!".as_slice();
-        let hash = 0xDEAD_BEEF_CAFE_F00Du64;
-
-        let (id_a, fresh_a) = arena.intern_hashed(a, hash);
-        let (id_b, fresh_b) = arena.intern_hashed(b, hash);
-        assert!(fresh_a && fresh_b);
-        assert_ne!(id_a, id_b, "colliding states must get distinct ids");
-        assert_eq!(ShardedArena::split(id_a).0, ShardedArena::split(id_b).0, "same shard");
-        assert_eq!(arena.len(), 2);
-
-        // Re-interning is idempotent and lookup agrees.
-        assert_eq!(arena.intern_hashed(a, hash), (id_a, false));
-        assert_eq!(arena.intern_hashed(b, hash), (id_b, false));
-        assert_eq!(arena.lookup_hashed(a, hash), Some(id_a));
-        assert_eq!(arena.lookup_hashed(b, hash), Some(id_b));
-
-        // Fetch returns the exact bytes and the stored hash.
-        let mut buf = Vec::new();
-        assert_eq!(arena.fetch(id_a, &mut buf), hash);
-        assert_eq!(buf, a);
-        assert_eq!(arena.fetch(id_b, &mut buf), hash);
-        assert_eq!(buf, b);
-    }
-
-    /// Concurrent interning of overlapping key sets from several threads agrees with a
-    /// single-threaded [`StateArena`]: same total count, every key retrievable, and each
-    /// key's provisional id consistent across the threads that interned it.
-    #[test]
-    fn sharded_arena_concurrent_interning_deduplicates_across_threads() {
-        let arena = ShardedArena::new();
-        let keys: Vec<Vec<u8>> = (0..512u32).map(|i| i.to_le_bytes().repeat(4)).collect();
-
-        let ids: Vec<Vec<ProvisionalId>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let arena = &arena;
-                    let keys = &keys;
-                    scope.spawn(move || {
-                        // Each thread interns every key, in a thread-dependent order.
-                        let mut ids = vec![0; keys.len()];
-                        for step in 0..keys.len() {
-                            let i = (step * (2 * t + 1) + t) % keys.len();
-                            let (id, _) = arena.intern_hashed(&keys[i], fx_hash(&keys[i]));
-                            ids[i] = id;
-                        }
-                        ids
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-        });
-
-        assert_eq!(arena.len(), keys.len(), "every key interned exactly once");
-        for per_thread in &ids {
-            assert_eq!(per_thread, &ids[0], "ids are stable across interleavings");
-        }
-        let shards = arena.into_shards();
-        assert_eq!(shards.iter().map(StateArena::len).sum::<usize>(), keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            let (shard, index) = ShardedArena::split(ids[0][i]);
-            assert_eq!(shards[shard].get(index), &key[..]);
-        }
     }
 }

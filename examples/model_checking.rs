@@ -124,7 +124,6 @@ fn main() {
             max_depth: 0,
             properties: vec!["legitimate".into(), "safety".into()],
             from_legitimate: true,
-            ..CheckSpec::default()
         })
         .build()
         .expect("the closure scenario validates")

@@ -9,16 +9,20 @@
 //!    the segmented hash — checked as a property over all four protocol rungs, random trees,
 //!    and fault-corrupted starting configurations.
 //! 2. **Report parity** — the delta and interned engines produce identical reachable-set
-//!    sizes, per-level frontier sizes, violation reports and deadlock witnesses on the
-//!    paper-anchored scenario presets (`checker-safety`, the `figure2` family, the `figure3`
-//!    family).
+//!    sizes, per-level frontier sizes, violation and deadlock witnesses, graph summaries and
+//!    fair-cycle lassos, field for field: on the paper-anchored scenario presets
+//!    (`checker-safety`, the `figure2` family, the `figure3` family) and as a property over
+//!    random ≤7-node scenarios on all four protocol rungs with safety and liveness checking
+//!    enabled.  The fuzzer's coverage signature is therefore engine-independent too.
 //!
 //! The same file pins the harness trial-reuse path: resetting one network in place across
 //! trials must be observationally identical to rebuilding it per trial.
 
+use analysis::coverage::CoverageSignature;
 use analysis::harness::trial_seed;
 use analysis::scenario::{
-    preset, CompiledScenario, DaemonSpec, ProtocolSpec, StopSpec, TopologySpec, WorkloadSpec,
+    preset, CheckSpec, CompiledScenario, DaemonSpec, ProtocolSpec, ScenarioSpec, StopSpec,
+    TopologySpec, WorkloadSpec,
 };
 use checker::snapshot::{
     capture_packed, restore_packed_mapped, segmented_hash, CheckableNode, SegmentMap,
@@ -169,6 +173,20 @@ fn assert_reports_identical(name: &str, delta: &ExplorationReport, interned: &Ex
         assert_eq!(d.trace, i.trace, "{name}: deadlock trace");
         assert_eq!(d.config, i.config, "{name}: deadlocked configuration");
     }
+    assert_eq!(delta.graph_summary, interned.graph_summary, "{name}: graph summary");
+    assert_eq!(delta.liveness.len(), interned.liveness.len(), "{name}: lasso count");
+    for (d, i) in delta.liveness.iter().zip(&interned.liveness) {
+        assert_eq!(d.victim, i.victim, "{name}: lasso victim");
+        assert_eq!(d.stem, i.stem, "{name}: lasso stem activations");
+        assert_eq!(d.stem_states, i.stem_states, "{name}: lasso stem states");
+        assert_eq!(d.cycle, i.cycle, "{name}: lasso cycle activations");
+        assert_eq!(d.cycle_states, i.cycle_states, "{name}: lasso cycle states");
+        assert_eq!(d.progress_nodes, i.progress_nodes, "{name}: lasso progress nodes");
+        assert_eq!(d.stem_configs, i.stem_configs, "{name}: lasso stem configurations");
+        assert_eq!(d.cycle_configs, i.cycle_configs, "{name}: lasso cycle configurations");
+        assert_eq!(d.stem_cs, i.stem_cs, "{name}: lasso stem CS entries");
+        assert_eq!(d.cycle_cs, i.cycle_cs, "{name}: lasso cycle CS entries");
+    }
 }
 
 /// Satellite: the delta engine and the retained interned engine produce identical
@@ -187,11 +205,9 @@ fn delta_and_interned_engines_agree_on_the_paper_presets() {
     }
 }
 
-/// The delta engine is also what `run_parallel` must agree with (it level-expands with the
-/// interned primitives but merges into the same report) — cross-engine, cross-mode parity
-/// on a seeded random instance.
+/// Cross-engine parity on a seeded random instance built by hand (no scenario lowering).
 #[test]
-fn delta_interned_and_parallel_agree_on_a_random_tree() {
+fn delta_and_interned_agree_on_a_random_tree() {
     let needs = [0usize, 2, 0, 2, 1];
     let cfg = KlConfig::new(2, 2, 5);
     let make = || {
@@ -200,18 +216,94 @@ fn delta_interned_and_parallel_agree_on_a_random_tree() {
     };
     let limits = Limits { max_configurations: 2_000_000, max_depth: usize::MAX };
 
-    let mut net = make();
-    let delta = Explorer::new(&mut net).with_limits(limits).run_with(ExploreEngine::Delta);
+    let delta = Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Delta);
     assert!(delta.exhaustive());
-
-    let mut net = make();
-    let interned = Explorer::new(&mut net).with_limits(limits).run_with(ExploreEngine::Interned);
-
-    let mut net = make();
-    let parallel = Explorer::new(&mut net).with_limits(limits).run_parallel(make, 3);
-
+    let interned =
+        Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Interned);
     assert_reports_identical("delta-vs-interned", &delta, &interned);
-    assert_reports_identical("delta-vs-parallel", &delta, &parallel);
+}
+
+/// One random checkable scenario: a seeded random tree on one of the four protocol rungs,
+/// heterogeneous holding requesters, safety + liveness checking, and a budget small enough
+/// that a slice of the generated instances truncates (truncation parity is part of the
+/// contract, not an excluded case).
+fn random_scenario(
+    rung: usize,
+    n: usize,
+    seed: u64,
+    l: usize,
+    k: usize,
+    needs: Vec<usize>,
+    hold: u64,
+) -> ScenarioSpec {
+    let protocol = match rung {
+        0 => ProtocolSpec::Naive,
+        1 => ProtocolSpec::Pusher,
+        2 => ProtocolSpec::NonStab,
+        _ => ProtocolSpec::Ss,
+    };
+    ScenarioSpec::builder(format!("engine-parity n={n} rung={rung} seed={seed:#x}"))
+        .topology(TopologySpec::Random { n, seed })
+        .protocol(protocol)
+        .kl(k, l)
+        .workload(WorkloadSpec::Needs { needs, hold })
+        .stop(StopSpec::Steps { steps: 100 })
+        .check(CheckSpec {
+            max_configurations: 3_000,
+            max_depth: 0,
+            properties: vec!["safety".into(), "liveness".into()],
+            ..CheckSpec::default()
+        })
+        .spec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// The delta engine's report is identical to the interned oracle's — counters,
+    /// witnesses, and lassos — on random small scenarios.
+    #[test]
+    fn delta_engine_matches_interned_on_random_scenarios(
+        rung in 0usize..4,
+        n in 2usize..=7,
+        seed in 0u64..1_000_000,
+        l in 1usize..=3,
+        k_pick in 0usize..3,
+        needs_seed in proptest::collection::vec(0usize..=2, 7),
+        hold in 0u64..=1,
+    ) {
+        let k = 1 + k_pick % l;
+        let needs: Vec<usize> = needs_seed.iter().take(n).map(|u| u.min(&k)).copied().collect();
+        let spec = random_scenario(rung, n, seed, l, k, needs, hold);
+        let scenario = spec.compile().expect("generated scenario validates");
+        let delta =
+            scenario.check_with(ExploreEngine::Delta).expect("tree rungs lower into the checker");
+        let interned = scenario.check_with(ExploreEngine::Interned).expect("same lowering");
+        assert_reports_identical(&scenario.spec().name, &delta, &interned);
+    }
+}
+
+/// The coverage signature the fuzzer keys its corpus on is engine-independent: the delta
+/// and interned engines fingerprint a scenario identically, with the monitor verdicts from
+/// the same seeded simulator run folded in.
+#[test]
+fn coverage_signatures_are_engine_independent() {
+    for (rung, n, seed) in [(0, 4, 11), (1, 5, 23), (2, 5, 37), (3, 4, 53), (3, 6, 71)] {
+        let mut spec = random_scenario(rung, n, seed, 2, 1, vec![1; n], 1);
+        spec.properties =
+            vec!["request-eventually-cs".into(), "at-most-k-in-cs".into(), "l-availability".into()];
+        let scenario = spec.compile().expect("scenario validates");
+        let name = &scenario.spec().name;
+        let (_, monitors) = scenario.run_monitored();
+        let delta =
+            scenario.check_with(ExploreEngine::Delta).expect("tree rungs lower into the checker");
+        let interned = scenario.check_with(ExploreEngine::Interned).expect("same lowering");
+        assert_eq!(
+            CoverageSignature::of(&delta, &monitors).key(),
+            CoverageSignature::of(&interned, &monitors).key(),
+            "{name}: interned"
+        );
+    }
 }
 
 /// Satellite (trial reuse): a harness run that reuses one network per worker must be

@@ -17,24 +17,20 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Worker count of the parallel arm during replay: the smallest width at which the
-/// work-stealing engine actually runs.
-const REPLAY_THREADS: usize = 2;
-
 fn committed_corpus() -> Corpus {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus"));
     Corpus::load(dir).expect("tests/corpus/MANIFEST.json parses")
 }
 
-/// Tentpole: every committed corpus entry replays cleanly through the delta, interned and
-/// parallel engines (plus the simulator-under-monitors arm) and still reaches exactly the
-/// coverage signature its manifest key records.
+/// Tentpole: every committed corpus entry replays cleanly through the delta and interned
+/// engines (plus the simulator-under-monitors arm) and still reaches exactly the coverage
+/// signature its manifest key records.
 #[test]
 fn committed_corpus_replays_green_through_all_engines() {
     let corpus = committed_corpus();
     assert!(!corpus.is_empty(), "the committed regression corpus must not be empty");
     for entry in corpus.entries() {
-        let eval = fuzz::evaluate(&entry.spec, REPLAY_THREADS)
+        let eval = fuzz::evaluate(&entry.spec, 0)
             .unwrap_or_else(|err| panic!("{} ({}): {err}", entry.key, entry.file));
         assert_eq!(
             eval.signature.key(),
@@ -78,7 +74,7 @@ fn guided_campaign_beats_blind_generation() {
 fn committed_corpus_entries_are_shrink_minimal() {
     let corpus = committed_corpus();
     for entry in corpus.entries() {
-        let reshrunk = fuzz::shrink_to_signature(entry.spec.clone(), &entry.key, REPLAY_THREADS);
+        let reshrunk = fuzz::shrink_to_signature(entry.spec.clone(), &entry.key);
         assert_eq!(
             reshrunk, entry.spec,
             "{}: re-shrinking a committed entry must be a no-op",
@@ -139,15 +135,15 @@ proptest! {
 
     /// The coverage signature of a spec is deterministic: two evaluations of the same spec
     /// (including the seeded simulator run feeding the monitor verdicts) produce the same
-    /// key, at different parallel-arm widths.
+    /// key.
     #[test]
     fn signatures_are_deterministic_across_evaluations(seed in 0u64..1_000_000_000) {
         let limits = GenLimits { max_nodes: 6, ..GenLimits::default() };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut spec = random_spec(&mut rng, &limits, "deterministic");
         spec.check.max_configurations = 1_000;
-        let first = fuzz::evaluate(&spec, 2).expect("clean evaluation");
-        let second = fuzz::evaluate(&spec, 4).expect("clean evaluation");
+        let first = fuzz::evaluate(&spec, 0).expect("clean evaluation");
+        let second = fuzz::evaluate(&spec, 0).expect("clean evaluation");
         prop_assert_eq!(first.signature.key(), second.signature.key());
     }
 }

@@ -111,7 +111,6 @@ fn from_legitimate_check_verifies_closure() {
             max_depth: 0,
             properties: vec!["legitimate".into(), "safety".into()],
             from_legitimate: true,
-            ..CheckSpec::default()
         })
         .build()
         .expect("the closure scenario validates")

@@ -187,11 +187,15 @@ fn roundtrip_covers_warmup_fault_and_check_fields() {
         max_depth: 9,
         properties: vec!["safety".into(), "no-garbage".into(), "liveness".into()],
         from_legitimate: true,
-        threads: 3,
     };
     spec.properties = vec!["request-eventually-cs".into(), "l-availability".into()];
-    let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+    let json = spec.to_json();
+    let parsed = ScenarioSpec::from_json(&json).unwrap();
     assert_eq!(parsed, spec);
+    // Documents written before the `threads` knob was removed still load: the key is ignored.
+    let legacy = json.replacen("\"from_legitimate\"", "\"threads\": 3, \"from_legitimate\"", 1);
+    assert_ne!(legacy, json);
+    assert_eq!(ScenarioSpec::from_json(&legacy).unwrap(), spec);
 }
 
 #[test]
@@ -200,6 +204,56 @@ fn malformed_specs_are_rejected_with_context() {
     assert!(ScenarioSpec::from_json("{}").is_err());
     let err = ScenarioSpec::from_json(r#"{"name":"x"}"#).unwrap_err();
     assert!(err.to_string().contains("topology"), "{err}");
+}
+
+/// A topology beyond the `u32` node-id space is a typed error, not a panic in the trace.
+#[test]
+fn topologies_beyond_the_u32_id_space_are_rejected() {
+    let too_many = u32::MAX as usize + 1;
+    for topology in [
+        TopologySpec::Chain { n: too_many },
+        TopologySpec::Broom { handle: u32::MAX as usize, bristles: 1 },
+        // Sizes whose process count overflows `usize` itself must not wrap to a small one.
+        TopologySpec::Caterpillar { spine: usize::MAX / 2, legs: 4 },
+    ] {
+        let result = ScenarioSpec::builder("huge").topology(topology.clone()).kl(1, 2).build();
+        match result {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("at most"), "{msg}"),
+            Err(other) => panic!("{topology:?}: expected an Invalid error, got {other}"),
+            Ok(_) => panic!("{topology:?}: accepted"),
+        }
+    }
+}
+
+/// A request above `u16::MAX` units — the trace record's width — is a typed error on every
+/// workload that sets a unit count, not a silently saturated trace.
+#[test]
+fn unit_counts_beyond_u16_are_rejected() {
+    let too_many = usize::from(u16::MAX) + 1;
+    for workload in [
+        WorkloadSpec::Needs { needs: vec![0, 1, too_many], hold: 0 },
+        WorkloadSpec::Saturated { units: too_many, hold: 0 },
+        WorkloadSpec::Uniform { seed: 1, p_request: 0.5, max_units: too_many, max_hold: 1 },
+        WorkloadSpec::LeafUniform { seed: 1, p_request: 0.5, max_units: too_many, max_hold: 1 },
+    ] {
+        let result = ScenarioSpec::builder("heavy")
+            .topology(TopologySpec::Chain { n: 3 })
+            .kl(1, 2)
+            .workload(workload.clone())
+            .build();
+        match result {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("65536 units"), "{msg}"),
+            Err(other) => panic!("{workload:?}: expected an Invalid error, got {other}"),
+            Ok(_) => panic!("{workload:?}: accepted"),
+        }
+    }
+    // The boundary itself is accepted.
+    let at_limit = ScenarioSpec::builder("at the limit")
+        .topology(TopologySpec::Chain { n: 3 })
+        .kl(1, 2)
+        .workload(WorkloadSpec::Saturated { units: usize::from(u16::MAX), hold: 0 })
+        .build();
+    assert!(at_limit.is_ok(), "{:?}", at_limit.err());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! `klex run <spec> --format jsonl` of the same spec renders, at any worker count.
 
 use analysis::harness::render_jsonl;
-use analysis::scenario::preset;
+use analysis::scenario::{preset, WorkloadSpec};
 use bench::runner::{run_rows, Backend, RunRequest};
 use bench::serve::{client, ServeOptions, Server};
 use serde_json::Value;
@@ -324,6 +324,18 @@ fn malformed_and_oversized_submissions_get_a_400_json_error() {
     let doc = serde_json::from_str(json).expect("the 400 body is JSON");
     let detail = doc.get("error").and_then(Value::as_str).expect("error detail");
     assert!(detail.contains("exceeds"), "unexpected detail: {detail}");
+
+    // A hostile spec — well-formed JSON that fails `ScenarioSpec::validate` — is rejected at
+    // submission with the typed error's message, and nothing is queued.
+    let mut hostile = preset("checker-safety").expect("bundled preset");
+    hostile.workload = WorkloadSpec::Saturated { units: 70_000, hold: 0 };
+    let body = format!(r#"{{"spec": {}, "backend": "sim"}}"#, hostile.to_json());
+    let err = client::submit(&addr, &body).expect_err("a hostile spec must be rejected");
+    assert!(err.contains("submit rejected (400)"), "unexpected error: {err}");
+    assert!(err.contains("70000 units"), "unexpected error: {err}");
+    let listing = client::jobs(&addr).expect("job listing");
+    let Some(Value::Array(jobs)) = listing.get("jobs") else { panic!("no jobs array") };
+    assert!(jobs.is_empty(), "rejected submissions must not queue a job: {jobs:?}");
 
     // The daemon is still healthy afterwards.
     let health = client::healthz(&addr).expect("healthz after bad submissions");
