@@ -21,8 +21,7 @@
 //! delta-parity suite relies on this when cross-checking witnesses.
 
 use crate::explore::StateGraph;
-use crate::snapshot::Configuration;
-use treenet::{Activation, CsState, NodeId};
+use treenet::{Activation, NodeId};
 
 /// A reachable cycle along which `victim` is never served while others keep making progress.
 #[derive(Clone, Debug)]
@@ -48,11 +47,6 @@ impl CycleWitness {
     }
 }
 
-fn victim_starves(config: &Configuration, victim: NodeId) -> bool {
-    let s = &config.nodes[victim];
-    s.cs == CsState::Req && s.rset.len() < s.need
-}
-
 /// Searches for a reachable cycle of configurations in which `victim` remains an unsatisfied
 /// requester throughout while at least one other process enters its critical section along
 /// the cycle.  Returns `None` when no such cycle exists in the explored graph.
@@ -64,10 +58,9 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
     if n == 0 {
         return None;
     }
-    // Restrict to configurations in which the victim is an unsatisfied requester.  States
-    // are decoded from their packed arena form once, here, and never again.
-    let in_scope: Vec<bool> =
-        (0..n).map(|id| victim_starves(&graph.config(id), victim)).collect();
+    // Restrict to configurations in which the victim is an unsatisfied requester (a fact
+    // the explorer recorded when it admitted each state).
+    let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, victim)).collect();
 
     // Strongly connected components of the restricted subgraph (iterative Tarjan).
     let scc = tarjan_scc(graph, &in_scope);
@@ -83,11 +76,9 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
             if !in_scope[target] || scc[id] != scc[target] {
                 continue;
             }
-            let progress: Vec<NodeId> =
-                edge.cs_entries.iter().copied().filter(|&v| v != victim).collect();
-            if progress.is_empty() {
+            let Some(entered) = edge.cs_entry().filter(|&v| v != victim) else {
                 continue;
-            }
+            };
             // Self-loops with progress are already a cycle; otherwise close the loop by
             // walking back from the edge's target to its source inside the SCC.
             let closing_path = if target == id {
@@ -99,7 +90,7 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
                 // Node/action sequence: id --edge--> target --path--> id.
                 let mut states = vec![id];
                 let mut actions = vec![edge.action];
-                let mut progress_nodes = progress;
+                let mut progress_nodes = vec![entered];
                 let mut cursor = target;
                 for &(action, next) in &path {
                     states.push(cursor);
@@ -109,8 +100,7 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
                         .iter()
                         .find(|e| e.target as usize == next && e.action == action)
                     {
-                        progress_nodes
-                            .extend(e.cs_entries.iter().copied().filter(|&v| v != victim));
+                        progress_nodes.extend(e.cs_entry().filter(|&v| v != victim));
                     }
                     cursor = next;
                 }

@@ -26,10 +26,13 @@
 //!   [`crate::snapshot::segment_term`]s — a tick that changed nothing is recognized from the
 //!   dirty segments alone and skips interning entirely;
 //! * the undo log then **reverts** the network to the parent for the next sibling;
+//! * a tick of a blocked process (its restored state reports
+//!   [`treenet::Process::tick_is_noop`]) is a known self-loop and is **not executed** at all;
 //! * per-state bookkeeping (parent links, depths, recorded edges) lives in flat vectors
 //!   indexed by state id, shared by the report and the recorded [`StateGraph`];
-//! * full [`Configuration`] values are only decoded on cold paths: property checks on newly
-//!   discovered states, and violation/deadlock witnesses.
+//! * a full [`Configuration`] is decoded **once per admitted state**, into a reused buffer,
+//!   for the property checks and (when the graph is recorded) the per-state facts the graph
+//!   analyses read; otherwise only witnesses decode.
 //!
 //! The pre-delta sequential engine — restore, execute, full capture, full hash, per
 //! transition — is retained verbatim as [`Explorer::run_interned`]: it is the executable
@@ -42,15 +45,15 @@
 //! `truncated` flag is set and absence of violations is only meaningful up to that bound.
 
 use crate::properties::Property;
-use crate::snapshot::{capture_packed, restore_packed, CheckableNode, Configuration};
+use crate::snapshot::{capture_packed, restore_packed, CheckableNode, Configuration, NodeState};
 use crate::snapshot::{
     encode_channel_segment, encode_node_segment, restore_packed_mapped, segment_term,
-    SegmentMap,
+    unpack_configuration_into, SegmentMap,
 };
 use crate::snapshot::{InternOutcome, StateArena, StateId};
 use std::collections::VecDeque;
 use topology::Topology;
-use treenet::{Activation, Network, NodeId, StepUndo};
+use treenet::{Activation, CsState, Network, NodeId, StepUndo};
 
 /// Which sequential exploration engine an [`Explorer`] run uses.
 ///
@@ -113,22 +116,36 @@ pub struct DeadlockWitness {
     pub config: Configuration,
 }
 
-/// One outgoing transition of the explored state graph.
-#[derive(Clone, Debug)]
+/// One outgoing transition of the explored state graph: 32 bytes, no heap data.
+///
+/// Only the activated process runs in a transition, so the only process that can enter its
+/// critical section is `action.node()`; one flag records it (see [`Edge::cs_entry`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// The activation labelling the transition.
     pub action: Activation,
     /// Id of the successor configuration.
     pub target: StateId,
-    /// Processes that entered their critical section during this transition.
-    pub cs_entries: Vec<NodeId>,
+    /// True when the activated process entered its critical section during this transition.
+    pub enters_cs: bool,
+}
+
+impl Edge {
+    /// The process that entered its critical section during this transition, if any.
+    pub fn cs_entry(&self) -> Option<NodeId> {
+        self.enters_cs.then(|| self.action.node())
+    }
 }
 
 /// The explored fragment of the configuration graph (kept only when
 /// [`Explorer::record_graph`] is enabled); used by the starvation-cycle analysis.
 ///
 /// States are stored packed in a [`StateArena`]; edges live in one flat vector sliced per
-/// state id (CSR layout), which is possible because BFS expands states in id order.
+/// state id (CSR layout), which is possible because BFS expands states in id order.  Next to
+/// each state the graph keeps the facts the cycle analyses and [`GraphSummary`] read —
+/// which processes are unsatisfied requesters, which channels hold a message — recorded
+/// when the state was admitted, from the one decode the explorer performs per state, so no
+/// analysis decodes a state again.
 #[derive(Clone, Debug, Default)]
 pub struct StateGraph {
     arena: StateArena,
@@ -136,6 +153,68 @@ pub struct StateGraph {
     /// `edge_starts[id]..edge_starts[id + 1]` delimits the edges of `id`; has `len + 1`
     /// entries (empty for the empty graph).
     edge_starts: Vec<u32>,
+    facts: StateFacts,
+}
+
+/// Per-state facts of a recorded graph, appended in id order as states are admitted.  Bit
+/// sets are `u64` words, a fixed number of words per state.
+#[derive(Clone, Debug, Default)]
+struct StateFacts {
+    /// Words per state in `starving`: `⌈n / 64⌉`.
+    node_words: usize,
+    /// Words per state in `chan_nonempty`: `⌈channels / 64⌉`.
+    chan_words: usize,
+    /// `chan_base[v] + l` is the flat index of channel `(v, l)`; `n + 1` entries, set by the
+    /// first recorded state (every state of one graph has the same shape).
+    chan_base: Vec<usize>,
+    /// Bit `v` of a state's words: process `v` is an unsatisfied requester
+    /// (`State = Req ∧ |RSet| < Need`).
+    starving: Vec<u64>,
+    /// Bit `c` of a state's words: flat channel `c` holds at least one message.
+    chan_nonempty: Vec<u64>,
+    /// Largest total number of in-flight messages over the recorded states.
+    max_in_flight: usize,
+    /// Largest occupancy of one channel over the recorded states.
+    max_channel_occupancy: usize,
+}
+
+impl StateFacts {
+    /// Appends the facts of the next state, decoded as `config`.
+    fn record(&mut self, config: &Configuration) {
+        if self.chan_base.is_empty() {
+            self.chan_base.push(0);
+            for per_node in &config.channels {
+                self.chan_base.push(self.chan_base.last().copied().unwrap_or(0) + per_node.len());
+            }
+            self.node_words = config.nodes.len().div_ceil(64);
+            self.chan_words = self.channel_count().div_ceil(64);
+        }
+        let base = self.starving.len();
+        self.starving.resize(base + self.node_words, 0);
+        for (v, s) in config.nodes.iter().enumerate() {
+            if s.cs == CsState::Req && s.rset.len() < s.need {
+                self.starving[base + v / 64] |= 1 << (v % 64);
+            }
+        }
+        let base = self.chan_nonempty.len();
+        self.chan_nonempty.resize(base + self.chan_words, 0);
+        let mut in_flight = 0;
+        for (per_node, &chan_base) in config.channels.iter().zip(&self.chan_base) {
+            for (l, channel) in per_node.iter().enumerate() {
+                if !channel.is_empty() {
+                    let flat = chan_base + l;
+                    self.chan_nonempty[base + flat / 64] |= 1 << (flat % 64);
+                    in_flight += channel.len();
+                    self.max_channel_occupancy = self.max_channel_occupancy.max(channel.len());
+                }
+            }
+        }
+        self.max_in_flight = self.max_in_flight.max(in_flight);
+    }
+
+    fn channel_count(&self) -> usize {
+        self.chan_base.last().copied().unwrap_or(0)
+    }
 }
 
 impl StateGraph {
@@ -175,6 +254,35 @@ impl StateGraph {
     pub fn transition_count(&self) -> usize {
         self.edges.len()
     }
+
+    /// Number of processes of the explored network (0 for the empty graph).
+    pub fn processes(&self) -> usize {
+        self.facts.chan_base.len().saturating_sub(1)
+    }
+
+    /// Number of channels of the explored network (0 for the empty graph).
+    pub fn channel_count(&self) -> usize {
+        self.facts.channel_count()
+    }
+
+    /// The flat index of node `node`'s incoming channel `label`: channels are numbered in
+    /// `(node, label)` order, as in the packed encoding.
+    pub fn flat_channel(&self, node: NodeId, label: usize) -> usize {
+        self.facts.chan_base[node] + label
+    }
+
+    /// True when process `node` is an unsatisfied requester (`State = Req ∧ |RSet| < Need`)
+    /// in configuration `id`.
+    pub fn starves(&self, id: usize, node: NodeId) -> bool {
+        assert!(node < self.processes(), "process {node} is not in the graph");
+        self.facts.starving[id * self.facts.node_words + node / 64] & (1 << (node % 64)) != 0
+    }
+
+    /// True when flat channel `flat` (see [`StateGraph::flat_channel`]) holds at least one
+    /// message in configuration `id`.
+    pub fn channel_nonempty(&self, id: usize, flat: usize) -> bool {
+        self.facts.chan_nonempty[id * self.facts.chan_words + flat / 64] & (1 << (flat % 64)) != 0
+    }
 }
 
 /// Cheap structural facts about the recorded state graph, exported on
@@ -183,9 +291,9 @@ impl StateGraph {
 /// These are the checker-side raw features of the fuzzer's coverage signature (see
 /// `analysis::coverage`): strongly-connected-component structure and channel-occupancy
 /// extremes summarize the *shape* of the explored graph in a handful of integers, cheaply
-/// (one linear Tarjan pass plus the per-configuration decode the liveness pass performs
-/// anyway).  Identical across engines — the graphs are identical by the parity contract,
-/// and the summary is a pure function of the graph.
+/// (one linear Tarjan pass; the occupancy maxima come from the per-configuration decode the
+/// explorer performs anyway when it admits a state).  Identical across engines — the graphs
+/// are identical by the parity contract, and the summary is a pure function of the graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphSummary {
     /// Number of strongly connected components of the recorded graph.
@@ -203,6 +311,15 @@ pub struct GraphSummary {
 impl GraphSummary {
     /// Computes the summary of a recorded graph (empty graph ⇒ all-zero summary).
     pub fn of(graph: &StateGraph) -> GraphSummary {
+        GraphSummary {
+            max_in_flight: graph.facts.max_in_flight,
+            max_channel_occupancy: graph.facts.max_channel_occupancy,
+            ..GraphSummary::components(graph)
+        }
+    }
+
+    /// The SCC half of the summary (occupancy maxima left at zero).
+    fn components(graph: &StateGraph) -> GraphSummary {
         let n = graph.len();
         if n == 0 {
             return GraphSummary::default();
@@ -222,7 +339,7 @@ impl GraphSummary {
                 }
             }
         }
-        let mut summary = GraphSummary {
+        GraphSummary {
             scc_count: comp_count,
             largest_scc: sizes.iter().copied().max().unwrap_or(0),
             nontrivial_sccs: sizes
@@ -232,8 +349,15 @@ impl GraphSummary {
                 .count(),
             max_in_flight: 0,
             max_channel_occupancy: 0,
-        };
-        for id in 0..n {
+        }
+    }
+
+    /// The summary with its occupancy maxima computed by decoding every configuration —
+    /// the oracle the admission-time facts are tested against.
+    #[cfg(test)]
+    fn of_decoded(graph: &StateGraph) -> GraphSummary {
+        let mut summary = GraphSummary::components(graph);
+        for id in 0..graph.len() {
             let config = graph.config(id);
             summary.max_in_flight = summary.max_in_flight.max(config.messages_in_flight());
             for per_node in &config.channels {
@@ -430,6 +554,10 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     /// Per popped state the parent is restored **once** (recording its [`SegmentMap`] and
     /// per-segment hash terms); each transition then
     ///
+    /// 0. if it is a tick of a process whose restored state reports
+    ///    [`treenet::Process::tick_is_noop`], is a self-loop, **not executed** (debug builds
+    ///    still execute it and assert that it changed nothing and entered no critical
+    ///    section);
     /// 1. snapshots the one activated node and executes in place, recording channel effects
     ///    in a [`StepUndo`] log;
     /// 2. re-encodes only the dirty segments (the activated node's state, the delivered
@@ -484,12 +612,12 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                 &mut scratch,
                 &parent_buf,
                 record_graph,
-                &mut |act, step, cs_entries| {
+                &mut |act, step, enters_cs| {
                     match step {
-                        DeltaStep::SelfLoop => engine.on_known_transition(act, id, cs_entries),
+                        DeltaStep::SelfLoop => engine.on_known_transition(act, id, enters_cs),
                         DeltaStep::Successor { bytes, hash } => {
                             if let Some(new_id) =
-                                engine.on_transition_hashed(id, act, bytes, hash, cs_entries)
+                                engine.on_transition_hashed(id, act, bytes, hash, enters_cs)
                             {
                                 queue.push_back(new_id);
                             }
@@ -542,7 +670,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
 
             let mut every_tick_is_self_loop = true;
             for (idx, act) in activations.iter().enumerate() {
-                let (same_as_parent, cs_entries) = execute_transition(
+                let (same_as_parent, enters_cs) = execute_transition(
                     net,
                     &engine.arena,
                     id,
@@ -553,7 +681,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                 if idx >= first_tick && !same_as_parent {
                     every_tick_is_self_loop = false;
                 }
-                let admitted = engine.on_transition(id, *act, &scratch, cs_entries);
+                let admitted = engine.on_transition(id, *act, &scratch, enters_cs);
                 if let Some(new_id) = admitted {
                     queue.push_back(new_id);
                 }
@@ -661,19 +789,27 @@ fn compute_terms(packed: &[u8], map: &SegmentMap, terms: &mut Vec<u64>) -> u64 {
     hash
 }
 
-fn collect_cs_entries<P: CheckableNode, T: Topology>(net: &Network<P, T>) -> Vec<NodeId> {
-    net.trace()
+/// Whether the process activated by `act` entered its critical section during the transition
+/// just executed (the trace was cleared before it).  Only the activated process runs, so
+/// the trace holds at most one `EnterCs`, and it is that process's.
+fn entered_cs<P: CheckableNode, T: Topology>(net: &Network<P, T>, act: Activation) -> bool {
+    let mut entries = net
+        .trace()
         .events()
         .iter()
-        .filter(|e| matches!(e.event, treenet::Event::EnterCs { .. }))
-        .map(|e| e.node as NodeId)
-        .collect()
+        .filter(|e| matches!(e.event, treenet::Event::EnterCs { .. }));
+    let Some(entry) = entries.next() else { return false };
+    debug_assert!(
+        entry.node as NodeId == act.node() && entries.next().is_none(),
+        "a transition entered a critical section other than its activated process's ({act:?})"
+    );
+    true
 }
 
 /// Executes `act` from interned state `id` on `net`: restores the parent (borrowing its bytes
 /// from the arena), runs the activation, and captures the successor into `scratch`.  Returns
-/// whether the successor equals the parent (the tick self-loop test) and the critical-section
-/// entries of the transition (empty unless `collect_cs`).
+/// whether the successor equals the parent (the tick self-loop test) and whether the
+/// activated process entered its critical section (always `false` unless `collect_cs`).
 fn execute_transition<P: CheckableNode, T: Topology>(
     net: &mut Network<P, T>,
     arena: &StateArena,
@@ -681,14 +817,14 @@ fn execute_transition<P: CheckableNode, T: Topology>(
     act: Activation,
     scratch: &mut Vec<u8>,
     collect_cs: bool,
-) -> (bool, Vec<NodeId>) {
+) -> (bool, bool) {
     restore_packed(net, arena.get(id));
     net.trace_mut().clear();
     net.execute(act);
     capture_packed(net, scratch);
-    let cs_entries = if collect_cs { collect_cs_entries(net) } else { Vec::new() };
+    let enters_cs = collect_cs && entered_cs(net, act);
     let same_as_parent = scratch[..] == *arena.get(id);
-    (same_as_parent, cs_entries)
+    (same_as_parent, enters_cs)
 }
 
 /// Reusable buffers of the delta engine — one set per run, so expansions allocate nothing
@@ -708,6 +844,10 @@ struct DeltaScratch {
     patches: Vec<(usize, usize, usize)>,
     seg_buf: Vec<u8>,
     succ_buf: Vec<u8>,
+    /// The activated node's state before the transition, restored by the revert.
+    saved: NodeState,
+    /// The activated node's state after the transition, re-encoded as its segment.
+    probe: NodeState,
 }
 
 impl DeltaScratch {
@@ -737,6 +877,8 @@ impl DeltaScratch {
             patches: Vec::new(),
             seg_buf: Vec::new(),
             succ_buf: Vec::new(),
+            saved: NodeState::default(),
+            probe: NodeState::default(),
         }
     }
 }
@@ -758,15 +900,22 @@ enum DeltaStep<'a> {
 /// [`enumerate_activations`] gives the interned engine, which is what the parity contract
 /// rests on.
 ///
-/// `sink` returning `true` stops the expansion after reverting (remaining activations
-/// untried).  Returns `(quiescent, stopped)`; `quiescent` means no message was in flight
-/// and every tick was a self-loop — the precondition of a quiescent deadlock.
+/// A tick of a process whose restored state reports [`treenet::Process::tick_is_noop`] is
+/// handed to `sink` as a [`DeltaStep::SelfLoop`] without executing it: by that method's
+/// contract the tick sends nothing, emits nothing and changes nothing.  Debug builds
+/// execute it anyway and assert exactly that.
+///
+/// `sink` receives each transition with whether its activated process entered the critical
+/// section (always `false` unless `collect_cs`); returning `true` stops the expansion after
+/// reverting (remaining activations untried).  Returns `(quiescent, stopped)`; `quiescent`
+/// means no message was in flight and every tick was a self-loop — the precondition of a
+/// quiescent deadlock.
 fn expand_state_delta<P, T>(
     net: &mut Network<P, T>,
     scratch: &mut DeltaScratch,
     parent_buf: &[u8],
     collect_cs: bool,
-    sink: &mut dyn FnMut(Activation, DeltaStep<'_>, Vec<NodeId>) -> bool,
+    sink: &mut dyn FnMut(Activation, DeltaStep<'_>, bool) -> bool,
 ) -> (bool, bool)
 where
     P: CheckableNode,
@@ -783,6 +932,8 @@ where
         patches,
         seg_buf,
         succ_buf,
+        saved,
+        probe,
     } = scratch;
 
     restore_packed_mapped(net, parent_buf, map);
@@ -806,11 +957,19 @@ where
     let mut stopped = false;
     for idx in 0..activations.len() {
         let act = activations[idx];
-        let node = match act {
-            Activation::Deliver { node, .. } | Activation::Tick { node } => node,
-        };
+        let node = act.node();
+        // Ask the node, not the enabled set's quiet bit: the restore went through
+        // `node_mut`, which cleared the bits.
+        let quiet_tick = idx >= first_tick && net.node(node).tick_is_noop();
+        if quiet_tick && !cfg!(debug_assertions) {
+            if sink(act, DeltaStep::SelfLoop, false) {
+                stopped = true;
+                break;
+            }
+            continue;
+        }
         net.trace_mut().clear();
-        let saved_state = net.node(node).capture_state();
+        net.node(node).capture_state_into(saved);
         net.execute_undoable(act, undo);
 
         dirty_chans.clear();
@@ -830,7 +989,8 @@ where
         patches.clear();
         let node_seg = map.node_segment(node);
         let start = seg_buf.len();
-        encode_node_segment(seg_buf, &net.node(node).capture_state());
+        net.node(node).capture_state_into(probe);
+        encode_node_segment(seg_buf, probe);
         if seg_buf[start..] != *map.segment(parent_buf, node_seg) {
             patches.push((node_seg, start, seg_buf.len()));
         }
@@ -849,10 +1009,15 @@ where
         if idx >= first_tick && !same_as_parent {
             every_tick_is_self_loop = false;
         }
-        let cs_entries = if collect_cs { collect_cs_entries(net) } else { Vec::new() };
+        let enters_cs = collect_cs && entered_cs(net, act);
+        debug_assert!(
+            !quiet_tick || (same_as_parent && !entered_cs(net, act)),
+            "process {node} reported tick_is_noop() but its tick changed the configuration or \
+             entered its critical section"
+        );
 
         let stop = if same_as_parent {
-            sink(act, DeltaStep::SelfLoop, cs_entries)
+            sink(act, DeltaStep::SelfLoop, enters_cs)
         } else {
             let mut hash = h_parent;
             succ_buf.clear();
@@ -865,12 +1030,12 @@ where
                 cursor = span_end;
             }
             succ_buf.extend_from_slice(&parent_buf[cursor..]);
-            sink(act, DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }, cs_entries)
+            sink(act, DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }, enters_cs)
         };
 
         // Revert to the parent configuration for the next sibling.
         net.revert(undo);
-        net.node_mut(node).restore_state(&saved_state);
+        net.node_mut(node).restore_state(saved);
 
         if stop {
             stopped = true;
@@ -898,6 +1063,10 @@ struct Engine<'p> {
     report: ExplorationReport,
     edges: Vec<Edge>,
     edge_starts: Vec<u32>,
+    /// Facts of every admitted state, recorded with the graph.
+    facts: StateFacts,
+    /// The one decode of the state being admitted, reused from state to state.
+    decoded: Configuration,
     /// Set when `stop_on_violation` fires; callers abandon the remaining work.
     stopped: bool,
 }
@@ -921,6 +1090,8 @@ impl<'p> Engine<'p> {
             report: ExplorationReport::default(),
             edges: Vec::new(),
             edge_starts: Vec::new(),
+            facts: StateFacts::default(),
+            decoded: Configuration::default(),
             stopped: false,
         }
     }
@@ -940,7 +1111,7 @@ impl<'p> Engine<'p> {
         );
         self.parents.push((0, Activation::Tick { node: 0 }));
         self.depths.push(0);
-        self.check_properties(0);
+        self.admit(0);
     }
 
     /// Marks the start of `id`'s expansion (edge bookkeeping relies on id order).
@@ -952,10 +1123,10 @@ impl<'p> Engine<'p> {
     }
 
     /// Records a transition whose successor is already interned.
-    fn on_known_transition(&mut self, action: Activation, target: StateId, cs_entries: Vec<NodeId>) {
+    fn on_known_transition(&mut self, action: Activation, target: StateId, enters_cs: bool) {
         self.report.transitions += 1;
         if self.record_graph {
-            self.edges.push(Edge { action, target, cs_entries });
+            self.edges.push(Edge { action, target, enters_cs });
         }
     }
 
@@ -966,9 +1137,10 @@ impl<'p> Engine<'p> {
         parent: StateId,
         action: Activation,
         packed: &[u8],
-        cs_entries: Vec<NodeId>,
+        enters_cs: bool,
     ) -> Option<StateId> {
-        self.on_transition_hashed(parent, action, packed, crate::snapshot::fx_hash(packed), cs_entries)
+        let hash = crate::snapshot::fx_hash(packed);
+        self.on_transition_hashed(parent, action, packed, hash, enters_cs)
     }
 
     /// [`Engine::on_transition`] with a caller-supplied hash (the delta engine's
@@ -979,7 +1151,7 @@ impl<'p> Engine<'p> {
         action: Activation,
         packed: &[u8],
         hash: u64,
-        cs_entries: Vec<NodeId>,
+        enters_cs: bool,
     ) -> Option<StateId> {
         self.report.transitions += 1;
         let outcome =
@@ -993,7 +1165,7 @@ impl<'p> Engine<'p> {
             InternOutcome::Inserted(id) => {
                 self.parents.push((parent, action));
                 self.depths.push(self.depths[parent as usize] + 1);
-                self.check_properties(id);
+                self.admit(id);
                 if self.stop_on_violation && !self.report.violations.is_empty() {
                     self.stopped = true;
                 }
@@ -1002,7 +1174,7 @@ impl<'p> Engine<'p> {
         };
         if self.record_graph {
             if let Some(target) = target {
-                self.edges.push(Edge { action, target, cs_entries });
+                self.edges.push(Edge { action, target, enters_cs });
             }
         }
         admitted
@@ -1022,16 +1194,27 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn check_properties(&mut self, id: StateId) {
-        if self.properties.is_empty() {
+    /// Decodes the newly admitted state `id` — the only decode a state gets — records its
+    /// facts when the graph is kept, and checks the properties on it.
+    fn admit(&mut self, id: StateId) {
+        if self.properties.is_empty() && !self.record_graph {
             return;
         }
-        let config = self.arena.config(id);
+        let mut config = std::mem::take(&mut self.decoded);
+        unpack_configuration_into(self.arena.get(id), &mut config);
+        if self.record_graph {
+            self.facts.record(&config);
+        }
+        self.check_properties(id, &config);
+        self.decoded = config;
+    }
+
+    fn check_properties(&mut self, id: StateId, config: &Configuration) {
         for property in self.properties {
             if self.violated.iter().any(|name| name == property.name()) {
                 continue;
             }
-            if let Err(detail) = property.check(&config) {
+            if let Err(detail) = property.check(config) {
                 self.violated.push(property.name().to_string());
                 self.report.violations.push(Violation {
                     property: property.name().to_string(),
@@ -1072,7 +1255,12 @@ impl<'p> Engine<'p> {
             while self.edge_starts.len() <= self.arena.len() {
                 self.edge_starts.push(self.edges.len() as u32);
             }
-            StateGraph { arena: self.arena, edges: self.edges, edge_starts: self.edge_starts }
+            StateGraph {
+                arena: self.arena,
+                edges: self.edges,
+                edge_starts: self.edge_starts,
+                facts: self.facts,
+            }
         } else {
             StateGraph::default()
         };
@@ -1408,7 +1596,7 @@ mod tests {
             for (d, i) in de.iter().zip(ie) {
                 assert_eq!(d.action, i.action);
                 assert_eq!(d.target, i.target);
-                assert_eq!(d.cs_entries, i.cs_entries);
+                assert_eq!(d.enters_cs, i.enters_cs);
             }
         }
     }
@@ -1430,6 +1618,93 @@ mod tests {
         assert_eq!(delta.configurations, interned.configurations);
         assert_eq!(delta.transitions, interned.transitions);
         assert_eq!(delta.frontier_sizes, interned.frontier_sizes);
+    }
+
+    /// Explores `net` with graph recording and returns the graph.
+    fn recorded_graph<P: CheckableNode>(
+        mut net: Network<P, topology::OrientedTree>,
+        max_configurations: usize,
+    ) -> StateGraph {
+        let limits = Limits { max_configurations, max_depth: usize::MAX };
+        let mut explorer = Explorer::new(&mut net).with_limits(limits).record_graph(true);
+        explorer.run();
+        explorer.into_graph()
+    }
+
+    /// Decodes every configuration of `graph` and checks the facts recorded at admission
+    /// against it: starving and non-empty-channel bits, channel numbering, and the summary.
+    fn assert_facts_match_decoding(graph: &StateGraph, instance: &str) {
+        assert!(!graph.is_empty(), "{instance}");
+        let n = graph.processes();
+        for id in 0..graph.len() {
+            let config = graph.config(id);
+            assert_eq!(config.nodes.len(), n, "{instance}");
+            let starving = config.unsatisfied_requesters();
+            for v in 0..n {
+                let expected = starving.contains(&v);
+                assert_eq!(graph.starves(id, v), expected, "{instance}: state {id}, process {v}");
+            }
+            let mut flat = 0;
+            for (v, per_node) in config.channels.iter().enumerate() {
+                for (l, channel) in per_node.iter().enumerate() {
+                    assert_eq!(graph.flat_channel(v, l), flat, "{instance}");
+                    assert_eq!(
+                        graph.channel_nonempty(id, flat),
+                        !channel.is_empty(),
+                        "{instance}: state {id}, channel ({v}, {l})"
+                    );
+                    flat += 1;
+                }
+            }
+            assert_eq!(graph.channel_count(), flat, "{instance}");
+        }
+        assert_eq!(GraphSummary::of(graph), GraphSummary::of_decoded(graph), "{instance}");
+    }
+
+    #[test]
+    fn recorded_facts_match_a_decode_of_every_configuration() {
+        let needs = [1usize, 2, 1];
+        let cfg = KlConfig::new(2, 3, 3);
+        let fig3 = topology::builders::figure3_tree;
+        let holding = || drivers::from_needs_holding(&needs);
+        assert_facts_match_decoding(
+            &recorded_graph(klex_core::naive::network(fig3(), cfg, holding()), 50_000),
+            "naive figure 3",
+        );
+        assert_facts_match_decoding(
+            &recorded_graph(klex_core::pusher::network(fig3(), cfg, holding()), 50_000),
+            "pusher figure 3",
+        );
+        assert_facts_match_decoding(
+            &recorded_graph(klex_core::nonstab::network(fig3(), cfg, holding()), 50_000),
+            "nonstab figure 3",
+        );
+        let ss = crate::scenarios::ss_for_checking(fig3(), KlConfig::new(2, 3, 3), |_| {
+            drivers::AlwaysRequest::boxed(1)
+        });
+        assert_facts_match_decoding(&recorded_graph(ss, 50_000), "ss figure 3");
+        let star_needs = [0usize, 2, 1, 2, 1];
+        let star = || {
+            klex_core::pusher::network(
+                topology::builders::star(5),
+                KlConfig::new(2, 3, 5),
+                drivers::from_needs_holding(&star_needs),
+            )
+        };
+        assert_facts_match_decoding(&recorded_graph(star(), 50_000), "pusher star5");
+        let truncated = recorded_graph(star(), 300);
+        assert_eq!(truncated.len(), 300, "the budget truncates the star");
+        assert_facts_match_decoding(&truncated, "truncated pusher star5");
+    }
+
+    #[test]
+    fn edges_are_32_bytes_and_name_only_the_activated_process() {
+        assert_eq!(std::mem::size_of::<Edge>(), 32);
+        let tick = Edge { action: Activation::Tick { node: 4 }, target: 9, enters_cs: true };
+        assert_eq!(tick.cs_entry(), Some(4));
+        let action = Activation::Deliver { node: 2, channel: 1 };
+        let deliver = Edge { action, target: 9, enters_cs: false };
+        assert_eq!(deliver.cs_entry(), None);
     }
 
     #[test]

@@ -92,6 +92,7 @@ pub use explore::{
 pub use properties::Property;
 pub use snapshot::{
     capture, capture_packed, pack_configuration, restore, restore_packed,
-    restore_packed_mapped, segment_term, segmented_hash, unpack_configuration, CheckableNode,
-    Configuration, CtrlState, InternOutcome, NodeState, SegmentMap, StateArena, StateId,
+    restore_packed_mapped, segment_term, segmented_hash, unpack_configuration,
+    unpack_configuration_into, CheckableNode, Configuration, CtrlState, InternOutcome, NodeState,
+    SegmentMap, StateArena, StateId,
 };

@@ -40,6 +40,11 @@
 //! a *fair-cycle* result rather than a hand-picked victim query
 //! (cf. [`crate::cycles::find_progress_cycle`], which this module generalizes).
 //!
+//! The pass decodes no configuration to decide any of this: it reads the per-state facts
+//! (unsatisfied requesters, non-empty channels) the explorer recorded in the [`StateGraph`]
+//! when it admitted each state, as bit sets of as many 64-bit words as the network needs, so
+//! any number of processes is supported.  Only the witness configurations are decoded.
+//!
 //! Soundness: a returned witness is always a real fair execution of the explored fragment
 //! (states and edges are real configurations and transitions).  *Absence* of witnesses
 //! proves liveness only when the exploration was exhaustive
@@ -49,11 +54,7 @@
 use crate::explore::StateGraph;
 use crate::snapshot::Configuration;
 use std::collections::VecDeque;
-use treenet::{Activation, CsState, NodeId};
-
-/// Maximum network size the liveness analysis supports (per-state facts are stored as
-/// 64-bit masks; checker instances are far smaller).
-pub const MAX_LIVENESS_NODES: usize = 64;
+use treenet::{Activation, NodeId};
 
 /// A lasso witnessing a fair starvation: `stem` leads from the initial configuration to the
 /// cycle entry, and repeating `cycle` forever is a weakly fair execution along which
@@ -117,102 +118,11 @@ impl LassoWitness {
     }
 }
 
-/// Per-state facts the analysis needs, decoded from the packed arena exactly once.
-struct StateFacts {
-    /// Number of processes.
-    n: usize,
-    /// `u64` words per state in `chan_nonempty`.
-    chan_words: usize,
-    /// Bit `v` of `starving[id]`: process `v` is an unsatisfied requester in state `id`.
-    starving: Vec<u64>,
-    /// Bit `c` (flat channel index) set when the channel holds at least one message.
-    chan_nonempty: Vec<u64>,
-    /// Flat index of channel `(node, label)`: `chan_base[node] + label`.
-    chan_base: Vec<usize>,
-}
-
-impl StateFacts {
-    fn decode(graph: &StateGraph) -> Option<StateFacts> {
-        if graph.is_empty() {
-            return None;
-        }
-        let first = graph.config(0);
-        let n = first.nodes.len();
-        assert!(
-            n <= MAX_LIVENESS_NODES,
-            "liveness analysis supports at most {MAX_LIVENESS_NODES} processes, got {n}"
-        );
-        let mut chan_base = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        chan_base.push(0);
-        for per_node in &first.channels {
-            total += per_node.len();
-            chan_base.push(total);
-        }
-        let chan_words = total.div_ceil(64).max(1);
-        let mut facts = StateFacts {
-            n,
-            chan_words,
-            starving: Vec::with_capacity(graph.len()),
-            chan_nonempty: vec![0; graph.len() * chan_words],
-            chan_base,
-        };
-        facts.record(0, &first);
-        for id in 1..graph.len() {
-            let config = graph.config(id);
-            facts.record(id, &config);
-        }
-        Some(facts)
-    }
-
-    fn record(&mut self, id: usize, config: &Configuration) {
-        let mut mask = 0u64;
-        for (v, s) in config.nodes.iter().enumerate() {
-            if s.cs == CsState::Req && s.rset.len() < s.need {
-                mask |= 1 << v;
-            }
-        }
-        self.starving.push(mask);
-        let words = &mut self.chan_nonempty[id * self.chan_words..(id + 1) * self.chan_words];
-        for (v, per_node) in config.channels.iter().enumerate() {
-            for (l, channel) in per_node.iter().enumerate() {
-                if !channel.is_empty() {
-                    let flat = self.chan_base[v] + l;
-                    words[flat / 64] |= 1 << (flat % 64);
-                }
-            }
-        }
-    }
-
-    fn starves(&self, id: usize, victim: NodeId) -> bool {
-        self.starving[id] & (1 << victim) != 0
-    }
-
-    fn channel_nonempty(&self, id: usize, flat: usize) -> bool {
-        self.chan_nonempty[id * self.chan_words + flat / 64] & (1 << (flat % 64)) != 0
-    }
-
-    fn total_channels(&self) -> usize {
-        *self.chan_base.last().expect("chan_base has n + 1 entries")
-    }
-
-    fn flat_channel(&self, node: NodeId, label: usize) -> usize {
-        self.chan_base[node] + label
-    }
-}
-
 /// Searches the recorded graph for fair starvation lassos, one witness per starved victim
 /// (in ascending victim order).  Empty when no weakly fair cycle starves any process — a
 /// liveness *proof* when the exploration was exhaustive (see the module docs).
-///
-/// # Panics
-///
-/// Panics if the graph describes more than [`MAX_LIVENESS_NODES`] processes.
 pub fn find_fair_cycles(graph: &StateGraph) -> Vec<LassoWitness> {
-    let Some(facts) = StateFacts::decode(graph) else {
-        return Vec::new();
-    };
-    (0..facts.n).filter_map(|victim| find_fair_cycle_for(graph, &facts, victim)).collect()
+    (0..graph.processes()).filter_map(|victim| find_fair_cycle_for(graph, victim)).collect()
 }
 
 /// One anchor the witness cycle must pass through to be weakly fair by construction.
@@ -224,19 +134,21 @@ enum Requirement {
     State(usize),
 }
 
-fn find_fair_cycle_for(
-    graph: &StateGraph,
-    facts: &StateFacts,
-    victim: NodeId,
-) -> Option<LassoWitness> {
+fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitness> {
     let n = graph.len();
-    let in_scope: Vec<bool> = (0..n).map(|id| facts.starves(id, victim)).collect();
+    let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, victim)).collect();
     if !in_scope.iter().any(|&s| s) {
         return None;
     }
     let scc = crate::cycles::tarjan_scc(graph, &in_scope);
+    let mut comp_size = vec![0usize; n];
+    for id in (0..n).filter(|&id| in_scope[id]) {
+        comp_size[scc[id]] += 1;
+    }
 
-    // Group the scoped states per component, keeping Tarjan's discovery order.
+    // Group the scoped states per component, keeping Tarjan's discovery order.  A single
+    // state without a self-loop has no cycle (`examine_scc` would return `None`), so it gets
+    // no member list.
     let mut members: Vec<Vec<usize>> = Vec::new();
     let mut comp_slot = vec![usize::MAX; n];
     let mut comp_order: Vec<usize> = Vec::new();
@@ -245,6 +157,9 @@ fn find_fair_cycle_for(
             continue;
         }
         let comp = scc[id];
+        if comp_size[comp] == 1 && !graph.edges(id).iter().any(|e| e.target as usize == id) {
+            continue;
+        }
         if comp_slot[comp] == usize::MAX {
             comp_slot[comp] = members.len();
             comp_order.push(comp);
@@ -255,7 +170,7 @@ fn find_fair_cycle_for(
 
     for (slot, comp) in comp_order.iter().enumerate() {
         let states = &members[slot];
-        if let Some(witness) = examine_scc(graph, facts, victim, &in_scope, &scc, *comp, states)
+        if let Some(witness) = examine_scc(graph, victim, &in_scope, &scc, *comp, states)
         {
             return Some(witness);
         }
@@ -267,7 +182,6 @@ fn find_fair_cycle_for(
 /// fair-by-construction witness cycle plus its stem.
 fn examine_scc(
     graph: &StateGraph,
-    facts: &StateFacts,
     victim: NodeId,
     in_scope: &[bool],
     scc: &[usize],
@@ -279,8 +193,8 @@ fn examine_scc(
     // Pruning pass over the internal edges: find one progress edge, one internal tick edge
     // per process, and one internal delivery edge per channel.
     let mut progress_edge: Option<(usize, usize)> = None;
-    let mut tick_edge: Vec<Option<(usize, usize)>> = vec![None; facts.n];
-    let mut deliver_edge: Vec<Option<(usize, usize)>> = vec![None; facts.total_channels()];
+    let mut tick_edge: Vec<Option<(usize, usize)>> = vec![None; graph.processes()];
+    let mut deliver_edge: Vec<Option<(usize, usize)>> = vec![None; graph.channel_count()];
     let mut has_internal_edge = false;
     for &id in states {
         for (edge_idx, edge) in graph.edges(id).iter().enumerate() {
@@ -293,12 +207,10 @@ fn examine_scc(
                     tick_edge[node].get_or_insert((id, edge_idx));
                 }
                 Activation::Deliver { node, channel } => {
-                    deliver_edge[facts.flat_channel(node, channel)].get_or_insert((id, edge_idx));
+                    deliver_edge[graph.flat_channel(node, channel)].get_or_insert((id, edge_idx));
                 }
             }
-            if progress_edge.is_none()
-                && edge.cs_entries.iter().any(|&u| u != victim)
-            {
+            if progress_edge.is_none() && edge.cs_entry().is_some_and(|u| u != victim) {
                 progress_edge = Some((id, edge_idx));
             }
         }
@@ -318,9 +230,9 @@ fn examine_scc(
     // an internal delivery edge (required when the channel is never empty in the SCC) or a
     // member state in which the channel is empty.
     let mut requirements: Vec<Requirement> = Vec::new();
-    for flat in 0..facts.total_channels() {
-        let empty_somewhere = states.iter().find(|&&id| !facts.channel_nonempty(id, flat));
-        let nonempty_somewhere = states.iter().any(|&id| facts.channel_nonempty(id, flat));
+    for flat in 0..graph.channel_count() {
+        let empty_somewhere = states.iter().find(|&&id| !graph.channel_nonempty(id, flat));
+        let nonempty_somewhere = states.iter().any(|&id| graph.channel_nonempty(id, flat));
         match (empty_somewhere, deliver_edge[flat]) {
             // Channel deliverable in every SCC state but never delivered inside it: no
             // weakly fair run can stay in this SCC.
@@ -355,7 +267,7 @@ fn examine_scc(
      -> usize {
         let edge = &graph.edges(from)[edge_idx];
         cycle.push(edge.action);
-        cycle_cs.push(edge.cs_entries.clone());
+        cycle_cs.push(edge.cs_entry().into_iter().collect());
         let target = edge.target as usize;
         cycle_states.push(target);
         target
@@ -452,7 +364,7 @@ fn walk_to(
     for (src, edge_idx) in path {
         let edge = &graph.edges(src)[edge_idx];
         cycle.push(edge.action);
-        cycle_cs.push(edge.cs_entries.clone());
+        cycle_cs.push(edge.cs_entry().into_iter().collect());
         cycle_states.push(edge.target as usize);
     }
     to
@@ -498,7 +410,7 @@ fn stem_to(graph: &StateGraph, target: usize) -> (Vec<usize>, Vec<Activation>, V
     for (src, edge_idx) in rev {
         let edge = &graph.edges(src)[edge_idx];
         actions.push(edge.action);
-        cs.push(edge.cs_entries.clone());
+        cs.push(edge.cs_entry().into_iter().collect());
         states.push(edge.target as usize);
     }
     (states, actions, cs)

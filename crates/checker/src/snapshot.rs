@@ -34,9 +34,10 @@
 //! back the same way.  A [`StateArena`] hash-conses packed configurations: each distinct
 //! configuration is stored exactly once in one contiguous buffer and identified by a dense
 //! `u32` id, with an open-addressing table over 64-bit fx hashes replacing the old
-//! `HashMap<Configuration, usize>`.  [`unpack_configuration`] recovers a full
-//! [`Configuration`] on the cold paths that need one (property violations, witnesses, cycle
-//! analysis).
+//! `HashMap<Configuration, usize>`.  [`unpack_configuration_into`] recovers a full
+//! [`Configuration`] into a reused buffer — the explorer decodes each admitted state once,
+//! for its property checks and recorded-graph facts — and [`unpack_configuration`] into a
+//! fresh one, for witnesses.
 //!
 //! # Segments and incremental hashing
 //!
@@ -84,7 +85,7 @@ pub enum CtrlState {
 }
 
 /// The protocol-relevant local state of one process.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NodeState {
     /// The paper's `State ∈ {Req, In, Out}`.
     pub cs: CsState,
@@ -106,7 +107,7 @@ pub struct NodeState {
 /// A global configuration: all process states plus all channel contents.
 ///
 /// `channels[v][l]` is the FIFO content (head first) of node `v`'s incoming channel `l`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Per-process protocol state.
     pub nodes: Vec<NodeState>,
@@ -174,85 +175,87 @@ impl Configuration {
 /// `restore(&capture())` is an identity on the behaviourally relevant state, and that two
 /// processes with equal captures behave identically on every input (given stateless drivers).
 pub trait CheckableNode: Process<Msg = Message> + klex_core::KlInspect {
-    /// Captures the protocol-relevant local state.
-    fn capture_state(&self) -> NodeState;
+    /// Captures the protocol-relevant local state into `state`, overwriting every field and
+    /// reusing its `rset` buffer (the explorer's per-transition capture allocates nothing).
+    fn capture_state_into(&self, state: &mut NodeState);
+
+    /// Captures the protocol-relevant local state into a fresh [`NodeState`].
+    fn capture_state(&self) -> NodeState {
+        let mut state = NodeState::default();
+        self.capture_state_into(&mut state);
+        state
+    }
 
     /// Restores a previously captured state.
     fn restore_state(&mut self, state: &NodeState);
 }
 
-fn sorted(mut labels: Vec<ChannelLabel>) -> Vec<ChannelLabel> {
-    labels.sort_unstable();
-    labels
+/// Overwrites `state`'s application fields (`State`, `Need`, sorted `RSet`) from `app`.
+fn capture_app(app: &klex_core::AppSide, state: &mut NodeState) {
+    state.cs = app.state;
+    state.need = app.need;
+    state.rset.clone_from(&app.rset);
+    state.rset.sort_unstable();
+}
+
+/// Restores the application fields captured by [`capture_app`]; the critical-section entry
+/// time is outside the abstraction and resets to 0.
+fn restore_app(app: &mut klex_core::AppSide, state: &NodeState) {
+    app.state = state.cs;
+    app.need = state.need;
+    app.rset.clone_from(&state.rset);
+    app.entered_at = 0;
 }
 
 impl CheckableNode for klex_core::naive::NaiveNode {
-    fn capture_state(&self) -> NodeState {
-        NodeState {
-            cs: self.app.state,
-            need: self.app.need,
-            rset: sorted(self.app.rset.clone()),
-            prio: None,
-            bootstrapped: self.bootstrapped,
-            ctrl: None,
-        }
+    fn capture_state_into(&self, state: &mut NodeState) {
+        capture_app(&self.app, state);
+        state.prio = None;
+        state.bootstrapped = self.bootstrapped;
+        state.ctrl = None;
     }
 
     fn restore_state(&mut self, state: &NodeState) {
-        self.app.state = state.cs;
-        self.app.need = state.need;
-        self.app.rset = state.rset.clone();
-        self.app.entered_at = 0;
+        restore_app(&mut self.app, state);
         self.bootstrapped = state.bootstrapped;
     }
 }
 
 impl CheckableNode for klex_core::pusher::PusherNode {
-    fn capture_state(&self) -> NodeState {
-        NodeState {
-            cs: self.app.state,
-            need: self.app.need,
-            rset: sorted(self.app.rset.clone()),
-            prio: None,
-            bootstrapped: self.bootstrapped,
-            ctrl: None,
-        }
+    fn capture_state_into(&self, state: &mut NodeState) {
+        capture_app(&self.app, state);
+        state.prio = None;
+        state.bootstrapped = self.bootstrapped;
+        state.ctrl = None;
     }
 
     fn restore_state(&mut self, state: &NodeState) {
-        self.app.state = state.cs;
-        self.app.need = state.need;
-        self.app.rset = state.rset.clone();
-        self.app.entered_at = 0;
+        restore_app(&mut self.app, state);
         self.bootstrapped = state.bootstrapped;
     }
 }
 
 impl CheckableNode for klex_core::nonstab::NonStabNode {
-    fn capture_state(&self) -> NodeState {
-        NodeState {
-            cs: self.app.state,
-            need: self.app.need,
-            rset: sorted(self.app.rset.clone()),
-            prio: self.prio,
-            bootstrapped: self.bootstrapped,
-            ctrl: None,
-        }
+    fn capture_state_into(&self, state: &mut NodeState) {
+        capture_app(&self.app, state);
+        state.prio = self.prio;
+        state.bootstrapped = self.bootstrapped;
+        state.ctrl = None;
     }
 
     fn restore_state(&mut self, state: &NodeState) {
-        self.app.state = state.cs;
-        self.app.need = state.need;
-        self.app.rset = state.rset.clone();
-        self.app.entered_at = 0;
+        restore_app(&mut self.app, state);
         self.prio = state.prio;
         self.bootstrapped = state.bootstrapped;
     }
 }
 
 impl CheckableNode for SsNode {
-    fn capture_state(&self) -> NodeState {
-        let ctrl = Some(match &self.role {
+    fn capture_state_into(&self, state: &mut NodeState) {
+        capture_app(&self.app, state);
+        state.prio = self.prio;
+        state.bootstrapped = true;
+        state.ctrl = Some(match &self.role {
             SsRole::Root(r) => CtrlState::Root {
                 my_c: r.my_c,
                 succ: r.succ,
@@ -263,21 +266,10 @@ impl CheckableNode for SsNode {
             },
             SsRole::NonRoot(st) => CtrlState::NonRoot { my_c: st.my_c, succ: st.succ },
         });
-        NodeState {
-            cs: self.app.state,
-            need: self.app.need,
-            rset: sorted(self.app.rset.clone()),
-            prio: self.prio,
-            bootstrapped: true,
-            ctrl,
-        }
     }
 
     fn restore_state(&mut self, state: &NodeState) {
-        self.app.state = state.cs;
-        self.app.need = state.need;
-        self.app.rset = state.rset.clone();
-        self.app.entered_at = 0;
+        restore_app(&mut self.app, state);
         self.prio = state.prio;
         match (&mut self.role, &state.ctrl) {
             (SsRole::Root(r), Some(CtrlState::Root { my_c, succ, reset, s_token, s_push, s_prio })) => {
@@ -485,13 +477,18 @@ fn write_node_state(out: &mut Vec<u8>, state: &NodeState) {
     }
 }
 
-fn read_node_state(cursor: &mut &[u8]) -> NodeState {
-    let cs = cs_from_byte(cursor[0]);
+/// Decodes one node-state segment into `state`, overwriting every field and reusing its
+/// `rset` buffer — the one node-state decoder, shared by restores and unpacking.
+fn read_node_state_into(cursor: &mut &[u8], state: &mut NodeState) {
+    state.cs = cs_from_byte(cursor[0]);
     *cursor = &cursor[1..];
-    let need = read_varint(cursor) as usize;
+    state.need = read_varint(cursor) as usize;
     let rset_len = read_varint(cursor) as usize;
-    let rset = (0..rset_len).map(|_| read_varint(cursor) as usize).collect();
-    let prio = match cursor[0] {
+    state.rset.clear();
+    for _ in 0..rset_len {
+        state.rset.push(read_varint(cursor) as usize);
+    }
+    state.prio = match cursor[0] {
         0 => {
             *cursor = &cursor[1..];
             None
@@ -501,11 +498,11 @@ fn read_node_state(cursor: &mut &[u8]) -> NodeState {
             Some(read_varint(cursor) as usize)
         }
     };
-    let bootstrapped = cursor[0] != 0;
+    state.bootstrapped = cursor[0] != 0;
     *cursor = &cursor[1..];
     let ctrl_tag = cursor[0];
     *cursor = &cursor[1..];
-    let ctrl = match ctrl_tag {
+    state.ctrl = match ctrl_tag {
         0 => None,
         1 => {
             let my_c = read_varint(cursor);
@@ -525,7 +522,6 @@ fn read_node_state(cursor: &mut &[u8]) -> NodeState {
         }
         other => panic!("corrupt packed configuration: ctrl tag {other}"),
     };
-    NodeState { cs, need, rset, prio, bootstrapped, ctrl }
 }
 
 /// Appends the canonical packed encoding of `config` to `out`.
@@ -554,23 +550,39 @@ pub fn pack_configuration(config: &Configuration, out: &mut Vec<u8>) {
 /// # Panics
 ///
 /// Panics on malformed input; packed bytes only ever come from this module's encoders.
-pub fn unpack_configuration(mut bytes: &[u8]) -> Configuration {
+pub fn unpack_configuration(bytes: &[u8]) -> Configuration {
+    let mut config = Configuration::default();
+    unpack_configuration_into(bytes, &mut config);
+    config
+}
+
+/// Decodes a packed configuration into `config`, overwriting it and reusing its vectors: a
+/// buffer decoded into once per state of one exploration stops allocating after the first
+/// few states.  Equal to `*config = unpack_configuration(bytes)`.
+///
+/// # Panics
+///
+/// Panics on malformed input; packed bytes only ever come from this module's encoders.
+pub fn unpack_configuration_into(mut bytes: &[u8], config: &mut Configuration) {
     let cursor = &mut bytes;
     let n = read_varint(cursor) as usize;
-    let nodes = (0..n).map(|_| read_node_state(cursor)).collect();
-    let channels = (0..n)
-        .map(|_| {
-            let degree = read_varint(cursor) as usize;
-            (0..degree)
-                .map(|_| {
-                    let len = read_varint(cursor) as usize;
-                    (0..len).map(|_| read_message(cursor)).collect()
-                })
-                .collect()
-        })
-        .collect();
+    config.nodes.resize_with(n, NodeState::default);
+    for state in &mut config.nodes {
+        read_node_state_into(cursor, state);
+    }
+    config.channels.resize_with(n, Vec::new);
+    for per_node in &mut config.channels {
+        let degree = read_varint(cursor) as usize;
+        per_node.resize_with(degree, Vec::new);
+        for channel in per_node.iter_mut() {
+            let len = read_varint(cursor) as usize;
+            channel.clear();
+            for _ in 0..len {
+                channel.push(read_message(cursor));
+            }
+        }
+    }
     assert!(cursor.is_empty(), "corrupt packed configuration: {} trailing bytes", cursor.len());
-    Configuration { nodes, channels }
 }
 
 /// Captures the full configuration of `net` directly into its packed encoding, replacing the
@@ -584,8 +596,10 @@ where
     out.clear();
     let n = net.len();
     write_varint(out, n as u64);
+    let mut state = NodeState::default();
     for v in 0..n {
-        write_node_state(out, &net.node(v).capture_state());
+        net.node(v).capture_state_into(&mut state);
+        write_node_state(out, &state);
     }
     for v in 0..n {
         let degree = net.topology().degree(v);
@@ -645,9 +659,10 @@ fn restore_packed_impl<P, T, const RECORD: bool>(
     }
     let n = read_varint(cursor) as usize;
     assert_eq!(n, net.len(), "packed configuration has the wrong number of processes");
+    let mut state = NodeState::default();
     for v in 0..n {
         let start = offset_of(cursor);
-        let state = read_node_state(cursor);
+        read_node_state_into(cursor, &mut state);
         if RECORD {
             map.node_spans.push((start, offset_of(cursor)));
         }
@@ -1119,6 +1134,22 @@ mod tests {
             let mut packed = Vec::new();
             pack_configuration(&config, &mut packed);
             assert_eq!(unpack_configuration(&packed), config);
+        }
+    }
+
+    #[test]
+    fn unpacking_into_a_reused_buffer_equals_a_fresh_unpack() {
+        // Shapes and field values change from one configuration to the next, so every
+        // vector of the buffer must be resized and overwritten, never appended to.
+        let mut configs = assorted_configurations();
+        configs.push(capture(&ss_net()));
+        configs.extend(assorted_configurations().into_iter().rev());
+        let mut buffer = Configuration::default();
+        for config in &configs {
+            let mut packed = Vec::new();
+            pack_configuration(config, &mut packed);
+            unpack_configuration_into(&packed, &mut buffer);
+            assert_eq!(&buffer, config);
         }
     }
 

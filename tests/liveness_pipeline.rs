@@ -55,6 +55,26 @@ fn priority_and_ss_rungs_are_lasso_free() {
     assert!(ss.live(), "no fair starvation lasso under the full protocol");
 }
 
+/// The liveness pass has no process limit: the liveness preset moved to a 65-process star
+/// (one more process than a 64-bit word holds) explores to its budget and reports a
+/// truncated result instead of taking the process down.
+#[test]
+fn liveness_check_on_more_than_64_processes_reports_instead_of_panicking() {
+    let mut spec = preset("checker-liveness").expect("bundled preset");
+    spec.topology = TopologySpec::Star { n: 65 };
+    spec.workload = WorkloadSpec::Saturated { units: 1, hold: 1 };
+    spec.check.max_configurations = 2_000;
+    let report = spec
+        .compile()
+        .expect("the 65-process spec validates")
+        .check()
+        .expect("the pusher rung lowers into the checker");
+    assert!(report.truncated, "2 000 configurations cannot exhaust a 65-process star");
+    assert!(!report.exhaustive());
+    assert_eq!(report.configurations, 2_000);
+    assert!(report.graph_summary.is_some(), "liveness records the graph");
+}
+
 /// Replaying a checker lasso through the streaming monitors reproduces the checker's
 /// verdict — the cross-backend agreement `klex fuzz` enforces campaign-wide.
 #[test]
