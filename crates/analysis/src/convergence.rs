@@ -47,8 +47,8 @@ impl ConvergenceOutcome {
 /// consecutive activations, or `max_steps` activations have elapsed.
 ///
 /// The returned stabilization time is the activation at which the successful window began.
-/// The daemon is driven through the fused event path ([`Network::step_event`]), which picks
-/// the same activations as [`Network::step`].
+/// The daemon is driven one activation at a time through [`Network::step_event`], by way
+/// of the live census.
 pub fn measure_convergence<P, T>(
     net: &mut Network<P, T>,
     daemon: &mut impl EventScheduler,

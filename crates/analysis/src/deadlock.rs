@@ -8,7 +8,7 @@
 use klex_core::{KlInspect, Message};
 use serde::Serialize;
 use topology::Topology;
-use treenet::{run_until_quiescent, Network, NodeId, Process, RunOutcome, Scheduler};
+use treenet::{run_until_quiescent, EventScheduler, Network, NodeId, Process, RunOutcome};
 
 /// Outcome of a deadlock-detection run.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
@@ -42,7 +42,7 @@ impl DeadlockVerdict {
 /// Runs `net` until quiescence (or `max_steps`) and classifies the result.
 pub fn detect_deadlock<P, T>(
     net: &mut Network<P, T>,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     max_steps: u64,
 ) -> DeadlockVerdict
 where

@@ -145,7 +145,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         let mut monitor = SafetyMonitor::new(cfg);
         for _ in 0..30_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             monitor.check(&net);
         }
         assert!(monitor.clean(), "violations: {:?}", monitor.violations());

@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{
-    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EnabledView, EventScheduler,
-    FaultInjector, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, Scheduler,
-    SnapshotMessage, SnapshotObserver, SnapshotRunner, Synchronous, Trace,
+    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EventScheduler, FaultInjector,
+    Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
+    SnapshotRunner, Synchronous, Trace,
 };
 
 /// Per-epoch fault applier threaded through `drive`'s measured phase: the caller owns the
@@ -45,7 +45,7 @@ type EventApplier<'a, P, T> =
     &'a mut dyn FnMut(&mut Network<P, T>, &FaultEventSpec, &mut StdRng, &mut FaultInjector);
 
 /// A daemon instantiated from a [`DaemonSpec`]: one concrete enum over the bundled daemons,
-/// usable both as a drop-in [`Scheduler`] and on the fused [`treenet::engine`] path.
+/// driven through the [`treenet::engine`] loops.
 pub enum Daemon {
     /// Deterministic round-robin.
     RoundRobin(RoundRobin),
@@ -55,17 +55,6 @@ pub enum Daemon {
     Synchronous(Synchronous),
     /// Bounded-unfairness adversary.
     Adversarial(Adversarial),
-}
-
-impl Scheduler for Daemon {
-    fn next_activation(&mut self, view: &dyn EnabledView) -> Activation {
-        match self {
-            Daemon::RoundRobin(d) => d.next_activation(view),
-            Daemon::RandomFair(d) => d.next_activation(view),
-            Daemon::Synchronous(d) => d.next_activation(view),
-            Daemon::Adversarial(d) => d.next_activation(view),
-        }
-    }
 }
 
 impl EventScheduler for Daemon {
@@ -943,7 +932,7 @@ impl CompiledScenario {
             }
             StopSpec::Quiescent { max_steps, grace } => match &mut snapshots {
                 None => treenet::run_until_quiescent(&mut *net, &mut daemon, *max_steps, *grace),
-                Some((runner, monitor)) => run_quiescent_snapshots(
+                Some((runner, monitor)) => treenet::run_until_quiescent_with_snapshots(
                     &mut *net, &mut daemon, *max_steps, *grace, runner, monitor,
                 ),
             },
@@ -1167,43 +1156,6 @@ where
         if let Some(sink) = self.sink {
             sink.progress("snapshot", self.inner.cuts() as u64, 0);
         }
-    }
-}
-
-/// [`treenet::run_until_quiescent`] with snapshot interposition.  Marker traffic counts as
-/// in-flight, so each cut resets the quiet streak; callers keep the grace below the
-/// snapshot interval (see [`super::spec::SnapshotSpec`]).
-fn run_quiescent_snapshots<P, T, S, O>(
-    net: &mut Network<P, T>,
-    daemon: &mut S,
-    max_steps: u64,
-    grace: u64,
-    runner: &mut SnapshotRunner,
-    observer: &mut O,
-) -> RunOutcome
-where
-    P: Process,
-    P::Msg: SnapshotMessage,
-    T: Topology,
-    S: EventScheduler,
-    O: SnapshotObserver<P>,
-{
-    let mut quiet_for = 0u64;
-    for _ in 0..max_steps {
-        if net.in_flight() == 0 {
-            quiet_for += 1;
-            if quiet_for >= grace {
-                return RunOutcome::Quiescent(net.now());
-            }
-        } else {
-            quiet_for = 0;
-        }
-        runner.step(net, daemon, observer);
-    }
-    if net.in_flight() == 0 {
-        RunOutcome::Quiescent(net.now())
-    } else {
-        RunOutcome::Exhausted(net.now())
     }
 }
 

@@ -170,7 +170,7 @@ mod tests {
             klex_core::ss::network(tree, cfg, |_| Box::new(Fixed(1)) as BoxedDriver);
         let mut sched = RandomFair::new(7);
         for _ in 0..40_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let gantt = render_activity_gantt(net.trace(), 8, 0, net.now(), 60);
         assert_eq!(gantt.lines().count(), 8);
@@ -209,12 +209,12 @@ mod tests {
         let mut recorder = CensusRecorder::new();
         // Bootstrap.
         for _ in 0..60_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         // Inject a surplus token (a transient fault), then watch the census recover.
         net.inject_into(1, 0, Message::ResT);
         for _ in 0..200_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             if net.now() % 50 == 0 {
                 recorder.observe(&net);
             }

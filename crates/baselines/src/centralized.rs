@@ -278,7 +278,7 @@ mod tests {
         });
         let mut sched = RandomFair::new(2);
         for _ in 0..100_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             assert!(units_in_use(&net) <= cfg.l, "coordinator must never over-allocate");
         }
     }

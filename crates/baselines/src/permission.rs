@@ -370,7 +370,7 @@ mod tests {
         let mut net = network(6, cfg, |_| Box::new(Fixed { units: 2, hold: 5 }) as BoxedDriver);
         let mut sched = RandomFair::new(8);
         for _ in 0..100_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             assert!(units_in_use(&net) <= cfg.l);
             // A unit is held by at most one process at a time.
             let mut holders = std::collections::BTreeMap::new();

@@ -381,7 +381,7 @@ mod tests {
         // Let it stabilize, then check the safety bound continuously.
         treenet::run_for(&mut net, &mut sched, 200_000);
         for _ in 0..50_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l);
         }

@@ -136,7 +136,7 @@ pub fn e15_crash_recovery(scale: Scale) -> ExperimentReport {
         // absorb the surplus.
         let mut violated = false;
         for _ in 0..scale.measure_steps {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             if !safety_holds(&net, &cfg) {
                 violated = true;
                 break;

@@ -53,7 +53,7 @@ pub fn e11_general_networks(scale: Scale) -> ExperimentReport {
                 let mut net = composition.network;
                 net.trace_mut().clear();
                 for _ in 0..scale.measure_steps {
-                    net.step(&mut sched);
+                    net.step_event(&mut sched);
                 }
                 entries_per_1k.push(
                     net.trace().cs_entries(None) as f64 * 1_000.0 / scale.measure_steps as f64,

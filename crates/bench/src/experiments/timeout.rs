@@ -95,7 +95,7 @@ pub fn e13_timeout_sweep(scale: Scale) -> ExperimentReport {
             net.trace_mut().clear();
             net.metrics_mut().reset();
             for _ in 0..scale.measure_steps {
-                net.step(&mut sched);
+                net.step_event(&mut sched);
             }
             let ctrl_msgs = net.metrics().sent_of_kind("ctrl") as f64;
             let timeout_events = net
@@ -116,7 +116,7 @@ pub fn e13_timeout_sweep(scale: Scale) -> ExperimentReport {
             let drop_at = net.now();
             let mut new_circulation_at = None;
             for _ in 0..scale.max_steps {
-                net.step(&mut sched);
+                net.step_event(&mut sched);
                 if let Some(ev) =
                     net.trace().events().iter().rev().find(|e| {
                         matches!(e.event, Event::Note(Note::Circulation)) && e.at > drop_at

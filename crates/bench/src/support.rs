@@ -5,7 +5,7 @@ use analysis::convergence::{default_window, measure_convergence};
 use klex_core::{ss, KlConfig, KlInspect, LiveCensus, Message};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
-use treenet::{EventScheduler, Network, NodeId, Process, RandomFair, Scheduler};
+use treenet::{EventScheduler, Network, NodeId, Process, RandomFair};
 
 /// How big/long each experiment runs.
 #[derive(Clone, Debug)]
@@ -110,7 +110,7 @@ pub fn stabilized_ss_network(
 /// window.
 pub fn measure_throughput<P, T>(
     net: &mut Network<P, T>,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     steps: u64,
 ) -> (u64, u64)
 where

@@ -95,7 +95,7 @@ mod tests {
         let mut net = ss_for_checking(tree, cfg, |_| NeverRequest::boxed());
         let mut sched = RoundRobin::new();
         for _ in 0..5_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         assert_eq!(net.in_flight(), 0, "without the timer nothing is ever sent");
         assert_eq!(net.metrics().messages_sent, 0);
@@ -109,7 +109,7 @@ mod tests {
         launch_controller(&mut net);
         let mut sched = RoundRobin::new();
         for _ in 0..5_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let census = count_tokens(&net);
         assert!(census.matches(2), "census after bootstrap: {census:?}");

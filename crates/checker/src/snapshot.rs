@@ -1005,12 +1005,12 @@ mod tests {
         net.inject_from(0, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
         let mut sched = RoundRobin::new();
         for _ in 0..500 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let snap = capture(&net);
         // Keep running, then restore and recapture: the captures must agree.
         for _ in 0..200 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         assert_ne!(capture(&net), snap, "the network should have moved on");
         restore(&mut net, &snap);
@@ -1174,7 +1174,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         let mut scratch = Vec::new();
         for _ in 0..700 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             capture_packed(&net, &mut scratch);
             let mut reference = Vec::new();
             pack_configuration(&capture(&net), &mut reference);
@@ -1188,12 +1188,12 @@ mod tests {
         net.inject_from(0, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
         let mut sched = RoundRobin::new();
         for _ in 0..500 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let mut snap = Vec::new();
         capture_packed(&net, &mut snap);
         for _ in 0..200 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let mut moved_on = Vec::new();
         capture_packed(&net, &mut moved_on);
@@ -1212,7 +1212,7 @@ mod tests {
         net.inject_from(0, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
         let mut sched = RoundRobin::new();
         for _ in 0..300 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let mut packed = Vec::new();
         capture_packed(&net, &mut packed);
@@ -1262,7 +1262,7 @@ mod tests {
         net.inject_from(0, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
         let mut sched = RoundRobin::new();
         for _ in 0..200 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let mut before = Vec::new();
         capture_packed(&net, &mut before);
@@ -1274,7 +1274,7 @@ mod tests {
         // segments and compare with a from-scratch hash of the successor — maintained
         // across 50 consecutive steps so patching errors compound visibly.
         for _ in 0..50 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let mut after = Vec::new();
             capture_packed(&net, &mut after);
             let mut after_map = SegmentMap::default();

@@ -186,7 +186,7 @@ mod tests {
         let mut net = network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = RoundRobin::new();
         for _ in 0..5_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let total = net.iter_messages().filter(|(_, _, m)| m.is_resource()).count()
                 + net.nodes().map(|n| n.reserved()).sum::<usize>();
             assert_eq!(total, cfg.l, "resource tokens must be conserved");
@@ -209,7 +209,7 @@ mod tests {
         let mut net = network(tree, cfg, |_| Box::new(Always) as BoxedDriver);
         let mut sched = RoundRobin::new();
         for _ in 0..20_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l);
             for node in net.nodes() {
@@ -227,7 +227,7 @@ mod tests {
         net.inject_into(1, 0, Message::Garbage(7));
         let mut sched = RoundRobin::new();
         for _ in 0..100 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         // Foreign messages are consumed, not forwarded forever.
         assert_eq!(net.iter_messages().filter(|(_, _, m)| !m.is_resource()).count(), 0);

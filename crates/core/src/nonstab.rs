@@ -253,7 +253,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         treenet::run_for(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let in_flight = net.iter_messages().filter(|(_, _, m)| m.is_priority()).count();
             let held = net.nodes().filter(|n| n.holds_priority()).count();
             assert_eq!(in_flight + held, 1, "exactly one priority token in the system");
@@ -267,7 +267,7 @@ mod tests {
         let mut net = network(tree, cfg, |_| Box::new(Fixed { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(3);
         for _ in 0..40_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l);
             for node in net.nodes() {
@@ -286,7 +286,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         // Just run it; the protocol must still be safe (no more than l units in use).
         for _ in 0..20_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l);
         }

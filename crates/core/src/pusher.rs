@@ -201,7 +201,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         treenet::run_for(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let pushers = net.iter_messages().filter(|(_, _, m)| m.is_pusher()).count();
             assert_eq!(pushers, 1, "exactly one pusher in flight (no process ever holds it)");
         }
@@ -226,7 +226,7 @@ mod tests {
         let mut seen_in_flight = 0u32;
         let mut seen_reserved = 0u32;
         for _ in 0..30_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let in_flight = net.iter_messages().any(|(_, _, m)| m.is_resource());
             if in_flight {
                 seen_in_flight += 1;
@@ -246,7 +246,7 @@ mod tests {
         let mut net = network(tree, cfg, |_| Box::new(Fixed { units: 2, hold: 4 }) as BoxedDriver);
         let mut sched = RoundRobin::new();
         for _ in 0..30_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l);
             for node in net.nodes() {

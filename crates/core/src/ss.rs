@@ -652,14 +652,14 @@ mod tests {
     /// experiments.
     fn run_until_stable(
         net: &mut Network<SsNode, OrientedTree>,
-        sched: &mut impl treenet::Scheduler,
+        sched: &mut impl treenet::EventScheduler,
         max_steps: u64,
         window: u64,
         cfg: &KlConfig,
     ) -> bool {
         let mut consecutive = 0u64;
         for _ in 0..max_steps {
-            net.step(sched);
+            net.step_event(sched);
             if is_legitimate(net, cfg) {
                 consecutive += 1;
                 if consecutive >= window {
@@ -695,7 +695,7 @@ mod tests {
         assert!(run_until_stable(&mut net, &mut sched, 2_000_000, 20_000, &cfg));
         // Closure: once legitimate (sustained), the census never changes again.
         for _ in 0..50_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let census = count_tokens(&net);
             assert_eq!(
                 (census.resource, census.pusher, census.priority),
@@ -789,7 +789,7 @@ mod tests {
         let mut sched = RandomFair::new(5);
         assert!(run_until_stable(&mut net, &mut sched, 3_000_000, 30_000, &cfg));
         for _ in 0..100_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
             assert!(used <= cfg.l, "at most l units in use");
             for node in net.nodes() {

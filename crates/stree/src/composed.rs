@@ -233,7 +233,7 @@ mod tests {
                 .expect("composition must stabilize");
         let before = composition.network.trace().cs_entries(None);
         for _ in 0..60_000 {
-            composition.network.step(&mut sched);
+            composition.network.step_event(&mut sched);
         }
         let after = composition.network.trace().cs_entries(None);
         assert!(

@@ -122,7 +122,7 @@ mod tests {
         let mut net = network_with_defaults(graph);
         let mut sched = RoundRobin::new();
         for _ in 0..100_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             if distances_are_exact(&net) && parents_form_tree(&net) {
                 break;
             }

@@ -224,20 +224,14 @@ mod tests {
     use super::*;
     use crate::extract::{distances_are_exact, parent_map};
     use rand::SeedableRng;
-    use treenet::{RandomFair, RoundRobin, Scheduler};
-
-    fn run(net: &mut Network<StNode, RootedGraph>, sched: &mut impl Scheduler, steps: u64) {
-        for _ in 0..steps {
-            net.step(sched);
-        }
-    }
+    use treenet::{run_for, RandomFair, RoundRobin};
 
     #[test]
     fn converges_to_bfs_distances_on_a_diamond() {
         let graph = RootedGraph::new(4, 0, &[(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)]);
         let mut net = network_with_defaults(graph);
         let mut sched = RoundRobin::new();
-        run(&mut net, &mut sched, 4_000);
+        run_for(&mut net, &mut sched, 4_000);
         assert!(distances_are_exact(&net));
         // Node 3 is at distance 2, through either node 1 or node 2.
         assert_eq!(net.node(3).dist, 2);
@@ -253,7 +247,7 @@ mod tests {
             let expected = graph.bfs_distances();
             let mut net = network_with_defaults(graph);
             let mut sched = RandomFair::new(seed * 7 + 1);
-            run(&mut net, &mut sched, 200_000);
+            run_for(&mut net, &mut sched, 200_000);
             for v in 0..net.len() {
                 assert_eq!(net.node(v).dist, expected[v], "node {v}, seed {seed}");
             }
@@ -265,14 +259,14 @@ mod tests {
         let graph = RootedGraph::random_connected(12, 6, 3);
         let mut net = network_with_defaults(graph);
         let mut sched = RoundRobin::new();
-        run(&mut net, &mut sched, 20_000);
+        run_for(&mut net, &mut sched, 20_000);
         assert!(distances_are_exact(&net));
         // Corrupt every process's spanning-tree state, then let the protocol re-stabilize.
         let mut rng = StdRng::seed_from_u64(99);
         for v in 0..net.len() {
             net.node_mut(v).corrupt(&mut rng);
         }
-        run(&mut net, &mut sched, 40_000);
+        run_for(&mut net, &mut sched, 40_000);
         assert!(distances_are_exact(&net), "the protocol must re-converge after corruption");
     }
 
@@ -291,7 +285,7 @@ mod tests {
             }
         }
         let mut sched = RandomFair::new(17);
-        run(&mut net, &mut sched, 150_000);
+        run_for(&mut net, &mut sched, 150_000);
         assert!(distances_are_exact(&net));
     }
 
@@ -302,7 +296,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         let mut max_in_flight = 0;
         for _ in 0..30_000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             max_in_flight = max_in_flight.max(net.in_flight());
         }
         // The round-robin scheduler delivers one message per activation when available; the
@@ -322,7 +316,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         net.node_mut(0).corrupt(&mut rng);
         let mut sched = RoundRobin::new();
-        run(&mut net, &mut sched, 50);
+        run_for(&mut net, &mut sched, 50);
         assert_eq!(net.node(0).dist, 0);
         assert_eq!(net.node(0).parent, None);
     }

@@ -1,15 +1,15 @@
-//! The event-driven execution core: the maintained enabled set and the fused run loop.
+//! The event-driven execution core: the maintained enabled set, the daemon trait and the run
+//! loops.
 //!
 //! # Why an enabled set
 //!
-//! The original execution core (retained as [`crate::scheduler::baseline`]) re-derives, on
-//! *every* step, which channels of the chosen process hold messages by scanning all of its
-//! incident channels through the dynamically-dispatched [`crate::NetworkView`] interface.
-//! For the guard-activation protocols this simulator runs (every token handler of the paper
-//! is a guard "a message of kind X is at the head of channel q"), that scan is wasted work:
-//! after an activation of process `p`, the only guards whose truth can have changed are those
-//! of `p` itself (it consumed a message) and of `p`'s tree neighbours (they received the
-//! messages `p` sent).  Everything else is unchanged.
+//! A daemon has to know, on every step, which channels of the processes it may pick hold
+//! messages.  Re-deriving that by scanning every incident channel of the chosen process is
+//! wasted work for the guard-activation protocols this simulator runs (every token handler
+//! of the paper is a guard "a message of kind X is at the head of channel q"): after an
+//! activation of process `p`, the only guards whose truth can have changed are those of `p`
+//! itself (it consumed a message) and of `p`'s tree neighbours (they received the messages
+//! `p` sent).  Everything else is unchanged.
 //!
 //! [`EnabledSet`] exploits exactly that structure.  The network maintains, incrementally and
 //! in O(1) per message push/pop:
@@ -59,16 +59,17 @@
 //! sent nothing, emitted nothing and left the hint true, which makes every debug-mode suite
 //! a differential test of the hint.
 //!
-//! # Daemon equivalence
+//! # One way to step
 //!
-//! Event-driven daemons draw from the maintained set with the *same RNG discipline* as their
-//! scan-based counterparts in [`crate::scheduler::baseline`] (same generator, same number of
-//! draws, same ranges, in the same order), so both engines produce bit-identical activation
-//! sequences, traces and metrics — the event engine is a pure performance refactor.  The
-//! shared decision logic lives in [`crate::scheduler`] and is instantiated twice: once over
-//! `&dyn EnabledView` (drop-in [`crate::Scheduler`] use) and once over the concrete
-//! [`EnabledShape`] (the fused, fully monomorphized [`run`] loop below, which avoids all
-//! virtual dispatch on the hot path).
+//! Daemons implement [`EventScheduler`] and read the set through the borrowed
+//! [`EnabledShape`]; there is no other daemon interface.  [`crate::Network::step_event`]
+//! executes one activation, and the run loops below execute many: [`run`] (a fixed number
+//! of steps, fully monomorphized over network and daemon), [`run_until`] (until a predicate
+//! holds) and [`run_until_quiescent`] (until no message is in flight for a grace period).
+//! The snapshot-interposing loops of [`crate::snapshot`] share the two stop rules through
+//! the same step-closure helpers.  `tests/engine_equivalence.rs` keeps the original
+//! scan-based daemons, which re-derive channel occupancy from the channels on every step,
+//! and asserts that every bundled daemon matches its reference activation for activation.
 
 use crate::network::Network;
 use crate::process::Process;
@@ -311,11 +312,10 @@ impl EnabledSet {
     }
 }
 
-/// A borrowed, concrete view of the enabled set handed to [`EventScheduler`]s by the fused
-/// run loop.
+/// A borrowed, concrete view of the enabled set handed to [`EventScheduler`]s.
 ///
-/// Unlike `&dyn `[`crate::EnabledView`], every query on this handle is a direct, inlinable
-/// array access — no virtual dispatch on the per-step hot path.
+/// Every query on this handle is a direct, inlinable array access — no virtual dispatch on
+/// the per-step hot path.  Daemons see network *shape* only, never protocol state.
 #[derive(Clone, Copy)]
 pub struct EnabledShape<'a> {
     set: &'a EnabledSet,
@@ -371,23 +371,59 @@ impl<'a> EnabledShape<'a> {
     }
 }
 
-/// A daemon usable by the fused, monomorphized run loop.
+/// A daemon: chooses each activation from the network's maintained enabled set.
 ///
-/// Every bundled daemon ([`crate::RoundRobin`], [`crate::RandomFair`],
-/// [`crate::Synchronous`], [`crate::Adversarial`]) implements both this trait and the
-/// dynamically-dispatched [`crate::Scheduler`]; both entry points share one decision
-/// function, so the chosen activations are identical — only the dispatch cost differs.
+/// Implemented by the bundled daemons ([`crate::RoundRobin`], [`crate::RandomFair`],
+/// [`crate::Synchronous`], [`crate::Adversarial`]) and by anything that composes them.
 pub trait EventScheduler {
     /// Returns the next activation, reading network shape from the maintained enabled set.
     fn next_event(&mut self, shape: &EnabledShape<'_>) -> Activation;
 }
 
-/// Runs `steps` activations of `net` under `daemon` through the fused event-driven loop.
-///
-/// Equivalent to [`crate::run_for`] with the same daemon (bit-identical activation sequence,
-/// trace and metrics) but with every scheduling query inlined against the maintained enabled
-/// set — this is the fast path used by the simulation benchmarks and sharded experiment
-/// drivers.
+/// Why a bounded run stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// The stop predicate became true at the reported logical time.
+    Satisfied(u64),
+    /// The step budget was exhausted before the predicate held; carries the logical time at
+    /// which the budget ran out, so callers can report *when* they gave up.
+    Exhausted(u64),
+    /// The network became quiescent (no message in flight) at the reported logical time.
+    Quiescent(u64),
+}
+
+impl RunOutcome {
+    /// The logical time at which the run stopped for a definite reason (the predicate held or
+    /// the network went quiescent); `None` when the budget merely ran out.
+    pub fn time(&self) -> Option<u64> {
+        match self {
+            RunOutcome::Satisfied(t) | RunOutcome::Quiescent(t) => Some(*t),
+            RunOutcome::Exhausted(_) => None,
+        }
+    }
+
+    /// The logical time at which the run stopped, for *any* reason — including budget
+    /// exhaustion.
+    pub fn at(&self) -> u64 {
+        match self {
+            RunOutcome::Satisfied(t) | RunOutcome::Quiescent(t) | RunOutcome::Exhausted(t) => *t,
+        }
+    }
+
+    /// True when the predicate was satisfied.
+    pub fn is_satisfied(&self) -> bool {
+        matches!(self, RunOutcome::Satisfied(_))
+    }
+
+    /// True when the step budget ran out before the run stopped for a definite reason.
+    pub fn is_exhausted(&self) -> bool {
+        matches!(self, RunOutcome::Exhausted(_))
+    }
+}
+
+/// Runs `steps` activations of `net` under `daemon` through the fused event-driven loop,
+/// with every scheduling query inlined against the maintained enabled set (re-exported as
+/// [`crate::run_for`]).
 pub fn run<P: Process, T: Topology, S: EventScheduler>(
     net: &mut Network<P, T>,
     daemon: &mut S,
@@ -409,21 +445,55 @@ pub fn run_observed<P: Process, T: Topology, S: EventScheduler>(
     net.run_event(daemon, steps, observer);
 }
 
-/// Runs the fused loop until `pred(net)` holds (checked after every activation) or
-/// `max_steps` activations have been executed; returns the outcome exactly like
-/// [`crate::run_until`].
+/// Runs until `pred(net)` holds (checked before the first and after every activation) or
+/// `max_steps` activations have been executed.
 pub fn run_until<P: Process, T: Topology, S: EventScheduler>(
     net: &mut Network<P, T>,
     daemon: &mut S,
     max_steps: u64,
+    pred: impl FnMut(&Network<P, T>) -> bool,
+) -> RunOutcome {
+    drive_until(
+        net,
+        max_steps,
+        |net| {
+            net.step_event(daemon);
+        },
+        pred,
+    )
+}
+
+/// Runs until no message is in flight for `grace` consecutive activations (the network is
+/// quiescent: nothing will ever change again unless a process spontaneously sends), or
+/// until `max_steps` is exhausted.
+///
+/// A protocol with a root timeout is never truly quiescent; this loop is meant for the
+/// *non*-self-stabilizing protocol variants, where quiescence with unsatisfied requests is
+/// exactly the deadlock illustrated in Figure 2 of the paper.  It reads
+/// [`Network::in_flight`], which the enabled set maintains in O(1).
+pub fn run_until_quiescent<P: Process, T: Topology, S: EventScheduler>(
+    net: &mut Network<P, T>,
+    daemon: &mut S,
+    max_steps: u64,
+    grace: u64,
+) -> RunOutcome {
+    drive_until_quiescent(net, max_steps, grace, |net| {
+        net.step_event(daemon);
+    })
+}
+
+/// The until-predicate stop rule over any way of executing one activation.
+pub(crate) fn drive_until<P: Process, T: Topology>(
+    net: &mut Network<P, T>,
+    max_steps: u64,
+    mut step: impl FnMut(&mut Network<P, T>),
     mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> crate::runner::RunOutcome {
-    use crate::runner::RunOutcome;
+) -> RunOutcome {
     if pred(net) {
         return RunOutcome::Satisfied(net.now());
     }
     for _ in 0..max_steps {
-        net.step_event(daemon);
+        step(net);
         if pred(net) {
             return RunOutcome::Satisfied(net.now());
         }
@@ -431,9 +501,38 @@ pub fn run_until<P: Process, T: Topology, S: EventScheduler>(
     RunOutcome::Exhausted(net.now())
 }
 
+/// The quiet-streak stop rule over any way of executing one activation.
+pub(crate) fn drive_until_quiescent<P: Process, T: Topology>(
+    net: &mut Network<P, T>,
+    max_steps: u64,
+    grace: u64,
+    mut step: impl FnMut(&mut Network<P, T>),
+) -> RunOutcome {
+    let mut quiet_for = 0u64;
+    for _ in 0..max_steps {
+        if net.in_flight() == 0 {
+            quiet_for += 1;
+            if quiet_for >= grace {
+                return RunOutcome::Quiescent(net.now());
+            }
+        } else {
+            quiet_for = 0;
+        }
+        step(net);
+    }
+    if net.in_flight() == 0 {
+        RunOutcome::Quiescent(net.now())
+    } else {
+        RunOutcome::Exhausted(net.now())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::{Context, MessageKind};
+    use crate::scheduler::RoundRobin;
+    use topology::builders;
 
     fn set_of(degrees: &[usize]) -> EnabledSet {
         EnabledSet::new(degrees)
@@ -520,5 +619,84 @@ mod tests {
         assert_eq!(s.next_deliverable_from(0, 130 - 1), Some(129));
         s.note_len(0, 129, 0);
         assert_eq!(s.next_deliverable_from(0, 100), Some(70), "wraps around");
+    }
+
+    #[derive(Clone, Debug)]
+    struct Ping;
+    impl MessageKind for Ping {
+        fn kind(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Root sends a bounded number of pings down; everyone forwards until they die out at
+    /// leaves (leaf swallows them), so the network eventually becomes quiescent.
+    struct Limited {
+        is_root: bool,
+        to_send: u32,
+        seen: u32,
+    }
+    impl Process for Limited {
+        type Msg = Ping;
+        fn on_message(&mut self, from: ChannelLabel, _m: Ping, ctx: &mut Context<'_, Ping>) {
+            self.seen += 1;
+            // Forward towards children only (never back to channel 0 unless root).
+            if ctx.degree > 1 || self.is_root {
+                let next = (from + 1) % ctx.degree;
+                if next != 0 || self.is_root {
+                    ctx.send(next, Ping);
+                }
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut Context<'_, Ping>) {
+            if self.is_root && self.to_send > 0 {
+                self.to_send -= 1;
+                ctx.send(0, Ping);
+            }
+        }
+    }
+
+    fn net() -> Network<Limited, topology::OrientedTree> {
+        Network::new(builders::chain(5), |id| Limited { is_root: id == 0, to_send: 3, seen: 0 })
+    }
+
+    #[test]
+    fn run_advances_the_clock() {
+        let mut n = net();
+        run(&mut n, &mut RoundRobin::new(), 42);
+        assert_eq!(n.now(), 42);
+    }
+
+    #[test]
+    fn run_until_detects_predicate() {
+        let mut n = net();
+        let out = run_until(&mut n, &mut RoundRobin::new(), 10_000, |net| net.node(1).seen >= 3);
+        assert!(out.is_satisfied());
+        assert!(out.time().unwrap() > 0);
+    }
+
+    #[test]
+    fn run_until_gives_up_after_budget() {
+        let mut n = net();
+        let out = run_until(&mut n, &mut RoundRobin::new(), 50, |net| net.node(4).seen >= 100);
+        assert_eq!(out, RunOutcome::Exhausted(50));
+        assert_eq!(out.time(), None);
+        assert_eq!(out.at(), 50);
+        assert!(out.is_exhausted());
+    }
+
+    #[test]
+    fn run_until_quiescent_terminates_on_dead_network() {
+        let mut n = net();
+        let out = run_until_quiescent(&mut n, &mut RoundRobin::new(), 100_000, 20);
+        assert!(matches!(out, RunOutcome::Quiescent(_)));
+        assert_eq!(n.in_flight(), 0);
+    }
+
+    #[test]
+    fn predicate_checked_before_first_step() {
+        let mut n = net();
+        let out = run_until(&mut n, &mut RoundRobin::new(), 10, |_| true);
+        assert_eq!(out, RunOutcome::Satisfied(0));
     }
 }

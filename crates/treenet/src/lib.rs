@@ -11,27 +11,23 @@
 //! * executions are **asynchronous but fair**: every process takes infinitely many steps but
 //!   there is no bound on the delay between two steps of a process.
 //!
-//! The simulator realises a step as an [`Activation`] chosen by a pluggable [`Scheduler`]:
-//! either *deliver* the head message of one incoming channel to its process, or give the
-//! process a *tick* (one pass over the bottom-of-loop actions: request issuing, critical
-//! section entry/exit, timeouts).  Fair schedulers ([`scheduler::RoundRobin`],
-//! [`scheduler::RandomFair`]) guarantee the paper's fairness assumption; the
-//! [`scheduler::Synchronous`] daemon serializes lock-step rounds; the
-//! [`scheduler::Adversarial`] scheduler exercises bounded unfairness to stress waiting times.
+//! The simulator realises a step as an [`Activation`] chosen by a daemon (an
+//! [`EventScheduler`]): either *deliver* the head message of one incoming channel to its
+//! process, or give the process a *tick* (one pass over the bottom-of-loop actions: request
+//! issuing, critical section entry/exit, timeouts).  Fair daemons ([`RoundRobin`],
+//! [`RandomFair`]) guarantee the paper's fairness assumption; the [`Synchronous`] daemon
+//! serializes lock-step rounds; the [`Adversarial`] daemon exercises bounded unfairness to
+//! stress waiting times.
 //!
-//! # Two execution engines
+//! # The execution engine
 //!
-//! Every daemon exists in two flavours with **bit-identical semantics** (same activation
-//! sequences, traces and metrics):
-//!
-//! * the **event-driven engine** ([`engine`]) — the default: the network incrementally
-//!   maintains the set of enabled delivery guards (non-empty channels), daemons read it in
-//!   O(1), and the fused loop [`engine::run`] monomorphizes daemon + network into one
-//!   allocation-free hot loop;
-//! * the **scan-based baseline** ([`scheduler::baseline`]) — the original engine that
-//!   re-derives channel occupancy on every step, retained as the executable specification
-//!   for the trace-equivalence suite.
-//!
+//! The network incrementally maintains the set of enabled delivery guards (non-empty
+//! channels) and of quiet tick guards ([`engine`]); daemons read it in O(1) through an
+//! [`EnabledShape`].  There is one way to step: [`Network::step_event`] executes one
+//! activation, and [`engine::run`] (re-exported as [`run_for`]), [`run_until`] and
+//! [`run_until_quiescent`] monomorphize daemon + network into one allocation-free loop.
+//! [`snapshot`] interposes Chandy–Lamport cuts on the same loops.
+
 //! Transient faults are modelled by [`fault::FaultInjector`], which corrupts local process
 //! state (through the [`fault::Corruptible`] trait), injects bounded channel garbage
 //! (through [`fault::ArbitraryMessage`]), and deletes or duplicates in-flight messages —
@@ -56,7 +52,6 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod process;
-pub mod runner;
 pub mod scheduler;
 pub mod slab;
 pub mod snapshot;
@@ -65,19 +60,19 @@ pub mod trace;
 pub use app::{AppDriver, CsState};
 pub use channel::Channel;
 pub use clocks::LamportClocks;
-pub use engine::{EnabledSet, EnabledShape, EventScheduler};
+pub use engine::{
+    run as run_for, run_until, run_until_quiescent, EnabledSet, EnabledShape, EventScheduler,
+    RunOutcome,
+};
 pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
 pub use metrics::Metrics;
-pub use network::{ChannelMut, EnabledView, Network, NetworkView, StepEffects, StepUndo};
+pub use network::{ChannelMut, Network, StepEffects, StepUndo};
 pub use process::{Context, Event, MessageKind, Note, Process};
-pub use runner::{run_for, run_until, run_until_quiescent, RunOutcome};
-pub use scheduler::{
-    Activation, Adversarial, AdversarialDaemon, CentralDaemon, DistributedDaemon, RandomFair,
-    RoundRobin, Scheduler, Synchronous, SynchronousDaemon,
-};
+pub use scheduler::{Activation, Adversarial, RandomFair, RoundRobin, Synchronous};
 pub use slab::ChannelSlab;
 pub use snapshot::{
-    run_until_with_snapshots, run_with_snapshots, InitiatorPolicy, SnapshotMessage,
+    run_until_quiescent_with_snapshots, run_until_with_snapshots, run_with_snapshots,
+    InitiatorPolicy, SnapshotMessage,
     SnapshotObserver, SnapshotPlan, SnapshotRunner,
 };
 pub use trace::{Trace, TracedEvent};

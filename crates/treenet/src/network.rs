@@ -13,82 +13,11 @@ use crate::clocks::LamportClocks;
 use crate::engine::{EnabledSet, EnabledShape, EventScheduler};
 use crate::metrics::Metrics;
 use crate::process::{Context, MessageKind, Process};
-use crate::scheduler::{Activation, Scheduler};
+use crate::scheduler::Activation;
 use crate::slab::ChannelSlab;
 use crate::trace::Trace;
 use crate::{ChannelLabel, NodeId};
 use topology::Topology;
-
-/// A read-only view of the network handed to schedulers: which channels hold messages, node
-/// degrees, and the logical clock.  Schedulers must not see protocol state, only "shape".
-pub trait NetworkView {
-    /// Number of processes.
-    fn num_nodes(&self) -> usize;
-    /// Degree of `node`.
-    fn degree(&self, node: NodeId) -> usize;
-    /// Number of in-flight messages on `node`'s incoming channel `label`.
-    fn channel_len(&self, node: NodeId, label: ChannelLabel) -> usize;
-    /// The global activation counter.
-    fn now(&self) -> u64;
-
-    /// Total number of in-flight messages across the whole network.
-    fn messages_in_flight(&self) -> usize {
-        let mut total = 0;
-        for v in 0..self.num_nodes() {
-            for l in 0..self.degree(v) {
-                total += self.channel_len(v, l);
-            }
-        }
-        total
-    }
-}
-
-/// The enabled-set extension of [`NetworkView`]: O(1) answers to "which guards are enabled".
-///
-/// [`Network`] overrides every method with a constant-time read of its maintained
-/// [`EnabledSet`]; the provided defaults fall back to scanning through [`NetworkView`], so
-/// any view (e.g. the fakes used in scheduler unit tests) satisfies the trait — at scan
-/// cost — by declaring an empty `impl`.  Both implementations return identical answers,
-/// which is exactly the enabled-set invariant the equivalence proptest checks.
-pub trait EnabledView: NetworkView {
-    /// Number of non-empty incoming channels of `node`.
-    fn deliverable_count(&self, node: NodeId) -> usize {
-        (0..self.degree(node)).filter(|&c| self.channel_len(node, c) > 0).count()
-    }
-
-    /// The first non-empty channel of `node` at or cyclically after `start % degree`, or
-    /// `None` when the node has no deliverable message.
-    fn next_deliverable_from(&self, node: NodeId, start: ChannelLabel) -> Option<ChannelLabel> {
-        let degree = self.degree(node);
-        if degree == 0 {
-            return None;
-        }
-        let start = start % degree;
-        (0..degree).map(|off| (start + off) % degree).find(|&c| self.channel_len(node, c) > 0)
-    }
-
-    /// The `idx`-th non-empty channel of `node` in ascending label order, or `None` when
-    /// fewer than `idx + 1` channels are non-empty.
-    fn nth_deliverable(&self, node: NodeId, idx: usize) -> Option<ChannelLabel> {
-        (0..self.degree(node)).filter(|&c| self.channel_len(node, c) > 0).nth(idx)
-    }
-
-    /// Fills `round` with, per node, the lowest non-empty incoming channel (or `None`) —
-    /// the round-boundary snapshot taken by the [`crate::Synchronous`] daemon.
-    ///
-    /// The default scans every node; [`Network`] overrides it to visit only the
-    /// delivery-enabled nodes of its maintained dense list (O(enabled) per round).  Both
-    /// fill the same slots, so the snapshots are identical.
-    fn snapshot_deliverable(&self, round: &mut Vec<Option<ChannelLabel>>) {
-        round.clear();
-        round.resize(self.num_nodes(), None);
-        for (v, slot) in round.iter_mut().enumerate() {
-            if self.deliverable_count(v) > 0 {
-                *slot = self.next_deliverable_from(v, 0);
-            }
-        }
-    }
-}
 
 /// Mutable access to one incoming channel, returned by [`Network::channel_mut`].
 ///
@@ -341,6 +270,11 @@ impl<P: Process, T: Topology> Network<P, T> {
         self.enabled.quiet_count()
     }
 
+    /// Degree of `node` as the channel slab sees it (equals the topology's degree).
+    pub fn degree(&self, node: NodeId) -> usize {
+        self.slab.degree(node)
+    }
+
     /// Direct access to one incoming channel (fault injection and tests).
     pub fn channel(&self, node: NodeId, label: ChannelLabel) -> &Channel<P::Msg> {
         self.slab.get(node, label)
@@ -451,18 +385,8 @@ impl<P: Process, T: Topology> Network<P, T> {
         msg
     }
 
-    /// Executes one activation chosen by `scheduler`. Returns the activation executed.
-    pub fn step(&mut self, scheduler: &mut impl Scheduler) -> Activation {
-        let activation = scheduler.next_activation(self);
-        self.execute(activation);
-        activation
-    }
-
-    /// Executes one activation chosen by `daemon` through the fused event-driven path: the
-    /// daemon reads the maintained enabled set directly, with no virtual dispatch.
-    ///
-    /// Produces exactly the same activation as [`Network::step`] with the same daemon (the
-    /// bundled daemons share one decision function between both paths).
+    /// Executes one activation chosen by `daemon`, which reads the maintained enabled set
+    /// directly.  Returns the activation executed.
     pub fn step_event<S: EventScheduler>(&mut self, daemon: &mut S) -> Activation {
         let activation = daemon.next_event(&EnabledShape::new(&self.enabled));
         self.execute(activation);
@@ -832,51 +756,6 @@ impl<P: Process, T: Topology> Network<P, T> {
     }
 }
 
-impl<P: Process, T: Topology> NetworkView for Network<P, T> {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn degree(&self, node: NodeId) -> usize {
-        self.slab.degree(node)
-    }
-
-    fn channel_len(&self, node: NodeId, label: ChannelLabel) -> usize {
-        self.slab.get(node, label).len()
-    }
-
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn messages_in_flight(&self) -> usize {
-        self.enabled.in_flight() as usize
-    }
-}
-
-impl<P: Process, T: Topology> EnabledView for Network<P, T> {
-    fn deliverable_count(&self, node: NodeId) -> usize {
-        self.enabled.deliverable_count(node)
-    }
-
-    fn next_deliverable_from(&self, node: NodeId, start: ChannelLabel) -> Option<ChannelLabel> {
-        self.enabled.next_deliverable_from(node, start)
-    }
-
-    fn nth_deliverable(&self, node: NodeId, idx: usize) -> Option<ChannelLabel> {
-        self.enabled.nth_deliverable(node, idx)
-    }
-
-    fn snapshot_deliverable(&self, round: &mut Vec<Option<ChannelLabel>>) {
-        round.clear();
-        round.resize(self.enabled.num_nodes(), None);
-        for i in 0..self.enabled.enabled_len() {
-            let v = self.enabled.enabled_node(i);
-            round[v] = self.enabled.next_deliverable_from(v, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,7 +809,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         // Run enough activations for the token to do several loops of the ring.
         for _ in 0..2000 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         // Every node received the counter at least once; the counter increases strictly, so
         // the token never duplicated or disappeared.
@@ -1032,7 +911,7 @@ mod tests {
         let mut net = forwarder_net();
         let mut sched = RoundRobin::new();
         for _ in 0..500 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         net.reset_trial(|id, node| {
             *node = Forwarder { is_root: id == 0, started: false, received: vec![] };
@@ -1052,7 +931,7 @@ mod tests {
         let mut s1 = RoundRobin::new();
         let mut s2 = RoundRobin::new();
         for _ in 0..300 {
-            assert_eq!(net.step(&mut s1), fresh.step(&mut s2));
+            assert_eq!(net.step_event(&mut s1), fresh.step_event(&mut s2));
         }
         for v in 0..net.len() {
             assert_eq!(net.node(v).received, fresh.node(v).received);
@@ -1087,7 +966,7 @@ mod tests {
         let mut net = forwarder_net();
         let mut sched = RoundRobin::new();
         for _ in 0..50 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         let received_before: Vec<Vec<u64>> =
             (0..net.len()).map(|v| net.node(v).received.clone()).collect();
@@ -1125,7 +1004,7 @@ mod tests {
         }
         // The rebuilt network keeps running.
         for _ in 0..200 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         assert_enabled_consistent(&net);
     }
@@ -1135,7 +1014,7 @@ mod tests {
         let mut net = forwarder_net();
         let mut sched = RoundRobin::new();
         for _ in 0..60 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         // Remove leaf 3 (c, child of a): ids 4..8 shift down by one.
         let received_before: Vec<Vec<u64>> =
@@ -1152,7 +1031,7 @@ mod tests {
         // Node 1 (a) lost a child: restarted.
         assert!(net.node(1).received.is_empty());
         for _ in 0..200 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         assert_enabled_consistent(&net);
     }
@@ -1175,7 +1054,7 @@ mod tests {
         let mut net = forwarder_net();
         let mut sched = RoundRobin::new();
         for _ in 0..400 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         net.reset_from(&template);
         assert_eq!(net.now(), template.now());
@@ -1186,7 +1065,7 @@ mod tests {
         let mut s1 = RoundRobin::new();
         let mut s2 = RoundRobin::new();
         for _ in 0..300 {
-            assert_eq!(net.step(&mut s1), template.step(&mut s2));
+            assert_eq!(net.step_event(&mut s1), template.step_event(&mut s2));
         }
         for v in 0..net.len() {
             assert_eq!(net.node(v).received, template.node(v).received);
@@ -1194,13 +1073,13 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_and_view_agree() {
+    fn in_flight_and_channels_agree() {
         let mut net = forwarder_net();
         net.inject_into(4, 0, Num(1));
         net.inject_into(4, 2, Num(2));
         assert_eq!(net.in_flight(), 2);
-        assert_eq!(net.messages_in_flight(), 2);
-        assert_eq!(net.channel_len(4, 2), 1);
+        assert_eq!(net.channel(4, 2).len(), 1);
+        assert_eq!(net.degree(4), net.topology().degree(4));
         assert_eq!(net.iter_messages().count(), 2);
     }
 }

@@ -27,7 +27,7 @@
 //! activations.  When no snapshot is active the runner's step is the plain fused step plus
 //! one branch, so the configured interval directly bounds the overhead.
 
-use crate::engine::{EnabledShape, EventScheduler};
+use crate::engine::{drive_until, drive_until_quiescent, EnabledShape, EventScheduler, RunOutcome};
 use crate::network::{Network, StepEffects};
 use crate::process::Process;
 use crate::scheduler::Activation;
@@ -321,8 +321,8 @@ pub fn run_until_with_snapshots<P, T, S, O>(
     max_steps: u64,
     runner: &mut SnapshotRunner,
     observer: &mut O,
-    mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> crate::runner::RunOutcome
+    pred: impl FnMut(&Network<P, T>) -> bool,
+) -> RunOutcome
 where
     P: Process,
     P::Msg: SnapshotMessage,
@@ -330,15 +330,27 @@ where
     S: EventScheduler,
     O: SnapshotObserver<P>,
 {
-    use crate::runner::RunOutcome;
-    if pred(net) {
-        return RunOutcome::Satisfied(net.now());
-    }
-    for _ in 0..max_steps {
-        runner.step(net, daemon, observer);
-        if pred(net) {
-            return RunOutcome::Satisfied(net.now());
-        }
-    }
-    RunOutcome::Exhausted(net.now())
+    drive_until(net, max_steps, |net| runner.step(net, daemon, observer), pred)
+}
+
+/// Runs until no message is in flight for `grace` consecutive activations or `max_steps`
+/// activations, with snapshots interposed — the snapshot-enabled counterpart of
+/// [`crate::engine::run_until_quiescent`].  Marker traffic counts as in flight, so each cut
+/// resets the quiet streak: keep `grace` below the snapshot interval.
+pub fn run_until_quiescent_with_snapshots<P, T, S, O>(
+    net: &mut Network<P, T>,
+    daemon: &mut S,
+    max_steps: u64,
+    grace: u64,
+    runner: &mut SnapshotRunner,
+    observer: &mut O,
+) -> RunOutcome
+where
+    P: Process,
+    P::Msg: SnapshotMessage,
+    T: Topology,
+    S: EventScheduler,
+    O: SnapshotObserver<P>,
+{
+    drive_until_quiescent(net, max_steps, grace, |net| runner.step(net, daemon, observer))
 }

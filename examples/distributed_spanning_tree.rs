@@ -74,7 +74,7 @@ fn main() {
     // Serve requests for a while and report the service the composed stack delivers.
     composition.network.trace_mut().clear();
     for _ in 0..150_000 {
-        composition.network.step(&mut sched);
+        composition.network.step_event(&mut sched);
     }
     let entries = composition.network.trace().cs_entries(None);
     let fairness = FairnessReport::from_trace(composition.network.trace(), n);
@@ -89,7 +89,7 @@ fn main() {
     let mut sched2 = RandomFair::new(11);
     // First stabilize, then corrupt every node's spanning-tree state.
     for _ in 0..200_000 {
-        st_net.step(&mut sched2);
+        st_net.step_event(&mut sched2);
         if stree::distances_are_exact(&st_net) {
             break;
         }
@@ -100,7 +100,7 @@ fn main() {
     }
     let mut recovery_steps = 0u64;
     while !stree::distances_are_exact(&st_net) {
-        st_net.step(&mut sched2);
+        st_net.step_event(&mut sched2);
         recovery_steps += 1;
         assert!(recovery_steps < 2_000_000, "the spanning tree must re-converge");
     }

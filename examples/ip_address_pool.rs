@@ -51,7 +51,7 @@ fn main() {
     // compiled network by hand instead of calling `scenario.run()`).
     let mut monitor = SafetyMonitor::new(cfg).with_conservation();
     for _ in 0..400_000u64 {
-        net.step(&mut sched);
+        net.step_event(&mut sched);
         if net.now().is_multiple_of(64) {
             monitor.check(&net);
         }

@@ -68,7 +68,7 @@ fn main() {
     println!("fault injected: +2 resource tokens, +1 priority token");
 
     for _ in 0..400_000u64 {
-        net.step(&mut sched);
+        net.step_event(&mut sched);
         if net.now().is_multiple_of(200) {
             recorder.observe(&net);
         }

@@ -79,6 +79,6 @@ pub mod prelude {
     pub use treenet::{
         engine, run_for, run_until, run_until_quiescent, Adversarial, AppDriver, CsState, Event,
         EventScheduler, FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin,
-        Scheduler, Synchronous,
+        Synchronous,
     };
 }

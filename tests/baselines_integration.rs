@@ -74,7 +74,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         let mut sched = RandomFair::new(11);
         run_for(&mut net, &mut sched, 150_000);
         for _ in 0..50_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
             assert!(used <= cfg.l, "ring over-allocated");
         }
@@ -90,7 +90,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         });
         let mut sched = RandomFair::new(12);
         for _ in 0..120_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             assert!(baselines::centralized::units_in_use(&net) <= cfg.l);
         }
     }
@@ -98,7 +98,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         let mut net = baselines::permission::network(n, cfg, driver);
         let mut sched = RandomFair::new(13);
         for _ in 0..120_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             assert!(baselines::permission::units_in_use(&net) <= cfg.l);
         }
     }

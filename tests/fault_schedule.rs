@@ -151,8 +151,6 @@ fn renumbering_churn_keeps_the_pre_churn_driver_assignment() {
 /// channel that does not exist, which panics).
 #[test]
 fn slab_degrees_match_the_topology_after_every_churn_event() {
-    use treenet::NetworkView;
-
     let cfg = KlConfig::new(1, 2, 8);
     let build =
         |tree: OrientedTree| protocol::ss::network(tree, cfg, workloads::all_saturated(1, 4));
@@ -161,7 +159,7 @@ fn slab_degrees_match_the_topology_after_every_churn_event() {
     let assert_degrees = |net: &Network<SsNode, OrientedTree>, event: &str| {
         for v in 0..net.len() {
             assert_eq!(
-                NetworkView::degree(net, v),
+                net.degree(v),
                 net.topology().degree(v),
                 "after {event}: slab degree of node {v}"
             );

@@ -47,7 +47,7 @@ fn composed_system_is_safe_fair_and_live_on_a_mesh() {
     let mut monitor = SafetyMonitor::new(kl).with_conservation();
     composition.network.trace_mut().clear();
     for _ in 0..120_000u64 {
-        composition.network.step(&mut sched);
+        composition.network.step_event(&mut sched);
         if composition.network.now().is_multiple_of(64) {
             monitor.check(&composition.network);
         }
@@ -72,7 +72,7 @@ fn waiting_time_bound_holds_on_the_constructed_tree() {
             .expect("composition stabilizes");
     composition.network.trace_mut().clear();
     for _ in 0..150_000u64 {
-        composition.network.step(&mut sched);
+        composition.network.step_event(&mut sched);
     }
     let bound = topology::euler::theorem2_waiting_bound(kl.l, n);
     let worst = waiting_times(composition.network.trace())

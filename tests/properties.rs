@@ -308,7 +308,7 @@ proptest! {
         let mut sched = RoundRobin::new();
         let mut converged = false;
         for _ in 0..200_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             if stree::distances_are_exact(&net) && stree::parents_form_tree(&net) {
                 converged = true;
                 break;
@@ -330,7 +330,7 @@ fn assert_net_consistent<P: treenet::Process>(net: &treenet::Network<P, Oriented
     for v in 0..net.len() {
         let degree = net.topology().degree(v);
         assert_eq!(enabled.degree(v), degree, "node {v} degree");
-        assert_eq!(treenet::NetworkView::degree(net, v), degree, "node {v} slab degree");
+        assert_eq!(net.degree(v), degree, "node {v} slab degree");
         let nonempty: Vec<usize> =
             (0..degree).filter(|&l| !net.channel(v, l).is_empty()).collect();
         assert_eq!(enabled.deliverable_count(v), nonempty.len(), "node {v} deliverable count");
@@ -372,7 +372,7 @@ proptest! {
         let boot = measure_convergence(&mut net, &mut sched, &cfg, 3_000_000, 2_000);
         prop_assert!(boot.converged());
         for _ in 0..30_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
             prop_assert!(used <= cfg.l);
             for nd in net.nodes() {
@@ -430,7 +430,7 @@ proptest! {
 
         // Let traffic build up before the campaign starts.
         for _ in 0..200u32 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
         }
         assert_net_consistent(&net);
 
@@ -501,7 +501,7 @@ proptest! {
             assert_net_consistent(&net);
             // The network keeps running correctly after every event.
             for _ in 0..100u32 {
-                net.step(&mut sched);
+                net.step_event(&mut sched);
             }
             assert_net_consistent(&net);
         }
@@ -529,7 +529,7 @@ proptest! {
         });
         prop_assert!(booted.is_satisfied());
         for _ in 0..15_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             let census = count_tokens(&net);
             prop_assert_eq!(census.resource, cfg.l);
             prop_assert_eq!(census.pusher + census.priority, 2);

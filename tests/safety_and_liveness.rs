@@ -37,7 +37,7 @@ fn safety_and_fairness_on_varied_topologies() {
 
         let mut monitor = SafetyMonitor::new(cfg).with_conservation();
         for _ in 0..80_000u64 {
-            net.step(&mut sched);
+            net.step_event(&mut sched);
             if net.now() % 32 == 0 {
                 monitor.check(&net);
             }

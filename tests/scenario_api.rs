@@ -277,6 +277,21 @@ fn out_of_range_victims_are_rejected_for_main_and_warmup_daemons() {
     assert!(matches!(warmup, Err(ScenarioError::Invalid(_))));
 }
 
+/// A victim list that names every node, one of them twice, leaves the adversary no one else
+/// to schedule: it falls back to the round-robin decisions instead of searching for a
+/// non-victim forever, on the simulator and on the harness.
+#[test]
+fn duplicate_victims_covering_every_node_do_not_hang_the_simulator() {
+    let mut spec = preset("checker-safety").expect("bundled preset");
+    spec.daemon = DaemonSpec::Adversarial { victims: vec![0, 1, 2, 2], patience: 3 };
+    spec.stop = StopSpec::Steps { steps: 600 };
+    let scenario = spec.compile().expect("in-range victims validate");
+    assert_eq!(scenario.run().outcome, treenet::RunOutcome::Satisfied(600));
+    let harness = scenario.run_harness(1);
+    assert_eq!(harness.per_trial.len(), scenario.spec().trials as usize);
+    assert_eq!(harness.fraction("satisfied"), 1.0);
+}
+
 // ---------------------------------------------------------------- cross-backend consistency
 
 /// A small preset produces the identical trace via `Scenario::run` and via hand-wired
@@ -310,7 +325,7 @@ fn scenario_run_equals_hand_wired_execution() {
     );
 }
 
-/// The same consistency through the dynamically-dispatched predicate path (run_until).
+/// The same consistency through the predicate stop rule (run_until).
 #[test]
 fn scenario_predicate_run_equals_hand_wired_run_until() {
     let scenario = Scenario::builder("cs-entries cross-check")
