@@ -25,9 +25,7 @@ use super::spec::{ProtocolSpec, WorkloadSpec};
 use super::ScenarioError;
 use crate::progress::ProgressSink;
 use checker::snapshot::CheckableNode;
-use checker::{
-    drivers, properties, ExplorationReport, ExploreEngine, ExploreProgress, Explorer, Limits,
-};
+use checker::{drivers, properties, ExplorationReport, ExploreProgress, Explorer, Limits};
 use klex_core::{naive, nonstab, pusher, ss, KlConfig, Message};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +36,7 @@ use treenet::{FaultInjector, Network, NodeId};
 impl CompiledScenario {
     /// Exhaustively explores the scenario's reachable configuration space (bounded by the
     /// spec's [`super::spec::CheckSpec`]) and checks the selected properties on every
-    /// configuration, using the default (delta) exploration engine.
+    /// configuration, with the checker's one production engine ([`Explorer::run`]).
     ///
     /// Returns an error when the scenario cannot be lowered soundly: the ring baseline has no
     /// snapshot support, and stateful workloads would break the explorer's state abstraction.
@@ -57,19 +55,20 @@ impl CompiledScenario {
         _threads: Option<usize>,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ExplorationReport, ScenarioError> {
-        self.check_with_sink(ExploreEngine::Delta, sink)
+        self.check_with_sink(false, sink)
     }
 
-    /// [`CompiledScenario::check`] with an explicit engine choice — the hook the delta-parity
-    /// suite uses to run the same lowered instance through both engines and compare the
-    /// reports.
-    pub fn check_with(&self, engine: ExploreEngine) -> Result<ExplorationReport, ScenarioError> {
-        self.check_with_sink(engine, None)
+    /// [`CompiledScenario::check`] through the interned oracle engine
+    /// ([`Explorer::run_interned`]) instead: the hook the fuzzer and the delta-parity tests
+    /// use to run the same lowered instance through both engines and compare the reports.
+    #[doc(hidden)]
+    pub fn check_interned(&self) -> Result<ExplorationReport, ScenarioError> {
+        self.check_with_sink(true, None)
     }
 
     fn check_with_sink(
         &self,
-        engine: ExploreEngine,
+        interned: bool,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ExplorationReport, ScenarioError> {
         let spec = self.spec();
@@ -78,19 +77,19 @@ impl CompiledScenario {
                 let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| naive::network(t, c, d);
                 let mut net = self.lowered_net(construct)?;
                 self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, engine, sink)
+                self.check_net(net, interned, sink)
             }
             ProtocolSpec::Pusher => {
                 let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| pusher::network(t, c, d);
                 let mut net = self.lowered_net(construct)?;
                 self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, engine, sink)
+                self.check_net(net, interned, sink)
             }
             ProtocolSpec::NonStab => {
                 let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| nonstab::network(t, c, d);
                 let mut net = self.lowered_net(construct)?;
                 self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, engine, sink)
+                self.check_net(net, interned, sink)
             }
             ProtocolSpec::Ss if spec.check.from_legitimate => {
                 // Closure checking (Definition 1): stabilize the lowered instance under a
@@ -110,7 +109,7 @@ impl CompiledScenario {
                 let construct =
                     |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| checker::scenarios::ss_for_checking(t, c, d);
                 self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, engine, sink)
+                self.check_net(net, interned, sink)
             }
             ProtocolSpec::Ss => {
                 let construct = |t, c: KlConfig, d: &mut dyn FnMut(NodeId) -> BoxedDriver| {
@@ -127,7 +126,7 @@ impl CompiledScenario {
                     net.inject_from(root, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
                 }
                 self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, engine, sink)
+                self.check_net(net, interned, sink)
             }
             ProtocolSpec::Ring => Err(ScenarioError::NotCheckable(
                 "the ring baseline has no checker snapshot support".to_string(),
@@ -248,7 +247,7 @@ impl CompiledScenario {
     fn check_net<P>(
         &self,
         mut net: Network<P, OrientedTree>,
-        engine: ExploreEngine,
+        interned: bool,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ExplorationReport, ScenarioError>
     where
@@ -259,7 +258,7 @@ impl CompiledScenario {
         if let Some(adapter) = &adapter {
             explorer = explorer.with_progress(adapter);
         }
-        Ok(explorer.run_with(engine))
+        Ok(if interned { explorer.run_interned() } else { explorer.run() })
     }
 }
 

@@ -6,7 +6,7 @@
 //! a first-class value:
 //!
 //! ```text
-//!  ScenarioSpec ── serde JSON ⇄ ScenarioSpec::from_json / to_json
+//!  ScenarioSpec ── JSON ⇄ to_json (derived Serialize) / from_json (derived Deserialize)
 //!       │ compile() (validates)
 //!       ▼
 //!  CompiledScenario
@@ -41,7 +41,6 @@
 
 mod check;
 mod compile;
-mod json;
 pub mod mutate;
 mod presets;
 mod schedule;
@@ -51,7 +50,6 @@ pub use compile::{
     deepest_node, CompiledScenario, Daemon, EpochOutcome, HarnessReport, Scenario, ScenarioNode,
     ScenarioOutcome,
 };
-pub use json::schedule_from_value;
 pub use mutate::{mutate_spec, random_spec, GenLimits};
 pub use presets::{
     figure2_deadlock_init, preset, FIGURE2_NEEDS, FIGURE3_NEEDS, PRESET_NAMES,
@@ -90,3 +88,9 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+impl From<serde::DeError> for ScenarioError {
+    fn from(e: serde::DeError) -> Self {
+        ScenarioError::Json(e.to_string())
+    }
+}

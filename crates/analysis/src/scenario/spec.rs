@@ -659,7 +659,8 @@ pub struct CheckSpec {
     /// Explore from a *stabilized* configuration instead of the clean initial one: the
     /// lowered network first runs a deterministic fair schedule until sustained legitimacy
     /// (the closure half of Definition 1).  Only meaningful for the `ss` rung, and
-    /// incompatible with init overrides.
+    /// incompatible with init overrides.  Optional in JSON (absent = `false`).
+    #[serde(default)]
     pub from_legitimate: bool,
 }
 
@@ -753,11 +754,13 @@ pub struct ScenarioSpec {
     pub snapshots: Option<SnapshotSpec>,
     /// Stop condition of the measured phase.
     pub stop: StopSpec,
-    /// Metric selection (empty = [`DEFAULT_METRICS`]).
+    /// Metric selection (empty = [`DEFAULT_METRICS`]; optional in JSON).
+    #[serde(default)]
     pub metrics: Vec<String>,
     /// Temporal monitors evaluated on simulator runs ([`crate::monitor::MONITOR_NAMES`]):
     /// the paper property (or properties) this scenario certifies, as data.  Empty = no
-    /// monitoring.
+    /// monitoring; optional in JSON.
+    #[serde(default)]
     pub properties: Vec<String>,
     /// Number of trials in harness runs.
     pub trials: u64,
@@ -779,11 +782,14 @@ impl ScenarioSpec {
     }
 
     /// Parses a spec from its JSON representation (the format [`ScenarioSpec::to_json`]
-    /// emits: externally tagged enums, structs as objects).
+    /// emits: externally tagged enums, structs as objects).  Unknown keys are ignored;
+    /// `Option` fields, [`ScenarioSpec::metrics`], [`ScenarioSpec::properties`] and
+    /// [`CheckSpec::from_legitimate`] may be left out.  Decoding checks shapes only;
+    /// [`ScenarioSpec::compile`] validates.
     pub fn from_json(input: &str) -> Result<Self, ScenarioError> {
         let value = serde_json::from_str(input)
             .map_err(|e| ScenarioError::Json(format!("unparsable spec: {e}")))?;
-        super::json::spec_from_value(&value)
+        Ok(serde_json::from_value(&value)?)
     }
 
     /// True when the fault schedule contains a topology-churn epoch (the network's shape

@@ -26,7 +26,7 @@
 
 use analysis::harness::{render_csv, render_jsonl, render_markdown_table};
 use analysis::scenario::{
-    preset, schedule_from_value, CompiledScenario, InitiatorSpec, ScenarioSpec, SnapshotSpec,
+    preset, CompiledScenario, FaultScheduleSpec, InitiatorSpec, ScenarioSpec, SnapshotSpec,
     PRESET_NAMES,
 };
 use bench::runner::{run_rows, Backend, RunRequest};
@@ -181,7 +181,8 @@ fn load_scenario(
             .map_err(|e| format!("unreadable fault schedule `{path}`: {e}"))?;
         let value = serde_json::from_str(&text)
             .map_err(|e| format!("unparsable fault schedule `{path}`: {e}"))?;
-        let schedule = schedule_from_value(&value).map_err(|e| e.to_string())?;
+        let schedule = serde_json::from_value::<FaultScheduleSpec>(&value)
+            .map_err(|e| format!("bad fault schedule `{path}`: {e}"))?;
         spec.fault_schedule = Some(schedule);
     }
     if let Some(interval) = snapshots {

@@ -5,8 +5,8 @@
 //! Every scenario the campaign evaluates is run through **three** executions of the same
 //! spec and their answers are compared:
 //!
-//! 1. the **delta** checker engine ([`checker::ExploreEngine::Delta`]);
-//! 2. the **interned** checker engine ([`checker::ExploreEngine::Interned`]) — the two
+//! 1. the **delta** checker engine ([`checker::Explorer::run`]);
+//! 2. the **interned** checker engine ([`checker::Explorer::run_interned`]) — the two
 //!    reports must be identical field for field (states, transitions, per-level frontier
 //!    sizes, violations, deadlocks, fair-cycle lassos, and the recorded
 //!    [`checker::GraphSummary`]);
@@ -59,7 +59,7 @@ use analysis::harness::{auto_shards, run_sharded, trial_seed};
 use analysis::monitor;
 use analysis::{NullSink, ProgressSink};
 use analysis::scenario::{mutate_spec, random_spec, GenLimits, ScenarioSpec, StopSpec};
-use checker::{ExplorationReport, ExploreEngine};
+use checker::ExplorationReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -552,12 +552,9 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
         .compile()
         .map_err(|e| format!("generated spec failed to validate: {e}"))?;
 
-    let delta = scenario
-        .check_with(ExploreEngine::Delta)
-        .map_err(|e| format!("delta lowering failed: {e}"))?;
-    let interned = scenario
-        .check_with(ExploreEngine::Interned)
-        .map_err(|e| format!("interned lowering failed: {e}"))?;
+    let delta = scenario.check().map_err(|e| format!("delta lowering failed: {e}"))?;
+    let interned =
+        scenario.check_interned().map_err(|e| format!("interned lowering failed: {e}"))?;
     compare_reports("delta", &delta, "interned", &interned)?;
 
     // The simulator run, monitored.  Monitors are advisory on faulty scenarios (a fault can

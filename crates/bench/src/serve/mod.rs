@@ -38,7 +38,7 @@ pub use jobs::{JobKind, JobSnapshot, JobState, SubmitError};
 use crate::fuzz::{self, FuzzOptions};
 use crate::runner::{self, Backend, RunRequest};
 use analysis::harness::{auto_workers, render_jsonl, trial_seed};
-use analysis::scenario::{preset, ScenarioSpec};
+use analysis::scenario::{preset, ScenarioError, ScenarioSpec};
 use analysis::{Counter, MetricsRegistry, ProgressSink};
 use jobs::{event_line, EventValue, JobTable};
 use serde_json::Value;
@@ -374,9 +374,8 @@ fn parse_job(body: &str, default_seed: u64) -> Result<(String, JobKind), String>
     let spec = if let Some(name) = doc.get("preset").and_then(Value::as_str) {
         preset(name).ok_or_else(|| format!("unknown preset `{name}` (try `klex list`)"))?
     } else if let Some(spec_value) = doc.get("spec") {
-        // The shim parses to a dynamic `Value`; re-render the subtree and hand it to the
-        // spec's own (validating) parser.
-        ScenarioSpec::from_json(&crate::history::render(spec_value)).map_err(|e| e.to_string())?
+        serde_json::from_value::<ScenarioSpec>(spec_value)
+            .map_err(|e| ScenarioError::from(e).to_string())?
     } else {
         return Err("job needs `preset`, `spec` or `fuzz`".to_string());
     };

@@ -15,10 +15,11 @@
 //! finds one for the pusher-only protocol and none for the priority-augmented protocol —
 //! exactly the distinction the paper introduces the priority token for.
 //!
-//! The analysis is engine-agnostic: the delta and interned engines (see
-//! [`crate::ExploreEngine`]) assign identical state ids and record identical edge lists, so
-//! a cycle witness found on one engine's graph is valid verbatim on the other's — the
-//! delta-parity suite relies on this when cross-checking witnesses.
+//! The analysis is engine-agnostic: the delta and interned engines
+//! ([`crate::Explorer::run`], [`crate::Explorer::run_interned`]) assign identical state ids
+//! and record identical edge lists, so a cycle witness found on one engine's graph is valid
+//! verbatim on the other's — the delta-parity suite relies on this when cross-checking
+//! witnesses.
 
 use crate::explore::StateGraph;
 use treenet::{Activation, NodeId};

@@ -6,7 +6,7 @@
 //! therefore restricted to pure functions of the observable request state: the drivers in
 //! this module carry no mutable state and ignore the logical clock.
 //!
-//! Statelessness matters twice over for the delta engine ([`crate::ExploreEngine::Delta`]):
+//! Statelessness matters twice over for the delta engine ([`crate::Explorer::run`]):
 //! it derives every sibling successor by executing in place and *reverting* — the revert
 //! restores the captured node state and channel contents, but a driver's hidden mutable
 //! state (if it had any) would not be rewound, and the logical clock deliberately keeps

@@ -11,9 +11,8 @@
 //!
 //! Configurations never flow through the hot loop as [`Configuration`] values.  Each visited
 //! configuration is held exactly once, in packed form, by a [`StateArena`]
-//! (see [`crate::snapshot`]) and addressed by a dense [`StateId`].  The default sequential
-//! engine ([`Explorer::run`], aka [`ExploreEngine::Delta`]) additionally eliminates the
-//! per-transition full-state traffic:
+//! (see [`crate::snapshot`]) and addressed by a dense [`StateId`].  The engine
+//! ([`Explorer::run`]) additionally eliminates the per-transition full-state traffic:
 //!
 //! * the parent configuration is restored into the network **once per state**
 //!   ([`crate::snapshot::restore_packed_mapped`], which also records every segment's byte
@@ -54,23 +53,6 @@ use crate::snapshot::{InternOutcome, StateArena, StateId};
 use std::collections::VecDeque;
 use topology::Topology;
 use treenet::{Activation, CsState, Network, NodeId, StepUndo};
-
-/// Which sequential exploration engine an [`Explorer`] run uses.
-///
-/// Both engines visit the identical reachable space in the identical BFS order and return
-/// identical reports (the delta-parity test suite asserts it); they differ only in how a
-/// successor configuration is produced from its parent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExploreEngine {
-    /// Per transition: restore the parent's packed bytes into the network, execute, capture
-    /// and fx-hash the full successor.  Retained as the executable oracle the delta engine
-    /// is checked against.
-    Interned,
-    /// Per transition: execute in place with an undo log, re-pack only the dirty segments of
-    /// the parent's packed bytes, patch the segmented hash incrementally, and revert.  The
-    /// default engine.
-    Delta,
-}
 
 /// Exploration bounds.
 #[derive(Clone, Copy, Debug)]
@@ -535,21 +517,8 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         self.graph
     }
 
-    /// Runs the exploration with the default ([`ExploreEngine::Delta`]) engine and returns
-    /// its report.
-    pub fn run(&mut self) -> ExplorationReport {
-        self.run_delta()
-    }
-
-    /// Runs the exploration with an explicit engine choice (parity tests and benchmarks).
-    pub fn run_with(&mut self, engine: ExploreEngine) -> ExplorationReport {
-        match engine {
-            ExploreEngine::Interned => self.run_interned(),
-            ExploreEngine::Delta => self.run_delta(),
-        }
-    }
-
-    /// The delta successor engine: the sequential hot path.
+    /// Runs the exploration and returns its report.  This is the delta successor engine,
+    /// the sequential hot path.
     ///
     /// Per popped state the parent is restored **once** (recording its [`SegmentMap`] and
     /// per-segment hash terms); each transition then
@@ -572,7 +541,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     ///
     /// The restore → full capture → full hash triple of the interned engine is gone from the
     /// per-transition cost; what remains is O(touched state) work plus one memcpy.
-    pub fn run_delta(&mut self) -> ExplorationReport {
+    pub fn run(&mut self) -> ExplorationReport {
         let progress = self.progress;
         let net = &mut *self.net;
         let mut scratch = DeltaScratch::for_net(net);
@@ -1537,10 +1506,8 @@ mod tests {
         };
         for max_depth in [2, 5, 9] {
             let limits = Limits { max_configurations: 2_000_000, max_depth };
-            let interned =
-                Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Interned);
-            let delta =
-                Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Delta);
+            let interned = Explorer::new(&mut make()).with_limits(limits).run_interned();
+            let delta = Explorer::new(&mut make()).with_limits(limits).run();
             assert_eq!(delta.configurations, interned.configurations, "depth {max_depth}");
             assert_eq!(delta.transitions, interned.transitions, "depth {max_depth}");
             assert_eq!(delta.max_depth, interned.max_depth, "depth {max_depth}");
@@ -1565,12 +1532,12 @@ mod tests {
         let mut net = make();
         let mut interned_explorer =
             Explorer::new(&mut net).with_limits(limits).record_graph(true);
-        let interned = interned_explorer.run_with(ExploreEngine::Interned);
+        let interned = interned_explorer.run_interned();
         let interned_graph = interned_explorer.into_graph();
 
         let mut net = make();
         let mut delta_explorer = Explorer::new(&mut net).with_limits(limits).record_graph(true);
-        let delta = delta_explorer.run_with(ExploreEngine::Delta);
+        let delta = delta_explorer.run();
         let delta_graph = delta_explorer.into_graph();
 
         assert_eq!(delta.configurations, interned.configurations);
@@ -1611,9 +1578,9 @@ mod tests {
         };
         let limits = Limits { max_configurations: 7, max_depth: usize::MAX };
         let mut net = make();
-        let interned = Explorer::new(&mut net).with_limits(limits).run_with(ExploreEngine::Interned);
+        let interned = Explorer::new(&mut net).with_limits(limits).run_interned();
         let mut net = make();
-        let delta = Explorer::new(&mut net).with_limits(limits).run_with(ExploreEngine::Delta);
+        let delta = Explorer::new(&mut net).with_limits(limits).run();
         assert!(interned.truncated && delta.truncated);
         assert_eq!(delta.configurations, interned.configurations);
         assert_eq!(delta.transitions, interned.transitions);
@@ -1717,11 +1684,12 @@ mod tests {
         };
         let base = baseline::explore(&mut make(), limits);
         assert!(!base.truncated);
-        for engine in [ExploreEngine::Delta, ExploreEngine::Interned] {
-            let report = Explorer::new(&mut make()).with_limits(limits).run_with(engine);
-            assert_eq!(base.configurations, report.configurations, "{engine:?}");
-            assert_eq!(base.transitions, report.transitions, "{engine:?}");
-            assert!(!report.truncated, "{engine:?}");
+        let delta = Explorer::new(&mut make()).with_limits(limits).run();
+        let interned = Explorer::new(&mut make()).with_limits(limits).run_interned();
+        for (engine, report) in [("delta", delta), ("interned", interned)] {
+            assert_eq!(base.configurations, report.configurations, "{engine}");
+            assert_eq!(base.transitions, report.transitions, "{engine}");
+            assert!(!report.truncated, "{engine}");
         }
     }
 }

@@ -86,7 +86,7 @@ pub mod snapshot;
 pub use cycles::{find_progress_cycle, CycleWitness};
 pub use liveness::{find_fair_cycles, LassoWitness};
 pub use explore::{
-    DeadlockWitness, Edge, ExplorationReport, ExploreEngine, ExploreProgress, Explorer,
+    DeadlockWitness, Edge, ExplorationReport, ExploreProgress, Explorer,
     GraphSummary, Limits, StateGraph, Violation,
 };
 pub use properties::Property;

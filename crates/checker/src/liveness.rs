@@ -552,12 +552,12 @@ mod tests {
         let delta = Explorer::new(&mut net)
             .with_limits(limits)
             .check_liveness(true)
-            .run_with(crate::ExploreEngine::Delta);
+            .run();
         let mut net = make();
         let interned = Explorer::new(&mut net)
             .with_limits(limits)
             .check_liveness(true)
-            .run_with(crate::ExploreEngine::Interned);
+            .run_interned();
         assert_eq!(delta.liveness.len(), interned.liveness.len());
         for (d, i) in delta.liveness.iter().zip(&interned.liveness) {
             assert_eq!(d.victim, i.victim);

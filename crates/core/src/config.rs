@@ -1,6 +1,6 @@
 //! Protocol parameters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a k-out-of-ℓ exclusion instance.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// * `literal_pusher_guard` — reproduce the pusher guard exactly as printed in the paper
 ///   (`Prio ≠ ⊥`), which contradicts the prose and starves priority holders.  Off by default;
 ///   used by the ablation experiment E10.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct KlConfig {
     /// Maximum number of units a single request may ask for (1 ≤ k ≤ ℓ).
     pub k: usize,

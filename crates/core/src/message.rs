@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use treenet::{ArbitraryMessage, MessageKind, SnapshotMessage};
 
 /// A message of the k-out-of-ℓ exclusion protocol, `⟨type, value…⟩` in the paper's notation.
@@ -20,7 +20,7 @@ use treenet::{ArbitraryMessage, MessageKind, SnapshotMessage};
 /// * [`Message::Garbage`] — an arbitrary corrupted message, as may populate channels after a
 ///   transient fault.  Legitimate protocol code never sends it; it exists so fault injection
 ///   can produce genuinely foreign channel content that the protocol must flush out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Message {
     /// A resource token (one unit of the shared resource).
     ResT,

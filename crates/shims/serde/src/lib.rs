@@ -1,18 +1,26 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment has no access to crates.io, so this workspace vendors a minimal
-//! serialization facility under the `serde` name.  [`Serialize`] writes JSON directly into a
-//! `String` (the only output format the workspace uses — see the sibling `serde_json` shim);
-//! [`Deserialize`] is a marker trait kept so `#[derive(Deserialize)]` attributes in the
-//! protocol crates continue to compile (nothing in the workspace deserializes into typed
-//! values — JSON is only ever parsed into `serde_json::Value`).
+//! serialization facility under the `serde` name, with JSON as its only format (see the
+//! sibling `serde_json` shim, which parses text and re-exports [`Value`]):
+//!
+//! * [`Serialize`] writes JSON directly into a `String`;
+//! * [`Deserialize`] decodes a type from a parsed [`Value`], reporting failures as a
+//!   [`DeError`] that names the field path of the offending value.
 //!
 //! The derive macros live in the sibling `serde_derive` proc-macro crate and are re-exported
-//! here, mirroring upstream serde's `derive` feature.
+//! here, mirroring upstream serde's `derive` feature.  Both follow serde's JSON data model, so
+//! a derived type decodes exactly what its derived `Serialize` writes.
 
 #![forbid(unsafe_code)]
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod value;
+
+pub use value::Value;
+
+use std::fmt;
 
 /// A type that can write itself as JSON.
 ///
@@ -24,10 +32,131 @@ pub trait Serialize {
     fn serialize_json(&self, out: &mut String);
 }
 
-/// Marker trait standing in for serde's `Deserialize`.
+/// A type that can decode itself from a parsed JSON [`Value`].
 ///
-/// Derived impls carry no behaviour; the workspace never deserializes into typed values.
-pub trait Deserialize {}
+/// The derive macro reads what the `Serialize` derive writes: structs from objects (unknown
+/// keys ignored; a missing field is an error unless it is an `Option`, which decodes as
+/// `None`, or is marked `#[serde(default)]`), unit enum variants from strings, and
+/// data-carrying variants from externally tagged single-key objects.
+pub trait Deserialize: Sized {
+    /// Decodes `v`, or says what is wrong with it and where.
+    fn from_value(v: &Value) -> Result<Self, DeError>;
+}
+
+/// Why a [`Value`] does not decode: a message and the path to the offending value, written
+/// as field names and element indices from the document root (`config.k`,
+/// `fault_schedule.epochs[1].plan`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeError {
+    path: String,
+    message: String,
+}
+
+impl DeError {
+    /// An error at the value being decoded (empty path).
+    pub fn new(message: impl Into<String>) -> Self {
+        DeError { path: String::new(), message: message.into() }
+    }
+
+    /// "expected `what`, found …", naming the kind of value found.
+    pub fn expected(what: &str, found: &Value) -> Self {
+        DeError::new(format!("expected {what}, found {}", found.kind()))
+    }
+
+    /// Prefixes the path with a field name or an `[index]` segment, as the error propagates
+    /// out of the container that holds the offending value.
+    pub fn within(mut self, segment: &str) -> Self {
+        if !(self.path.is_empty() || self.path.starts_with('[')) {
+            self.path.insert(0, '.');
+        }
+        self.path.insert_str(0, segment);
+        self
+    }
+}
+
+impl fmt::Display for DeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "{}: {}", self.path, self.message)
+        }
+    }
+}
+
+impl std::error::Error for DeError {}
+
+/// The building blocks the `Deserialize` derive expands to.
+#[doc(hidden)]
+pub mod de {
+    use super::{DeError, Deserialize, Value};
+    use std::collections::BTreeMap;
+
+    /// The members of an object.
+    pub fn object(v: &Value) -> Result<&BTreeMap<String, Value>, DeError> {
+        match v {
+            Value::Object(map) => Ok(map),
+            other => Err(DeError::expected("an object", other)),
+        }
+    }
+
+    /// A required member; an absent one decodes as `null`, so only `Option` fields may be
+    /// left out.
+    pub fn field<T: Deserialize>(obj: &BTreeMap<String, Value>, key: &str) -> Result<T, DeError> {
+        match obj.get(key) {
+            Some(v) => T::from_value(v),
+            None => T::from_value(&Value::Null).map_err(|_| DeError::new("missing field")),
+        }
+        .map_err(|e| e.within(key))
+    }
+
+    /// A `#[serde(default)]` member: absent or `null` gives `T::default()`.
+    pub fn field_or_default<T: Deserialize + Default>(
+        obj: &BTreeMap<String, Value>,
+        key: &str,
+    ) -> Result<T, DeError> {
+        match obj.get(key) {
+            None | Some(Value::Null) => Ok(T::default()),
+            Some(v) => T::from_value(v).map_err(|e| e.within(key)),
+        }
+    }
+
+    /// An externally tagged enum: a bare string (unit variant) or a single-key object
+    /// `{"Variant": payload}`.
+    pub fn variant(v: &Value) -> Result<(&str, Option<&Value>), DeError> {
+        match v {
+            Value::String(tag) => Ok((tag, None)),
+            Value::Object(map) if map.len() == 1 => {
+                let (tag, payload) = map.iter().next().expect("one entry");
+                Ok((tag, Some(payload)))
+            }
+            other => Err(DeError::expected("an enum (string or single-key object)", other)),
+        }
+    }
+
+    /// The payload of a data-carrying variant.
+    pub fn payload<'v>(tag: &str, payload: Option<&'v Value>) -> Result<&'v Value, DeError> {
+        payload.ok_or_else(|| DeError::new(format!("variant `{tag}` needs fields")))
+    }
+
+    /// The elements of a tuple variant's payload array, which must hold exactly `len`.
+    pub fn elements(v: &Value, len: usize) -> Result<&[Value], DeError> {
+        match v {
+            Value::Array(items) if items.len() == len => Ok(items),
+            other => Err(DeError::expected(&format!("an array of {len} elements"), other)),
+        }
+    }
+
+    /// Element `i` of a tuple payload.
+    pub fn element<T: Deserialize>(items: &[Value], i: usize) -> Result<T, DeError> {
+        T::from_value(&items[i]).map_err(|e| e.within(&format!("[{i}]")))
+    }
+
+    /// The error for a tag no variant carries.
+    pub fn unknown_variant(tag: &str) -> DeError {
+        DeError::new(format!("unknown variant `{tag}`"))
+    }
+}
 
 /// Escapes and appends a string literal body (without the surrounding quotes).
 pub fn escape_into(s: &str, out: &mut String) {
@@ -53,7 +182,6 @@ macro_rules! impl_serialize_display {
                 out.push_str(&self.to_string());
             }
         }
-        impl Deserialize for $t {}
     )*};
 }
 
@@ -69,21 +197,18 @@ impl Serialize for f64 {
         }
     }
 }
-impl Deserialize for f64 {}
 
 impl Serialize for f32 {
     fn serialize_json(&self, out: &mut String) {
         f64::from(*self).serialize_json(out);
     }
 }
-impl Deserialize for f32 {}
 
 impl Serialize for bool {
     fn serialize_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for char {
     fn serialize_json(&self, out: &mut String) {
@@ -93,7 +218,6 @@ impl Serialize for char {
         out.push('"');
     }
 }
-impl Deserialize for char {}
 
 impl Serialize for str {
     fn serialize_json(&self, out: &mut String) {
@@ -108,7 +232,6 @@ impl Serialize for String {
         self.as_str().serialize_json(out);
     }
 }
-impl Deserialize for String {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_json(&self, out: &mut String) {
@@ -130,7 +253,6 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T> Deserialize for Option<T> {}
 
 fn serialize_seq<'a, T: Serialize + 'a>(items: impl Iterator<Item = &'a T>, out: &mut String) {
     out.push('[');
@@ -154,7 +276,6 @@ impl<T: Serialize> Serialize for Vec<T> {
         serialize_seq(self.iter(), out);
     }
 }
-impl<T> Deserialize for Vec<T> {}
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize_json(&self, out: &mut String) {
@@ -229,7 +350,6 @@ impl<K: MapKey, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
         serialize_map(self.iter(), out);
     }
 }
-impl<K, V> Deserialize for std::collections::BTreeMap<K, V> {}
 
 impl<K: MapKey, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
     fn serialize_json(&self, out: &mut String) {
@@ -260,6 +380,62 @@ impl_serialize_tuple! {
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
     (0 A, 1 B, 2 C, 3 D)
+}
+
+impl Deserialize for u64 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_u64().ok_or_else(|| DeError::expected("an unsigned integer", v))
+    }
+}
+
+macro_rules! impl_deserialize_narrow_uint {
+    ($($t:ty),*) => {$(
+        impl Deserialize for $t {
+            fn from_value(v: &Value) -> Result<Self, DeError> {
+                let n = u64::from_value(v)?;
+                <$t>::try_from(n)
+                    .map_err(|_| DeError::new(format!("{n} exceeds {}", stringify!($t))))
+            }
+        }
+    )*};
+}
+
+impl_deserialize_narrow_uint!(u8, u16, usize);
+
+impl Deserialize for f64 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_f64().ok_or_else(|| DeError::expected("a number", v))
+    }
+}
+
+impl Deserialize for bool {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_bool().ok_or_else(|| DeError::expected("a boolean", v))
+    }
+}
+
+impl Deserialize for String {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_str().map(str::to_string).ok_or_else(|| DeError::expected("a string", v))
+    }
+}
+
+impl<T: Deserialize> Deserialize for Option<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_value(v).map(Some),
+        }
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Array(items) => (0..items.len()).map(|i| de::element(items, i)).collect(),
+            other => Err(DeError::expected("an array", other)),
+        }
+    }
 }
 
 #[cfg(test)]

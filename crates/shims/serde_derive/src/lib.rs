@@ -3,8 +3,9 @@
 //! The offline build environment has neither `syn` nor `quote`, so the input item is parsed
 //! directly from the `proc_macro` token trees.  Supported shapes cover everything this
 //! workspace derives on: non-generic structs (named, tuple, unit) and non-generic enums with
-//! unit, tuple, and struct variants.  Output follows serde's JSON data model (externally
-//! tagged enums).
+//! unit, tuple, and struct variants (`Deserialize`: named structs and enums only).  Output
+//! follows serde's JSON data model (externally tagged enums).  The one field attribute is
+//! `#[serde(default)]`: `Deserialize` fills an absent or `null` field with `Default::default()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -12,8 +13,8 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     /// `struct S;`
     UnitStruct,
-    /// `struct S { a: T, b: U }` — field names in order.
-    NamedStruct(Vec<String>),
+    /// `struct S { a: T, b: U }` — fields in order.
+    NamedStruct(Vec<Field>),
     /// `struct S(T, U);` — number of fields.
     TupleStruct(usize),
     /// `enum E { ... }` — variants as (name, fields).
@@ -22,8 +23,15 @@ enum Shape {
 
 enum VariantFields {
     Unit,
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
+}
+
+/// One named field.
+struct Field {
+    name: String,
+    /// Marked `#[serde(default)]`.
+    default: bool,
 }
 
 /// Derives the shim's `serde::Serialize` (JSON writer) for the item.
@@ -34,7 +42,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::UnitStruct => "out.push_str(\"null\");".to_string(),
         Shape::NamedStruct(fields) => {
             let mut code = String::from("out.push('{');\n");
-            for (i, f) in fields.iter().enumerate() {
+            for (i, Field { name: f, .. }) in fields.iter().enumerate() {
                 if i > 0 {
                     code.push_str("out.push(',');\n");
                 }
@@ -91,7 +99,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         inner.push_str("out.push_str(\"]}\"); }\n");
                         arms.push_str(&inner);
                     }
-                    VariantFields::Named(fs) => {
+                    VariantFields::Named(fields) => {
+                        let fs: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         let mut inner = format!(
                             "{name}::{v} {{ {} }} => {{ out.push_str(\"{{\\\"{v}\\\":{{\");\n",
                             fs.join(", ")
@@ -119,13 +128,67 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     code.parse().expect("generated Serialize impl must parse")
 }
 
-/// Derives the shim's marker `serde::Deserialize` for the item.
-#[proc_macro_derive(Deserialize)]
+/// Derives the shim's `serde::Deserialize` (decoding from a `serde::Value`) for a named
+/// struct or an enum: the inverse of the `Serialize` derive.
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, _) = parse_item(input);
-    format!("impl serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("generated Deserialize impl must parse")
+    let (name, shape) = parse_item(input);
+    let body = match shape {
+        Shape::NamedStruct(fields) => format!(
+            "let obj = serde::de::object(v)?;\nOk({name} {{ {} }})",
+            field_inits(&fields)
+        ),
+        Shape::Enum(variants) => {
+            let payload = "serde::de::payload(tag, payload)?";
+            let mut arms = String::new();
+            for (v, fields) in &variants {
+                let arm = match fields {
+                    VariantFields::Unit => format!("Ok({name}::{v})"),
+                    VariantFields::Named(fields) => format!(
+                        "{{ let obj = serde::de::object({payload})?;\n\
+                         Ok({name}::{v} {{ {} }}) }}",
+                        field_inits(fields)
+                    ),
+                    VariantFields::Tuple(1) => {
+                        format!("Ok({name}::{v}(serde::Deserialize::from_value({payload})?))")
+                    }
+                    VariantFields::Tuple(n) => {
+                        let elements: Vec<String> =
+                            (0..*n).map(|i| format!("serde::de::element(items, {i})?")).collect();
+                        format!(
+                            "{{ let items = serde::de::elements({payload}, {n})?;\n\
+                             Ok({name}::{v}({})) }}",
+                            elements.join(", ")
+                        )
+                    }
+                };
+                arms.push_str(&format!("\"{v}\" => {arm},\n"));
+            }
+            format!(
+                "let (tag, payload) = serde::de::variant(v)?;\nlet _ = payload;\n\
+                 match tag {{\n{arms}other => Err(serde::de::unknown_variant(other)),\n}}"
+            )
+        }
+        Shape::UnitStruct | Shape::TupleStruct(_) => panic!(
+            "serde_derive shim: Deserialize supports named structs and enums; \
+             `{name}` is neither"
+        ),
+    };
+    let code = format!(
+        "impl serde::Deserialize for {name} {{\n\
+         fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {{\n{body}\n}}\n}}"
+    );
+    code.parse().expect("generated Deserialize impl must parse")
+}
+
+/// `a: serde::de::field(obj, "a")?, …` — the struct-literal fields of a decoded object.
+fn field_inits(fields: &[Field]) -> String {
+    let mut inits = String::new();
+    for Field { name, default } in fields {
+        let helper = if *default { "field_or_default" } else { "field" };
+        inits.push_str(&format!("{name}: serde::de::{helper}(obj, \"{name}\")?, "));
+    }
+    inits
 }
 
 /// Parses a struct or enum item down to the pieces the derives need.
@@ -186,17 +249,26 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
     }
 }
 
-/// Extracts field names from a named-field body, skipping attributes, visibility, and types.
-fn parse_named_fields(body: TokenStream) -> Vec<String> {
+/// Extracts the fields of a named-field body, skipping visibility, types, and attributes
+/// other than `#[serde(default)]`.
+fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut trees = body.into_iter().peekable();
     loop {
-        // Skip attributes and visibility before the field name.
-        let field = loop {
+        // Attributes and visibility before the field name.
+        let mut default = false;
+        let name = loop {
             match trees.next() {
                 None => return fields,
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    let _bracket = trees.next();
+                    let attr = trees.next().map(|t| t.to_string().replace(' ', ""));
+                    match attr.as_deref() {
+                        Some("[serde(default)]") => default = true,
+                        Some(a) if a.starts_with("[serde") => {
+                            panic!("serde_derive shim: unsupported attribute `#{a}`")
+                        }
+                        _ => {}
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     if let Some(TokenTree::Group(g)) = trees.peek() {
@@ -209,7 +281,7 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
                 Some(other) => panic!("serde_derive shim: unexpected field token {other:?}"),
             }
         };
-        fields.push(field);
+        fields.push(Field { name, default });
         match trees.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("serde_derive shim: expected `:` after field name, got {other:?}"),

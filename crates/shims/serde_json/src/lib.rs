@@ -1,13 +1,20 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Provides the two entry points the workspace uses: [`to_string`] (serialization through the
-//! shim's `serde::Serialize`) and [`from_str`] into a dynamically typed [`Value`] (no typed
-//! deserialization exists anywhere in the workspace).
+//! Provides the entry points the workspace uses: [`to_string`] (serialization through the
+//! shim's `serde::Serialize`), [`from_str`] into a dynamically typed [`Value`], and
+//! [`from_value`] from a `Value` into any `serde::Deserialize` type.
 
 #![forbid(unsafe_code)]
 
+pub use serde::{DeError, Value};
+
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`from_str`] accepts, as in upstream
+/// `serde_json`: the parser recurses once per level, so an unbounded document could exhaust
+/// the stack of whichever thread parses it.
+pub const MAX_DEPTH: usize = 128;
 
 /// A serialization/parsing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,151 +35,17 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// A dynamically typed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A non-integer (or out-of-range) number, stored as `f64`.
-    Number(f64),
-    /// An integer literal, stored exactly (`i128` covers the full `u64` and `i64` ranges, so
-    /// 64-bit seeds round-trip without the 2⁵³ precision loss of `f64`).
-    Integer(i128),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object with string keys.
-    Object(BTreeMap<String, Value>),
+/// Decodes a parsed document into a typed value.
+pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, DeError> {
+    T::from_value(value)
 }
 
-static NULL: Value = Value::Null;
-
-impl Value {
-    /// The string content, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric content, when this is a number (lossy for integers beyond 2⁵³).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            Value::Integer(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The exact unsigned-integer content, when this is an in-range integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Integer(i) => u64::try_from(*i).ok(),
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= (1u64 << 53) as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The exact signed-integer content, when this is an in-range integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Integer(i) => i64::try_from(*i).ok(),
-            Value::Number(n)
-                if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 =>
-            {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean content, when this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object member by key, when this is an object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-}
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-
-    fn index(&self, idx: usize) -> &Value {
-        match self {
-            Value::Array(items) => items.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == Some(other)
-    }
-}
-
-impl PartialEq<f64> for Value {
-    fn eq(&self, other: &f64) -> bool {
-        self.as_f64() == Some(*other)
-    }
-}
-
-impl PartialEq<bool> for Value {
-    fn eq(&self, other: &bool) -> bool {
-        self.as_bool() == Some(*other)
-    }
-}
-
-macro_rules! impl_value_int_eq {
-    ($($t:ty),*) => {$(
-        impl PartialEq<$t> for Value {
-            fn eq(&self, other: &$t) -> bool {
-                match self {
-                    Value::Integer(i) => *i == *other as i128,
-                    Value::Number(n) => *n == *other as f64,
-                    _ => false,
-                }
-            }
-        }
-    )*};
-}
-
-impl_value_int_eq!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-/// Parses a JSON document into a [`Value`].
+/// Parses a JSON document into a [`Value`]; arrays and objects may nest at most
+/// [`MAX_DEPTH`] levels deep.
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing characters at offset {pos}")));
@@ -186,8 +59,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error(format!("nesting deeper than {MAX_DEPTH} levels at offset {pos}")));
+    }
     match bytes.get(*pos) {
         None => Err(Error("unexpected end of input".into())),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -203,7 +80,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -231,7 +108,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error(format!("expected : at offset {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -382,5 +259,25 @@ mod tests {
         // Exponent literals parse as floats but still convert when integral and in range.
         assert_eq!(from_str("1e3").unwrap().as_u64(), Some(1000));
         assert_eq!(from_str("2.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str(&objects).is_ok());
+        let err = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // A 1 MiB bomb is refused at level 129 instead of overflowing the parsing thread's
+        // stack; a small stack shows the recursion really stops there.
+        let bomb = "[".repeat(1 << 20);
+        let result = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || from_str(&bomb))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result.is_err());
     }
 }

@@ -30,14 +30,14 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{RootedGraph, Topology};
 use treenet::{
     ArbitraryMessage, ChannelLabel, Context, Corruptible, MessageKind, Network, NodeId, Process,
 };
 
 /// The single message type of the spanning-tree protocol: "my current distance estimate".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct Beacon {
     /// The sender's distance estimate at the time of sending.
     pub dist: usize,
@@ -56,7 +56,7 @@ impl ArbitraryMessage for Beacon {
 }
 
 /// Parameters of the spanning-tree protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct StConfig {
     /// Number of processes (used as the bounded "infinity" of the distance domain).
     pub n: usize,

@@ -11,11 +11,11 @@
 
 use crate::tree::OrientedTree;
 use crate::{ChannelLabel, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One hop of the virtual ring: a token currently *at* `node`, having arrived on channel
 /// `in_label`, leaves on channel `out_label` towards the next slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct VirtualRingSlot {
     /// The process hosting this slot.
     pub node: NodeId,
@@ -28,7 +28,7 @@ pub struct VirtualRingSlot {
 
 /// The virtual ring of an oriented tree: the cyclic sequence of [`VirtualRingSlot`]s visited
 /// by a token obeying the DFS retransmission rule, starting from the root's channel `0`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct VirtualRing {
     slots: Vec<VirtualRingSlot>,
     n: usize,

@@ -7,11 +7,11 @@
 
 use crate::tree::OrientedTree;
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// How to extract a spanning tree from a rooted graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum SpanningTreeMethod {
     /// Breadth-first: parents are chosen along shortest paths from the root, which minimises
     /// tree height (and therefore virtual-ring eccentricity).
@@ -23,7 +23,7 @@ pub enum SpanningTreeMethod {
 /// An undirected connected graph with a distinguished root process.
 ///
 /// Adjacency lists are kept sorted so that spanning-tree extraction is deterministic.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct RootedGraph {
     n: usize,
     root: NodeId,

@@ -1,7 +1,7 @@
 //! Auxiliary topologies used by the baseline protocols: oriented rings and complete graphs.
 
 use crate::{ChannelLabel, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An oriented (unidirectional) ring of `n` processes with a distinguished root (node `0`).
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// paper cites as related work (Datta–Hadid–Villain).  Every process has a single channel,
 /// label `0`, on which it *receives* from its predecessor and *sends* to its successor:
 /// sending on channel `0` from node `i` delivers into node `(i + 1) mod n`'s channel `0`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Ring {
     n: usize,
 }
@@ -60,7 +60,7 @@ impl Topology for Ring {
 ///
 /// Node `p` labels its channel to node `q` with `q` if `q < p` and `q - 1` if `q > p`
 /// (i.e. the labels `0..n-1` enumerate the other nodes in increasing id order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Complete {
     n: usize,
 }

@@ -1,7 +1,7 @@
 //! Oriented trees with the paper's channel-labelling convention.
 
 use crate::{ChannelLabel, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A rooted ("oriented") tree.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Node `0` is always the root (builders guarantee this; [`OrientedTree::from_parents`]
 /// re-indexes if necessary).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct OrientedTree {
     parent: Vec<Option<NodeId>>,
     children: Vec<Vec<NodeId>>,

@@ -16,10 +16,10 @@
 //! live in the `workloads` crate.
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The application-visible state of a process, as defined in Section 2 of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 #[derive(Default)]
 pub enum CsState {
     /// Not requesting and not using any resource unit.

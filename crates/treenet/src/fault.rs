@@ -10,7 +10,7 @@ use crate::network::Network;
 use crate::process::{MessageKind, Process};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::Topology;
 
 /// A process whose local state can be set to an arbitrary value, as a transient fault would.
@@ -47,7 +47,7 @@ pub trait Restartable {
 }
 
 /// What kind and how much damage to inject.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct FaultPlan {
     /// Probability that each process has its local state corrupted.
     pub corrupt_node_prob: f64,
@@ -98,7 +98,7 @@ impl FaultPlan {
 }
 
 /// Summary of the damage actually injected, for reporting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct FaultReport {
     /// Number of processes whose local state was corrupted.
     pub nodes_corrupted: usize,

@@ -1,6 +1,6 @@
 //! Delta successor engine: undo-log correctness and engine parity.
 //!
-//! The delta engine (`checker::ExploreEngine::Delta`, the default behind `Explorer::run`)
+//! The delta engine (`checker::Explorer::run`, the checker's one production engine)
 //! derives every successor by executing **in place** and reverting through an undo log,
 //! re-packing and re-hashing only the segments a transition dirtied.  Its soundness rests on
 //! two claims, each pinned here against the retained interned oracle:
@@ -27,7 +27,7 @@ use analysis::scenario::{
 use checker::snapshot::{
     capture_packed, restore_packed_mapped, segmented_hash, CheckableNode, SegmentMap,
 };
-use checker::{drivers, ExplorationReport, ExploreEngine, Explorer, Limits};
+use checker::{drivers, ExplorationReport, Explorer, Limits};
 use klex_core::KlConfig;
 use proptest::prelude::*;
 use topology::{OrientedTree, Topology};
@@ -196,8 +196,8 @@ fn assert_reports_identical(name: &str, delta: &ExplorationReport, interned: &Ex
 fn delta_and_interned_engines_agree_on_the_paper_presets() {
     for name in ["checker-safety", "figure2", "figure2-pusher", "figure3-pusher", "figure3-nonstab"] {
         let scenario = preset(name).expect("known preset").compile().expect("valid preset");
-        let interned = scenario.check_with(ExploreEngine::Interned).expect("checkable preset");
-        let delta = scenario.check_with(ExploreEngine::Delta).expect("checkable preset");
+        let interned = scenario.check_interned().expect("checkable preset");
+        let delta = scenario.check().expect("checkable preset");
         assert_reports_identical(name, &delta, &interned);
         // `check()` is the delta engine.
         let default_engine = scenario.check().expect("checkable preset");
@@ -216,10 +216,9 @@ fn delta_and_interned_agree_on_a_random_tree() {
     };
     let limits = Limits { max_configurations: 2_000_000, max_depth: usize::MAX };
 
-    let delta = Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Delta);
+    let delta = Explorer::new(&mut make()).with_limits(limits).run();
     assert!(delta.exhaustive());
-    let interned =
-        Explorer::new(&mut make()).with_limits(limits).run_with(ExploreEngine::Interned);
+    let interned = Explorer::new(&mut make()).with_limits(limits).run_interned();
     assert_reports_identical("delta-vs-interned", &delta, &interned);
 }
 
@@ -276,9 +275,8 @@ proptest! {
         let needs: Vec<usize> = needs_seed.iter().take(n).map(|u| u.min(&k)).copied().collect();
         let spec = random_scenario(rung, n, seed, l, k, needs, hold);
         let scenario = spec.compile().expect("generated scenario validates");
-        let delta =
-            scenario.check_with(ExploreEngine::Delta).expect("tree rungs lower into the checker");
-        let interned = scenario.check_with(ExploreEngine::Interned).expect("same lowering");
+        let delta = scenario.check().expect("tree rungs lower into the checker");
+        let interned = scenario.check_interned().expect("same lowering");
         assert_reports_identical(&scenario.spec().name, &delta, &interned);
     }
 }
@@ -295,9 +293,8 @@ fn coverage_signatures_are_engine_independent() {
         let scenario = spec.compile().expect("scenario validates");
         let name = &scenario.spec().name;
         let (_, monitors) = scenario.run_monitored();
-        let delta =
-            scenario.check_with(ExploreEngine::Delta).expect("tree rungs lower into the checker");
-        let interned = scenario.check_with(ExploreEngine::Interned).expect("same lowering");
+        let delta = scenario.check().expect("tree rungs lower into the checker");
+        let interned = scenario.check_interned().expect("same lowering");
         assert_eq!(
             CoverageSignature::of(&delta, &monitors).key(),
             CoverageSignature::of(&interned, &monitors).key(),

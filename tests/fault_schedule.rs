@@ -3,7 +3,7 @@
 //! simulator, sharded harness, and bounded-exhaustive checker — with per-epoch
 //! convergence times in the report, identical across engines and shard counts.
 
-use checker::{ExplorationReport, ExploreEngine};
+use checker::ExplorationReport;
 use kl_exclusion::prelude::*;
 
 use analysis::scenario::{preset, FaultEventSpec, FaultScheduleSpec};
@@ -103,8 +103,8 @@ fn checker_engines_agree_on_a_churn_schedule() {
     assert!(schedule.epochs.len() >= 3);
     assert!(schedule.epochs.iter().any(|e| e.is_churn()));
 
-    let delta = scenario.check_with(ExploreEngine::Delta).expect("schedules lower");
-    let interned = scenario.check_with(ExploreEngine::Interned).expect("schedules lower");
+    let delta = scenario.check().expect("schedules lower");
+    let interned = scenario.check_interned().expect("schedules lower");
     assert_reports_identical("delta vs interned", &delta, &interned);
 
     // The churn grew the chain by one leaf before exploration started, so the explored
@@ -139,8 +139,8 @@ fn renumbering_churn_keeps_the_pre_churn_driver_assignment() {
         })
         .build()
         .expect("valid spec");
-    let delta = scenario.check_with(ExploreEngine::Delta).expect("lowers");
-    let interned = scenario.check_with(ExploreEngine::Interned).expect("lowers");
+    let delta = scenario.check().expect("lowers");
+    let interned = scenario.check_interned().expect("lowers");
     assert_reports_identical("delta vs interned", &delta, &interned);
     assert_eq!(delta.configurations, 6, "the carried-over driver assignment");
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the unified scenario API.
 //!
 //! * **Serde round-trip** (proptest): `spec → JSON → spec` is the identity for randomly
-//!   generated specs — the manual JSON decoder in `analysis::scenario` exactly inverts the
-//!   derive-generated serializer.
+//!   generated specs — the derived `Deserialize` of the spec types exactly inverts their
+//!   derived `Serialize`.
 //! * **Cross-backend consistency**: a small preset produces the *identical trace* via
 //!   `Scenario::run` and via a hand-wired `protocol::ss::network` + `run_for` execution.
 //! * **Acceptance**: one `ScenarioSpec` value — the `figure2` preset — demonstrably drives
@@ -204,6 +204,59 @@ fn malformed_specs_are_rejected_with_context() {
     assert!(ScenarioSpec::from_json("{}").is_err());
     let err = ScenarioSpec::from_json(r#"{"name":"x"}"#).unwrap_err();
     assert!(err.to_string().contains("topology"), "{err}");
+
+    // Each broken document names the path to what is wrong.
+    let mut spec = preset("figure2").expect("known preset");
+    spec.init.as_mut().expect("figure2 has init overrides").inject = vec![
+        InjectSpec {
+            from: 0,
+            channel: 0,
+            message: MessageSpec::Ctrl { c: 1, r: false, pt: 0, ppr: 255 },
+        },
+        InjectSpec { from: 1, channel: 0, message: MessageSpec::Garbage { tag: 65535 } },
+    ];
+    let json = spec.to_json();
+    assert_eq!(ScenarioSpec::from_json(&json), Ok(spec));
+    for (from, to, expected) in [
+        ("\"k\":3,", "", "config.k: missing field"),
+        ("\"k\":3", "\"k\":\"3\"", "config.k: expected an unsigned integer, found a string"),
+        ("\"protocol\":\"Naive\"", "\"protocol\":\"Bogus\"", "protocol: unknown variant `Bogus`"),
+        ("\"ppr\":255", "\"ppr\":256", "init.inject[0].message.ppr: 256 exceeds u8"),
+        ("\"tag\":65535", "\"tag\":70000", "init.inject[1].message.tag: 70000 exceeds u16"),
+    ] {
+        let broken = json.replacen(from, to, 1);
+        assert_ne!(broken, json, "`{from}` must occur in the document");
+        assert_eq!(ScenarioSpec::from_json(&broken), Err(ScenarioError::Json(expected.into())));
+    }
+}
+
+/// `metrics`, `properties` and `check.from_legitimate` may be left out (or `null`) and
+/// default to empty/false; the `Option` fields `fault_schedule` and `snapshots` default to
+/// `None`.
+#[test]
+fn optional_spec_fields_take_their_documented_defaults() {
+    let mut spec = preset("figure2").expect("known preset");
+    spec.metrics.clear();
+    spec.properties.clear();
+    assert!(!spec.check.from_legitimate);
+    assert_eq!((&spec.fault_schedule, &spec.snapshots), (&None, &None));
+    let json = spec.to_json();
+    let optional = [
+        ",\"metrics\":[]",
+        ",\"properties\":[]",
+        ",\"from_legitimate\":false",
+        ",\"fault_schedule\":null",
+        ",\"snapshots\":null",
+    ];
+    let (mut absent, mut null) = (json.clone(), json.clone());
+    for field in optional {
+        assert!(json.contains(field), "{field}");
+        absent = absent.replacen(field, "", 1);
+        let key = field.split(':').next().expect("a key");
+        null = null.replacen(field, &format!("{key}:null"), 1);
+    }
+    assert_eq!(ScenarioSpec::from_json(&absent), Ok(spec.clone()));
+    assert_eq!(ScenarioSpec::from_json(&null), Ok(spec));
 }
 
 /// A topology beyond the `u32` node-id space is a typed error, not a panic in the trace.

@@ -337,6 +337,20 @@ fn malformed_and_oversized_submissions_get_a_400_json_error() {
     let Some(Value::Array(jobs)) = listing.get("jobs") else { panic!("no jobs array") };
     assert!(jobs.is_empty(), "rejected submissions must not queue a job: {jobs:?}");
 
+    // 1 MiB of `[`, exactly the body limit, stops at the parser's depth cap: unbounded
+    // recursion would overflow the connection thread's stack and abort the whole daemon.
+    let bomb = "[".repeat(1 << 20);
+    let err = client::submit(&addr, &bomb).expect_err("a nesting bomb must be rejected");
+    assert!(err.contains("submit rejected (400)"), "unexpected error: {err}");
+    assert!(err.contains("nesting deeper than 128"), "unexpected error: {err}");
+
+    // A spec that parses but does not decode names the path to the problem.
+    let missing_k = preset("checker-safety").expect("bundled preset").to_json();
+    let missing_k = missing_k.replacen("\"k\":", "\"not_k\":", 1);
+    let err = client::submit(&addr, &format!(r#"{{"spec": {missing_k}}}"#))
+        .expect_err("a spec without config.k must be rejected");
+    assert!(err.contains("config.k: missing field"), "unexpected error: {err}");
+
     // The daemon is still healthy afterwards.
     let health = client::healthz(&addr).expect("healthz after bad submissions");
     assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
