@@ -120,7 +120,7 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
 fn path_within(
     graph: &StateGraph,
     in_scope: &[bool],
-    scc: &[usize],
+    scc: &[u32],
     from: usize,
     to: usize,
 ) -> Option<Vec<(Activation, usize)>> {
@@ -160,41 +160,55 @@ fn path_within(
 /// Iterative Tarjan SCC restricted to `in_scope` nodes.  Out-of-scope nodes get their own
 /// singleton component id and are never grouped with anything.  Shared with the fair-cycle
 /// liveness pass ([`crate::liveness`]), which runs it per candidate victim.
-pub(crate) fn tarjan_scc(graph: &StateGraph, in_scope: &[bool]) -> Vec<usize> {
+///
+/// The scoped subgraph is first copied into a compact CSR target list (in-scope targets of
+/// in-scope sources, `u32` each), so the search strides 4-byte ids instead of 32-byte
+/// [`crate::Edge`]s and skips out-of-scope targets once, not once per visit.
+pub(crate) fn tarjan_scc(graph: &StateGraph, in_scope: &[bool]) -> Vec<u32> {
     let n = graph.len();
-    const UNSET: usize = usize::MAX;
+    let mut starts: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    starts.push(0);
+    for (v, &scoped) in in_scope.iter().enumerate() {
+        if scoped {
+            let edges = graph.edges(v).iter().map(|e| e.target);
+            targets.extend(edges.filter(|&w| in_scope[w as usize]));
+        }
+        starts.push(targets.len() as u32);
+    }
+
+    const UNSET: u32 = u32::MAX;
     let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0usize; n];
+    let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut comp = vec![UNSET; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
+    let mut stack: Vec<u32> = Vec::new();
+    // The explicit DFS stack, shared by every root: (node, position of its next target).
+    let mut call_stack: Vec<(u32, u32)> = Vec::new();
+    let mut next_index = 0u32;
+    let mut next_comp = 0u32;
 
     for start in 0..n {
         if index[start] != UNSET || !in_scope[start] {
             continue;
         }
-        // Explicit DFS stack: (node, next-edge-to-visit).
-        let mut call_stack: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut edge_idx)) = call_stack.last_mut() {
-            if *edge_idx == 0 {
+        call_stack.push((start as u32, starts[start]));
+        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
+            let v = v as usize;
+            if index[v] == UNSET {
                 index[v] = next_index;
                 lowlink[v] = next_index;
                 next_index += 1;
-                stack.push(v);
+                stack.push(v as u32);
                 on_stack[v] = true;
             }
-            let edges = graph.edges(v);
+            let end = starts[v + 1];
             let mut descended = false;
-            while *edge_idx < edges.len() {
-                let w = edges[*edge_idx].target as usize;
-                *edge_idx += 1;
-                if !in_scope[w] {
-                    continue;
-                }
+            while *pos < end {
+                let w = targets[*pos as usize] as usize;
+                *pos += 1;
                 if index[w] == UNSET {
-                    call_stack.push((w, 0));
+                    call_stack.push((w as u32, starts[w]));
                     descended = true;
                     break;
                 } else if on_stack[w] {
@@ -207,11 +221,12 @@ pub(crate) fn tarjan_scc(graph: &StateGraph, in_scope: &[bool]) -> Vec<usize> {
             // Finished v.
             call_stack.pop();
             if let Some(&(parent, _)) = call_stack.last() {
+                let parent = parent as usize;
                 lowlink[parent] = lowlink[parent].min(lowlink[v]);
             }
             if lowlink[v] == index[v] {
                 loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
+                    let w = stack.pop().expect("tarjan stack underflow") as usize;
                     on_stack[w] = false;
                     comp[w] = next_comp;
                     if w == v {
@@ -223,11 +238,9 @@ pub(crate) fn tarjan_scc(graph: &StateGraph, in_scope: &[bool]) -> Vec<usize> {
         }
     }
     // Give out-of-scope nodes unique component ids.
-    for v in 0..n {
-        if comp[v] == UNSET {
-            comp[v] = next_comp;
-            next_comp += 1;
-        }
+    for c in comp.iter_mut().filter(|c| **c == UNSET) {
+        *c = next_comp;
+        next_comp += 1;
     }
     comp
 }
@@ -312,6 +325,49 @@ mod tests {
             find_progress_cycle(&graph, 1).is_none(),
             "with the priority token no reachable cycle starves process a"
         );
+    }
+
+    #[test]
+    fn tarjan_components_are_the_mutual_reachability_classes_of_the_scope() {
+        // Brute force on the Figure-3 pusher graph, scoped to the states starving process a:
+        // two scoped states share a component iff each reaches the other through scoped
+        // states; out-of-scope states are alone.
+        let net = klex_core::pusher::network(
+            topology::builders::figure3_tree(),
+            KlConfig::new(2, 3, 3),
+            drivers::from_needs_holding(&figure3_needs()),
+        );
+        let (_, graph) = explore_figure3(net, 50_000);
+        let n = graph.len();
+        let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, 1)).collect();
+        let reach = |from: usize| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![from];
+            seen[from] = true;
+            while let Some(u) = stack.pop() {
+                for edge in graph.edges(u) {
+                    let v = edge.target as usize;
+                    if in_scope[v] && !seen[v] {
+                        seen[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            seen
+        };
+        let reaches: Vec<Vec<bool>> =
+            (0..n).map(|id| if in_scope[id] { reach(id) } else { Vec::new() }).collect();
+        let scc = tarjan_scc(&graph, &in_scope);
+        for u in 0..n {
+            for v in 0..n {
+                let same = if in_scope[u] && in_scope[v] {
+                    reaches[u][v] && reaches[v][u]
+                } else {
+                    u == v
+                };
+                assert_eq!(scc[u] == scc[v], same, "states {u} and {v}");
+            }
+        }
     }
 
     #[test]

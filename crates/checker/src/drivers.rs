@@ -6,13 +6,14 @@
 //! therefore restricted to pure functions of the observable request state: the drivers in
 //! this module carry no mutable state and ignore the logical clock.
 //!
-//! Statelessness matters twice over for the delta engine ([`crate::Explorer::run`]):
-//! it derives every sibling successor by executing in place and *reverting* — the revert
-//! restores the captured node state and channel contents, but a driver's hidden mutable
-//! state (if it had any) would not be rewound, and the logical clock deliberately keeps
-//! advancing across apply/revert pairs.  A driver whose answers depend on call count or on
-//! `now` would therefore make the two engines (and successive siblings within one engine)
-//! diverge.  The [`HoldOneActivation`] comparison `now > entered_at` is the one sanctioned
+//! Statelessness matters twice over for the delta engine ([`crate::Explorer::run`]).  It
+//! executes each distinct (process, activation, local state, head message) **once** and
+//! reuses the effect for every configuration presenting the same input; and it executes
+//! in place and *reverts* — the revert restores the captured node state and channel
+//! contents, but a driver's hidden mutable state (if it had any) would not be rewound, and
+//! the logical clock deliberately keeps advancing across apply/revert pairs.  A driver whose
+//! answers depend on call count or on `now` would therefore make the two engines diverge
+//! (debug builds catch it: they re-execute every reused effect and panic on a difference).  The [`HoldOneActivation`] comparison `now > entered_at` is the one sanctioned
 //! use of the clock: with `entered_at` normalized to 0 by every restore path, its value is a
 //! pure function of the captured configuration and the activation being executed.
 //!

@@ -12,31 +12,46 @@
 //! Configurations never flow through the hot loop as [`Configuration`] values.  Each visited
 //! configuration is held exactly once, in packed form, by a [`StateArena`]
 //! (see [`crate::snapshot`]) and addressed by a dense [`StateId`].  The engine
-//! ([`Explorer::run`]) additionally eliminates the per-transition full-state traffic:
+//! ([`Explorer::run`]) additionally eliminates the per-transition full-state traffic, and
+//! most of the per-transition protocol code:
 //!
-//! * the parent configuration is restored into the network **once per state**
-//!   ([`crate::snapshot::restore_packed_mapped`], which also records every segment's byte
-//!   span for free);
-//! * each transition executes **in place** with an undo log
-//!   ([`treenet::Network::execute_undoable`]): one node snapshot, the consumed message, and
-//!   the pushed channels are the entire record;
+//! * the parent configuration is **mapped once per state** by a skip-only parse
+//!   ([`crate::snapshot::map_packed`]: every segment's byte span and every channel's message
+//!   count, no decoding);
+//! * an activation of process `p` reads only `p`'s variables and the one message it
+//!   consumes, and writes only `p`'s variables, that channel's head and the tails of the
+//!   channels `p` sends on (the paper's message-passing model).  So its **local effect** —
+//!   `p`'s new node segment, whether `p` entered its critical section, the messages appended
+//!   per pushed channel — is a function of (process, activation, `p`'s node segment, head
+//!   message bytes), and a per-run **local-transition memo** computes it once per distinct
+//!   input.  On the benchmark's star7 and Figure-3 instances 99.88 % of transitions are
+//!   memo hits;
+//! * on a **hit** the successor's dirty segments are built straight from the parent's bytes
+//!   and the recorded effect; no protocol code runs and the network is not touched.  A quiet
+//!   tick (a blocked requester's) is a hit with an empty effect, a self-loop;
+//! * on a **miss** the parent is restored into the network — at most once per state, and
+//!   only if some activation misses — and the activation executes **in place** with an undo
+//!   log ([`treenet::Network::execute_undoable`]); its effect is recorded, and the undo log
+//!   **reverts** the network to the parent for the next sibling;
 //! * the successor's packed bytes are produced by **patching only the dirty segments** of
 //!   the parent's bytes, and its hash by re-mixing only those segments'
-//!   [`crate::snapshot::segment_term`]s — a tick that changed nothing is recognized from the
-//!   dirty segments alone and skips interning entirely;
-//! * the undo log then **reverts** the network to the parent for the next sibling;
-//! * a tick of a blocked process (its restored state reports
-//!   [`treenet::Process::tick_is_noop`]) is a known self-loop and is **not executed** at all;
+//!   [`crate::snapshot::segment_term`]s — a transition that changed nothing is a self-loop
+//!   and skips interning entirely;
 //! * per-state bookkeeping (parent links, depths, recorded edges) lives in flat vectors
 //!   indexed by state id, shared by the report and the recorded [`StateGraph`];
 //! * a full [`Configuration`] is decoded **once per admitted state**, into a reused buffer,
 //!   for the property checks and (when the graph is recorded) the per-state facts the graph
 //!   analyses read; otherwise only witnesses decode.
 //!
+//! The memo is sound exactly when the [`CheckableNode`] contract holds — equal captures
+//! behave identically — so debug builds (every `cargo test`) execute every hit as well and
+//! panic, naming the process and the activation, when its effect differs from the recorded
+//! one.
+//!
 //! The pre-delta sequential engine — restore, execute, full capture, full hash, per
-//! transition — is retained verbatim as [`Explorer::run_interned`]: it is the executable
-//! oracle the delta-parity test suite checks the delta engine against (identical reachable
-//! sets, frontier sizes per level, violation and deadlock reports).
+//! transition, no memo — is retained verbatim as [`Explorer::run_interned`]: it is the
+//! executable oracle the delta-parity test suite checks the delta engine against (identical
+//! reachable sets, frontier sizes per level, violation and deadlock reports).
 //!
 //! The exploration is exhaustive with respect to scheduling: every interleaving the paper's
 //! asynchronous model allows is covered, because at each configuration *every* enabled
@@ -46,8 +61,8 @@
 use crate::properties::Property;
 use crate::snapshot::{capture_packed, restore_packed, CheckableNode, Configuration, NodeState};
 use crate::snapshot::{
-    encode_channel_segment, encode_node_segment, restore_packed_mapped, segment_term,
-    unpack_configuration_into, SegmentMap,
+    encode_node_segment, map_packed, message_len, segment_term, unpack_configuration_into,
+    write_message, write_varint, SegmentMap,
 };
 use crate::snapshot::{InternOutcome, StateArena, StateId};
 use std::collections::VecDeque;
@@ -308,17 +323,15 @@ impl GraphSummary {
         }
         let in_scope = vec![true; n];
         let scc = crate::cycles::tarjan_scc(graph, &in_scope);
-        let comp_count = scc.iter().max().map_or(0, |&c| c + 1);
+        let comp_count = scc.iter().max().map_or(0, |&c| c as usize + 1);
         let mut sizes = vec![0usize; comp_count];
         for &comp in &scc {
-            sizes[comp] += 1;
+            sizes[comp as usize] += 1;
         }
         let mut self_loop = vec![false; comp_count];
         for id in 0..n {
-            for edge in graph.edges(id) {
-                if edge.target as usize == id {
-                    self_loop[scc[id]] = true;
-                }
+            if graph.edges(id).iter().any(|edge| edge.target as usize == id) {
+                self_loop[scc[id] as usize] = true;
             }
         }
         GraphSummary {
@@ -520,28 +533,35 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     /// Runs the exploration and returns its report.  This is the delta successor engine,
     /// the sequential hot path.
     ///
-    /// Per popped state the parent is restored **once** (recording its [`SegmentMap`] and
-    /// per-segment hash terms); each transition then
+    /// Per popped state the parent's bytes are mapped **once** by a skip-only parse (its
+    /// [`SegmentMap`]: segment spans and channel message counts) and its per-segment hash
+    /// terms computed; nothing is decoded.  Each transition then
     ///
-    /// 0. if it is a tick of a process whose restored state reports
-    ///    [`treenet::Process::tick_is_noop`], is a self-loop, **not executed** (debug builds
-    ///    still execute it and assert that it changed nothing and entered no critical
-    ///    section);
-    /// 1. snapshots the one activated node and executes in place, recording channel effects
-    ///    in a [`StepUndo`] log;
-    /// 2. re-encodes only the dirty segments (the activated node's state, the delivered
-    ///    channel, each pushed channel) and compares them to the parent's — if none changed,
-    ///    the transition is a self-loop and skips interning entirely;
-    /// 3. otherwise patches the parent's segmented hash per dirty segment, splices the dirty
+    /// 1. looks up its key — (process, activation, the process's node segment, the delivered
+    ///    head message) — in the run's local-transition memo;
+    /// 2. on a **miss** only: restores the parent into the network (once per state, at the
+    ///    first miss), snapshots the activated node, executes in place recording channel
+    ///    effects in a [`StepUndo`] log, records the activation's local effect (new node
+    ///    segment, critical-section entry, messages appended per pushed channel) and
+    ///    reverts — pushed messages pop back off channel tails, the delivered message
+    ///    returns to its head, the saved node state is restored;
+    /// 3. builds the dirty segments from the parent's bytes and the effect (node segment
+    ///    replaced, delivered channel's head dropped, pushed channels' tails appended) — if
+    ///    there are none, the transition is a self-loop and skips interning entirely;
+    /// 4. otherwise patches the parent's segmented hash per dirty segment, splices the dirty
     ///    segments into a copy of the parent's packed bytes (straight memcpy of the
-    ///    unchanged spans), and interns the successor with the precomputed hash;
-    /// 4. reverts: pushed messages pop back off channel tails, the delivered message returns
-    ///    to its head, and the saved node state is restored — the network is back in the
-    ///    parent configuration for the next sibling.
+    ///    unchanged spans), and interns the successor with the precomputed hash.
     ///
-    /// The restore → full capture → full hash triple of the interned engine is gone from the
-    /// per-transition cost; what remains is O(touched state) work plus one memcpy.
+    /// A hit executes no protocol code and touches no network: on the benchmark's star7 and
+    /// Figure-3 instances 99.88 % of transitions are hits.  Debug builds execute every hit as well and panic when
+    /// its effect differs from the memo's (see [`CheckableNode`]).
     pub fn run(&mut self) -> ExplorationReport {
+        self.run_delta().0
+    }
+
+    /// [`Explorer::run`], also returning how many memo lookups missed (each executed its
+    /// activation).
+    fn run_delta(&mut self) -> (ExplorationReport, usize) {
         let progress = self.progress;
         let net = &mut *self.net;
         let mut scratch = DeltaScratch::for_net(net);
@@ -552,7 +572,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
 
         let mut parent_buf = Vec::new();
         capture_packed(net, &mut parent_buf);
-        restore_packed_mapped(net, &parent_buf, &mut scratch.map);
+        map_packed(&parent_buf, &mut scratch.map);
         let h_initial = compute_terms(&parent_buf, &scratch.map, &mut scratch.terms);
         engine.admit_initial_hashed(&parent_buf, h_initial);
 
@@ -604,7 +624,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         }
 
         ticker.finish(&engine);
-        self.finish_run(engine.finish())
+        (self.finish_run(engine.finish()), scratch.memo.misses)
     }
 
     /// The interned reference engine: per transition, restore the parent's packed bytes,
@@ -807,15 +827,18 @@ struct DeltaScratch {
     terms: Vec<u64>,
     undo: StepUndo<klex_core::Message>,
     activations: Vec<Activation>,
-    dirty_chans: Vec<usize>,
-    /// Dirty-segment patches: (segment index, span of the re-encoded bytes in `seg_buf`),
-    /// in ascending parent-span order.
+    /// The flat channels one executed activation pushed, sorted (one entry per message).
+    pushed: Vec<usize>,
+    /// Dirty-segment patches: (segment index, span of the new bytes in `seg_buf`), in
+    /// ascending parent-span order.
     patches: Vec<(usize, usize, usize)>,
     seg_buf: Vec<u8>,
     succ_buf: Vec<u8>,
-    /// The activated node's state before the transition, restored by the revert.
+    key: Vec<u8>,
+    memo: TransitionMemo,
+    /// The activated node's state before an executed transition, restored by the revert.
     saved: NodeState,
-    /// The activated node's state after the transition, re-encoded as its segment.
+    /// The activated node's state after an executed transition, encoded as its segment.
     probe: NodeState,
 }
 
@@ -842,13 +865,146 @@ impl DeltaScratch {
             terms: Vec::new(),
             undo: StepUndo::new(),
             activations: Vec::new(),
-            dirty_chans: Vec::new(),
+            pushed: Vec::new(),
             patches: Vec::new(),
             seg_buf: Vec::new(),
             succ_buf: Vec::new(),
+            key: Vec::new(),
+            memo: TransitionMemo::default(),
             saved: NodeState::default(),
             probe: NodeState::default(),
         }
+    }
+}
+
+/// The local effect of one activation: everything it changes in the configuration, relative
+/// to the parent it ran in.
+#[derive(Clone, Copy, Debug)]
+struct Effect {
+    /// The activated process's new node segment in [`TransitionMemo::bytes`]; empty when the
+    /// segment did not change (an encoded node state is never empty).
+    node: (u32, u32),
+    /// True when the activated process entered its critical section.
+    enters_cs: bool,
+    /// The channels it pushed, as a range of [`TransitionMemo::pushes`], in ascending flat
+    /// channel order.
+    pushes: (u32, u32),
+}
+
+/// The messages one activation appended to one channel.
+#[derive(Clone, Copy, Debug)]
+struct Push {
+    /// The flat channel index.
+    flat: u32,
+    /// How many messages were appended.
+    count: u32,
+    /// Their encodings, in send order, as a span of [`TransitionMemo::bytes`].
+    bytes: (u32, u32),
+}
+
+/// The per-run local-transition memo of the delta engine.
+///
+/// An activation of process `p` reads only `p`'s own state and, for a delivery, the one
+/// message it consumes; it writes only `p`'s state, the head of the delivered channel and
+/// the tails of the channels it sends on.  Its effect is therefore a function of the key
+/// (process, activation label, `p`'s node segment, head message bytes) — the
+/// [`CheckableNode`] contract that equal captures behave identically — and is computed once
+/// per distinct key, however many configurations present it.
+///
+/// Keys are hash-consed to dense ids by a [`StateArena`]; `effects[id]` is the effect of key
+/// `id`, with its bytes and pushes in two flat buffers.  No entry allocates.
+#[derive(Default)]
+struct TransitionMemo {
+    keys: StateArena,
+    effects: Vec<Effect>,
+    pushes: Vec<Push>,
+    bytes: Vec<u8>,
+    /// Lookups that found no entry, each of which executed its activation.
+    misses: usize,
+}
+
+impl TransitionMemo {
+    /// The memo key of `act` from a parent whose activated node segment is `node_segment`
+    /// and whose delivered head message (deliveries only) is `head`.
+    fn key(key: &mut Vec<u8>, act: Activation, node_segment: &[u8], head: &[u8]) {
+        let (node, label) = match act {
+            Activation::Tick { node } => (node, u32::MAX),
+            Activation::Deliver { node, channel } => (node, channel as u32),
+        };
+        key.clear();
+        key.extend_from_slice(&(node as u32).to_le_bytes());
+        key.extend_from_slice(&label.to_le_bytes());
+        key.extend_from_slice(node_segment);
+        key.extend_from_slice(head);
+    }
+
+    /// Appends the effect of the activation `net` just executed (recorded in `undo`; the
+    /// trace was cleared before it) and returns it.  `parent_node` is the activated node's
+    /// segment before the activation.
+    #[allow(clippy::too_many_arguments)]
+    fn record<P: CheckableNode, T: Topology>(
+        &mut self,
+        net: &Network<P, T>,
+        act: Activation,
+        parent_node: &[u8],
+        undo: &StepUndo<klex_core::Message>,
+        chan_base: &[usize],
+        chan_pos: &[(usize, usize)],
+        pushed: &mut Vec<usize>,
+        probe: &mut NodeState,
+    ) -> Effect {
+        let node_start = self.bytes.len();
+        net.node(act.node()).capture_state_into(probe);
+        encode_node_segment(&mut self.bytes, probe);
+        if self.bytes[node_start..] == *parent_node {
+            self.bytes.truncate(node_start);
+        }
+        let node = (node_start as u32, self.bytes.len() as u32);
+
+        pushed.clear();
+        pushed.extend(undo.sent_channels().iter().map(|&(v, l)| chan_base[v] + l));
+        pushed.sort_unstable();
+        let push_start = self.pushes.len();
+        for run in pushed.chunk_by(|a, b| a == b) {
+            let (v, l) = chan_pos[run[0]];
+            let channel = net.channel(v, l);
+            let start = self.bytes.len();
+            for msg in channel.iter().skip(channel.len() - run.len()) {
+                write_message(&mut self.bytes, msg);
+            }
+            self.pushes.push(Push {
+                flat: run[0] as u32,
+                count: run.len() as u32,
+                bytes: (start as u32, self.bytes.len() as u32),
+            });
+        }
+        Effect {
+            node,
+            enters_cs: entered_cs(net, act),
+            pushes: (push_start as u32, self.pushes.len() as u32),
+        }
+    }
+
+    fn node_bytes(&self, effect: &Effect) -> &[u8] {
+        &self.bytes[effect.node.0 as usize..effect.node.1 as usize]
+    }
+
+    fn pushes(&self, effect: &Effect) -> &[Push] {
+        &self.pushes[effect.pushes.0 as usize..effect.pushes.1 as usize]
+    }
+
+    fn push_bytes(&self, push: &Push) -> &[u8] {
+        &self.bytes[push.bytes.0 as usize..push.bytes.1 as usize]
+    }
+
+    /// True when two recorded effects change the configuration identically.
+    fn same_effect(&self, a: &Effect, b: &Effect) -> bool {
+        a.enters_cs == b.enters_cs
+            && self.node_bytes(a) == self.node_bytes(b)
+            && self.pushes(a).len() == self.pushes(b).len()
+            && self.pushes(a).iter().zip(self.pushes(b)).all(|(x, y)| {
+                x.flat == y.flat && x.count == y.count && self.push_bytes(x) == self.push_bytes(y)
+            })
     }
 }
 
@@ -862,23 +1018,59 @@ enum DeltaStep<'a> {
     Successor { bytes: &'a [u8], hash: u64 },
 }
 
-/// Expands one state with the delta discipline — restore the parent once, then per enabled
-/// activation execute in place with an undo log, re-encode only the dirty segments, splice
-/// and hash-patch, call `sink`, revert.  Activations are enumerated in the canonical order
-/// (deliveries in `(node, channel)` order, then ticks in node order) — the order
-/// [`enumerate_activations`] gives the interned engine, which is what the parity contract
-/// rests on.
+/// Appends to `seg_buf` the new segment of flat channel `flat` — the parent's messages
+/// without the head when `pop`, then `appended` (`count` encoded messages) — and records
+/// the patch.
+#[allow(clippy::too_many_arguments)]
+fn patch_channel(
+    seg_buf: &mut Vec<u8>,
+    patches: &mut Vec<(usize, usize, usize)>,
+    map: &SegmentMap,
+    parent_buf: &[u8],
+    flat: usize,
+    pop: bool,
+    count: usize,
+    appended: &[u8],
+) {
+    let mut messages = map.channel_messages(parent_buf, flat);
+    let mut len = map.channel_len(flat) + count;
+    if pop {
+        messages = &messages[message_len(messages)..];
+        len -= 1;
+    }
+    let start = seg_buf.len();
+    write_varint(seg_buf, len as u64);
+    seg_buf.extend_from_slice(messages);
+    seg_buf.extend_from_slice(appended);
+    patches.push((map.channel_segment(flat), start, seg_buf.len()));
+}
+
+/// Expands one state with the delta discipline.  Activations are enumerated in the
+/// canonical order (deliveries in `(node, channel)` order, then ticks in node order) — the
+/// order [`enumerate_activations`] gives the interned engine, which is what the parity
+/// contract rests on.
 ///
-/// A tick of a process whose restored state reports [`treenet::Process::tick_is_noop`] is
-/// handed to `sink` as a [`DeltaStep::SelfLoop`] without executing it: by that method's
-/// contract the tick sends nothing, emits nothing and changes nothing.  Debug builds
-/// execute it anyway and assert exactly that.
+/// The parent's bytes are mapped by a skip-only parse ([`map_packed`]); nothing is decoded.
+/// Each activation is then looked up in the [`TransitionMemo`]:
+///
+/// * **hit** — the successor's dirty segments are built from the parent's bytes and the
+///   recorded effect: the node segment replaced, the delivered channel's head dropped, the
+///   pushed channels' tails appended.  Nothing executes.  A tick whose effect is empty (a
+///   blocked process's quiet tick, for one) is a self-loop;
+/// * **miss** — the parent is restored into `net` (at most once per state, and only when
+///   some activation misses), the activation executes in place with an undo log, its effect
+///   is recorded, and the undo log reverts the network to the parent.  The successor is
+///   then built as for a hit.
+///
+/// Debug builds also execute every hit and panic, naming the process and the activation,
+/// when its effect differs from the recorded one: a process or driver whose behaviour
+/// depends on state outside its capture breaks the [`CheckableNode`] contract.
 ///
 /// `sink` receives each transition with whether its activated process entered the critical
-/// section (always `false` unless `collect_cs`); returning `true` stops the expansion after
-/// reverting (remaining activations untried).  Returns `(quiescent, stopped)`; `quiescent`
-/// means no message was in flight and every tick was a self-loop — the precondition of a
-/// quiescent deadlock.
+/// section (always `false` unless `collect_cs`); returning `true` stops the expansion
+/// (remaining activations untried).  Returns `(quiescent, stopped)`; `quiescent` means no
+/// message was in flight and every tick was a self-loop — the precondition of a quiescent
+/// deadlock.
 fn expand_state_delta<P, T>(
     net: &mut Network<P, T>,
     scratch: &mut DeltaScratch,
@@ -897,94 +1089,104 @@ where
         terms,
         undo,
         activations,
-        dirty_chans,
+        pushed,
         patches,
         seg_buf,
         succ_buf,
+        key,
+        memo,
         saved,
         probe,
     } = scratch;
 
-    restore_packed_mapped(net, parent_buf, map);
+    map_packed(parent_buf, map);
     let h_parent = compute_terms(parent_buf, map, terms);
-    let n = net.len();
 
     activations.clear();
-    for v in 0..n {
-        for l in 0..net.topology().degree(v) {
-            if !net.channel(v, l).is_empty() {
-                activations.push(Activation::Deliver { node: v, channel: l });
-            }
+    for (flat, &(node, channel)) in chan_pos.iter().enumerate() {
+        if map.channel_len(flat) > 0 {
+            activations.push(Activation::Deliver { node, channel });
         }
     }
     let first_tick = activations.len();
-    for v in 0..n {
-        activations.push(Activation::Tick { node: v });
-    }
+    activations.extend((0..map.nodes()).map(|node| Activation::Tick { node }));
 
+    let mut restored = false;
     let mut every_tick_is_self_loop = true;
-    let mut stopped = false;
     for idx in 0..activations.len() {
         let act = activations[idx];
         let node = act.node();
-        // Ask the node, not the enabled set's quiet bit: the restore went through
-        // `node_mut`, which cleared the bits.
-        let quiet_tick = idx >= first_tick && net.node(node).tick_is_noop();
-        if quiet_tick && !cfg!(debug_assertions) {
-            if sink(act, DeltaStep::SelfLoop, false) {
-                stopped = true;
-                break;
+        let delivered = match act {
+            Activation::Deliver { node, channel } => Some(chan_base[node] + channel),
+            Activation::Tick { .. } => None,
+        };
+        let head = delivered.map_or(&[][..], |flat| {
+            let messages = map.channel_messages(parent_buf, flat);
+            &messages[..message_len(messages)]
+        });
+        let parent_node = map.segment(parent_buf, map.node_segment(node));
+        TransitionMemo::key(key, act, parent_node, head);
+        let (id, fresh) = memo.keys.intern(key);
+
+        if fresh || cfg!(debug_assertions) {
+            if !restored {
+                restore_packed(net, parent_buf);
+                restored = true;
             }
-            continue;
+            net.trace_mut().clear();
+            net.node(node).capture_state_into(saved);
+            net.execute_undoable(act, undo);
+            let effect =
+                memo.record(net, act, parent_node, undo, chan_base, chan_pos, pushed, probe);
+            if fresh {
+                debug_assert_eq!(id as usize, memo.effects.len());
+                memo.misses += 1;
+                memo.effects.push(effect);
+            } else {
+                let recorded = memo.effects[id as usize];
+                assert!(
+                    memo.same_effect(&effect, &recorded),
+                    "process {node}: {act:?} from a (local state, head message) seen before \
+                     changed the configuration differently this time, so its behaviour depends \
+                     on state outside its capture (the CheckableNode contract)"
+                );
+                memo.bytes.truncate(effect.node.0 as usize);
+                memo.pushes.truncate(effect.pushes.0 as usize);
+            }
+            net.revert(undo);
+            net.node_mut(node).restore_state(saved);
         }
-        net.trace_mut().clear();
-        net.node(node).capture_state_into(saved);
-        net.execute_undoable(act, undo);
+        let effect = memo.effects[id as usize];
 
-        dirty_chans.clear();
-        if let Some((dn, dl)) = undo.delivered_channel() {
-            dirty_chans.push(chan_base[dn] + dl);
-        }
-        for &(sn, sl) in undo.sent_channels() {
-            dirty_chans.push(chan_base[sn] + sl);
-        }
-        dirty_chans.sort_unstable();
-        dirty_chans.dedup();
-
-        // Re-encode the dirty segments; node segments precede channel segments in the
-        // packed layout and dirty_chans is ascending, so pushing the node segment first
-        // keeps `patches` in ascending span order for the splice.
+        // Node segments precede channel segments in the packed layout, and the pushes are
+        // in ascending flat order, so merging the delivered channel into them keeps
+        // `patches` in ascending span order for the splice.
         seg_buf.clear();
         patches.clear();
-        let node_seg = map.node_segment(node);
-        let start = seg_buf.len();
-        net.node(node).capture_state_into(probe);
-        encode_node_segment(seg_buf, probe);
-        if seg_buf[start..] != *map.segment(parent_buf, node_seg) {
-            patches.push((node_seg, start, seg_buf.len()));
+        if effect.node.0 != effect.node.1 {
+            seg_buf.extend_from_slice(memo.node_bytes(&effect));
+            patches.push((map.node_segment(node), 0, seg_buf.len()));
         }
-        for &flat in dirty_chans.iter() {
-            let seg = map.channel_segment(flat);
-            let (cv, cl) = chan_pos[flat];
-            let start = seg_buf.len();
-            let channel = net.channel(cv, cl);
-            encode_channel_segment(seg_buf, channel.len(), channel.iter());
-            if seg_buf[start..] != *map.segment(parent_buf, seg) {
-                patches.push((seg, start, seg_buf.len()));
+        let mut pending_pop = delivered;
+        for push in memo.pushes(&effect) {
+            let flat = push.flat as usize;
+            if let Some(popped) = pending_pop.filter(|&popped| popped < flat) {
+                patch_channel(seg_buf, patches, map, parent_buf, popped, true, 0, &[]);
+                pending_pop = None;
             }
+            let appended = memo.push_bytes(push);
+            let count = push.count as usize;
+            patch_channel(seg_buf, patches, map, parent_buf, flat, false, count, appended);
+        }
+        if let Some(popped) = pending_pop {
+            patch_channel(seg_buf, patches, map, parent_buf, popped, true, 0, &[]);
         }
 
         let same_as_parent = patches.is_empty();
         if idx >= first_tick && !same_as_parent {
             every_tick_is_self_loop = false;
         }
-        let enters_cs = collect_cs && entered_cs(net, act);
-        debug_assert!(
-            !quiet_tick || (same_as_parent && !entered_cs(net, act)),
-            "process {node} reported tick_is_noop() but its tick changed the configuration or \
-             entered its critical section"
-        );
-
+        let enters_cs = collect_cs && effect.enters_cs;
         let stop = if same_as_parent {
             sink(act, DeltaStep::SelfLoop, enters_cs)
         } else {
@@ -1001,18 +1203,12 @@ where
             succ_buf.extend_from_slice(&parent_buf[cursor..]);
             sink(act, DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }, enters_cs)
         };
-
-        // Revert to the parent configuration for the next sibling.
-        net.revert(undo);
-        net.node_mut(node).restore_state(saved);
-
         if stop {
-            stopped = true;
-            break;
+            return (false, true);
         }
     }
 
-    (first_tick == 0 && every_tick_is_self_loop, stopped)
+    (first_tick == 0 && every_tick_is_self_loop, false)
 }
 
 /// The shared bookkeeping of an exploration run: the arena, flat per-state vectors, the
@@ -1672,6 +1868,65 @@ mod tests {
         let action = Activation::Deliver { node: 2, channel: 1 };
         let deliver = Edge { action, target: 9, enters_cs: false };
         assert_eq!(deliver.cs_entry(), None);
+    }
+
+    #[test]
+    fn memo_misses_once_per_distinct_local_transition_on_figure3() {
+        // The pusher-only Figure-3 instance: 7842 transitions out of 1560 configurations,
+        // but only 42 distinct (process, activation, local state, head message) inputs —
+        // all other transitions are memo hits.  A change that silently stops hitting (a key
+        // that includes too much, an entry that is never reused) moves the count.
+        let mut net = klex_core::pusher::network(
+            topology::builders::figure3_tree(),
+            KlConfig::new(2, 3, 3),
+            drivers::from_needs_holding(&[1, 2, 1]),
+        );
+        let limits = Limits { max_configurations: 50_000, max_depth: usize::MAX };
+        let (report, misses) = Explorer::new(&mut net).with_limits(limits).run_delta();
+        assert!(report.exhaustive());
+        assert_eq!(report.configurations, 1560);
+        assert_eq!(report.transitions, 7842);
+        assert_eq!(misses, 42, "memo misses on the Figure-3 pusher instance");
+    }
+
+    /// A driver with state outside its process's capture: it releases the critical section
+    /// on its first `k` calls and holds it forever after, so from then on its process keeps
+    /// the tokens it used to send on.
+    struct ReleasesKTimes {
+        calls: usize,
+        k: usize,
+    }
+
+    impl treenet::app::AppDriver for ReleasesKTimes {
+        fn next_request(&mut self, _node: NodeId, _now: u64) -> Option<usize> {
+            Some(1)
+        }
+
+        fn release_cs(&mut self, _node: NodeId, _now: u64, _entered_at: u64) -> bool {
+            self.calls += 1;
+            self.calls <= self.k
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "process 1: Deliver { node: 1, channel: 0 } from a (local state, \
+                               head message) seen before changed the configuration differently")]
+    fn memo_oracle_names_a_process_whose_behaviour_escapes_its_capture() {
+        let mut net = klex_core::pusher::network(
+            topology::builders::figure3_tree(),
+            KlConfig::new(2, 3, 3),
+            |node| -> treenet::app::BoxedDriver {
+                if node == 1 {
+                    Box::new(ReleasesKTimes { calls: 0, k: 5 })
+                } else {
+                    drivers::AlwaysRequest::boxed(1)
+                }
+            },
+        );
+        Explorer::new(&mut net)
+            .with_limits(Limits { max_configurations: 50_000, max_depth: usize::MAX })
+            .run();
     }
 
     #[test]

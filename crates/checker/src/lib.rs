@@ -48,8 +48,9 @@
 //!   ([`snapshot::restore_packed`]); the hot loop performs no configuration clones and no
 //!   SipHash hashing.
 //!
-//! [`Explorer::run`] is the one production engine (the delta engine: execute in place,
-//! re-encode only the dirty segments, revert).  [`Explorer::run_interned`] is the
+//! [`Explorer::run`] is the one production engine (the delta engine: execute each distinct
+//! local transition once, build every successor from its parent's bytes and the recorded
+//! effect, re-hash only the dirty segments).  [`Explorer::run_interned`] is the
 //! executable oracle it is tested against: both produce **identical** ids, counts, and
 //! reports; see [`explore`] for details.
 //!
@@ -91,8 +92,8 @@ pub use explore::{
 };
 pub use properties::Property;
 pub use snapshot::{
-    capture, capture_packed, pack_configuration, restore, restore_packed,
-    restore_packed_mapped, segment_term, segmented_hash, unpack_configuration,
+    capture, capture_packed, map_packed, pack_configuration, restore, restore_packed,
+    segment_term, segmented_hash, unpack_configuration,
     unpack_configuration_into, CheckableNode, Configuration, CtrlState, InternOutcome, NodeState,
     SegmentMap, StateArena, StateId,
 };

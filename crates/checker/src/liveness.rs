@@ -141,41 +141,55 @@ fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitnes
         return None;
     }
     let scc = crate::cycles::tarjan_scc(graph, &in_scope);
-    let mut comp_size = vec![0usize; n];
+    let mut comp_size = vec![0u32; n];
     for id in (0..n).filter(|&id| in_scope[id]) {
-        comp_size[scc[id]] += 1;
+        comp_size[scc[id] as usize] += 1;
     }
 
     // Group the scoped states per component, keeping Tarjan's discovery order.  A single
-    // state without a self-loop has no cycle (`examine_scc` would return `None`), so it gets
-    // no member list.
+    // state is decided here, without a member list: its only internal edges are its
+    // self-loops, so it can host a fair cycle only if one of them is a progress edge and
+    // every process has a self-loop tick (each expanded state has exactly one `Tick u`
+    // edge per process, so counting them suffices).  The rare singleton that passes goes
+    // through `examine_scc` like any other component.
     let mut members: Vec<Vec<usize>> = Vec::new();
-    let mut comp_slot = vec![usize::MAX; n];
-    let mut comp_order: Vec<usize> = Vec::new();
+    let mut comp_slot = vec![u32::MAX; n];
+    let mut comp_order: Vec<u32> = Vec::new();
     for id in 0..n {
         if !in_scope[id] {
             continue;
         }
         let comp = scc[id];
-        if comp_size[comp] == 1 && !graph.edges(id).iter().any(|e| e.target as usize == id) {
+        if comp_size[comp as usize] == 1 && !singleton_may_be_fair(graph, id, victim) {
             continue;
         }
-        if comp_slot[comp] == usize::MAX {
-            comp_slot[comp] = members.len();
+        if comp_slot[comp as usize] == u32::MAX {
+            comp_slot[comp as usize] = members.len() as u32;
             comp_order.push(comp);
             members.push(Vec::new());
         }
-        members[comp_slot[comp]].push(id);
+        members[comp_slot[comp as usize] as usize].push(id);
     }
 
-    for (slot, comp) in comp_order.iter().enumerate() {
-        let states = &members[slot];
-        if let Some(witness) = examine_scc(graph, victim, &in_scope, &scc, *comp, states)
-        {
+    for (states, &comp) in members.iter().zip(&comp_order) {
+        if let Some(witness) = examine_scc(graph, victim, &in_scope, &scc, comp, states) {
             return Some(witness);
         }
     }
     None
+}
+
+/// True when state `id`, alone in its component, has a progress self-loop (a process other
+/// than `victim` enters its critical section) and a self-loop tick for every process — the
+/// necessary conditions for a weakly fair cycle that never leaves it.
+fn singleton_may_be_fair(graph: &StateGraph, id: usize, victim: NodeId) -> bool {
+    let mut progress = false;
+    let mut ticks = 0;
+    for edge in graph.edges(id).iter().filter(|e| e.target as usize == id) {
+        progress |= edge.cs_entry().is_some_and(|u| u != victim);
+        ticks += usize::from(matches!(edge.action, Activation::Tick { .. }));
+    }
+    progress && ticks == graph.processes()
 }
 
 /// Applies the weak-fairness pruning to one SCC and, when it survives, constructs the
@@ -184,8 +198,8 @@ fn examine_scc(
     graph: &StateGraph,
     victim: NodeId,
     in_scope: &[bool],
-    scc: &[usize],
-    comp: usize,
+    scc: &[u32],
+    comp: u32,
     states: &[usize],
 ) -> Option<LassoWitness> {
     let internal = |edge_target: usize| in_scope[edge_target] && scc[edge_target] == comp;
@@ -322,8 +336,8 @@ fn examine_scc(
 fn walk_to(
     graph: &StateGraph,
     in_scope: &[bool],
-    scc: &[usize],
-    comp: usize,
+    scc: &[u32],
+    comp: u32,
     from: usize,
     to: usize,
     cycle_states: &mut Vec<usize>,

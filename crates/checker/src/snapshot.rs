@@ -44,8 +44,8 @@
 //! The packed encoding is naturally *segmented*: after the constant header, the buffer is a
 //! sequence of per-node state segments followed by per-channel content segments, and a
 //! single transition dirties only the activated node's segment plus the few channels it
-//! touched.  [`SegmentMap`] records every segment's byte span (captured for free by
-//! [`restore_packed_mapped`] during the parse a restore performs anyway), and
+//! touched.  [`SegmentMap`] records every segment's byte span and every channel's message
+//! count (by [`map_packed`], a skip-only parse that decodes nothing), and
 //! [`segmented_hash`] defines a whole-configuration hash as the XOR of per-segment terms
 //! ([`segment_term`]) so it can be patched per dirty segment instead of recomputed over the
 //! whole buffer.  The delta successor engine in [`crate::explore`] builds on exactly these
@@ -174,6 +174,18 @@ impl Configuration {
 /// Implemented for every rung of the protocol ladder.  The contract is that
 /// `restore(&capture())` is an identity on the behaviourally relevant state, and that two
 /// processes with equal captures behave identically on every input (given stateless drivers).
+///
+/// The explorer's hot path rests on the second half: [`crate::Explorer::run`] executes one
+/// activation per distinct (process, activation, encoded capture, head message) and reuses
+/// its effect for every configuration that presents the same input (see [`crate::explore`]).
+/// Anything an activation reads beyond the capture and the consumed message — a counter in
+/// a driver, the logical clock — would make those reuses wrong, so debug builds re-execute
+/// every reuse and panic, naming the process and the activation, when the effect differs.
+/// The one sanctioned clock read is [`crate::drivers::HoldOneActivation`]'s
+/// `now > entered_at`: every restore resets `entered_at` to 0 and `now ≥ 1` at every
+/// execution (the clock advances before the handlers run), so in an explored network the
+/// comparison is true exactly for a process that entered its critical section in an
+/// earlier activation — a fact of the capture (`State = In`).
 pub trait CheckableNode: Process<Msg = Message> + klex_core::KlInspect {
     /// Captures the protocol-relevant local state into `state`, overwriting every field and
     /// reusing its `rset` buffer (the explorer's per-transition capture allocates nothing).
@@ -347,7 +359,7 @@ where
 
 // --------------------------------------------------------------------- packed representation
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -390,7 +402,7 @@ fn cs_from_byte(byte: u8) -> CsState {
     }
 }
 
-fn write_message(out: &mut Vec<u8>, msg: &Message) {
+pub(crate) fn write_message(out: &mut Vec<u8>, msg: &Message) {
     match *msg {
         Message::ResT => out.push(1),
         Message::PushT => out.push(2),
@@ -625,47 +637,13 @@ where
     P: CheckableNode,
     T: Topology,
 {
-    restore_packed_impl::<P, T, false>(net, bytes, &mut SegmentMap::default());
-}
-
-/// Like [`restore_packed`], additionally recording the byte span of every mutable segment
-/// of the encoding into `map` (cleared first) — the per-state setup step of the delta
-/// successor engine, which needs the spans to re-pack only the segments a transition
-/// dirtied.  The parse pass the restore does anyway discovers every boundary, so recording
-/// them is free.
-pub fn restore_packed_mapped<P, T>(net: &mut Network<P, T>, bytes: &[u8], map: &mut SegmentMap)
-where
-    P: CheckableNode,
-    T: Topology,
-{
-    restore_packed_impl::<P, T, true>(net, bytes, map);
-}
-
-fn restore_packed_impl<P, T, const RECORD: bool>(
-    net: &mut Network<P, T>,
-    bytes: &[u8],
-    map: &mut SegmentMap,
-) where
-    P: CheckableNode,
-    T: Topology,
-{
-    let total = bytes.len();
-    let offset_of = |cursor: &[u8]| (total - cursor.len()) as u32;
     let mut bytes = bytes;
     let cursor = &mut bytes;
-    if RECORD {
-        map.node_spans.clear();
-        map.chan_spans.clear();
-    }
     let n = read_varint(cursor) as usize;
     assert_eq!(n, net.len(), "packed configuration has the wrong number of processes");
     let mut state = NodeState::default();
     for v in 0..n {
-        let start = offset_of(cursor);
         read_node_state_into(cursor, &mut state);
-        if RECORD {
-            map.node_spans.push((start, offset_of(cursor)));
-        }
         net.node_mut(v).restore_state(&state);
     }
     for v in 0..n {
@@ -676,25 +654,109 @@ fn restore_packed_impl<P, T, const RECORD: bool>(
             "packed configuration has the wrong degree for node {v}"
         );
         for l in 0..degree {
-            let start = offset_of(cursor);
             let len = read_varint(cursor) as usize;
             let mut channel = net.channel_mut(v, l);
             channel.reset();
             for _ in 0..len {
                 channel.push(read_message(cursor));
             }
-            drop(channel);
-            if RECORD {
-                map.chan_spans.push((start, offset_of(cursor)));
-            }
         }
+    }
+}
+
+/// Records the byte span of every mutable segment of a packed configuration, and every
+/// channel's message count, into `map` (cleared first) — the per-state setup step of the
+/// delta successor engine.  A skip-only parse: no [`NodeState`] or [`Message`] is decoded
+/// and no network is touched.
+pub fn map_packed(bytes: &[u8], map: &mut SegmentMap) {
+    let total = bytes.len();
+    let offset_of = |cursor: &[u8]| (total - cursor.len()) as u32;
+    let mut bytes = bytes;
+    let cursor = &mut bytes;
+    map.node_spans.clear();
+    map.chan_spans.clear();
+    map.chan_lens.clear();
+    let n = read_varint(cursor) as usize;
+    for _ in 0..n {
+        let start = offset_of(cursor);
+        skip_node_state(cursor);
+        map.node_spans.push((start, offset_of(cursor)));
+    }
+    for _ in 0..n {
+        let degree = read_varint(cursor) as usize;
+        for _ in 0..degree {
+            let start = offset_of(cursor);
+            let len = read_varint(cursor);
+            for _ in 0..len {
+                *cursor = &cursor[message_len(cursor)..];
+            }
+            map.chan_spans.push((start, offset_of(cursor)));
+            map.chan_lens.push(len as u32);
+        }
+    }
+    assert!(cursor.is_empty(), "corrupt packed configuration: {} trailing bytes", cursor.len());
+}
+
+fn skip_varint(cursor: &mut &[u8]) {
+    let len = cursor.iter().position(|&b| b & 0x80 == 0).expect("truncated varint") + 1;
+    *cursor = &cursor[len..];
+}
+
+/// Advances `cursor` past one node-state segment (the layout [`write_node_state`] writes).
+fn skip_node_state(cursor: &mut &[u8]) {
+    *cursor = &cursor[1..]; // State
+    skip_varint(cursor); // Need
+    let rset_len = read_varint(cursor);
+    for _ in 0..rset_len {
+        skip_varint(cursor);
+    }
+    let prio_tag = cursor[0];
+    *cursor = &cursor[1..];
+    if prio_tag != 0 {
+        skip_varint(cursor);
+    }
+    let ctrl_tag = cursor[1]; // after the bootstrapped byte
+    *cursor = &cursor[2..];
+    match ctrl_tag {
+        0 => {}
+        1 => {
+            skip_varint(cursor); // myC
+            skip_varint(cursor); // Succ
+            *cursor = &cursor[1..]; // Reset
+            skip_varint(cursor); // SToken
+            *cursor = &cursor[2..]; // SPush, SPrio
+        }
+        2 => {
+            skip_varint(cursor); // myC
+            skip_varint(cursor); // Succ
+        }
+        other => panic!("corrupt packed configuration: ctrl tag {other}"),
+    }
+}
+
+/// The length in bytes of the encoded message at the start of `bytes` (the layout
+/// [`write_message`] writes).
+pub(crate) fn message_len(bytes: &[u8]) -> usize {
+    match bytes[0] {
+        1..=3 => 1,
+        4 => {
+            let mut cursor = &bytes[1..];
+            skip_varint(&mut cursor); // c
+            cursor = &cursor[1..]; // r
+            skip_varint(&mut cursor); // pt
+            bytes.len() - cursor.len() + 1 // ppr
+        }
+        5 => 3,
+        6 => 5,
+        other => panic!("corrupt packed configuration: message tag {other}"),
     }
 }
 
 // --------------------------------------------------------------- segment map & delta hashing
 
 /// The byte spans of the **mutable segments** of one packed configuration: one segment per
-/// node state and one per channel content, recorded by [`restore_packed_mapped`].
+/// node state and one per channel content, recorded by [`map_packed`] together with every
+/// channel's message count.
 ///
 /// The remaining bytes of the encoding — the leading process count and the per-node degree
 /// varints — are functions of the network *shape*, identical in every configuration of one
@@ -710,6 +772,8 @@ pub struct SegmentMap {
     node_spans: Vec<(u32, u32)>,
     /// `chan_spans[c]` is the span of flat channel `c`'s encoding (count varint + messages).
     chan_spans: Vec<(u32, u32)>,
+    /// `chan_lens[c]` is the number of messages in flat channel `c`.
+    chan_lens: Vec<u32>,
 }
 
 impl SegmentMap {
@@ -754,6 +818,20 @@ impl SegmentMap {
         let (start, end) = self.span(seg);
         &packed[start..end]
     }
+
+    /// Number of messages in flat channel `c`.
+    pub fn channel_len(&self, c: usize) -> usize {
+        self.chan_lens[c] as usize
+    }
+
+    /// The encoded messages of flat channel `c` within `packed`, head first: its segment
+    /// without the leading count varint.
+    pub fn channel_messages<'a>(&self, packed: &'a [u8], c: usize) -> &'a [u8] {
+        let segment = self.segment(packed, self.channel_segment(c));
+        let mut cursor = segment;
+        skip_varint(&mut cursor);
+        cursor
+    }
 }
 
 /// The contribution of segment `seg` holding `bytes` to the segmented configuration hash:
@@ -780,19 +858,6 @@ pub fn segmented_hash(packed: &[u8], map: &SegmentMap) -> u64 {
         hash ^= segment_term(seg, map.segment(packed, seg));
     }
     hash
-}
-
-/// Appends the canonical encoding of one channel segment — the count varint followed by the
-/// messages head-first — exactly as [`capture_packed`] encodes it in place.
-pub(crate) fn encode_channel_segment<'a>(
-    out: &mut Vec<u8>,
-    len: usize,
-    msgs: impl Iterator<Item = &'a Message>,
-) {
-    write_varint(out, len as u64);
-    for msg in msgs {
-        write_message(out, msg);
-    }
 }
 
 /// Appends the canonical encoding of one node-state segment (the delta engine's re-pack of
@@ -1096,6 +1161,7 @@ mod tests {
             Message::Ctrl { c: u64::MAX, r: true, pt: 300, ppr: 255 },
             Message::Garbage(0),
             Message::Garbage(u16::MAX),
+            Message::Marker(u32::MAX),
         ];
         let mut configs = Vec::new();
         for (i, ctrl) in ctrl_variants.iter().enumerate() {
@@ -1217,7 +1283,7 @@ mod tests {
         let mut packed = Vec::new();
         capture_packed(&net, &mut packed);
         let mut map = SegmentMap::default();
-        restore_packed_mapped(&mut net, &packed, &mut map);
+        map_packed(&packed, &mut map);
 
         let n = net.len();
         let total_channels: usize = (0..n).map(|v| net.topology().degree(v)).sum();
@@ -1245,14 +1311,57 @@ mod tests {
             for l in 0..net.topology().degree(v) {
                 scratch.clear();
                 let channel = net.channel(v, l);
-                encode_channel_segment(&mut scratch, channel.len(), channel.iter());
+                write_varint(&mut scratch, channel.len() as u64);
+                let count_len = scratch.len();
+                for msg in channel.iter() {
+                    write_message(&mut scratch, msg);
+                }
                 assert_eq!(
                     &scratch[..],
                     map.segment(&packed, map.channel_segment(flat)),
                     "channel ({v}, {l})"
                 );
+                assert_eq!(map.channel_len(flat), channel.len(), "channel ({v}, {l})");
+                assert_eq!(
+                    map.channel_messages(&packed, flat),
+                    &scratch[count_len..],
+                    "channel ({v}, {l})"
+                );
                 flat += 1;
             }
+        }
+    }
+
+    #[test]
+    fn skip_parse_agrees_with_a_full_decode_on_assorted_configurations() {
+        // Every controller role and message variant: the skip-only parse must find the
+        // boundaries the decoder finds, segment by segment and message by message.
+        for config in assorted_configurations() {
+            let mut packed = Vec::new();
+            pack_configuration(&config, &mut packed);
+            let mut map = SegmentMap::default();
+            map_packed(&packed, &mut map);
+            let mut expected = Vec::new();
+            for (v, state) in config.nodes.iter().enumerate() {
+                expected.clear();
+                encode_node_segment(&mut expected, state);
+                assert_eq!(map.segment(&packed, map.node_segment(v)), &expected[..]);
+            }
+            let mut flat = 0;
+            for channel in config.channels.iter().flatten() {
+                assert_eq!(map.channel_len(flat), channel.len());
+                let mut rest = map.channel_messages(&packed, flat);
+                for msg in channel {
+                    expected.clear();
+                    write_message(&mut expected, msg);
+                    assert_eq!(message_len(rest), expected.len(), "{msg:?}");
+                    assert_eq!(&rest[..expected.len()], &expected[..], "{msg:?}");
+                    rest = &rest[expected.len()..];
+                }
+                assert!(rest.is_empty());
+                flat += 1;
+            }
+            assert_eq!(map.channels(), flat);
         }
     }
 
@@ -1267,7 +1376,7 @@ mod tests {
         let mut before = Vec::new();
         capture_packed(&net, &mut before);
         let mut map = SegmentMap::default();
-        restore_packed_mapped(&mut net, &before, &mut map);
+        map_packed(&before, &mut map);
         let mut h_before = segmented_hash(&before, &map);
 
         // Execute one activation and recapture; patch the hash only through the dirty
@@ -1278,7 +1387,7 @@ mod tests {
             let mut after = Vec::new();
             capture_packed(&net, &mut after);
             let mut after_map = SegmentMap::default();
-            restore_packed_mapped(&mut net, &after, &mut after_map);
+            map_packed(&after, &mut after_map);
             let mut patched = h_before;
             // Shape is constant, so segment counts agree; xor out/in only changed segments.
             for seg in 0..map.segments() {

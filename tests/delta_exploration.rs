@@ -1,9 +1,11 @@
 //! Delta successor engine: undo-log correctness and engine parity.
 //!
 //! The delta engine (`checker::Explorer::run`, the checker's one production engine)
-//! derives every successor by executing **in place** and reverting through an undo log,
-//! re-packing and re-hashing only the segments a transition dirtied.  Its soundness rests on
-//! two claims, each pinned here against the retained interned oracle:
+//! derives every successor from the parent's packed bytes and the activation's local effect,
+//! re-hashing only the segments a transition dirtied; an effect is computed once per
+//! distinct (process, local state, head message), by executing **in place** and reverting
+//! through an undo log.  Its soundness rests on two claims, each pinned here against the
+//! retained interned oracle:
 //!
 //! 1. **Apply-then-revert is the identity** on the packed configuration (bit-for-bit) and on
 //!    the segmented hash — checked as a property over all four protocol rungs, random trees,
@@ -25,7 +27,7 @@ use analysis::scenario::{
     TopologySpec, WorkloadSpec,
 };
 use checker::snapshot::{
-    capture_packed, restore_packed_mapped, segmented_hash, CheckableNode, SegmentMap,
+    capture_packed, map_packed, restore_packed, segmented_hash, CheckableNode, SegmentMap,
 };
 use checker::{drivers, ExplorationReport, Explorer, Limits};
 use klex_core::KlConfig;
@@ -45,8 +47,9 @@ where
     // `entered_at`), then treat the capture as the parent.
     let mut parent = Vec::new();
     capture_packed(net, &mut parent);
+    restore_packed(net, &parent);
     let mut map = SegmentMap::default();
-    restore_packed_mapped(net, &parent, &mut map);
+    map_packed(&parent, &mut map);
     let h_parent = segmented_hash(&parent, &map);
 
     let n = net.len();
@@ -80,7 +83,7 @@ where
             recaptured, parent,
             "apply+revert of {act:?} must restore the packed configuration bit-identically"
         );
-        restore_packed_mapped(net, &recaptured, &mut remap);
+        map_packed(&recaptured, &mut remap);
         assert_eq!(
             segmented_hash(&recaptured, &remap),
             h_parent,
