@@ -7,10 +7,9 @@
 //!   enter between a request and its satisfaction (Theorem 2 bounds it by ℓ(2n−3)²);
 //! * [`convergence`] — stabilization time from an arbitrary configuration (Theorem 1), using
 //!   sustained legitimacy as the empirical convergence criterion;
-//! * [`invariants`] — continuous safety checking (at most k units per process, at most ℓ in
-//!   use, token conservation) while an execution runs;
 //! * [`snapshot`] — cut-level safety verdicts ([`snapshot::CutVerdict`]) over the
-//!   in-simulation Chandy–Lamport snapshots assembled by [`treenet::SnapshotRunner`];
+//!   in-simulation Chandy–Lamport snapshots assembled by [`treenet::SnapshotRunner`]
+//!   (continuous per-activation safety is [`klex_core::LiveCensus`]);
 //! * [`monitor`] — streaming temporal monitors (request-eventually-CS, at-most-k-in-CS,
 //!   ℓ-availability, convergence-witnessed) with one verdict abstraction over simulator
 //!   traces and checker lassos;
@@ -39,7 +38,6 @@ pub mod deadlock;
 pub mod fairness;
 pub mod harness;
 pub mod histogram;
-pub mod invariants;
 pub mod monitor;
 pub mod progress;
 pub mod scenario;
@@ -55,7 +53,6 @@ pub use deadlock::{detect_deadlock, DeadlockVerdict};
 pub use fairness::{jains_index, FairnessReport};
 pub use harness::{render_csv, render_markdown_table, ExperimentRow, Trial};
 pub use histogram::Histogram;
-pub use invariants::{SafetyMonitor, SafetyViolation};
 pub use monitor::{MonitorReport, TemporalMonitor, Verdict, MONITOR_NAMES};
 pub use progress::{Counter, MetricsRegistry, NullSink, ProgressSink};
 pub use scenario::{CompiledScenario, Scenario, ScenarioError, ScenarioSpec};

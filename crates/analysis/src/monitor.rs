@@ -18,6 +18,10 @@
 //! fair-cycle pass and the monitor replaying its lasso must agree, and a simulator-observed
 //! safety violation must be reproduced by the exhaustive exploration.
 //!
+//! The two safety monitors read the units a process holds when it enters (`|RSet|`, which
+//! `EnterCs` reports and [`feed_lasso`] reads off the configurations) and judge them with
+//! the clauses of [`klex_core::legitimacy`], like every other safety consumer.
+//!
 //! | monitor | paper property | violation |
 //! |---|---|---|
 //! | [`RequestEventuallyCS`] | (k, ℓ)-liveness (Specification 1, liveness clause) | a request pending forever (lasso) |
@@ -25,6 +29,8 @@
 //! | [`LAvailability`] | safety: at most `ℓ` units in use at once | concurrent critical sections exceeding `ℓ` units |
 //! | [`ConvergenceWitnessed`] | Theorem 1 (convergence) | never violated; `Satisfied` once sustained legitimacy is observed |
 
+use klex_core::legitimacy::{global_clause, NodeShare};
+use klex_core::KlInspect;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use treenet::{CsState, NodeId, Trace};
@@ -268,7 +274,9 @@ impl TemporalMonitor for AtMostKInCS {
 
     fn observe(&mut self, event: &MonitorEvent) {
         if let MonitorEvent::Enter { at, node, units } = event {
-            if *units > self.k && self.violation.is_none() {
+            // An entering process uses exactly the units it holds.
+            let share = NodeShare { reserved: *units, in_use: *units, priority: false };
+            if share.clause(*node, self.k).is_err() && self.violation.is_none() {
                 self.violation = Some(format!(
                     "process {node} entered its critical section with {units} units at time \
                      {at} but k = {}",
@@ -324,7 +332,7 @@ impl TemporalMonitor for LAvailability {
             MonitorEvent::Enter { at, node, units } => {
                 let previous = self.held.insert(*node, *units).unwrap_or(0);
                 self.in_use = self.in_use - previous + units;
-                if self.in_use > self.l && self.violation.is_none() {
+                if global_clause(self.in_use, self.l).is_err() && self.violation.is_none() {
                     self.violation = Some(format!(
                         "{} units in use at time {at} (process {node} entering with {units}) \
                          but l = {}",
@@ -459,9 +467,10 @@ pub fn feed_lasso(
             CsState::Req => {
                 observe_all(monitors, &MonitorEvent::Request { at: 0, node, units: state.need })
             }
-            CsState::In => {
-                observe_all(monitors, &MonitorEvent::Enter { at: 0, node, units: state.need })
-            }
+            CsState::In => observe_all(
+                monitors,
+                &MonitorEvent::Enter { at: 0, node, units: state.units_in_use() },
+            ),
             CsState::Out => {}
         }
     }
@@ -501,17 +510,20 @@ fn emit_step(
             observe_all(monitors, &MonitorEvent::Request { at, node, units: a.need });
         }
         if b.cs != CsState::In && a.cs == CsState::In {
-            observe_all(monitors, &MonitorEvent::Enter { at, node, units: a.need });
+            observe_all(monitors, &MonitorEvent::Enter { at, node, units: a.units_in_use() });
         }
         if b.cs == CsState::In && a.cs != CsState::In {
-            observe_all(monitors, &MonitorEvent::Exit { at, node, units: b.need });
+            observe_all(monitors, &MonitorEvent::Exit { at, node, units: b.units_in_use() });
         }
         // Instantaneous critical sections never show as an `In` configuration: the recorded
         // entry plus the absence of an `In` state after the step means enter-and-exit
-        // within this one transition.
+        // within this one transition.  The units held at that entry show in neither
+        // configuration: a requester reserves at most one more token per step, and only
+        // while `|RSet| < Need`, so they are the larger of its `|RSet|` and `Need` before.
         if cs_entries.contains(&node) && a.cs != CsState::In && b.cs != CsState::In {
-            observe_all(monitors, &MonitorEvent::Enter { at, node, units: b.need });
-            observe_all(monitors, &MonitorEvent::Exit { at, node, units: b.need });
+            let units = b.reserved().max(b.need);
+            observe_all(monitors, &MonitorEvent::Enter { at, node, units });
+            observe_all(monitors, &MonitorEvent::Exit { at, node, units });
         }
     }
 }
@@ -564,6 +576,27 @@ mod tests {
         let mut m = AtMostKInCS::new(2);
         m.observe(&MonitorEvent::Enter { at: 1, node: 0, units: 3 });
         assert!(m.verdict().is_violated());
+    }
+
+    #[test]
+    fn at_most_k_judges_the_units_held_not_the_units_requested() {
+        // A corrupted requester asks for k units but holds k + 1 reservations: its entry puts
+        // k + 1 units in use, and the trace must say so.
+        let cfg = klex_core::KlConfig::new(1, 2, 3);
+        let mut net = klex_core::naive::network(topology::builders::figure3_tree(), cfg, |_| {
+            Box::new(treenet::app::Idle) as treenet::app::BoxedDriver
+        });
+        let node = net.node_mut(1);
+        node.app.state = CsState::Req;
+        node.app.need = cfg.k;
+        node.app.rset = vec![0; cfg.k + 1];
+        treenet::run_for(&mut net, &mut treenet::RoundRobin::new(), 10);
+        assert_eq!(net.trace().cs_entries(Some(1)), 1);
+
+        let mut monitors = boxed(&["at-most-k-in-cs"], cfg.k, cfg.l);
+        feed_trace(&mut monitors, net.trace());
+        let reports = finish_all(&mut monitors, StreamEnd::Finite { at: net.now() });
+        assert!(reports[0].verdict.is_violated(), "{reports:?}");
     }
 
     #[test]

@@ -154,8 +154,7 @@ mod tests {
     #[test]
     fn figure2_pusher_variant_has_pusher_in_flight() {
         let net = figure2_deadlock_config_with_pusher();
-        let pushers = net.iter_messages().filter(|(_, _, m)| m.is_pusher()).count();
-        assert_eq!(pushers, 1);
+        assert_eq!(klex_core::count_tokens(&net).pusher, 1);
     }
 
     #[test]

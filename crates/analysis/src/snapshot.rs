@@ -1,19 +1,22 @@
-//! Snapshot-fed safety monitoring: token census and safety bounds over consistent cuts.
+//! Snapshot-fed safety monitoring: token census and safety clauses over consistent cuts.
 //!
 //! The `treenet` crate assembles Chandy–Lamport cuts protocol-agnostically
 //! ([`treenet::SnapshotRunner`] feeding a [`treenet::SnapshotObserver`]); this module owns
-//! the protocol-specific interpretation.  [`SnapshotMonitor`] accumulates, per cut, the
-//! token census over recorded node states plus in-transit messages — the same quantity
-//! [`klex_core::count_tokens`] computes instantaneously — and the per-process safety bounds
-//! of [`klex_core::legitimacy::safety_holds`], and renders each completed cut into a [`CutVerdict`].
+//! the protocol-specific interpretation.  [`SnapshotMonitor`] folds, per cut, each recorded
+//! node state into its [`NodeShare`] and each in-transit message into its census slot — the
+//! same summary [`klex_core::count_tokens`] takes instantaneously — and judges the cut with
+//! the clauses of [`klex_core::legitimacy`]: the per-process clause on every recorded
+//! process and the global clause on the units in use, as [`klex_core::legitimacy::safety`]
+//! does.  Each completed cut becomes a [`CutVerdict`].
 //!
 //! A consistent cut of a legitimate execution is itself a reachable configuration, so on a
 //! stabilized network **every** verdict must be clean: census exactly (ℓ, 1, 1) and no
 //! process over its `k` bound.  An unclean verdict is a genuine safety finding, not a
 //! tearing artifact — that is the point of snapshotting consistently instead of reading
 //! racing per-node state mid-flight.  (This is the cut-level complement of the continuous
-//! per-step [`crate::invariants::SafetyMonitor`].)
+//! per-activation [`klex_core::LiveCensus`].)
 
+use klex_core::legitimacy::{global_clause, NodeShare};
 use klex_core::{KlConfig, KlInspect, Message, TokenCensus};
 use serde::Serialize;
 use treenet::{ChannelLabel, NodeId, Process, SnapshotObserver};
@@ -37,8 +40,8 @@ pub struct CutVerdict {
     pub max_units_in_use: usize,
     /// True when the census is exactly (ℓ, 1, 1).
     pub census_matches: bool,
-    /// True when every safety bound holds: no process over `k` (reserved or in use) and at
-    /// most `ℓ` units in use overall.
+    /// True when the safety clauses hold: no process reserves more than `k` tokens and at
+    /// most `ℓ` units are in use overall.
     pub safety_ok: bool,
 }
 
@@ -57,6 +60,8 @@ struct CutAccumulator {
     units_in_use: usize,
     max_reserved: usize,
     max_units_in_use: usize,
+    /// True once a recorded process failed the per-process clause.
+    over_k: bool,
 }
 
 /// A [`SnapshotObserver`] that turns every completed cut into a [`CutVerdict`].
@@ -66,8 +71,7 @@ struct CutAccumulator {
 /// beyond the runner's own bitmaps.
 #[derive(Debug)]
 pub struct SnapshotMonitor {
-    k: usize,
-    l: usize,
+    cfg: KlConfig,
     current: CutAccumulator,
     verdicts: Vec<CutVerdict>,
 }
@@ -75,12 +79,7 @@ pub struct SnapshotMonitor {
 impl SnapshotMonitor {
     /// A monitor asserting `cfg`'s (k, ℓ) bounds on every cut.
     pub fn new(cfg: &KlConfig) -> Self {
-        Self::with_kl(cfg.k, cfg.l)
-    }
-
-    /// A monitor asserting the given bounds on every cut.
-    pub fn with_kl(k: usize, l: usize) -> Self {
-        SnapshotMonitor { k, l, current: CutAccumulator::default(), verdicts: Vec::new() }
+        SnapshotMonitor { cfg: *cfg, current: CutAccumulator::default(), verdicts: Vec::new() }
     }
 
     /// The verdicts of every completed cut, in completion order.
@@ -108,39 +107,28 @@ impl<P> SnapshotObserver<P> for SnapshotMonitor
 where
     P: Process<Msg = Message> + KlInspect,
 {
-    fn node_state(&mut self, _snap: u32, _node: NodeId, process: &P) {
+    fn node_state(&mut self, _snap: u32, node: NodeId, process: &P) {
         let acc = &mut self.current;
-        let reserved = process.reserved();
-        let in_use = process.units_in_use();
-        acc.census.resource += reserved;
-        if process.holds_priority() {
-            acc.census.priority += 1;
-        }
-        acc.units_in_use += in_use;
-        acc.max_reserved = acc.max_reserved.max(reserved);
-        acc.max_units_in_use = acc.max_units_in_use.max(in_use);
+        let share = NodeShare::of(process);
+        acc.census.hold(share);
+        acc.units_in_use += share.in_use;
+        acc.max_reserved = acc.max_reserved.max(share.reserved);
+        acc.max_units_in_use = acc.max_units_in_use.max(share.in_use);
+        acc.over_k |= share.clause(node, self.cfg.k).is_err();
     }
 
     fn in_transit(&mut self, _snap: u32, _node: NodeId, _label: ChannelLabel, msg: &Message) {
-        let census = &mut self.current.census;
-        match msg {
-            Message::ResT => census.resource += 1,
-            Message::PushT => census.pusher += 1,
-            Message::PrioT => census.priority += 1,
-            Message::Ctrl { .. } => census.ctrl += 1,
-            Message::Garbage(_) => census.garbage += 1,
-            // A marker at the head of an open channel is consumed by the runner before
-            // delivery, so it can never be recorded in transit; the arm is defensive.
-            Message::Marker(_) => {}
+        // A marker at the head of an open channel is consumed by the runner before delivery,
+        // so it can never be recorded in transit; markers have no slot anyway.
+        if let Some(slot) = self.current.census.slot(msg) {
+            *slot += 1;
         }
     }
 
     fn cut_complete(&mut self, snap: u32, initiated_at: u64, completed_at: u64) {
         let acc = std::mem::take(&mut self.current);
-        let census_matches = acc.census.matches(self.l);
-        let safety_ok = acc.max_reserved <= self.k
-            && acc.max_units_in_use <= self.k
-            && acc.units_in_use <= self.l;
+        let census_matches = acc.census.matches(self.cfg.l);
+        let safety_ok = !acc.over_k && global_clause(acc.units_in_use, self.cfg.l).is_ok();
         self.verdicts.push(CutVerdict {
             snap,
             initiated_at,

@@ -225,14 +225,10 @@ pub fn network(
     Network::new(star, |id| CentralizedNode::new(id, cfg, driver_for(id)))
 }
 
-/// Total units currently in use by clients (for safety checks).
-pub fn units_in_use(net: &Network<CentralizedNode, OrientedTree>) -> usize {
-    net.nodes().map(|n| n.units_in_use()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klex_core::legitimacy::safety_holds;
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, RandomFair, RoundRobin};
 
@@ -279,7 +275,7 @@ mod tests {
         let mut sched = RandomFair::new(2);
         for _ in 0..100_000 {
             net.step_event(&mut sched);
-            assert!(units_in_use(&net) <= cfg.l, "coordinator must never over-allocate");
+            assert!(safety_holds(&net, &cfg), "coordinator must never over-allocate");
         }
     }
 

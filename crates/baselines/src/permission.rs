@@ -314,14 +314,10 @@ pub fn network(
     Network::new(Complete::new(n), |id| PermissionNode::new(id, n, cfg, driver_for(id)))
 }
 
-/// Total units currently in use (for safety checks).
-pub fn units_in_use(net: &Network<PermissionNode, Complete>) -> usize {
-    net.nodes().map(|n| n.units_in_use()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klex_core::legitimacy::safety_holds;
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, RandomFair, RoundRobin};
 
@@ -371,7 +367,7 @@ mod tests {
         let mut sched = RandomFair::new(8);
         for _ in 0..100_000 {
             net.step_event(&mut sched);
-            assert!(units_in_use(&net) <= cfg.l);
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
             // A unit is held by at most one process at a time.
             let mut holders = std::collections::BTreeMap::new();
             for (id, node) in net.nodes().enumerate() {

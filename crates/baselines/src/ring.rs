@@ -315,6 +315,7 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klex_core::legitimacy::safety_holds;
     use klex_core::{count_tokens, is_legitimate};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, FaultInjector, FaultPlan, RoundRobin};
@@ -382,8 +383,7 @@ mod tests {
         treenet::run_for(&mut net, &mut sched, 200_000);
         for _ in 0..50_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l);
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 

@@ -1643,7 +1643,7 @@ mod tests {
         assert_eq!(witness.blocked.len(), 2, "both requesters are blocked");
         // In the deadlock every resource token is reserved by a blocked requester.
         assert_eq!(witness.config.messages_in_flight(), 0);
-        assert_eq!(witness.config.resource_tokens(), 2);
+        assert_eq!(witness.config.census().resource, 2);
     }
 
     #[test]

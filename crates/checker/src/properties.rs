@@ -1,22 +1,27 @@
 //! Configuration predicates checked on every explored configuration.
 //!
 //! Properties are pure functions of a [`Configuration`]; they correspond to the global
-//! predicates the paper's proofs reason about:
+//! predicates the paper's proofs reason about.  The first four are thin adapters: each reads
+//! the configuration's census ([`Configuration::census`]) or per-process shares
+//! ([`Configuration::shares`]) and calls the one definition of its clause in
+//! [`klex_core::legitimacy`], which also words the violation:
 //!
-//! * [`safety`] — the safety clause of the k-out-of-ℓ exclusion specification (each process
-//!   uses at most `k` units, at most `ℓ` units are in use, no process hoards more than `k`
-//!   reservations);
+//! * [`safety`] — [`legitimacy::safety`]: no process reserves more than `k` tokens (the
+//!   protocol invariant that implies the specification's "at most `k` units in use") and at
+//!   most `ℓ` units are in use;
 //! * [`exact_census`] — the token population is exactly (ℓ resource, 1 pusher, 1 priority),
 //!   the invariant Lemmas 6–8 establish;
-//! * [`legitimate`] — the conjunction used as the empirical legitimate set: exact census,
-//!   no garbage messages, and safety — checking it on every configuration reachable from a
-//!   legitimate one is exactly the *closure* half of Definition 1;
 //! * [`no_garbage`] — no corrupted message survives;
+//! * [`legitimate`] — [`legitimacy::legitimate`], the conjunction used as the empirical
+//!   legitimate set: exact census, no garbage, and safety — checking it on every
+//!   configuration reachable from a legitimate one is exactly the *closure* half of
+//!   Definition 1;
 //! * [`bounded_channels`] — no channel ever holds more than a given number of messages
 //!   (a sanity property of the token-circulation design: legitimate executions never
 //!   accumulate unbounded traffic).
 
 use crate::snapshot::Configuration;
+use klex_core::legitimacy::{self, Breach};
 use klex_core::KlConfig;
 
 /// A predicate over configurations, named for reporting.
@@ -54,63 +59,34 @@ pub fn property(
     Box::new(Named { name, check })
 }
 
+/// Builds a property from a clause of [`klex_core::legitimacy`], reporting its breach.
+fn clause(
+    name: &'static str,
+    check: impl Fn(&Configuration) -> Result<(), Breach> + 'static,
+) -> Box<dyn Property> {
+    property(name, move |c| check(c).map_err(|breach| breach.to_string()))
+}
+
 /// The safety clause of the k-out-of-ℓ exclusion specification.
 pub fn safety(cfg: KlConfig) -> Box<dyn Property> {
-    property("safety", move |c| {
-        for (v, s) in c.nodes.iter().enumerate() {
-            if s.rset.len() > cfg.k {
-                return Err(format!(
-                    "process {v} reserves {} tokens but k = {}",
-                    s.rset.len(),
-                    cfg.k
-                ));
-            }
-        }
-        let in_use = c.units_in_use();
-        if in_use > cfg.l {
-            return Err(format!("{in_use} units in use but l = {}", cfg.l));
-        }
-        Ok(())
-    })
+    clause("safety", move |c| legitimacy::safety(c.shares(), &cfg))
 }
 
 /// The token population is exactly (ℓ, 1, 1).
 pub fn exact_census(cfg: KlConfig) -> Box<dyn Property> {
-    property("exact-census", move |c| {
-        let (res, push, prio) = (c.resource_tokens(), c.pusher_tokens(), c.priority_tokens());
-        if res == cfg.l && push == 1 && prio == 1 {
-            Ok(())
-        } else {
-            Err(format!(
-                "census is ({res} resource, {push} pusher, {prio} priority), expected ({}, 1, 1)",
-                cfg.l
-            ))
-        }
-    })
+    clause("exact-census", move |c| c.census().exact(cfg.l))
 }
 
 /// No garbage (non-protocol) message is in flight.
 pub fn no_garbage() -> Box<dyn Property> {
-    property("no-garbage", |c| {
-        let g = c.garbage_messages();
-        if g == 0 {
-            Ok(())
-        } else {
-            Err(format!("{g} garbage messages in flight"))
-        }
-    })
+    clause("no-garbage", |c| c.census().no_garbage())
 }
 
 /// The legitimacy predicate: exact census, no garbage, and safety.  Checking this on every
 /// reachable configuration from a legitimate start is the closure property of Definition 1.
 pub fn legitimate(cfg: KlConfig) -> Box<dyn Property> {
-    let census = exact_census(cfg);
-    let garbage = no_garbage();
-    let safe = safety(cfg);
-    property("legitimate", move |c| {
-        census.check(c)?;
-        garbage.check(c)?;
-        safe.check(c)
+    clause("legitimate", move |c| {
+        legitimacy::legitimate(&c.census(), &cfg, || legitimacy::safety(c.shares(), &cfg))
     })
 }
 
@@ -163,7 +139,7 @@ mod tests {
             vec![vec![vec![]]],
         );
         let err = safety(kl(2, 3)).check(&hoarder).unwrap_err();
-        assert!(err.contains("reserves 3"));
+        assert_eq!(err, "process 0 reserves 3 tokens but k = 2");
     }
 
     #[test]
@@ -175,7 +151,8 @@ mod tests {
             ],
             vec![vec![vec![]], vec![vec![]]],
         );
-        assert!(safety(kl(2, 3)).check(&too_many).is_err());
+        let err = safety(kl(2, 3)).check(&too_many).unwrap_err();
+        assert_eq!(err, "4 units in use but l = 3");
     }
 
     #[test]
@@ -189,7 +166,8 @@ mod tests {
         );
         // 1 reserved + 2 in flight = 3 resource tokens; 1 pusher; 1 held priority.
         assert!(exact_census(kl(2, 3)).check(&c).is_ok());
-        assert!(exact_census(kl(2, 4)).check(&c).is_err());
+        let err = exact_census(kl(2, 4)).check(&c).unwrap_err();
+        assert_eq!(err, "census is (3 resource, 1 pusher, 1 priority), expected (4, 1, 1)");
     }
 
     #[test]
@@ -200,7 +178,7 @@ mod tests {
             vec![node(CsState::Out, 0, vec![], None)],
             vec![vec![vec![Message::Garbage(3)]]],
         );
-        assert!(no_garbage().check(&dirty).is_err());
+        assert_eq!(no_garbage().check(&dirty).unwrap_err(), "1 garbage messages in flight");
     }
 
     #[test]

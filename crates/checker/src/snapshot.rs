@@ -52,8 +52,9 @@
 //! two primitives, interning through [`StateArena::intern_capped_hashed`] (one hash scheme
 //! per arena — see its docs).
 
+use klex_core::legitimacy::{NodeShare, TokenCensus};
 use klex_core::ss::SsRole;
-use klex_core::{Message, SsNode};
+use klex_core::{KlInspect, Message, SsNode};
 use topology::Topology;
 use treenet::{ChannelLabel, CsState, Network, Process};
 
@@ -126,46 +127,37 @@ impl Configuration {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.cs == CsState::Req && s.rset.len() < s.need)
+            .filter(|(_, s)| s.is_unsatisfied_requester())
             .map(|(v, _)| v)
             .collect()
     }
 
-    /// Number of resource tokens in the configuration (in flight plus reserved).
-    pub fn resource_tokens(&self) -> usize {
-        self.in_flight_matching(Message::is_resource)
-            + self.nodes.iter().map(|s| s.rset.len()).sum::<usize>()
+    /// Each process's share of the census and of the safety clauses, in process order.
+    pub fn shares(&self) -> impl Iterator<Item = NodeShare> + '_ {
+        self.nodes.iter().map(NodeShare::of)
     }
 
-    /// Number of pusher tokens (always in flight: no process ever holds the pusher).
-    pub fn pusher_tokens(&self) -> usize {
-        self.in_flight_matching(Message::is_pusher)
+    /// The token census: every in-flight message plus the tokens the processes hold.
+    pub fn census(&self) -> TokenCensus {
+        TokenCensus::of(self.channels.iter().flatten().flatten(), self.shares())
+    }
+}
+
+impl KlInspect for NodeState {
+    fn cs_state(&self) -> CsState {
+        self.cs
     }
 
-    /// Number of priority tokens, in flight plus held (`Prio ≠ ⊥`).
-    pub fn priority_tokens(&self) -> usize {
-        self.in_flight_matching(Message::is_priority)
-            + self.nodes.iter().filter(|s| s.prio.is_some()).count()
+    fn need(&self) -> usize {
+        self.need
     }
 
-    /// Number of garbage (non-protocol) messages in flight.
-    pub fn garbage_messages(&self) -> usize {
-        self.in_flight_matching(|m| matches!(m, Message::Garbage(_)))
+    fn reserved(&self) -> usize {
+        self.rset.len()
     }
 
-    /// Resource units currently *in use* in the sense of the safety property: tokens reserved
-    /// by processes executing their critical section.
-    pub fn units_in_use(&self) -> usize {
-        self.nodes.iter().filter(|s| s.cs == CsState::In).map(|s| s.rset.len()).sum()
-    }
-
-    fn in_flight_matching(&self, pred: impl Fn(&Message) -> bool) -> usize {
-        self.channels
-            .iter()
-            .flat_map(|per_node| per_node.iter())
-            .flat_map(|ch| ch.iter())
-            .filter(|&m| pred(m))
-            .count()
+    fn holds_priority(&self) -> bool {
+        self.prio.is_some()
     }
 }
 
@@ -1121,7 +1113,7 @@ mod tests {
         net.inject_into(2, 0, Message::PushT);
         let c = capture(&net);
         assert_eq!(c.messages_in_flight(), 2);
-        assert_eq!(c.resource_tokens(), 2);
+        assert_eq!(c.census().resource, 2);
         assert_eq!(c.unsatisfied_requesters(), vec![1]);
     }
 

@@ -21,7 +21,8 @@ pub trait KlInspect {
     fn holds_priority(&self) -> bool;
 
     /// Resource units in use in the sense of the safety property: reserved tokens while the
-    /// process executes its critical section, 0 otherwise.
+    /// process executes its critical section, 0 otherwise.  Never more than
+    /// [`KlInspect::reserved`], which is why bounding `|RSet|` bounds units in use.
     fn units_in_use(&self) -> usize {
         if self.cs_state() == CsState::In {
             self.reserved()

@@ -1,11 +1,29 @@
-//! Token censuses and legitimate-configuration predicates.
+//! Token censuses, the safety clauses and the legitimacy predicate — each defined once.
 //!
-//! The convergence argument of the paper (Lemmas 6–8) is phrased in terms of the number of
-//! tokens present in the system: a configuration is on the way to legitimacy once there are
-//! exactly ℓ resource tokens, one priority token and one pusher token, and the safety bounds
-//! on reservations hold.  These helpers compute that census over a whole network — counting
-//! both in-flight tokens (in channels) and held tokens (reserved in `RSet`s, or a `Prio`
-//! variable pointing at a channel) — and decide legitimacy.
+//! Every consumer that judges a configuration produces the same summary — a
+//! [`TokenCensus`] plus one [`NodeShare`] per process — and calls the clauses below; none
+//! restates them.  The consumers are the network scans of this module ([`count_tokens`],
+//! [`safety_holds`], [`is_legitimate`]), the per-activation [`LiveCensus`], the checker's
+//! properties over its decoded configurations, and the snapshot monitor's cut verdicts.  A
+//! clause that fails returns a [`Breach`] naming what broke.
+//!
+//! # Which clause is the specification
+//!
+//! Section 2's safety property bounds units *in use*: at most `k` units per process and at
+//! most `ℓ` units overall, where a process uses its reserved tokens only while
+//! `State = In` ([`KlInspect::units_in_use`]).  That is the specification.
+//!
+//! The per-process check, [`NodeShare::clause`], is stricter: it bounds `|RSet|`, the
+//! reservations a process holds in or out of its critical section.  `|RSet| ≤ k` is a
+//! protocol invariant, not part of the specification.  It implies the specification's
+//! per-process clause, because units in use ≤ `|RSet|`.  It is also what keeps a requester's
+//! next entry safe, because units in use equal `|RSet|` once the process is `In`.  So a
+//! requester holding `k + 1` reservations outside its critical section breaks the invariant
+//! (and [`safety`]) while it uses no unit yet.
+//!
+//! The global clause, [`global_clause`], is the specification's own: at most `ℓ` units in
+//! use.  [`safety`] is the invariant on every process plus the global clause, and
+//! [`legitimate`] is an exact `(ℓ, 1, 1)` census, no garbage, and [`safety`].
 //!
 //! # Reference scan and live census
 //!
@@ -19,6 +37,7 @@ use crate::config::KlConfig;
 use crate::inspect::KlInspect;
 use crate::message::Message;
 use serde::Serialize;
+use std::fmt;
 use topology::Topology;
 use treenet::{
     Activation, ChannelLabel, EnabledShape, EventScheduler, Network, NodeId, Process, StepEffects,
@@ -40,10 +59,196 @@ pub struct TokenCensus {
 }
 
 impl TokenCensus {
+    /// The census of a configuration: the `messages` in flight plus the tokens the processes
+    /// hold, one share each.
+    pub fn of<'m>(
+        messages: impl IntoIterator<Item = &'m Message>,
+        shares: impl IntoIterator<Item = NodeShare>,
+    ) -> Self {
+        let mut census = TokenCensus::default();
+        for msg in messages {
+            if let Some(slot) = census.slot(msg) {
+                *slot += 1;
+            }
+        }
+        for share in shares {
+            census.hold(share);
+        }
+        census
+    }
+
+    /// The counter an in-flight `msg` is counted under: the one mapping from message to
+    /// token kind.  `None` for snapshot markers, which are observability traffic, not
+    /// tokens: they exist only while a cut is being assembled and never enter the census.
+    #[inline]
+    pub fn slot(&mut self, msg: &Message) -> Option<&mut usize> {
+        match msg {
+            Message::ResT => Some(&mut self.resource),
+            Message::PushT => Some(&mut self.pusher),
+            Message::PrioT => Some(&mut self.priority),
+            Message::Ctrl { .. } => Some(&mut self.ctrl),
+            Message::Garbage(_) => Some(&mut self.garbage),
+            Message::Marker(_) => None,
+        }
+    }
+
+    /// Adds the tokens one process holds: its reservations and a held priority token.
+    pub fn hold(&mut self, share: NodeShare) {
+        self.resource += share.reserved;
+        self.priority += usize::from(share.priority);
+    }
+
     /// True when the circulating-token population matches a legitimate configuration:
     /// exactly `l` resource tokens, one pusher and one priority token.
     pub fn matches(&self, l: usize) -> bool {
         self.resource == l && self.pusher == 1 && self.priority == 1
+    }
+
+    /// The census clause of legitimacy: the population is exactly `(ℓ, 1, 1)` (Lemmas 6–8).
+    pub fn exact(&self, l: usize) -> Result<(), Breach> {
+        if self.matches(l) {
+            Ok(())
+        } else {
+            Err(Breach::Census { census: *self, l })
+        }
+    }
+
+    /// The garbage clause of legitimacy: no corrupted message is in flight.
+    pub fn no_garbage(&self) -> Result<(), Breach> {
+        match self.garbage {
+            0 => Ok(()),
+            garbage => Err(Breach::Garbage { garbage }),
+        }
+    }
+}
+
+/// One process's share of the census and of the safety clauses: everything the predicates
+/// read from a process.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeShare {
+    /// `|RSet|`: resource tokens reserved.
+    pub reserved: usize,
+    /// Units in use: `|RSet|` while the process is `In`, 0 otherwise.
+    pub in_use: usize,
+    /// True when the process holds the priority token (`Prio ≠ ⊥`).
+    pub priority: bool,
+}
+
+impl NodeShare {
+    /// Reads the share of `node`.
+    #[inline]
+    pub fn of(node: &impl KlInspect) -> Self {
+        let share = NodeShare {
+            reserved: node.reserved(),
+            in_use: node.units_in_use(),
+            priority: node.holds_priority(),
+        };
+        debug_assert!(share.in_use <= share.reserved, "units in use exceed |RSet|");
+        share
+    }
+
+    /// The per-process safety clause, checked through the protocol invariant `|RSet| ≤ k`
+    /// (which implies the specification's `units in use ≤ k`; see the module docs).  `node`
+    /// names the process in the breach.
+    pub fn clause(&self, node: NodeId, k: usize) -> Result<(), Breach> {
+        if self.over(k) {
+            Err(Breach::Reserved { node, reserved: self.reserved, k })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// True when [`NodeShare::clause`] fails.
+    #[inline]
+    fn over(&self, k: usize) -> bool {
+        self.reserved > k
+    }
+}
+
+/// The specification's global safety clause: at most `ℓ` units in use overall.
+pub fn global_clause(in_use: usize, l: usize) -> Result<(), Breach> {
+    if in_use > l {
+        Err(Breach::InUse { in_use, l })
+    } else {
+        Ok(())
+    }
+}
+
+/// The safety predicate over the processes' shares, in process order: the per-process
+/// clause on every process (the first offender is reported), then the global clause.
+pub fn safety(shares: impl IntoIterator<Item = NodeShare>, cfg: &KlConfig) -> Result<(), Breach> {
+    let mut in_use = 0usize;
+    for (node, share) in shares.into_iter().enumerate() {
+        share.clause(node, cfg.k)?;
+        in_use += share.in_use;
+    }
+    global_clause(in_use, cfg.l)
+}
+
+/// The legitimacy predicate used as the empirical legitimate set: the census is exactly
+/// `(ℓ, 1, 1)`, no garbage message survives, and `safety` holds — checked in that order, so
+/// `safety` runs only once the census clauses pass.
+///
+/// The number of in-flight controller messages is *not* constrained: the root's timeout may
+/// legitimately produce a transient duplicate which counter flushing later discards.
+pub fn legitimate(
+    census: &TokenCensus,
+    cfg: &KlConfig,
+    safety: impl FnOnce() -> Result<(), Breach>,
+) -> Result<(), Breach> {
+    census.exact(cfg.l)?;
+    census.no_garbage()?;
+    safety()
+}
+
+/// A failed clause: what a configuration breaks.  `Display` renders the checker's
+/// violation text.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Breach {
+    /// A process reserves more than `k` tokens (the invariant `|RSet| ≤ k`).
+    Reserved {
+        /// The first offending process.
+        node: NodeId,
+        /// Its `|RSet|`.
+        reserved: usize,
+        /// The bound `k`.
+        k: usize,
+    },
+    /// More than `ℓ` units are in use overall (the global clause).
+    InUse {
+        /// Units in use.
+        in_use: usize,
+        /// The bound `ℓ`.
+        l: usize,
+    },
+    /// The token population is not exactly `(ℓ, 1, 1)`.
+    Census {
+        /// The census found.
+        census: TokenCensus,
+        /// The expected number of resource tokens `ℓ`.
+        l: usize,
+    },
+    /// Garbage messages are in flight.
+    Garbage {
+        /// How many.
+        garbage: usize,
+    },
+}
+
+impl fmt::Display for Breach {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Breach::Reserved { node, reserved, k } => {
+                write!(f, "process {node} reserves {reserved} tokens but k = {k}")
+            }
+            Breach::InUse { in_use, l } => write!(f, "{in_use} units in use but l = {l}"),
+            Breach::Census { census, l } => write!(
+                f,
+                "census is ({} resource, {} pusher, {} priority), expected ({l}, 1, 1)",
+                census.resource, census.pusher, census.priority
+            ),
+            Breach::Garbage { garbage } => write!(f, "{garbage} garbage messages in flight"),
+        }
     }
 }
 
@@ -53,81 +258,25 @@ where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
-    let mut census = TokenCensus::default();
-    for (_, _, msg) in net.iter_messages() {
-        match msg {
-            Message::ResT => census.resource += 1,
-            Message::PushT => census.pusher += 1,
-            Message::PrioT => census.priority += 1,
-            Message::Ctrl { .. } => census.ctrl += 1,
-            Message::Garbage(_) => census.garbage += 1,
-            // Snapshot markers are observability traffic, not tokens: they exist only while
-            // a cut is being assembled and never enter the census.
-            Message::Marker(_) => {}
-        }
-    }
-    for node in net.nodes() {
-        census.resource += node.reserved();
-        if node.holds_priority() {
-            census.priority += 1;
-        }
-    }
-    census
+    TokenCensus::of(net.iter_messages().map(|(_, _, msg)| msg), net.nodes().map(NodeShare::of))
 }
 
-/// True when every per-process safety bound holds: no process reserves more than `k` tokens,
-/// no process uses more than `k` units, and at most `l` units are in use overall.
+/// True when [`safety`] holds on `net`.
 pub fn safety_holds<P, T>(net: &Network<P, T>, cfg: &KlConfig) -> bool
 where
-    P: Process<Msg = Message> + KlInspect,
+    P: Process + KlInspect,
     T: Topology,
 {
-    let mut in_use = 0usize;
-    for node in net.nodes() {
-        if node.reserved() > cfg.k || node.units_in_use() > cfg.k {
-            return false;
-        }
-        in_use += node.units_in_use();
-    }
-    in_use <= cfg.l
+    safety(net.nodes().map(NodeShare::of), cfg).is_ok()
 }
 
-/// The legitimacy predicate used by the convergence experiments: the token census is exactly
-/// `(ℓ, 1, 1)`, the per-process safety bounds hold, and no garbage message survives.
-///
-/// (The number of in-flight controller messages is *not* constrained: the root's timeout may
-/// legitimately produce a transient duplicate which counter flushing later discards.)
+/// True when `net` is [`legitimate`].
 pub fn is_legitimate<P, T>(net: &Network<P, T>, cfg: &KlConfig) -> bool
 where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
-    let census = count_tokens(net);
-    census.matches(cfg.l) && census.garbage == 0 && safety_holds(net, cfg)
-}
-
-/// One process's share of the census and of the safety bounds: everything the predicates
-/// read from a process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct NodeShare {
-    reserved: usize,
-    in_use: usize,
-    priority: bool,
-}
-
-impl NodeShare {
-    fn of(node: &impl KlInspect) -> Self {
-        NodeShare {
-            reserved: node.reserved(),
-            in_use: node.units_in_use(),
-            priority: node.holds_priority(),
-        }
-    }
-
-    /// True when the process breaks a per-process bound of [`safety_holds`].
-    fn over(&self, k: usize) -> bool {
-        self.reserved > k || self.in_use > k
-    }
+    legitimate(&count_tokens(net), cfg, || safety(net.nodes().map(NodeShare::of), cfg)).is_ok()
 }
 
 /// The token census and the safety verdict of a network, maintained per activation.
@@ -153,7 +302,7 @@ pub struct LiveCensus {
     census: TokenCensus,
     /// Σ `units_in_use()` over all processes.
     in_use: usize,
-    /// Processes currently over a per-process bound (see [`NodeShare::over`]).
+    /// Processes currently failing the per-process clause ([`NodeShare::clause`]).
     over_k: usize,
     shares: Vec<NodeShare>,
     cfg: KlConfig,
@@ -181,14 +330,24 @@ impl LiveCensus {
         self.census
     }
 
+    /// Equal to [`safety`] of the tracked network's shares.
+    pub fn safety(&self) -> Result<(), Breach> {
+        if self.over_k > 0 {
+            // Some process fails the per-process clause: the scan of the shares names the
+            // first.  Only an unsafe network pays for it.
+            return safety(self.shares.iter().copied(), &self.cfg);
+        }
+        global_clause(self.in_use, self.cfg.l)
+    }
+
     /// Equal to [`safety_holds`] of the tracked network.
     pub fn safety_holds(&self) -> bool {
-        self.over_k == 0 && self.in_use <= self.cfg.l
+        self.safety().is_ok()
     }
 
     /// Equal to [`is_legitimate`] of the tracked network.
     pub fn is_legitimate(&self) -> bool {
-        self.census.matches(self.cfg.l) && self.census.garbage == 0 && self.safety_holds()
+        legitimate(&self.census, &self.cfg, || self.safety()).is_ok()
     }
 
     /// Executes the activation `daemon` chooses on the fused event-driven path
@@ -241,34 +400,22 @@ impl LiveCensus {
             self.shares[node] = new;
         }
         debug_assert_eq!(self.census, count_tokens(net), "live census drifted from the scan");
-        debug_assert_eq!(self.safety_holds(), safety_holds(net, &self.cfg));
+        debug_assert_eq!(self.safety(), safety(net.nodes().map(NodeShare::of), &self.cfg));
         activation
-    }
-
-    /// The census counter an in-flight `msg` is counted under (`None` for snapshot markers).
-    fn in_flight_slot(&mut self, msg: &Message) -> Option<&mut usize> {
-        match msg {
-            Message::ResT => Some(&mut self.census.resource),
-            Message::PushT => Some(&mut self.census.pusher),
-            Message::PrioT => Some(&mut self.census.priority),
-            Message::Ctrl { .. } => Some(&mut self.census.ctrl),
-            Message::Garbage(_) => Some(&mut self.census.garbage),
-            Message::Marker(_) => None,
-        }
     }
 }
 
 impl StepEffects<Message> for LiveCensus {
     #[inline]
     fn delivered(&mut self, _node: NodeId, _label: ChannelLabel, msg: &Message) {
-        if let Some(slot) = self.in_flight_slot(msg) {
+        if let Some(slot) = self.census.slot(msg) {
             *slot -= 1;
         }
     }
 
     #[inline]
     fn sent(&mut self, _node: NodeId, _label: ChannelLabel, msg: &Message) {
-        if let Some(slot) = self.in_flight_slot(msg) {
+        if let Some(slot) = self.census.slot(msg) {
             *slot += 1;
         }
     }

@@ -8,7 +8,10 @@
 //! time.  A k-out-of-ℓ exclusion protocol must guarantee (Section 2 of the paper):
 //!
 //! * **Safety** — each unit is used by at most one process, each process uses at most `k`
-//!   units, at most `ℓ` units are in use;
+//!   units, at most `ℓ` units are in use.  These *in-use* clauses are the specification.
+//!   The checks enforce the protocol invariant `|RSet| ≤ k` per process instead, which
+//!   implies the per-process clause and is what keeps a requester's next entry safe;
+//!   [`legitimacy`] defines each clause once;
 //! * **Fairness** — every request for at most `k` units is eventually satisfied;
 //! * **Efficiency** — as many requests as possible are satisfied simultaneously, formalised
 //!   as *(k,ℓ)-liveness*.

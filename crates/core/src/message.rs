@@ -48,21 +48,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// True for resource tokens.
-    pub fn is_resource(&self) -> bool {
-        matches!(self, Message::ResT)
-    }
-
-    /// True for the pusher token.
-    pub fn is_pusher(&self) -> bool {
-        matches!(self, Message::PushT)
-    }
-
-    /// True for the priority token.
-    pub fn is_priority(&self) -> bool {
-        matches!(self, Message::PrioT)
-    }
-
     /// True for controller messages.
     pub fn is_ctrl(&self) -> bool {
         matches!(self, Message::Ctrl { .. })
@@ -137,12 +122,9 @@ mod tests {
 
     #[test]
     fn predicates_match_variants() {
-        assert!(Message::ResT.is_resource());
-        assert!(Message::PushT.is_pusher());
-        assert!(Message::PrioT.is_priority());
         assert!(Message::Ctrl { c: 1, r: true, pt: 2, ppr: 1 }.is_ctrl());
         assert!(!Message::Garbage(0).is_ctrl());
-        assert!(!Message::ResT.is_pusher());
+        assert!(!Message::ResT.is_ctrl());
     }
 
     #[test]

@@ -140,6 +140,7 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::legitimacy::{count_tokens, safety_holds};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, RoundRobin};
 
@@ -173,10 +174,7 @@ mod tests {
         let out = run_until(&mut net, &mut sched, 50_000, |n| n.trace().cs_entries(Some(5)) >= 1);
         assert!(out.is_satisfied(), "a lone requester must eventually enter its critical section");
         // After the CS the tokens are back in circulation: total count is still l.
-        let reserved: usize = net.nodes().map(|n| n.reserved()).sum();
-        let in_flight =
-            net.iter_messages().filter(|(_, _, m)| m.is_resource()).count();
-        assert_eq!(reserved + in_flight, cfg.l);
+        assert_eq!(count_tokens(&net).resource, cfg.l);
     }
 
     #[test]
@@ -187,9 +185,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         for _ in 0..5_000 {
             net.step_event(&mut sched);
-            let total = net.iter_messages().filter(|(_, _, m)| m.is_resource()).count()
-                + net.nodes().map(|n| n.reserved()).sum::<usize>();
-            assert_eq!(total, cfg.l, "resource tokens must be conserved");
+            assert_eq!(count_tokens(&net).resource, cfg.l, "resource tokens must be conserved");
         }
     }
 
@@ -210,11 +206,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         for _ in 0..20_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l);
-            for node in net.nodes() {
-                assert!(node.units_in_use() <= cfg.k);
-            }
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 
@@ -230,7 +222,7 @@ mod tests {
             net.step_event(&mut sched);
         }
         // Foreign messages are consumed, not forwarded forever.
-        assert_eq!(net.iter_messages().filter(|(_, _, m)| !m.is_resource()).count(), 0);
+        assert!(net.iter_messages().all(|(_, _, m)| *m == Message::ResT));
     }
 
     #[test]

@@ -74,12 +74,13 @@ impl AppSide {
     }
 
     /// `Req → In` transition (the paper's lines 78–81 / 62–65): enters the critical section
-    /// when enough tokens are reserved.  Returns true if the transition happened.
+    /// when enough tokens are reserved.  Returns true if the transition happened.  The event
+    /// reports the units now in use, `|RSet|`, which a corrupted start can leave above `Need`.
     pub fn try_enter(&mut self, ctx: &mut Context<'_, Message>) -> bool {
         if self.can_enter() {
             self.state = CsState::In;
             self.entered_at = ctx.now;
-            ctx.emit(Event::EnterCs { units: Event::units(self.need) });
+            ctx.emit(Event::EnterCs { units: Event::units(self.rset.len()) });
             true
         } else {
             false
@@ -101,16 +102,6 @@ impl AppSide {
             Some(tokens)
         } else {
             None
-        }
-    }
-
-    /// Units currently *used* in the sense of the safety property: the tokens held while
-    /// executing the critical section.
-    pub fn units_in_use(&self) -> usize {
-        if self.state == CsState::In {
-            self.rset.len()
-        } else {
-            0
         }
     }
 
@@ -217,7 +208,7 @@ mod tests {
             assert!(app.try_enter(&mut c));
         }
         assert_eq!(app.state, CsState::In);
-        assert_eq!(app.units_in_use(), 2);
+        assert_eq!(app.reserved(), 2);
 
         {
             let mut c = ctx(&mut outbox, &mut events, 3);

@@ -188,6 +188,7 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::legitimacy::{count_tokens, safety_holds};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, RandomFair, RoundRobin};
 
@@ -254,9 +255,7 @@ mod tests {
         treenet::run_for(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
             net.step_event(&mut sched);
-            let in_flight = net.iter_messages().filter(|(_, _, m)| m.is_priority()).count();
-            let held = net.nodes().filter(|n| n.holds_priority()).count();
-            assert_eq!(in_flight + held, 1, "exactly one priority token in the system");
+            assert_eq!(count_tokens(&net).priority, 1, "exactly one priority token in the system");
         }
     }
 
@@ -268,11 +267,7 @@ mod tests {
         let mut sched = RandomFair::new(3);
         for _ in 0..40_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l);
-            for node in net.nodes() {
-                assert!(node.units_in_use() <= cfg.k);
-            }
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 
@@ -287,8 +282,7 @@ mod tests {
         // Just run it; the protocol must still be safe (no more than l units in use).
         for _ in 0..20_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l);
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 }

@@ -152,6 +152,7 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::legitimacy::{count_tokens, safety_holds};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, RoundRobin};
 
@@ -202,8 +203,8 @@ mod tests {
         treenet::run_for(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
             net.step_event(&mut sched);
-            let pushers = net.iter_messages().filter(|(_, _, m)| m.is_pusher()).count();
-            assert_eq!(pushers, 1, "exactly one pusher in flight (no process ever holds it)");
+            // No process ever holds the pusher: the census counts it in flight only.
+            assert_eq!(count_tokens(&net).pusher, 1, "exactly one pusher in flight");
         }
     }
 
@@ -227,7 +228,7 @@ mod tests {
         let mut seen_reserved = 0u32;
         for _ in 0..30_000 {
             net.step_event(&mut sched);
-            let in_flight = net.iter_messages().any(|(_, _, m)| m.is_resource());
+            let in_flight = net.iter_messages().any(|(_, _, m)| *m == Message::ResT);
             if in_flight {
                 seen_in_flight += 1;
             }
@@ -247,11 +248,7 @@ mod tests {
         let mut sched = RoundRobin::new();
         for _ in 0..30_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l);
-            for node in net.nodes() {
-                assert!(node.units_in_use() <= cfg.k);
-            }
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 }

@@ -618,7 +618,7 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legitimacy::{count_tokens, is_legitimate};
+    use crate::legitimacy::{count_tokens, is_legitimate, safety_holds};
     use treenet::app::{AppDriver, Idle};
     use treenet::{run_until, FaultInjector, FaultPlan, RandomFair, RoundRobin};
 
@@ -790,11 +790,7 @@ mod tests {
         assert!(run_until_stable(&mut net, &mut sched, 3_000_000, 30_000, &cfg));
         for _ in 0..100_000 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|n| n.units_in_use()).sum();
-            assert!(used <= cfg.l, "at most l units in use");
-            for node in net.nodes() {
-                assert!(node.units_in_use() <= cfg.k, "at most k units per process");
-            }
+            assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 
@@ -1048,7 +1044,7 @@ mod controller_unit_tests {
             deliver(&mut root, 1, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 }, 2);
         // No ResT creation: the only resource token is the one the root reserves.
         assert!(
-            out.iter().all(|(_, m)| !m.is_resource()),
+            out.iter().all(|(_, m)| *m != Message::ResT),
             "corrected ordering must not create surplus tokens, got {out:?}"
         );
         assert!(events.iter().any(|e| matches!(e, Event::Note(Note::Circulation))));
@@ -1074,7 +1070,7 @@ mod controller_unit_tests {
         }
         let (out, _) = deliver(&mut root, 1, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 }, 2);
         assert!(
-            out.iter().any(|(_, m)| m.is_resource()),
+            out.iter().any(|(_, m)| *m == Message::ResT),
             "literal ordering undercounts and creates a surplus token"
         );
         // Second circulation: the controller passes the still-reserved token (pt = 1) and the
@@ -1114,7 +1110,7 @@ mod controller_unit_tests {
         let (out, _) = deliver(&mut node, 0, Message::PushT, 2);
         assert_eq!(node.app.reserved(), 1, "the priority holder keeps its reservation");
         assert_eq!(out.len(), 1, "only the pusher is forwarded");
-        assert!(out[0].1.is_pusher());
+        assert_eq!(out[0].1, Message::PushT);
     }
 
     #[test]
@@ -1127,7 +1123,7 @@ mod controller_unit_tests {
         node.prio = Some(0);
         let (out, _) = deliver(&mut node, 0, Message::PushT, 2);
         assert_eq!(node.app.reserved(), 0, "the literal guard evicts the priority holder");
-        assert!(out.iter().any(|(_, m)| m.is_resource()));
+        assert!(out.iter().any(|(_, m)| *m == Message::ResT));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! configuration.  For the paper's protocols the token census — (ℓ, 1, 1) resource, pusher
 //! and priority tokens — is invariant across legitimate executions, so the census of every
 //! consistent cut must equal the instantaneous census, which is exactly what the
-//! `SafetyMonitor` in the `analysis` crate asserts per cut (and what the snapshot-oracle
+//! `SnapshotMonitor` in the `analysis` crate asserts per cut (and what the snapshot-oracle
 //! proptest cross-checks against brute-force instantaneous censuses).
 //!
 //! # Integration with the engine

@@ -13,8 +13,9 @@
 //! interface).  The regime is one declarative [`ScenarioSpec`]: the
 //! [`WorkloadSpec::LeafUniform`] workload makes exactly the *hosts* (leaf nodes) issue
 //! leases at random times while the routers only forward.  The example replays the compiled
-//! scenario by hand so a [`SafetyMonitor`] can verify the safety property continuously (no
-//! address double-booked, pool never over-committed) while lease traffic runs.
+//! scenario by hand so a [`LiveCensus`] can verify the safety property after every
+//! activation (no host over its lease limit, pool never over-committed, no address lost or
+//! duplicated) while lease traffic runs.
 
 use kl_exclusion::prelude::*;
 
@@ -49,21 +50,22 @@ fn main() {
 
     // Lease traffic with continuous safety checking (the reason this example drives the
     // compiled network by hand instead of calling `scenario.run()`).
-    let mut monitor = SafetyMonitor::new(cfg).with_conservation();
-    for _ in 0..400_000u64 {
-        net.step_event(&mut sched);
-        if net.now().is_multiple_of(64) {
-            monitor.check(&net);
+    let mut census = LiveCensus::new(&net, &cfg);
+    let checks = 400_000u64;
+    for _ in 0..checks {
+        census.step(&mut net, &mut sched);
+        if let Err(breach) = census.safety() {
+            panic!("safety violated at t={}: {breach}", net.now());
         }
+        assert_eq!(census.census().resource, pool_size, "an address was lost or duplicated");
     }
-    assert!(monitor.clean(), "safety violations: {:?}", monitor.violations());
 
     let fairness = FairnessReport::from_trace(net.trace(), net.len());
     println!("address pool of {pool_size}, max {max_lease} per host, {} processes", net.len());
     println!("leases granted per node: {:?}", fairness.entries_per_node);
     println!("requests issued per node: {:?}", fairness.requests_per_node);
     println!("starved hosts: {:?}", fairness.starved);
-    println!("safety checks performed: {} (all clean)", monitor.checks());
+    println!("safety checks performed: {checks} (all clean)");
 
     // Routers (interior nodes) never lease: the LeafUniform workload keeps them passive.
     let tree = scenario.spec().topology.build(0);

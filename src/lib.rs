@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use analysis::{
         measure_convergence, render_markdown_table, waiting_times, CensusRecorder, ExperimentRow,
-        FairnessReport, Histogram, MonitorReport, SafetyMonitor, Summary, Verdict,
+        FairnessReport, Histogram, MonitorReport, Summary, Verdict,
     };
     pub use klex_core::{
         count_tokens, is_legitimate, KlConfig, KlInspect, LiveCensus, Message, SsNode,

@@ -2,6 +2,7 @@
 //! comparisons of experiments E8/E9.
 
 use kl_exclusion::prelude::*;
+use protocol::legitimacy::safety_holds;
 
 #[test]
 fn all_protocols_serve_the_same_workload() {
@@ -75,8 +76,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         run_for(&mut net, &mut sched, 150_000);
         for _ in 0..50_000u64 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
-            assert!(used <= cfg.l, "ring over-allocated");
+            assert!(safety_holds(&net, &cfg), "ring unsafe at t={}", net.now());
         }
     }
     {
@@ -91,7 +91,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         let mut sched = RandomFair::new(12);
         for _ in 0..120_000u64 {
             net.step_event(&mut sched);
-            assert!(baselines::centralized::units_in_use(&net) <= cfg.l);
+            assert!(safety_holds(&net, &cfg), "centralized unsafe at t={}", net.now());
         }
     }
     {
@@ -99,7 +99,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
         let mut sched = RandomFair::new(13);
         for _ in 0..120_000u64 {
             net.step_event(&mut sched);
-            assert!(baselines::permission::units_in_use(&net) <= cfg.l);
+            assert!(safety_holds(&net, &cfg), "arbiters unsafe at t={}", net.now());
         }
     }
 }

@@ -9,6 +9,7 @@
 
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
+use protocol::legitimacy::safety_holds;
 
 /// Stabilize a network and clear its counters, panicking if it never stabilizes.
 fn stabilize(
@@ -56,7 +57,6 @@ fn repeated_crash_waves_do_not_break_safety_or_service() {
     stabilize(&mut net, &mut sched, &cfg);
 
     let mut injector = FaultInjector::new(404);
-    let mut monitor = SafetyMonitor::new(cfg);
     for wave in 0..5u64 {
         // Crash a third of the processes, losing their incoming messages.
         let (_victims, report) = injector.crash_random(&mut net, n / 3, true);
@@ -65,9 +65,8 @@ fn repeated_crash_waves_do_not_break_safety_or_service() {
         // tokens but must never manufacture extra in-use units.
         let out = measure_convergence(&mut net, &mut sched, &cfg, 4_000_000, 2_000);
         assert!(out.converged(), "wave {wave}: no re-convergence");
-        monitor.check(&net);
+        assert!(safety_holds(&net, &cfg), "wave {wave}: safety violated");
     }
-    assert!(monitor.clean(), "safety violated across crash waves: {:?}", monitor.violations());
     // After the last wave the protocol still serves everybody.
     net.trace_mut().clear();
     let served = run_until(&mut net, &mut sched, 3_000_000, |net| {
@@ -142,8 +141,7 @@ fn new_workload_drivers_are_served_and_starvation_free() {
     let fairness = FairnessReport::from_trace(net.trace(), n);
     assert!(fairness.starvation_free(), "starved nodes: {:?}", fairness.starved);
     // Safety held throughout (spot-check the final configuration).
-    let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
-    assert!(used <= cfg.l);
+    assert!(safety_holds(&net, &cfg));
 }
 
 proptest! {

@@ -43,16 +43,18 @@ fn composed_system_is_safe_fair_and_live_on_a_mesh() {
         compose_with_defaults(graph, kl, workloads::all_saturated(2, 6), &mut sched)
             .expect("composition stabilizes");
 
-    // Drive the composed system and monitor safety continuously.
-    let mut monitor = SafetyMonitor::new(kl).with_conservation();
+    // Drive the composed system, checking safety and token conservation after every
+    // activation.
     composition.network.trace_mut().clear();
+    let net = &mut composition.network;
+    let mut census = LiveCensus::new(net, &kl);
     for _ in 0..120_000u64 {
-        composition.network.step_event(&mut sched);
-        if composition.network.now().is_multiple_of(64) {
-            monitor.check(&composition.network);
+        census.step(net, &mut sched);
+        if let Err(breach) = census.safety() {
+            panic!("{breach} at t={}", net.now());
         }
+        assert_eq!(census.census().resource, kl.l, "tokens not conserved at t={}", net.now());
     }
-    assert!(monitor.clean(), "violations: {:?}", monitor.violations());
 
     let fairness = FairnessReport::from_trace(composition.network.trace(), n);
     assert!(fairness.starvation_free(), "entries: {:?}", fairness.entries_per_node);

@@ -8,19 +8,25 @@
 //! degrades to a tick), and a stretch with Chandy–Lamport markers riding the channels.  Every
 //! out-of-band mutation invalidates a tracker by contract, so each phase builds a fresh one —
 //! which is also how the production loops use it.
+//!
+//! A second test pins the one safety and legitimacy verdict that every consumer of
+//! [`klex_core::legitimacy`] returns on hand-built configurations, including the one the
+//! in-use reading of the specification and the `|RSet| ≤ k` invariant disagree on.
 
-use analysis::SnapshotMonitor;
+use analysis::{CutVerdict, SnapshotMonitor};
 use baselines::ring;
-use klex_core::legitimacy::safety_holds;
+use checker::{properties, CheckableNode};
+use klex_core::legitimacy::{self, safety_holds, NodeShare};
 use klex_core::{
     count_tokens, is_legitimate, naive, nonstab, pusher, ss, KlConfig, KlInspect, LiveCensus,
     Message,
 };
 use proptest::prelude::*;
 use topology::Topology;
+use treenet::app::{BoxedDriver, Idle};
 use treenet::{
-    Activation, Corruptible, FaultInjector, FaultPlan, InitiatorPolicy, Network, Process,
-    RandomFair, SnapshotPlan, SnapshotRunner,
+    Activation, Corruptible, CsState, FaultInjector, FaultPlan, InitiatorPolicy, Network, Process,
+    RandomFair, RoundRobin, SnapshotObserver, SnapshotPlan, SnapshotRunner,
 };
 
 fn assert_agrees<P, T>(census: &LiveCensus, net: &Network<P, T>, cfg: &KlConfig)
@@ -120,4 +126,95 @@ proptest! {
             _ => check_live_census(ring::network(n, cfg, drivers), &cfg, seed, steps),
         }
     }
+}
+
+/// The verdict of a cut that records exactly `net`'s current states and channel contents.
+fn cut_verdict<P, T>(net: &Network<P, T>, cfg: &KlConfig) -> CutVerdict
+where
+    P: Process<Msg = Message> + KlInspect,
+    T: Topology,
+{
+    let mut monitor = SnapshotMonitor::new(cfg);
+    for v in 0..net.len() {
+        monitor.node_state(0, v, net.node(v));
+    }
+    for (v, label, msg) in net.iter_messages() {
+        SnapshotObserver::<P>::in_transit(&mut monitor, 0, v, label, msg);
+    }
+    SnapshotObserver::<P>::cut_complete(&mut monitor, 0, net.now(), net.now());
+    monitor.verdicts()[0]
+}
+
+/// Asserts that the checker's properties on the captured `Configuration`, the network
+/// scan, a fresh `LiveCensus` and a cut verdict all return `safety` and `legitimate`.
+/// (A cut verdict carries no breach text, and its `clean` omits the garbage clause; no
+/// case below has garbage in flight.)
+fn assert_consumers_agree<P, T>(
+    net: &Network<P, T>,
+    cfg: &KlConfig,
+    safety: Result<(), &str>,
+    legitimate: bool,
+) where
+    P: Process<Msg = Message> + KlInspect + CheckableNode,
+    T: Topology,
+{
+    let config = checker::capture(net);
+    let live = LiveCensus::new(net, cfg);
+    let cut = cut_verdict(net, cfg);
+    let safety = safety.map_err(str::to_string);
+    let scan = legitimacy::safety(net.nodes().map(NodeShare::of), cfg);
+    assert_eq!(properties::safety(*cfg).check(&config), safety, "checker property");
+    assert_eq!(scan.map_err(|breach| breach.to_string()), safety, "network scan");
+    assert_eq!(safety_holds(net, cfg), safety.is_ok(), "network scan");
+    assert_eq!(live.safety().map_err(|breach| breach.to_string()), safety, "live census");
+    assert_eq!(cut.safety_ok, safety.is_ok(), "cut verdict");
+
+    assert_eq!(properties::legitimate(*cfg).check(&config).is_ok(), legitimate, "checker");
+    assert_eq!(is_legitimate(net, cfg), legitimate, "network scan");
+    assert_eq!(live.is_legitimate(), legitimate, "live census");
+    assert_eq!(cut.clean(), legitimate, "cut verdict");
+}
+
+#[test]
+fn every_consumer_returns_the_one_safety_verdict() {
+    let cfg = KlConfig::new(2, 3, 3);
+    // A legitimate configuration: the non-stabilizing rung after its bootstrap.
+    let legitimate = || {
+        let tree = topology::builders::figure3_tree();
+        let mut net = nonstab::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
+        treenet::run_for(&mut net, &mut RoundRobin::new(), 2_000);
+        net
+    };
+    let net = legitimate();
+    assert_consumers_agree(&net, &cfg, Ok(()), true);
+
+    // The disagreeing configuration: a requester asking for at most k units holds k + 1
+    // reservations outside its critical section.  It uses no unit yet, so the
+    // specification's in-use clause alone would accept it; the |RSet| ≤ k invariant does
+    // not, and neither does any consumer.
+    let mut net = legitimate();
+    let node = &mut net.node_mut(1).app;
+    (node.state, node.need, node.rset) = (CsState::Req, 1, vec![0; cfg.k + 1]);
+    assert_eq!(NodeShare::of(net.node(1)).in_use, 0);
+    assert_consumers_agree(&net, &cfg, Err("process 1 reserves 3 tokens but k = 2"), false);
+
+    // The same holding inside the critical section: k + 1 units in use by one process.
+    let mut net = legitimate();
+    let node = &mut net.node_mut(2).app;
+    (node.state, node.need, node.rset) = (CsState::In, 2, vec![0; cfg.k + 1]);
+    assert_consumers_agree(&net, &cfg, Err("process 2 reserves 3 tokens but k = 2"), false);
+
+    // Global overuse: every process within k, more than l units in use overall.
+    let mut net = legitimate();
+    for v in 0..net.len() {
+        let node = &mut net.node_mut(v).app;
+        (node.state, node.need, node.rset) = (CsState::In, 2, vec![0; 2]);
+    }
+    assert_consumers_agree(&net, &cfg, Err("6 units in use but l = 3"), false);
+
+    // A surplus token in flight: still safe, no longer legitimate.
+    let mut net = legitimate();
+    net.inject_into(1, 0, Message::ResT);
+    assert_eq!(count_tokens(&net).resource, cfg.l + 1);
+    assert_consumers_agree(&net, &cfg, Ok(()), false);
 }

@@ -5,6 +5,7 @@
 
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
+use protocol::legitimacy::safety_holds;
 
 /// Strategy: a random parent vector describing a tree of 2..=20 nodes (node 0 is the root and
 /// node v > 0 attaches to a random earlier node).
@@ -373,11 +374,7 @@ proptest! {
         prop_assert!(boot.converged());
         for _ in 0..30_000u64 {
             net.step_event(&mut sched);
-            let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
-            prop_assert!(used <= cfg.l);
-            for nd in net.nodes() {
-                prop_assert!(nd.units_in_use() <= cfg.k);
-            }
+            prop_assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
         }
     }
 

@@ -35,14 +35,15 @@ fn safety_and_fairness_on_varied_topologies() {
         let mut sched = RandomFair::new(17);
         stabilize(&mut net, &mut sched, &cfg);
 
-        let mut monitor = SafetyMonitor::new(cfg).with_conservation();
+        // Safety and token conservation after every activation.
+        let mut census = LiveCensus::new(&net, &cfg);
         for _ in 0..80_000u64 {
-            net.step_event(&mut sched);
-            if net.now() % 32 == 0 {
-                monitor.check(&net);
+            census.step(&mut net, &mut sched);
+            if let Err(breach) = census.safety() {
+                panic!("{name}: {breach} at t={}", net.now());
             }
+            assert_eq!(census.census().resource, cfg.l, "{name}: tokens not conserved");
         }
-        assert!(monitor.clean(), "{name}: safety violations {:?}", monitor.violations());
 
         let fairness = FairnessReport::from_trace(net.trace(), n);
         assert!(fairness.starvation_free(), "{name}: starved nodes {:?}", fairness.starved);
