@@ -20,12 +20,20 @@
 //!   count, no decoding);
 //! * an activation of process `p` reads only `p`'s variables and the one message it
 //!   consumes, and writes only `p`'s variables, that channel's head and the tails of the
-//!   channels `p` sends on (the paper's message-passing model).  So its **local effect** —
-//!   `p`'s new node segment, whether `p` entered its critical section, the messages appended
-//!   per pushed channel — is a function of (process, activation, `p`'s node segment, head
-//!   message bytes), and a per-run **local-transition memo** computes it once per distinct
-//!   input.  On the benchmark's star7 and Figure-3 instances 99.88 % of transitions are
-//!   memo hits;
+//!   channels `p` sends on (the paper's message-passing model).  Two activations of
+//!   different processes therefore **commute**, and most successors are read off the graph
+//!   built so far: when state `s` was first reached from `p` by `t1`, and `t2` (another
+//!   process's) is enabled at `p` with a successor `q` expanded before `s`, then
+//!   `s·t2 = q·t1` — the target of `q`'s `t1`-transition.  Such a **diamond** names an
+//!   already-interned successor with no memo lookup, no splice, no hash and no arena probe:
+//!   1 728 697 of the benchmark's star7 instance's 2 193 196 transitions, and 655 187 of
+//!   the Figure-3 instance's 1 084 273.  Runs that record the graph read its edges; other
+//!   runs keep an 8-byte (activation slot, target) entry per transition;
+//! * every other transition's **local effect** — `p`'s new node segment, whether `p`
+//!   entered its critical section, the messages appended per pushed channel — is a
+//!   function of (process, activation, `p`'s node segment, head message bytes), and a
+//!   per-run **local-transition memo** computes it once per distinct input: 3 824 inputs
+//!   over both benchmark instances;
 //! * on a **hit** the successor's dirty segments are built straight from the parent's bytes
 //!   and the recorded effect; no protocol code runs and the network is not touched.  A quiet
 //!   tick (a blocked requester's) is a hit with an empty effect, a self-loop;
@@ -35,18 +43,20 @@
 //!   **reverts** the network to the parent for the next sibling;
 //! * the successor's packed bytes are produced by **patching only the dirty segments** of
 //!   the parent's bytes, and its hash by re-mixing only those segments'
-//!   [`crate::snapshot::segment_term`]s — a transition that changed nothing is a self-loop
-//!   and skips interning entirely;
+//!   [`crate::snapshot::segment_term`]s (computed once per state, and only when some
+//!   successor is spliced) — a transition that changed nothing is a self-loop and skips
+//!   interning entirely;
 //! * per-state bookkeeping (parent links, depths, recorded edges) lives in flat vectors
 //!   indexed by state id, shared by the report and the recorded [`StateGraph`];
 //! * a full [`Configuration`] is decoded **once per admitted state**, into a reused buffer,
 //!   for the property checks and (when the graph is recorded) the per-state facts the graph
 //!   analyses read; otherwise only witnesses decode.
 //!
-//! The memo is sound exactly when the [`CheckableNode`] contract holds — equal captures
-//! behave identically — so debug builds (every `cargo test`) execute every hit as well and
-//! panic, naming the process and the activation, when its effect differs from the recorded
-//! one.
+//! The memo and the diamonds are sound exactly when the [`CheckableNode`] contract holds —
+//! equal captures behave identically — so debug builds (every `cargo test`) derive every
+//! diamond's successor through the memo and execute every memo hit as well, and panic,
+//! naming the process and the activation, when a derived successor or effect differs.
+//! Release builds take both shortcuts unchecked.
 //!
 //! The pre-delta sequential engine — restore, execute, full capture, full hash, per
 //! transition, no memo — is retained verbatim as [`Explorer::run_interned`]: it is the
@@ -371,7 +381,9 @@ impl GraphSummary {
 pub struct ExplorationReport {
     /// Number of distinct configurations visited.
     pub configurations: usize,
-    /// Number of transitions executed.
+    /// Number of transitions: the enabled activations (one delivery per non-empty channel,
+    /// one tick per process) of every expanded state, counted whether or not their
+    /// successor was interned or any protocol code ran for them.
     pub transitions: usize,
     /// Largest depth reached.
     pub max_depth: usize,
@@ -436,7 +448,7 @@ impl ExplorationReport {
 /// Observation never changes what a run computes — a cancelled run aside, reports are
 /// bit-identical with and without an observer (the parity contract is indifferent to it).
 pub trait ExploreProgress {
-    /// Called with the configurations interned and transitions executed so far.
+    /// Called with the configurations interned and transitions counted so far.
     fn on_progress(&self, configurations: usize, transitions: usize) {
         let _ = (configurations, transitions);
     }
@@ -533,35 +545,39 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     /// Runs the exploration and returns its report.  This is the delta successor engine,
     /// the sequential hot path.
     ///
-    /// Per popped state the parent's bytes are mapped **once** by a skip-only parse (its
-    /// [`SegmentMap`]: segment spans and channel message counts) and its per-segment hash
-    /// terms computed; nothing is decoded.  Each transition then
+    /// Per popped state `s` the parent's bytes are mapped **once** by a skip-only parse (its
+    /// [`SegmentMap`]: segment spans and channel message counts); nothing is decoded.  The
+    /// transitions of `s`'s BFS parent, and of that parent's successors expanded before `s`,
+    /// name the successors of `s` that commuting diamonds complete (see the module docs).
+    /// Each transition then
     ///
-    /// 1. looks up its key — (process, activation, the process's node segment, the delivered
+    /// 1. when a diamond names its successor: records that transition and stops here;
+    /// 2. looks up its key — (process, activation, the process's node segment, the delivered
     ///    head message) — in the run's local-transition memo;
-    /// 2. on a **miss** only: restores the parent into the network (once per state, at the
+    /// 3. on a **miss** only: restores the parent into the network (once per state, at the
     ///    first miss), snapshots the activated node, executes in place recording channel
     ///    effects in a [`StepUndo`] log, records the activation's local effect (new node
     ///    segment, critical-section entry, messages appended per pushed channel) and
     ///    reverts — pushed messages pop back off channel tails, the delivered message
     ///    returns to its head, the saved node state is restored;
-    /// 3. builds the dirty segments from the parent's bytes and the effect (node segment
+    /// 4. builds the dirty segments from the parent's bytes and the effect (node segment
     ///    replaced, delivered channel's head dropped, pushed channels' tails appended) — if
     ///    there are none, the transition is a self-loop and skips interning entirely;
-    /// 4. otherwise patches the parent's segmented hash per dirty segment, splices the dirty
+    /// 5. otherwise patches the parent's segmented hash per dirty segment (the parent's
+    ///    segment terms are computed at the first such transition), splices the dirty
     ///    segments into a copy of the parent's packed bytes (straight memcpy of the
     ///    unchanged spans), and interns the successor with the precomputed hash.
     ///
-    /// A hit executes no protocol code and touches no network: on the benchmark's star7 and
-    /// Figure-3 instances 99.88 % of transitions are hits.  Debug builds execute every hit as well and panic when
-    /// its effect differs from the memo's (see [`CheckableNode`]).
+    /// On the benchmark's star7 and Figure-3 instances diamonds complete 73 % of the
+    /// transitions and the memo executes 3 824 of the rest.  Debug builds derive every
+    /// diamond's successor through the memo and execute every memo hit as well, and panic
+    /// when either disagrees (see [`CheckableNode`]).
     pub fn run(&mut self) -> ExplorationReport {
         self.run_delta().0
     }
 
-    /// [`Explorer::run`], also returning how many memo lookups missed (each executed its
-    /// activation).
-    fn run_delta(&mut self) -> (ExplorationReport, usize) {
+    /// [`Explorer::run`], also returning how often the diamond and the memo steps fired.
+    fn run_delta(&mut self) -> (ExplorationReport, DeltaStats) {
         let progress = self.progress;
         let net = &mut *self.net;
         let mut scratch = DeltaScratch::for_net(net);
@@ -569,6 +585,10 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
 
         let mut engine =
             Engine::new(self.limits, &self.properties, self.record_graph, self.stop_on_violation);
+        // A recording run finds expanded states' transitions in the graph it builds; any
+        // other run keeps just their slots and targets.
+        let mut table = SuccessorTable::default();
+        let mut completed = 0usize;
 
         let mut parent_buf = Vec::new();
         capture_packed(net, &mut parent_buf);
@@ -591,6 +611,19 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                 continue;
             }
             engine.begin_expansion(id);
+            if !record_graph {
+                table.starts.push(table.entries.len() as u32);
+            }
+            scratch.diamonds.clear();
+            if id != 0 {
+                let via = engine.parents[id as usize];
+                let (slots, diamonds) = (&scratch.slots, &mut scratch.diamonds);
+                if record_graph {
+                    find_diamonds(&engine.edges, &engine.edge_starts, slots, id, via, diamonds);
+                } else {
+                    find_diamonds(&table.entries, &table.starts, slots, id, via, diamonds);
+                }
+            }
 
             // Load the parent once; all siblings are derived in place and reverted.
             parent_buf.clear();
@@ -599,18 +632,42 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
             let (quiescent, stopped) = expand_state_delta(
                 net,
                 &mut scratch,
+                id,
                 &parent_buf,
                 record_graph,
-                &mut |act, step, enters_cs| {
-                    match step {
-                        DeltaStep::SelfLoop => engine.on_known_transition(act, id, enters_cs),
+                &mut |slot, act, step, enters_cs| {
+                    let target = match step {
+                        DeltaStep::SelfLoop => {
+                            engine.on_known_transition(act, id, enters_cs);
+                            Some(id)
+                        }
+                        DeltaStep::Completed { target, derived } => {
+                            if let Some(bytes) = derived {
+                                assert!(
+                                    engine.arena.get(target) == bytes,
+                                    "process {}: {act:?} from state {id} commutes with the \
+                                     activation reaching it, but executing it does not reach \
+                                     the diamond's far corner, state {target}",
+                                    act.node()
+                                );
+                            }
+                            completed += 1;
+                            engine.on_known_transition(act, target, enters_cs);
+                            Some(target)
+                        }
                         DeltaStep::Successor { bytes, hash } => {
-                            if let Some(new_id) =
-                                engine.on_transition_hashed(id, act, bytes, hash, enters_cs)
-                            {
-                                queue.push_back(new_id);
+                            match engine.on_transition_hashed(id, act, bytes, hash, enters_cs) {
+                                InternOutcome::Inserted(new_id) => {
+                                    queue.push_back(new_id);
+                                    Some(new_id)
+                                }
+                                InternOutcome::Existing(target) => Some(target),
+                                InternOutcome::Full => None,
                             }
                         }
+                    };
+                    if let (false, Some(target)) = (record_graph, target) {
+                        table.entries.push(Successor { slot, target });
                     }
                     engine.stopped
                 },
@@ -624,7 +681,8 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         }
 
         ticker.finish(&engine);
-        (self.finish_run(engine.finish()), scratch.memo.misses)
+        let stats = DeltaStats { misses: scratch.memo.misses, completed };
+        (self.finish_run(engine.finish()), stats)
     }
 
     /// The interned reference engine: per transition, restore the parent's packed bytes,
@@ -701,6 +759,16 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         }
         report
     }
+}
+
+/// How often [`Explorer::run_delta`]'s shortcuts fired.
+#[derive(Clone, Copy, Debug)]
+#[cfg_attr(not(test), allow(dead_code))] // read by the unit tests only
+struct DeltaStats {
+    /// Memo lookups that found no entry, each of which executed its activation.
+    misses: usize,
+    /// Transitions whose successor a commuting diamond named (see [`find_diamonds`]).
+    completed: usize,
 }
 
 /// Per-loop progress bookkeeping shared by the delta and interned engines: polls
@@ -816,17 +884,160 @@ fn execute_transition<P: CheckableNode, T: Topology>(
     (same_as_parent, enters_cs)
 }
 
-/// Reusable buffers of the delta engine — one set per run, so expansions allocate nothing
-/// per state.
-struct DeltaScratch {
-    /// Flat channel ids: channel `(v, l)` has flat index `chan_base[v] + l`.
+/// A dense numbering of a network's activations in the canonical expansion order: the
+/// delivery on flat channel `c` (channel `(v, l)` is flat `chan_base[v] + l`) is slot `c`,
+/// the tick of process `v` is slot `channels + v`.  A state's enabled activations, and so
+/// its recorded transitions, come in ascending slot order.
+struct Slots {
+    /// Flat channel ids: channel `(v, l)` has flat index `chan_base[v] + l`; `n + 1`
+    /// entries, the last being the number of channels.
     chan_base: Vec<usize>,
     /// Inverse of the flat indexing: flat channel index back to `(v, l)`.
     chan_pos: Vec<(usize, usize)>,
+}
+
+impl Slots {
+    fn for_net<P: CheckableNode, T: Topology>(net: &Network<P, T>) -> Self {
+        let n = net.len();
+        let mut chan_base = Vec::with_capacity(n + 1);
+        let mut chan_pos = Vec::new();
+        chan_base.push(0usize);
+        for v in 0..n {
+            chan_pos.extend((0..net.topology().degree(v)).map(|l| (v, l)));
+            chan_base.push(chan_pos.len());
+        }
+        Slots { chan_base, chan_pos }
+    }
+
+    fn channels(&self) -> usize {
+        self.chan_pos.len()
+    }
+
+    /// The slot of `act`.
+    fn of(&self, act: Activation) -> u32 {
+        (match act {
+            Activation::Deliver { node, channel } => self.chan_base[node] + channel,
+            Activation::Tick { node } => self.channels() + node,
+        }) as u32
+    }
+
+    /// The process activated in `slot`.
+    fn node(&self, slot: u32) -> NodeId {
+        let slot = slot as usize;
+        match self.chan_pos.get(slot) {
+            Some(&(node, _)) => node,
+            None => slot - self.channels(),
+        }
+    }
+}
+
+/// One outgoing transition of an expanded state, as the diamond search reads it: the
+/// recorded graph's [`Edge`]s, or the compact [`Successor`]s a run without a graph keeps.
+trait ExpandedEdge {
+    fn slot(&self, slots: &Slots) -> u32;
+    fn target(&self) -> StateId;
+    /// Whether the activated process entered its critical section (recorded graphs only).
+    fn enters_cs(&self) -> bool;
+}
+
+impl ExpandedEdge for Edge {
+    fn slot(&self, slots: &Slots) -> u32 {
+        slots.of(self.action)
+    }
+
+    fn target(&self) -> StateId {
+        self.target
+    }
+
+    fn enters_cs(&self) -> bool {
+        self.enters_cs
+    }
+}
+
+/// One transition in a [`SuccessorTable`]: 8 bytes.
+struct Successor {
+    slot: u32,
+    target: StateId,
+}
+
+impl ExpandedEdge for Successor {
+    fn slot(&self, _: &Slots) -> u32 {
+        self.slot
+    }
+
+    fn target(&self) -> StateId {
+        self.target
+    }
+
+    fn enters_cs(&self) -> bool {
+        false
+    }
+}
+
+/// The transitions of every state a delta run without a recorded graph has expanded —
+/// what a recording run reads off its graph's edges — in the same CSR layout by state id.
+/// A transition the full arena dropped has no target and no entry.
+#[derive(Default)]
+struct SuccessorTable {
+    entries: Vec<Successor>,
+    starts: Vec<u32>,
+}
+
+/// A transition of the state being expanded whose successor a commuting diamond already
+/// names (see [`find_diamonds`]).
+#[derive(Clone, Copy, Debug)]
+struct Diamond {
+    slot: u32,
+    target: StateId,
+    enters_cs: bool,
+}
+
+/// Appends to `out`, in ascending slot order, the transitions of state `id` (BFS parent
+/// `parent`, reached by `via`) whose successors are already known.
+///
+/// Let `t2` be an activation of a process other than `via`'s, enabled at the parent, and
+/// let `q` be the parent's `t2`-successor.  The two activations commute: each reads only
+/// its own process's state and the head of its own incoming channel, and writes only its
+/// own state, that head and the tails of its out-channels (one writer per channel, and a
+/// push leaves a non-empty channel's head alone).  So `t2` is enabled at `id` with the same
+/// local effect as at the parent, `via` is enabled at `q` with the same effect as at the
+/// parent, and `id·t2 = q·via`.  When `q` was expanded before `id`, its `via`-edge names
+/// that configuration, and the parent's `t2`-edge says whether `t2` enters a critical
+/// section.  `edges`/`starts` hold the transitions of every state expanded so far, in CSR
+/// layout; a transition the full arena dropped is absent, so it never completes a diamond.
+fn find_diamonds<E: ExpandedEdge>(
+    edges: &[E],
+    starts: &[u32],
+    slots: &Slots,
+    id: StateId,
+    (parent, via): (StateId, Activation),
+    out: &mut Vec<Diamond>,
+) {
+    let range =
+        |state: StateId| starts[state as usize] as usize..starts[state as usize + 1] as usize;
+    let via_slot = slots.of(via);
+    for side in &edges[range(parent)] {
+        let (q, slot) = (side.target(), side.slot(slots));
+        if q >= id || slots.node(slot) == via.node() {
+            continue;
+        }
+        let far = &edges[range(q)];
+        if let Ok(i) = far.binary_search_by_key(&via_slot, |edge| edge.slot(slots)) {
+            out.push(Diamond { slot, target: far[i].target(), enters_cs: side.enters_cs() });
+        }
+    }
+}
+
+/// Reusable buffers of the delta engine — one set per run, so expansions allocate nothing
+/// per state.
+struct DeltaScratch {
+    slots: Slots,
     map: SegmentMap,
     terms: Vec<u64>,
     undo: StepUndo<klex_core::Message>,
     activations: Vec<Activation>,
+    /// The transitions of the state being expanded that diamonds complete, by slot.
+    diamonds: Vec<Diamond>,
     /// The flat channels one executed activation pushed, sorted (one entry per message).
     pushed: Vec<usize>,
     /// Dirty-segment patches: (segment index, span of the new bytes in `seg_buf`), in
@@ -844,27 +1055,13 @@ struct DeltaScratch {
 
 impl DeltaScratch {
     fn for_net<P: CheckableNode, T: Topology>(net: &Network<P, T>) -> Self {
-        let n = net.len();
-        let mut chan_base = Vec::with_capacity(n + 1);
-        let mut total_channels = 0usize;
-        chan_base.push(0usize);
-        for v in 0..n {
-            total_channels += net.topology().degree(v);
-            chan_base.push(total_channels);
-        }
-        let mut chan_pos = Vec::with_capacity(total_channels);
-        for v in 0..n {
-            for l in 0..net.topology().degree(v) {
-                chan_pos.push((v, l));
-            }
-        }
         DeltaScratch {
-            chan_base,
-            chan_pos,
+            slots: Slots::for_net(net),
             map: SegmentMap::default(),
             terms: Vec::new(),
             undo: StepUndo::new(),
             activations: Vec::new(),
+            diamonds: Vec::new(),
             pushed: Vec::new(),
             patches: Vec::new(),
             seg_buf: Vec::new(),
@@ -948,8 +1145,7 @@ impl TransitionMemo {
         act: Activation,
         parent_node: &[u8],
         undo: &StepUndo<klex_core::Message>,
-        chan_base: &[usize],
-        chan_pos: &[(usize, usize)],
+        slots: &Slots,
         pushed: &mut Vec<usize>,
         probe: &mut NodeState,
     ) -> Effect {
@@ -962,11 +1158,11 @@ impl TransitionMemo {
         let node = (node_start as u32, self.bytes.len() as u32);
 
         pushed.clear();
-        pushed.extend(undo.sent_channels().iter().map(|&(v, l)| chan_base[v] + l));
+        pushed.extend(undo.sent_channels().iter().map(|&(v, l)| slots.chan_base[v] + l));
         pushed.sort_unstable();
         let push_start = self.pushes.len();
         for run in pushed.chunk_by(|a, b| a == b) {
-            let (v, l) = chan_pos[run[0]];
+            let (v, l) = slots.chan_pos[run[0]];
             let channel = net.channel(v, l);
             let start = self.bytes.len();
             for msg in channel.iter().skip(channel.len() - run.len()) {
@@ -1013,6 +1209,11 @@ enum DeltaStep<'a> {
     /// The successor is bit-identical to the parent (no dirty segment): no splice, no hash,
     /// no arena traffic.
     SelfLoop,
+    /// The far corner of a commuting diamond (see [`find_diamonds`]): the successor is
+    /// already interned as `target`, so nothing was looked up, spliced or hashed.  Debug
+    /// builds also derive the successor the normal way and pass its bytes as `derived`, for
+    /// the sink to check against `target`'s.
+    Completed { target: StateId, derived: Option<&'a [u8]> },
     /// A proper successor: spliced packed bytes plus the incrementally patched segmented
     /// hash.  The bytes borrow the expansion's scratch buffer — copy to retain.
     Successor { bytes: &'a [u8], hash: u64 },
@@ -1045,50 +1246,83 @@ fn patch_channel(
     patches.push((map.channel_segment(flat), start, seg_buf.len()));
 }
 
-/// Expands one state with the delta discipline.  Activations are enumerated in the
-/// canonical order (deliveries in `(node, channel)` order, then ticks in node order) — the
-/// order [`enumerate_activations`] gives the interned engine, which is what the parity
-/// contract rests on.
+/// Splices the dirty segments `patches` (their new bytes in `seg_buf`) into a copy of the
+/// parent's bytes in `succ_buf` — straight memcpy of the unchanged spans — and returns the
+/// successor's segmented hash, patched per dirty segment from the parent's hash `h_parent`
+/// and segment `terms`.
+fn splice(
+    parent_buf: &[u8],
+    map: &SegmentMap,
+    patches: &[(usize, usize, usize)],
+    seg_buf: &[u8],
+    terms: &[u64],
+    h_parent: u64,
+    succ_buf: &mut Vec<u8>,
+) -> u64 {
+    let mut hash = h_parent;
+    succ_buf.clear();
+    let mut cursor = 0usize;
+    for &(seg, s, e) in patches {
+        hash ^= terms[seg] ^ segment_term(seg, &seg_buf[s..e]);
+        let (span_start, span_end) = map.span(seg);
+        succ_buf.extend_from_slice(&parent_buf[cursor..span_start]);
+        succ_buf.extend_from_slice(&seg_buf[s..e]);
+        cursor = span_end;
+    }
+    succ_buf.extend_from_slice(&parent_buf[cursor..]);
+    hash
+}
+
+/// Expands state `id`, whose packed bytes are `parent_buf`, with the delta discipline.
+/// Activations are enumerated in the canonical order (deliveries in `(node, channel)`
+/// order, then ticks in node order) — the order [`enumerate_activations`] gives the
+/// interned engine, which is what the parity contract rests on.
 ///
 /// The parent's bytes are mapped by a skip-only parse ([`map_packed`]); nothing is decoded.
-/// Each activation is then looked up in the [`TransitionMemo`]:
+/// Each activation then takes the first of these that applies:
 ///
-/// * **hit** — the successor's dirty segments are built from the parent's bytes and the
-///   recorded effect: the node segment replaced, the delivered channel's head dropped, the
-///   pushed channels' tails appended.  Nothing executes.  A tick whose effect is empty (a
-///   blocked process's quiet tick, for one) is a self-loop;
-/// * **miss** — the parent is restored into `net` (at most once per state, and only when
-///   some activation misses), the activation executes in place with an undo log, its effect
-///   is recorded, and the undo log reverts the network to the parent.  The successor is
-///   then built as for a hit.
+/// * **diamond** — `scratch.diamonds` (filled by [`find_diamonds`]) already names its
+///   successor: the sink gets that id, and nothing else is done for it;
+/// * **memo hit** — the successor's dirty segments are built from the parent's bytes and
+///   the recorded effect: the node segment replaced, the delivered channel's head dropped,
+///   the pushed channels' tails appended.  Nothing executes.  A tick whose effect is empty
+///   (a blocked process's quiet tick, for one) is a self-loop;
+/// * **memo miss** — the parent is restored into `net` (at most once per state, and only
+///   when some activation misses), the activation executes in place with an undo log, its
+///   effect is recorded, and the undo log reverts the network to the parent.  The successor
+///   is then built as for a hit.
 ///
-/// Debug builds also execute every hit and panic, naming the process and the activation,
-/// when its effect differs from the recorded one: a process or driver whose behaviour
-/// depends on state outside its capture breaks the [`CheckableNode`] contract.
+/// The parent's segment hash terms are computed only when some successor is spliced.
 ///
-/// `sink` receives each transition with whether its activated process entered the critical
-/// section (always `false` unless `collect_cs`); returning `true` stops the expansion
-/// (remaining activations untried).  Returns `(quiescent, stopped)`; `quiescent` means no
-/// message was in flight and every tick was a self-loop — the precondition of a quiescent
-/// deadlock.
+/// Debug builds derive every diamond's successor through the memo as well, and execute
+/// every memo hit, panicking, with the process and the activation named, when an effect
+/// differs from the recorded one: a process or driver whose behaviour depends on state
+/// outside its capture breaks the [`CheckableNode`] contract.
+///
+/// `sink` receives each transition with its slot (see [`Slots`]) and whether its activated
+/// process entered the critical section (always `false` unless `collect_cs`); returning
+/// `true` stops the expansion (remaining activations untried).  Returns
+/// `(quiescent, stopped)`; `quiescent` means no message was in flight and every tick was a
+/// self-loop — the precondition of a quiescent deadlock.
 fn expand_state_delta<P, T>(
     net: &mut Network<P, T>,
     scratch: &mut DeltaScratch,
+    id: StateId,
     parent_buf: &[u8],
     collect_cs: bool,
-    sink: &mut dyn FnMut(Activation, DeltaStep<'_>, bool) -> bool,
+    sink: &mut dyn FnMut(u32, Activation, DeltaStep<'_>, bool) -> bool,
 ) -> (bool, bool)
 where
     P: CheckableNode,
     T: Topology,
 {
     let DeltaScratch {
-        chan_base,
-        chan_pos,
+        slots,
         map,
         terms,
         undo,
         activations,
+        diamonds,
         pushed,
         patches,
         seg_buf,
@@ -1100,10 +1334,10 @@ where
     } = scratch;
 
     map_packed(parent_buf, map);
-    let h_parent = compute_terms(parent_buf, map, terms);
+    let mut h_parent = None;
 
     activations.clear();
-    for (flat, &(node, channel)) in chan_pos.iter().enumerate() {
+    for (flat, &(node, channel)) in slots.chan_pos.iter().enumerate() {
         if map.channel_len(flat) > 0 {
             activations.push(Activation::Deliver { node, channel });
         }
@@ -1113,20 +1347,37 @@ where
 
     let mut restored = false;
     let mut every_tick_is_self_loop = true;
+    let mut next_diamond = 0;
     for idx in 0..activations.len() {
         let act = activations[idx];
         let node = act.node();
         let delivered = match act {
-            Activation::Deliver { node, channel } => Some(chan_base[node] + channel),
+            Activation::Deliver { node, channel } => Some(slots.chan_base[node] + channel),
             Activation::Tick { .. } => None,
         };
+        let slot = delivered.unwrap_or(slots.channels() + node) as u32;
+        let diamond = diamonds.get(next_diamond).filter(|d| d.slot == slot).copied();
+        if let Some(diamond) = diamond {
+            next_diamond += 1;
+            if idx >= first_tick && diamond.target != id {
+                every_tick_is_self_loop = false;
+            }
+            if !cfg!(debug_assertions) {
+                let step = DeltaStep::Completed { target: diamond.target, derived: None };
+                if sink(slot, act, step, diamond.enters_cs) {
+                    return (false, true);
+                }
+                continue;
+            }
+        }
+
         let head = delivered.map_or(&[][..], |flat| {
             let messages = map.channel_messages(parent_buf, flat);
             &messages[..message_len(messages)]
         });
         let parent_node = map.segment(parent_buf, map.node_segment(node));
         TransitionMemo::key(key, act, parent_node, head);
-        let (id, fresh) = memo.keys.intern(key);
+        let (key_id, fresh) = memo.keys.intern(key);
 
         if fresh || cfg!(debug_assertions) {
             if !restored {
@@ -1136,14 +1387,13 @@ where
             net.trace_mut().clear();
             net.node(node).capture_state_into(saved);
             net.execute_undoable(act, undo);
-            let effect =
-                memo.record(net, act, parent_node, undo, chan_base, chan_pos, pushed, probe);
+            let effect = memo.record(net, act, parent_node, undo, slots, pushed, probe);
             if fresh {
-                debug_assert_eq!(id as usize, memo.effects.len());
+                debug_assert_eq!(key_id as usize, memo.effects.len());
                 memo.misses += 1;
                 memo.effects.push(effect);
             } else {
-                let recorded = memo.effects[id as usize];
+                let recorded = memo.effects[key_id as usize];
                 assert!(
                     memo.same_effect(&effect, &recorded),
                     "process {node}: {act:?} from a (local state, head message) seen before \
@@ -1156,7 +1406,7 @@ where
             net.revert(undo);
             net.node_mut(node).restore_state(saved);
         }
-        let effect = memo.effects[id as usize];
+        let effect = memo.effects[key_id as usize];
 
         // Node segments precede channel segments in the packed layout, and the pushes are
         // in ascending flat order, so merging the delivered channel into them keeps
@@ -1183,30 +1433,37 @@ where
         }
 
         let same_as_parent = patches.is_empty();
-        if idx >= first_tick && !same_as_parent {
-            every_tick_is_self_loop = false;
-        }
         let enters_cs = collect_cs && effect.enters_cs;
-        let stop = if same_as_parent {
-            sink(act, DeltaStep::SelfLoop, enters_cs)
+        let step = if same_as_parent {
+            DeltaStep::SelfLoop
         } else {
-            let mut hash = h_parent;
-            succ_buf.clear();
-            let mut cursor = 0usize;
-            for &(seg, s, e) in patches.iter() {
-                hash ^= terms[seg] ^ segment_term(seg, &seg_buf[s..e]);
-                let (span_start, span_end) = map.span(seg);
-                succ_buf.extend_from_slice(&parent_buf[cursor..span_start]);
-                succ_buf.extend_from_slice(&seg_buf[s..e]);
-                cursor = span_end;
+            let h_parent = *h_parent.get_or_insert_with(|| compute_terms(parent_buf, map, terms));
+            let hash = splice(parent_buf, map, patches, seg_buf, terms, h_parent, succ_buf);
+            DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }
+        };
+        let stop = match diamond {
+            // Debug builds only: the diamond's successor, derived the normal way.
+            Some(diamond) => {
+                debug_assert_eq!(enters_cs, diamond.enters_cs, "{act:?} from state {id}");
+                let derived = match step {
+                    DeltaStep::Successor { bytes, .. } => bytes,
+                    _ => parent_buf,
+                };
+                let step = DeltaStep::Completed { target: diamond.target, derived: Some(derived) };
+                sink(slot, act, step, diamond.enters_cs)
             }
-            succ_buf.extend_from_slice(&parent_buf[cursor..]);
-            sink(act, DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }, enters_cs)
+            None => {
+                if idx >= first_tick && !same_as_parent {
+                    every_tick_is_self_loop = false;
+                }
+                sink(slot, act, step, enters_cs)
+            }
         };
         if stop {
             return (false, true);
         }
     }
+    debug_assert_eq!(next_diamond, diamonds.len(), "every diamond slot is enabled at state {id}");
 
     (first_tick == 0 && every_tick_is_self_loop, false)
 }
@@ -1305,11 +1562,14 @@ impl<'p> Engine<'p> {
         enters_cs: bool,
     ) -> Option<StateId> {
         let hash = crate::snapshot::fx_hash(packed);
-        self.on_transition_hashed(parent, action, packed, hash, enters_cs)
+        match self.on_transition_hashed(parent, action, packed, hash, enters_cs) {
+            InternOutcome::Inserted(id) => Some(id),
+            InternOutcome::Existing(_) | InternOutcome::Full => None,
+        }
     }
 
     /// [`Engine::on_transition`] with a caller-supplied hash (the delta engine's
-    /// incrementally patched segmented hash).
+    /// incrementally patched segmented hash), returning the arena's outcome.
     fn on_transition_hashed(
         &mut self,
         parent: StateId,
@@ -1317,15 +1577,15 @@ impl<'p> Engine<'p> {
         packed: &[u8],
         hash: u64,
         enters_cs: bool,
-    ) -> Option<StateId> {
+    ) -> InternOutcome {
         self.report.transitions += 1;
         let outcome =
             self.arena.intern_capped_hashed(packed, hash, self.limits.max_configurations);
-        let (target, admitted) = match outcome {
-            InternOutcome::Existing(id) => (Some(id), None),
+        let target = match outcome {
+            InternOutcome::Existing(id) => Some(id),
             InternOutcome::Full => {
                 self.report.truncated = true;
-                (None, None)
+                None
             }
             InternOutcome::Inserted(id) => {
                 self.parents.push((parent, action));
@@ -1334,7 +1594,7 @@ impl<'p> Engine<'p> {
                 if self.stop_on_violation && !self.report.violations.is_empty() {
                     self.stopped = true;
                 }
-                (Some(id), Some(id))
+                Some(id)
             }
         };
         if self.record_graph {
@@ -1342,7 +1602,7 @@ impl<'p> Engine<'p> {
                 self.edges.push(Edge { action, target, enters_cs });
             }
         }
-        admitted
+        outcome
     }
 
     /// Emits a deadlock witness for a quiescent state with unsatisfiable requesters.
@@ -1882,11 +2142,55 @@ mod tests {
             drivers::from_needs_holding(&[1, 2, 1]),
         );
         let limits = Limits { max_configurations: 50_000, max_depth: usize::MAX };
-        let (report, misses) = Explorer::new(&mut net).with_limits(limits).run_delta();
+        let (report, stats) = Explorer::new(&mut net).with_limits(limits).run_delta();
         assert!(report.exhaustive());
         assert_eq!(report.configurations, 1560);
         assert_eq!(report.transitions, 7842);
-        assert_eq!(misses, 42, "memo misses on the Figure-3 pusher instance");
+        assert_eq!(stats.misses, 42, "memo misses on the Figure-3 pusher instance");
+        assert_eq!(stats.completed, 4570, "diamond completions on the Figure-3 pusher instance");
+    }
+
+    #[test]
+    fn diamonds_never_complete_through_a_transition_the_full_arena_dropped() {
+        // Under a configuration cap the full arena drops every transition to a configuration
+        // it has no room for, so those transitions have no target.  A diamond must never use
+        // one as a side: capped runs, with and without the recorded graph (and its liveness
+        // pass), still report exactly what the interned oracle reports.  A run without the
+        // graph keeps the same transitions in its successor table, so it completes exactly
+        // as many diamonds as a recording run.
+        let make = || {
+            klex_core::pusher::network(
+                topology::builders::figure3_tree(),
+                KlConfig::new(2, 3, 3),
+                drivers::from_needs_holding(&[1, 2, 1]),
+            )
+        };
+        for max_configurations in [200, 700, 1200] {
+            let mut completed = Vec::new();
+            for liveness in [false, true] {
+                let limits = Limits { max_configurations, max_depth: usize::MAX };
+                let mut net = make();
+                let mut explorer =
+                    Explorer::new(&mut net).with_limits(limits).check_liveness(liveness);
+                let (delta, stats) = explorer.run_delta();
+                let delta_graph = explorer.into_graph();
+                let mut net = make();
+                let mut explorer =
+                    Explorer::new(&mut net).with_limits(limits).check_liveness(liveness);
+                let interned = explorer.run_interned();
+                let interned_graph = explorer.into_graph();
+
+                let case = format!("cap {max_configurations}, liveness {liveness}");
+                assert!(delta.truncated && stats.completed > 0, "{case}");
+                assert_eq!(format!("{delta:?}"), format!("{interned:?}"), "{case}");
+                assert_eq!(delta_graph.len(), interned_graph.len(), "{case}");
+                for id in 0..delta_graph.len() {
+                    assert_eq!(delta_graph.edges(id), interned_graph.edges(id), "{case}: {id}");
+                }
+                completed.push(stats.completed);
+            }
+            assert_eq!(completed[0], completed[1], "cap {max_configurations}");
+        }
     }
 
     /// A driver with state outside its process's capture: it releases the critical section

@@ -270,164 +270,159 @@ fn examine_scc(
     // then close back to the start.  All routing stays inside the SCC (strongly connected,
     // so every leg exists).
     let start = progress_edge.0;
-    let mut cycle_states: Vec<usize> = vec![start];
-    let mut cycle: Vec<Activation> = Vec::new();
-    let mut cycle_cs: Vec<Vec<NodeId>> = Vec::new();
-    let take_edge = |from: usize,
-                         edge_idx: usize,
-                         cycle_states: &mut Vec<usize>,
-                         cycle: &mut Vec<Activation>,
-                         cycle_cs: &mut Vec<Vec<NodeId>>|
-     -> usize {
-        let edge = &graph.edges(from)[edge_idx];
-        cycle.push(edge.action);
-        cycle_cs.push(edge.cs_entry().into_iter().collect());
-        let target = edge.target as usize;
-        cycle_states.push(target);
-        target
-    };
-
-    let mut cursor = take_edge(start, progress_edge.1, &mut cycle_states, &mut cycle, &mut cycle_cs);
+    let mut search = PathSearch::new(graph);
+    let mut cycle = Walk::at(start);
+    let mut cursor = cycle.take(graph, start, progress_edge.1);
     for requirement in &requirements {
         let goal = match requirement {
             Requirement::Edge(src, _) => *src,
             Requirement::State(s) => *s,
         };
-        cursor = walk_to(graph, in_scope, scc, comp, cursor, goal, &mut cycle_states, &mut cycle, &mut cycle_cs);
+        cursor = cycle.route(graph, &mut search, cursor, goal, internal);
         if let Requirement::Edge(src, edge_idx) = requirement {
             debug_assert_eq!(cursor, *src);
-            cursor = take_edge(*src, *edge_idx, &mut cycle_states, &mut cycle, &mut cycle_cs);
+            cursor = cycle.take(graph, *src, *edge_idx);
         }
     }
-    walk_to(graph, in_scope, scc, comp, cursor, start, &mut cycle_states, &mut cycle, &mut cycle_cs);
+    cycle.route(graph, &mut search, cursor, start, internal);
     // The walk ends where it started; drop the duplicated closing state.
-    debug_assert_eq!(cycle_states.last(), Some(&start));
-    cycle_states.pop();
-    debug_assert_eq!(cycle_states.len(), cycle.len());
+    debug_assert_eq!(cycle.states.last(), Some(&start));
+    cycle.states.pop();
+    debug_assert_eq!(cycle.states.len(), cycle.actions.len());
 
     let progress_nodes = {
         let mut nodes: Vec<NodeId> =
-            cycle_cs.iter().flatten().copied().filter(|&u| u != victim).collect();
+            cycle.cs.iter().flatten().copied().filter(|&u| u != victim).collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
     };
 
     // Shortest stem from the initial configuration to the cycle entry, over the full graph.
-    let (stem_states, stem, stem_cs) = stem_to(graph, start);
+    let mut stem = Walk::at(0);
+    stem.route(graph, &mut search, 0, start, |_| true);
 
     Some(LassoWitness {
         victim,
-        stem_configs: stem_states.iter().map(|&id| graph.config(id)).collect(),
-        cycle_configs: cycle_states.iter().map(|&id| graph.config(id)).collect(),
-        stem,
-        stem_states,
-        cycle,
-        cycle_states,
+        stem_configs: stem.states.iter().map(|&id| graph.config(id)).collect(),
+        cycle_configs: cycle.states.iter().map(|&id| graph.config(id)).collect(),
+        stem: stem.actions,
+        stem_states: stem.states,
+        cycle: cycle.actions,
+        cycle_states: cycle.states,
         progress_nodes,
-        stem_cs,
-        cycle_cs,
+        stem_cs: stem.cs,
+        cycle_cs: cycle.cs,
     })
 }
 
-/// Appends the shortest in-SCC path from `from` to `to` (actions, intermediate states and
-/// their cs-entries) and returns `to`.  A no-op when already there.
-#[allow(clippy::too_many_arguments)]
-fn walk_to(
-    graph: &StateGraph,
-    in_scope: &[bool],
-    scc: &[u32],
-    comp: u32,
-    from: usize,
-    to: usize,
-    cycle_states: &mut Vec<usize>,
-    cycle: &mut Vec<Activation>,
-    cycle_cs: &mut Vec<Vec<NodeId>>,
-) -> usize {
-    if from == to {
-        return to;
-    }
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
-    let mut seen = vec![false; graph.len()];
-    let mut queue = VecDeque::new();
-    seen[from] = true;
-    queue.push_back(from);
-    'bfs: while let Some(u) = queue.pop_front() {
-        for (edge_idx, edge) in graph.edges(u).iter().enumerate() {
-            let v = edge.target as usize;
-            if seen[v] || !in_scope[v] || scc[v] != comp {
-                continue;
-            }
-            seen[v] = true;
-            prev[v] = Some((u, edge_idx));
-            if v == to {
-                break 'bfs;
-            }
-            queue.push_back(v);
-        }
-    }
-    debug_assert!(seen[to], "SCC members are mutually reachable");
-    let mut path: Vec<(usize, usize)> = Vec::new();
-    let mut cursor = to;
-    while cursor != from {
-        let (parent, edge_idx) = prev[cursor].expect("path reconstruction");
-        path.push((parent, edge_idx));
-        cursor = parent;
-    }
-    path.reverse();
-    for (src, edge_idx) in path {
-        let edge = &graph.edges(src)[edge_idx];
-        cycle.push(edge.action);
-        cycle_cs.push(edge.cs_entry().into_iter().collect());
-        cycle_states.push(edge.target as usize);
-    }
-    to
+/// A path through the recorded graph: its states (one more than its steps), each step's
+/// activation, and the processes that entered their critical section during each step.
+struct Walk {
+    states: Vec<usize>,
+    actions: Vec<Activation>,
+    cs: Vec<Vec<NodeId>>,
 }
 
-/// Shortest path from the initial configuration (state 0) to `target` over the full graph:
-/// `(states, actions, cs_entries)` with `states.len() == actions.len() + 1`.
-fn stem_to(graph: &StateGraph, target: usize) -> (Vec<usize>, Vec<Activation>, Vec<Vec<NodeId>>) {
-    if target == 0 {
-        return (vec![0], Vec::new(), Vec::new());
+impl Walk {
+    /// The empty path at `start`.
+    fn at(start: usize) -> Self {
+        Walk { states: vec![start], actions: Vec::new(), cs: Vec::new() }
     }
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
-    let mut seen = vec![false; graph.len()];
-    let mut queue = VecDeque::new();
-    seen[0] = true;
-    queue.push_back(0usize);
-    'bfs: while let Some(u) = queue.pop_front() {
-        for (edge_idx, edge) in graph.edges(u).iter().enumerate() {
-            let v = edge.target as usize;
-            if seen[v] {
-                continue;
-            }
-            seen[v] = true;
-            prev[v] = Some((u, edge_idx));
-            if v == target {
-                break 'bfs;
-            }
-            queue.push_back(v);
+
+    /// Appends edge `edge_idx` of state `from` and returns its target.
+    fn take(&mut self, graph: &StateGraph, from: usize, edge_idx: usize) -> usize {
+        let edge = &graph.edges(from)[edge_idx];
+        self.actions.push(edge.action);
+        self.cs.push(edge.cs_entry().into_iter().collect());
+        let target = edge.target as usize;
+        self.states.push(target);
+        target
+    }
+
+    /// Appends a shortest path from `from` to `to` through states `allowed` admits and
+    /// returns `to` (a no-op when already there).
+    fn route(
+        &mut self,
+        graph: &StateGraph,
+        search: &mut PathSearch,
+        from: usize,
+        to: usize,
+        allowed: impl Fn(usize) -> bool,
+    ) -> usize {
+        for &(src, edge_idx) in search.shortest(graph, from, to, allowed) {
+            self.take(graph, src, edge_idx);
+        }
+        to
+    }
+}
+
+/// Breadth-first shortest-path search over the recorded graph, its buffers shared by every
+/// leg of one witness.  A state is seen by the current search when its stamp equals the
+/// search's generation, so a leg neither allocates nor clears `graph.len()`-sized vectors.
+struct PathSearch {
+    stamp: Vec<u32>,
+    generation: u32,
+    /// How the current search reached each state it has seen: (source state, edge index).
+    prev: Vec<(usize, usize)>,
+    queue: VecDeque<usize>,
+    path: Vec<(usize, usize)>,
+}
+
+impl PathSearch {
+    fn new(graph: &StateGraph) -> Self {
+        PathSearch {
+            stamp: vec![0; graph.len()],
+            generation: 0,
+            prev: vec![(0, 0); graph.len()],
+            queue: VecDeque::new(),
+            path: Vec::new(),
         }
     }
-    debug_assert!(seen[target], "every recorded state is reachable from the root");
-    let mut rev: Vec<(usize, usize)> = Vec::new();
-    let mut cursor = target;
-    while cursor != 0 {
-        let (parent, edge_idx) = prev[cursor].expect("stem reconstruction");
-        rev.push((parent, edge_idx));
-        cursor = parent;
+
+    /// The steps (source state, edge index) of a shortest path from `from` to `to` whose
+    /// states after `from` all satisfy `allowed`; empty when `from == to`.  Edges are tried
+    /// in recorded order, so the path is the first one breadth-first search finds.
+    fn shortest(
+        &mut self,
+        graph: &StateGraph,
+        from: usize,
+        to: usize,
+        allowed: impl Fn(usize) -> bool,
+    ) -> &[(usize, usize)] {
+        self.path.clear();
+        if from == to {
+            return &self.path;
+        }
+        self.generation += 1;
+        let generation = self.generation;
+        self.queue.clear();
+        self.stamp[from] = generation;
+        self.queue.push_back(from);
+        'bfs: while let Some(u) = self.queue.pop_front() {
+            for (edge_idx, edge) in graph.edges(u).iter().enumerate() {
+                let v = edge.target as usize;
+                if self.stamp[v] == generation || !allowed(v) {
+                    continue;
+                }
+                self.stamp[v] = generation;
+                self.prev[v] = (u, edge_idx);
+                if v == to {
+                    break 'bfs;
+                }
+                self.queue.push_back(v);
+            }
+        }
+        assert_eq!(self.stamp[to], generation, "state {to} is unreachable from state {from}");
+        let mut cursor = to;
+        while cursor != from {
+            let step = self.prev[cursor];
+            self.path.push(step);
+            cursor = step.0;
+        }
+        self.path.reverse();
+        &self.path
     }
-    rev.reverse();
-    let mut states = vec![0usize];
-    let mut actions = Vec::with_capacity(rev.len());
-    let mut cs = Vec::with_capacity(rev.len());
-    for (src, edge_idx) in rev {
-        let edge = &graph.edges(src)[edge_idx];
-        actions.push(edge.action);
-        cs.push(edge.cs_entry().into_iter().collect());
-        states.push(edge.target as usize);
-    }
-    (states, actions, cs)
 }
 
 #[cfg(test)]
