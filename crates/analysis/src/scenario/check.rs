@@ -25,7 +25,9 @@ use super::spec::{ProtocolSpec, WorkloadSpec};
 use super::ScenarioError;
 use crate::progress::ProgressSink;
 use checker::snapshot::CheckableNode;
-use checker::{drivers, properties, ExplorationReport, ExploreProgress, Explorer, Limits};
+use checker::{
+    drivers, properties, ExplorationReport, ExploreProgress, Explorer, Limits, StateGraph,
+};
 use klex_core::{naive, nonstab, pusher, ss, KlConfig, Message};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +57,7 @@ impl CompiledScenario {
         _threads: Option<usize>,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ExplorationReport, ScenarioError> {
-        self.check_with_sink(false, sink)
+        Ok(self.check_with_sink(false, sink)?.0)
     }
 
     /// [`CompiledScenario::check`] through the interned oracle engine
@@ -63,14 +65,25 @@ impl CompiledScenario {
     /// use to run the same lowered instance through both engines and compare the reports.
     #[doc(hidden)]
     pub fn check_interned(&self) -> Result<ExplorationReport, ScenarioError> {
-        self.check_with_sink(true, None)
+        Ok(self.check_with_sink(true, None)?.0)
+    }
+
+    /// [`CompiledScenario::check`], or with `interned` [`CompiledScenario::check_interned`],
+    /// also returning the state graph the run recorded (empty unless the spec checks
+    /// liveness): the hook the delta-parity tests compare the two engines' graphs through.
+    #[doc(hidden)]
+    pub fn check_with_graph(
+        &self,
+        interned: bool,
+    ) -> Result<(ExplorationReport, StateGraph), ScenarioError> {
+        self.check_with_sink(interned, None)
     }
 
     fn check_with_sink(
         &self,
         interned: bool,
         sink: Option<&dyn ProgressSink>,
-    ) -> Result<ExplorationReport, ScenarioError> {
+    ) -> Result<(ExplorationReport, StateGraph), ScenarioError> {
         let spec = self.spec();
         match spec.protocol {
             ProtocolSpec::Naive => {
@@ -243,13 +256,14 @@ impl CompiledScenario {
         }
     }
 
-    /// Runs the explorer over `net` with the spec's limits and properties.
+    /// Runs the explorer over `net` with the spec's limits and properties; returns its
+    /// report and the graph it recorded.
     fn check_net<P>(
         &self,
         mut net: Network<P, OrientedTree>,
         interned: bool,
         sink: Option<&dyn ProgressSink>,
-    ) -> Result<ExplorationReport, ScenarioError>
+    ) -> Result<(ExplorationReport, StateGraph), ScenarioError>
     where
         P: CheckableNode,
     {
@@ -258,7 +272,8 @@ impl CompiledScenario {
         if let Some(adapter) = &adapter {
             explorer = explorer.with_progress(adapter);
         }
-        Ok(if interned { explorer.run_interned() } else { explorer.run() })
+        let report = if interned { explorer.run_interned() } else { explorer.run() };
+        Ok((report, explorer.into_graph()))
     }
 }
 

@@ -1005,6 +1005,14 @@ impl ScenarioSpec {
                 ));
             }
         }
+        // The checker numbers configurations with `u32` ids.
+        if u32::try_from(self.check.max_configurations).is_err() {
+            return err(format!(
+                "check.max_configurations {} exceeds the {} configurations the checker can number",
+                self.check.max_configurations,
+                u32::MAX
+            ));
+        }
         for property in &self.check.properties {
             if !CheckSpec::PROPERTIES.contains(&property.as_str()) {
                 return err(format!(

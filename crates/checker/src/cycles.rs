@@ -22,6 +22,7 @@
 //! witnesses.
 
 use crate::explore::StateGraph;
+use std::collections::VecDeque;
 use treenet::{Activation, NodeId};
 
 /// A reachable cycle along which `victim` is never served while others keep making progress.
@@ -61,13 +62,16 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
     }
     // Restrict to configurations in which the victim is an unsatisfied requester (a fact
     // the explorer recorded when it admitted each state).
-    let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, victim)).collect();
+    let mut in_scope = Vec::new();
+    graph.starving_scope(victim, &mut in_scope);
 
     // Strongly connected components of the restricted subgraph (iterative Tarjan).
-    let scc = tarjan_scc(graph, &in_scope);
+    let mut tarjan = Tarjan::default();
+    let (scc, _) = tarjan.components(graph, &in_scope);
 
     // A qualifying cycle exists iff some SCC contains a "progress edge" (one along which a
     // process other than the victim enters its critical section) between two of its members.
+    let mut search = None;
     for id in 0..n {
         if !in_scope[id] {
             continue;
@@ -80,169 +84,193 @@ pub fn find_progress_cycle(graph: &StateGraph, victim: NodeId) -> Option<CycleWi
             let Some(entered) = edge.cs_entry().filter(|&v| v != victim) else {
                 continue;
             };
-            // Self-loops with progress are already a cycle; otherwise close the loop by
-            // walking back from the edge's target to its source inside the SCC.
-            let closing_path = if target == id {
-                Some(Vec::new())
-            } else {
-                path_within(graph, &in_scope, &scc, target, id)
-            };
-            if let Some(path) = closing_path {
-                // Node/action sequence: id --edge--> target --path--> id.
-                let mut states = vec![id];
-                let mut actions = vec![edge.action];
-                let mut progress_nodes = vec![entered];
-                let mut cursor = target;
-                for &(action, next) in &path {
-                    states.push(cursor);
-                    actions.push(action);
-                    if let Some(e) = graph
-                        .edges(cursor)
-                        .iter()
-                        .find(|e| e.target as usize == next && e.action == action)
-                    {
-                        progress_nodes.extend(e.cs_entry().filter(|&v| v != victim));
-                    }
-                    cursor = next;
-                }
-                debug_assert_eq!(cursor, id);
-                progress_nodes.sort_unstable();
-                progress_nodes.dedup();
-                return Some(CycleWitness { states, actions, progress_nodes });
+            // Close the loop by walking back from the edge's target to its source inside the
+            // SCC (strongly connected, so the walk exists; a self-loop needs none):
+            // id --edge--> target --path--> id.
+            let mut states = vec![id];
+            let mut actions = vec![edge.action];
+            let mut progress_nodes = vec![entered];
+            let search = search.get_or_insert_with(|| PathSearch::new(graph));
+            let same_scc = |v: usize| in_scope[v] && scc[v] == scc[id];
+            for &(src, edge_idx) in search.shortest(graph, target, id, same_scc) {
+                let step = graph.edge(src, edge_idx);
+                states.push(src);
+                actions.push(step.action);
+                progress_nodes.extend(step.cs_entry().filter(|&v| v != victim));
             }
+            progress_nodes.sort_unstable();
+            progress_nodes.dedup();
+            return Some(CycleWitness { states, actions, progress_nodes });
         }
     }
     None
 }
 
-/// Shortest path (as `(action, node)` steps) from `from` to `to` using only in-scope nodes of
-/// the same SCC.  Returns `None` when unreachable.
-fn path_within(
-    graph: &StateGraph,
-    in_scope: &[bool],
-    scc: &[u32],
-    from: usize,
-    to: usize,
-) -> Option<Vec<(Activation, usize)>> {
-    use std::collections::VecDeque;
-    let mut prev: Vec<Option<(usize, Activation)>> = vec![None; graph.len()];
-    let mut seen = vec![false; graph.len()];
-    let mut queue = VecDeque::new();
-    seen[from] = true;
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        if u == to {
-            break;
-        }
-        for edge in graph.edges(u) {
-            let v = edge.target as usize;
-            if !seen[v] && in_scope[v] && scc[v] == scc[from] {
-                seen[v] = true;
-                prev[v] = Some((u, edge.action));
-                queue.push_back(v);
-            }
-        }
-    }
-    if !seen[to] {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut cursor = to;
-    while cursor != from {
-        let (parent, action) = prev[cursor].expect("path reconstruction");
-        path.push((action, cursor));
-        cursor = parent;
-    }
-    path.reverse();
-    Some(path)
+/// Breadth-first shortest-path search over the recorded graph, its buffers shared by every
+/// search one analysis makes.  A state is seen by the current search when its stamp equals
+/// the search's generation, so a search neither allocates nor clears `graph.len()`-sized
+/// vectors.
+pub(crate) struct PathSearch {
+    stamp: Vec<u32>,
+    generation: u32,
+    /// How the current search reached each state it has seen: (source state, edge index).
+    prev: Vec<(usize, usize)>,
+    queue: VecDeque<usize>,
+    path: Vec<(usize, usize)>,
 }
 
-/// Iterative Tarjan SCC restricted to `in_scope` nodes.  Out-of-scope nodes get their own
-/// singleton component id and are never grouped with anything.  Shared with the fair-cycle
-/// liveness pass ([`crate::liveness`]), which runs it per candidate victim.
-///
-/// The scoped subgraph is first copied into a compact CSR target list (in-scope targets of
-/// in-scope sources, `u32` each), so the search strides 4-byte ids instead of 32-byte
-/// [`crate::Edge`]s and skips out-of-scope targets once, not once per visit.
-pub(crate) fn tarjan_scc(graph: &StateGraph, in_scope: &[bool]) -> Vec<u32> {
-    let n = graph.len();
-    let mut starts: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut targets: Vec<u32> = Vec::new();
-    starts.push(0);
-    for (v, &scoped) in in_scope.iter().enumerate() {
-        if scoped {
-            let edges = graph.edges(v).iter().map(|e| e.target);
-            targets.extend(edges.filter(|&w| in_scope[w as usize]));
+impl PathSearch {
+    pub(crate) fn new(graph: &StateGraph) -> Self {
+        PathSearch {
+            stamp: vec![0; graph.len()],
+            generation: 0,
+            prev: vec![(0, 0); graph.len()],
+            queue: VecDeque::new(),
+            path: Vec::new(),
         }
-        starts.push(targets.len() as u32);
     }
 
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![UNSET; n];
-    let mut stack: Vec<u32> = Vec::new();
-    // The explicit DFS stack, shared by every root: (node, position of its next target).
-    let mut call_stack: Vec<(u32, u32)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-
-    for start in 0..n {
-        if index[start] != UNSET || !in_scope[start] {
-            continue;
+    /// The steps (source state, edge index) of a shortest path from `from` to `to` whose
+    /// states after `from` all satisfy `allowed`; empty when `from == to`.  Edges are tried
+    /// in recorded order, so the path is the first one breadth-first search finds.
+    pub(crate) fn shortest(
+        &mut self,
+        graph: &StateGraph,
+        from: usize,
+        to: usize,
+        allowed: impl Fn(usize) -> bool,
+    ) -> &[(usize, usize)] {
+        self.path.clear();
+        if from == to {
+            return &self.path;
         }
-        call_stack.push((start as u32, starts[start]));
-        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let v = v as usize;
-            if index[v] == UNSET {
-                index[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v as u32);
-                on_stack[v] = true;
-            }
-            let end = starts[v + 1];
-            let mut descended = false;
-            while *pos < end {
-                let w = targets[*pos as usize] as usize;
-                *pos += 1;
-                if index[w] == UNSET {
-                    call_stack.push((w as u32, starts[w]));
-                    descended = true;
-                    break;
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
+        self.generation += 1;
+        let generation = self.generation;
+        self.queue.clear();
+        self.stamp[from] = generation;
+        self.queue.push_back(from);
+        'bfs: while let Some(u) = self.queue.pop_front() {
+            for (edge_idx, transition) in graph.transitions(u).iter().enumerate() {
+                let v = transition.target as usize;
+                if self.stamp[v] == generation || !allowed(v) {
+                    continue;
                 }
+                self.stamp[v] = generation;
+                self.prev[v] = (u, edge_idx);
+                if v == to {
+                    break 'bfs;
+                }
+                self.queue.push_back(v);
             }
-            if descended {
+        }
+        assert_eq!(self.stamp[to], generation, "state {to} is unreachable from state {from}");
+        let mut cursor = to;
+        while cursor != from {
+            let step = self.prev[cursor];
+            self.path.push(step);
+            cursor = step.0;
+        }
+        self.path.reverse();
+        &self.path
+    }
+}
+
+/// The buffers of an iterative Tarjan SCC search restricted to a scope, reusable across
+/// searches of one graph: the fair-cycle liveness pass ([`crate::liveness`]) searches one
+/// scope per candidate victim with one `Tarjan`.
+///
+/// The search reads the graph's 8-byte transition records in place, with no compact copy
+/// of the scoped subgraph: the DFS examines each edge exactly once, out-of-scope targets
+/// included, so a copy of the scoped targets would cost a full pass over the records and
+/// save no visit.
+#[derive(Default)]
+pub(crate) struct Tarjan {
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    on_stack: Vec<bool>,
+    comp: Vec<u32>,
+    sizes: Vec<u32>,
+    stack: Vec<u32>,
+    /// The explicit DFS stack, shared by every root: (node, position of its next edge).
+    call_stack: Vec<(u32, u32)>,
+}
+
+impl Tarjan {
+    /// The component id of every state of `graph`, with the search restricted to `in_scope`
+    /// states, and the size of every component.  Out-of-scope states get their own
+    /// singleton component ids, after the scoped ones, and are never grouped with anything.
+    pub(crate) fn components(&mut self, graph: &StateGraph, in_scope: &[bool]) -> (&[u32], &[u32]) {
+        const UNSET: u32 = u32::MAX;
+        let n = graph.len();
+        let Tarjan { index, lowlink, on_stack, comp, sizes, stack, call_stack } = self;
+        index.clear();
+        index.resize(n, UNSET);
+        lowlink.resize(n, 0);
+        on_stack.resize(n, false);
+        comp.clear();
+        comp.resize(n, UNSET);
+        sizes.clear();
+        let mut next_index = 0u32;
+
+        for start in 0..n {
+            if index[start] != UNSET || !in_scope[start] {
                 continue;
             }
-            // Finished v.
-            call_stack.pop();
-            if let Some(&(parent, _)) = call_stack.last() {
-                let parent = parent as usize;
-                lowlink[parent] = lowlink[parent].min(lowlink[v]);
-            }
-            if lowlink[v] == index[v] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow") as usize;
-                    on_stack[w] = false;
-                    comp[w] = next_comp;
-                    if w == v {
+            call_stack.push((start as u32, 0));
+            while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
+                let v = v as usize;
+                if index[v] == UNSET {
+                    index[v] = next_index;
+                    lowlink[v] = next_index;
+                    next_index += 1;
+                    stack.push(v as u32);
+                    on_stack[v] = true;
+                }
+                let mut descended = false;
+                for transition in &graph.transitions(v)[*pos as usize..] {
+                    *pos += 1;
+                    let w = transition.target as usize;
+                    if !in_scope[w] {
+                        continue;
+                    }
+                    if index[w] == UNSET {
+                        call_stack.push((w as u32, 0));
+                        descended = true;
                         break;
+                    } else if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(index[w]);
                     }
                 }
-                next_comp += 1;
+                if descended {
+                    continue;
+                }
+                // Finished v.
+                call_stack.pop();
+                if let Some(&(parent, _)) = call_stack.last() {
+                    let parent = parent as usize;
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] == index[v] {
+                    let id = sizes.len() as u32;
+                    sizes.push(0);
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow") as usize;
+                        on_stack[w] = false;
+                        comp[w] = id;
+                        sizes[id as usize] += 1;
+                        if w == v {
+                            break;
+                        }
+                    }
+                }
             }
         }
+        for c in comp.iter_mut().filter(|c| **c == UNSET) {
+            *c = sizes.len() as u32;
+            sizes.push(1);
+        }
+        (comp, sizes)
     }
-    // Give out-of-scope nodes unique component ids.
-    for c in comp.iter_mut().filter(|c| **c == UNSET) {
-        *c = next_comp;
-        next_comp += 1;
-    }
-    comp
 }
 
 #[cfg(test)]
@@ -340,13 +368,16 @@ mod tests {
         let (_, graph) = explore_figure3(net, 50_000);
         let n = graph.len();
         let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, 1)).collect();
+        let mut scope = Vec::new();
+        graph.starving_scope(1, &mut scope);
+        assert_eq!(scope, in_scope, "the scope read off the fact words");
         let reach = |from: usize| {
             let mut seen = vec![false; n];
             let mut stack = vec![from];
             seen[from] = true;
             while let Some(u) = stack.pop() {
-                for edge in graph.edges(u) {
-                    let v = edge.target as usize;
+                for transition in graph.transitions(u) {
+                    let v = transition.target as usize;
                     if in_scope[v] && !seen[v] {
                         seen[v] = true;
                         stack.push(v);
@@ -357,7 +388,8 @@ mod tests {
         };
         let reaches: Vec<Vec<bool>> =
             (0..n).map(|id| if in_scope[id] { reach(id) } else { Vec::new() }).collect();
-        let scc = tarjan_scc(&graph, &in_scope);
+        let mut tarjan = Tarjan::default();
+        let (scc, sizes) = tarjan.components(&graph, &in_scope);
         for u in 0..n {
             for v in 0..n {
                 let same = if in_scope[u] && in_scope[v] {
@@ -367,6 +399,8 @@ mod tests {
                 };
                 assert_eq!(scc[u] == scc[v], same, "states {u} and {v}");
             }
+            let members = scc.iter().filter(|&&c| c == scc[u]).count();
+            assert_eq!(sizes[scc[u] as usize] as usize, members, "component of state {u}");
         }
     }
 

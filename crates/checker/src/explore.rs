@@ -27,8 +27,10 @@
 //!   `s·t2 = q·t1` — the target of `q`'s `t1`-transition.  Such a **diamond** names an
 //!   already-interned successor with no memo lookup, no splice, no hash and no arena probe:
 //!   1 728 697 of the benchmark's star7 instance's 2 193 196 transitions, and 655 187 of
-//!   the Figure-3 instance's 1 084 273.  Runs that record the graph read its edges; other
-//!   runs keep an 8-byte (activation slot, target) entry per transition;
+//!   the Figure-3 instance's 1 084 273.  Every run keeps the transitions of the states it
+//!   has expanded in one table of 8-byte records (activation slot with the
+//!   critical-section entry flag in its top bit, target id), sliced per state id; a run
+//!   that records the graph hands that table to the [`StateGraph`], any other run drops it;
 //! * every other transition's **local effect** — `p`'s new node segment, whether `p`
 //!   entered its critical section, the messages appended per pushed channel — is a
 //!   function of (process, activation, `p`'s node segment, head message bytes), and a
@@ -46,8 +48,10 @@
 //!   [`crate::snapshot::segment_term`]s (computed once per state, and only when some
 //!   successor is spliced) — a transition that changed nothing is a self-loop and skips
 //!   interning entirely;
-//! * per-state bookkeeping (parent links, depths, recorded edges) lives in flat vectors
-//!   indexed by state id, shared by the report and the recorded [`StateGraph`];
+//! * per-state bookkeeping (8-byte parent links of parent id and activation slot, depths,
+//!   the transition table's starts) lives in flat vectors indexed by state id, shared by
+//!   the report and the recorded [`StateGraph`]; slots are decoded back to activations only
+//!   at the edges of the engine — traces, [`StateGraph::edges`];
 //! * a full [`Configuration`] is decoded **once per admitted state**, into a reused buffer,
 //!   for the property checks and (when the graph is recorded) the per-state facts the graph
 //!   analyses read; otherwise only witnesses decode.
@@ -123,7 +127,8 @@ pub struct DeadlockWitness {
     pub config: Configuration,
 }
 
-/// One outgoing transition of the explored state graph: 32 bytes, no heap data.
+/// One outgoing transition of the explored state graph, as [`StateGraph::edges`] decodes it
+/// from the 8-byte record the graph stores.
 ///
 /// Only the activated process runs in a transition, so the only process that can enter its
 /// critical section is `action.node()`; one flag records it (see [`Edge::cs_entry`]).
@@ -144,22 +149,69 @@ impl Edge {
     }
 }
 
+/// The top bit of [`Transition::slot`]: set when the activated process entered its critical
+/// section.  Activation slots (see [`Slots`]) stay below it.
+const CS_ENTRY: u32 = 1 << 31;
+
+/// One stored transition: 8 bytes.  The engine's table and the recorded [`StateGraph`] hold
+/// every transition in this form; [`StateGraph::edges`] decodes it into an [`Edge`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Transition {
+    /// The activation's slot, with [`CS_ENTRY`] or-ed in when its process entered its
+    /// critical section.
+    slot: u32,
+    /// Id of the successor configuration.
+    pub(crate) target: StateId,
+}
+
+impl Transition {
+    fn new(slot: u32, target: StateId, enters_cs: bool) -> Self {
+        debug_assert!(slot < CS_ENTRY, "slot {slot} collides with the critical-section flag");
+        Transition { slot: if enters_cs { slot | CS_ENTRY } else { slot }, target }
+    }
+
+    /// The activation slot, without the critical-section flag.
+    fn slot(self) -> u32 {
+        self.slot & !CS_ENTRY
+    }
+
+    fn enters_cs(self) -> bool {
+        self.slot & CS_ENTRY != 0
+    }
+}
+
+/// A BFS parent link: the parent's id and the slot of the activation reaching the state.
+/// 8 bytes; [`Engine::trace_to`] decodes the slots.
+type ParentLink = (StateId, u32);
+
+/// `len` as a start offset of a per-state CSR table.
+fn start_offset(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!("{len} stored transitions: a start offset does not fit its 32-bit field")
+    })
+}
+
 /// The explored fragment of the configuration graph (kept only when
 /// [`Explorer::record_graph`] is enabled); used by the starvation-cycle analysis.
 ///
-/// States are stored packed in a [`StateArena`]; edges live in one flat vector sliced per
-/// state id (CSR layout), which is possible because BFS expands states in id order.  Next to
-/// each state the graph keeps the facts the cycle analyses and [`GraphSummary`] read —
-/// which processes are unsatisfied requesters, which channels hold a message — recorded
-/// when the state was admitted, from the one decode the explorer performs per state, so no
-/// analysis decodes a state again.
+/// States are stored packed in a [`StateArena`].  Transitions are the explorer's own table,
+/// handed over when the run ends: one 8-byte record per transition (activation slot with the
+/// critical-section entry flag, target id) in one flat vector sliced per state id (CSR
+/// layout), which is possible because BFS expands states in id order.  [`StateGraph::edges`]
+/// decodes the slots into [`Edge`]s through the graph's activation numbering.  Next to each
+/// state the graph keeps the facts the cycle analyses and [`GraphSummary`] read — which
+/// processes are unsatisfied requesters, which channels hold a message — recorded when the
+/// state was admitted, from the one decode the explorer performs per state, so no analysis
+/// decodes a state again.
 #[derive(Clone, Debug, Default)]
 pub struct StateGraph {
     arena: StateArena,
-    edges: Vec<Edge>,
-    /// `edge_starts[id]..edge_starts[id + 1]` delimits the edges of `id`; has `len + 1`
-    /// entries (empty for the empty graph).
-    edge_starts: Vec<u32>,
+    transitions: Vec<Transition>,
+    /// `starts[id]..starts[id + 1]` delimits the transitions of `id`; has `len + 1` entries
+    /// (empty for the empty graph).
+    starts: Vec<u32>,
+    /// The activation numbering the slots refer to, which also numbers the channels.
+    slots: Slots,
     facts: StateFacts,
 }
 
@@ -171,13 +223,11 @@ struct StateFacts {
     node_words: usize,
     /// Words per state in `chan_nonempty`: `⌈channels / 64⌉`.
     chan_words: usize,
-    /// `chan_base[v] + l` is the flat index of channel `(v, l)`; `n + 1` entries, set by the
-    /// first recorded state (every state of one graph has the same shape).
-    chan_base: Vec<usize>,
     /// Bit `v` of a state's words: process `v` is an unsatisfied requester
     /// (`State = Req ∧ |RSet| < Need`).
     starving: Vec<u64>,
-    /// Bit `c` of a state's words: flat channel `c` holds at least one message.
+    /// Bit `c` of a state's words: flat channel `c` (see [`Slots`]) holds at least one
+    /// message.
     chan_nonempty: Vec<u64>,
     /// Largest total number of in-flight messages over the recorded states.
     max_in_flight: usize,
@@ -186,16 +236,18 @@ struct StateFacts {
 }
 
 impl StateFacts {
-    /// Appends the facts of the next state, decoded as `config`.
-    fn record(&mut self, config: &Configuration) {
-        if self.chan_base.is_empty() {
-            self.chan_base.push(0);
-            for per_node in &config.channels {
-                self.chan_base.push(self.chan_base.last().copied().unwrap_or(0) + per_node.len());
-            }
-            self.node_words = config.nodes.len().div_ceil(64);
-            self.chan_words = self.channel_count().div_ceil(64);
+    /// No facts yet, for a network numbered by `slots`.
+    fn for_slots(slots: &Slots) -> Self {
+        StateFacts {
+            node_words: slots.processes().div_ceil(64),
+            chan_words: slots.channels().div_ceil(64),
+            ..StateFacts::default()
         }
+    }
+
+    /// Appends the facts of the next state, decoded as `config`; `slots` numbers its
+    /// channels.
+    fn record(&mut self, config: &Configuration, slots: &Slots) {
         let base = self.starving.len();
         self.starving.resize(base + self.node_words, 0);
         for (v, s) in config.nodes.iter().enumerate() {
@@ -206,7 +258,7 @@ impl StateFacts {
         let base = self.chan_nonempty.len();
         self.chan_nonempty.resize(base + self.chan_words, 0);
         let mut in_flight = 0;
-        for (per_node, &chan_base) in config.channels.iter().zip(&self.chan_base) {
+        for (per_node, &chan_base) in config.channels.iter().zip(&slots.chan_base) {
             for (l, channel) in per_node.iter().enumerate() {
                 if !channel.is_empty() {
                     let flat = chan_base + l;
@@ -217,10 +269,6 @@ impl StateFacts {
             }
         }
         self.max_in_flight = self.max_in_flight.max(in_flight);
-    }
-
-    fn channel_count(&self) -> usize {
-        self.chan_base.last().copied().unwrap_or(0)
     }
 }
 
@@ -245,11 +293,29 @@ impl StateGraph {
         self.arena.get(id as StateId)
     }
 
-    /// Outgoing transitions of configuration `id`.
-    pub fn edges(&self, id: usize) -> &[Edge] {
-        let start = self.edge_starts[id] as usize;
-        let end = self.edge_starts[id + 1] as usize;
-        &self.edges[start..end]
+    /// The stored transitions of configuration `id`, in [`StateGraph::edges`] order: for
+    /// scans that need only their targets.
+    pub(crate) fn transitions(&self, id: usize) -> &[Transition] {
+        &self.transitions[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+
+    /// Outgoing transitions of configuration `id`, in ascending activation order (deliveries
+    /// in `(node, channel)` order, then ticks in node order), decoded from the stored records.
+    pub fn edges(&self, id: usize) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        self.transitions(id).iter().map(|t| self.decode(*t))
+    }
+
+    /// Edge `index` of configuration `id` (the `index`-th item of [`StateGraph::edges`]).
+    pub(crate) fn edge(&self, id: usize, index: usize) -> Edge {
+        self.decode(self.transitions(id)[index])
+    }
+
+    fn decode(&self, transition: Transition) -> Edge {
+        Edge {
+            action: self.slots.activation(transition.slot()),
+            target: transition.target,
+            enters_cs: transition.enters_cs(),
+        }
     }
 
     /// Id of the initial configuration (always 0).
@@ -259,23 +325,23 @@ impl StateGraph {
 
     /// Total number of recorded transitions.
     pub fn transition_count(&self) -> usize {
-        self.edges.len()
+        self.transitions.len()
     }
 
     /// Number of processes of the explored network (0 for the empty graph).
     pub fn processes(&self) -> usize {
-        self.facts.chan_base.len().saturating_sub(1)
+        self.slots.processes()
     }
 
     /// Number of channels of the explored network (0 for the empty graph).
     pub fn channel_count(&self) -> usize {
-        self.facts.channel_count()
+        self.slots.channels()
     }
 
     /// The flat index of node `node`'s incoming channel `label`: channels are numbered in
     /// `(node, label)` order, as in the packed encoding.
     pub fn flat_channel(&self, node: NodeId, label: usize) -> usize {
-        self.facts.chan_base[node] + label
+        self.slots.chan_base[node] + label
     }
 
     /// True when process `node` is an unsatisfied requester (`State = Req ∧ |RSet| < Need`)
@@ -283,6 +349,17 @@ impl StateGraph {
     pub fn starves(&self, id: usize, node: NodeId) -> bool {
         assert!(node < self.processes(), "process {node} is not in the graph");
         self.facts.starving[id * self.facts.node_words + node / 64] & (1 << (node % 64)) != 0
+    }
+
+    /// Fills `scope` with one flag per configuration: whether process `node` is an
+    /// unsatisfied requester there ([`StateGraph::starves`] of every id, read straight off
+    /// the recorded fact words).
+    pub(crate) fn starving_scope(&self, node: NodeId, scope: &mut Vec<bool>) {
+        assert!(node < self.processes(), "process {node} is not in the graph");
+        let (word, bit) = (node / 64, node % 64);
+        let words = self.facts.starving.chunks_exact(self.facts.node_words);
+        scope.clear();
+        scope.extend(words.map(|words| words[word] >> bit & 1 != 0));
     }
 
     /// True when flat channel `flat` (see [`StateGraph::flat_channel`]) holds at least one
@@ -331,22 +408,17 @@ impl GraphSummary {
         if n == 0 {
             return GraphSummary::default();
         }
-        let in_scope = vec![true; n];
-        let scc = crate::cycles::tarjan_scc(graph, &in_scope);
-        let comp_count = scc.iter().max().map_or(0, |&c| c as usize + 1);
-        let mut sizes = vec![0usize; comp_count];
-        for &comp in &scc {
-            sizes[comp as usize] += 1;
-        }
-        let mut self_loop = vec![false; comp_count];
+        let mut tarjan = crate::cycles::Tarjan::default();
+        let (scc, sizes) = tarjan.components(graph, &vec![true; n]);
+        let mut self_loop = vec![false; sizes.len()];
         for id in 0..n {
-            if graph.edges(id).iter().any(|edge| edge.target as usize == id) {
+            if graph.transitions(id).iter().any(|t| t.target as usize == id) {
                 self_loop[scc[id] as usize] = true;
             }
         }
         GraphSummary {
-            scc_count: comp_count,
-            largest_scc: sizes.iter().copied().max().unwrap_or(0),
+            scc_count: sizes.len(),
+            largest_scc: sizes.iter().copied().max().unwrap_or(0) as usize,
             nontrivial_sccs: sizes
                 .iter()
                 .zip(&self_loop)
@@ -568,6 +640,11 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     ///    segments into a copy of the parent's packed bytes (straight memcpy of the
     ///    unchanged spans), and interns the successor with the precomputed hash.
     ///
+    /// Every transition is recorded as one 8-byte record (activation slot with the
+    /// critical-section flag, target id) in the engine's table, the table the diamond search
+    /// reads; a recording run hands that table to the [`StateGraph`] when it ends, any other
+    /// run drops it.
+    ///
     /// On the benchmark's star7 and Figure-3 instances diamonds complete 73 % of the
     /// transitions and the memo executes 3 824 of the rest.  Debug builds derive every
     /// diamond's successor through the memo and execute every memo hit as well, and panic
@@ -580,21 +657,16 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     fn run_delta(&mut self) -> (ExplorationReport, DeltaStats) {
         let progress = self.progress;
         let net = &mut *self.net;
-        let mut scratch = DeltaScratch::for_net(net);
-        let record_graph = self.record_graph;
-
-        let mut engine =
-            Engine::new(self.limits, &self.properties, self.record_graph, self.stop_on_violation);
-        // A recording run finds expanded states' transitions in the graph it builds; any
-        // other run keeps just their slots and targets.
-        let mut table = SuccessorTable::default();
+        let (limits, record, stop) = (self.limits, self.record_graph, self.stop_on_violation);
+        let mut engine = Engine::new(net, limits, &self.properties, record, stop);
+        let mut scratch = DeltaScratch::new(engine.slots.clone());
         let mut completed = 0usize;
 
         let mut parent_buf = Vec::new();
         capture_packed(net, &mut parent_buf);
         map_packed(&parent_buf, &mut scratch.map);
         let h_initial = compute_terms(&parent_buf, &scratch.map, &mut scratch.terms);
-        engine.admit_initial_hashed(&parent_buf, h_initial);
+        engine.admit_initial(&parent_buf, h_initial);
 
         let mut queue: VecDeque<StateId> = VecDeque::new();
         queue.push_back(0);
@@ -611,18 +683,11 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                 continue;
             }
             engine.begin_expansion(id);
-            if !record_graph {
-                table.starts.push(table.entries.len() as u32);
-            }
             scratch.diamonds.clear();
             if id != 0 {
                 let via = engine.parents[id as usize];
                 let (slots, diamonds) = (&scratch.slots, &mut scratch.diamonds);
-                if record_graph {
-                    find_diamonds(&engine.edges, &engine.edge_starts, slots, id, via, diamonds);
-                } else {
-                    find_diamonds(&table.entries, &table.starts, slots, id, via, diamonds);
-                }
+                find_diamonds(&engine.transitions, &engine.starts, slots, id, via, diamonds);
             }
 
             // Load the parent once; all siblings are derived in place and reverted.
@@ -634,15 +699,12 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                 &mut scratch,
                 id,
                 &parent_buf,
-                record_graph,
-                &mut |slot, act, step, enters_cs| {
-                    let target = match step {
-                        DeltaStep::SelfLoop => {
-                            engine.on_known_transition(act, id, enters_cs);
-                            Some(id)
-                        }
+                &mut |slot, step, enters_cs| {
+                    match step {
+                        DeltaStep::SelfLoop => engine.on_known_transition(slot, id, enters_cs),
                         DeltaStep::Completed { target, derived } => {
                             if let Some(bytes) = derived {
+                                let act = engine.slots.activation(slot);
                                 assert!(
                                     engine.arena.get(target) == bytes,
                                     "process {}: {act:?} from state {id} commutes with the \
@@ -652,22 +714,14 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                                 );
                             }
                             completed += 1;
-                            engine.on_known_transition(act, target, enters_cs);
-                            Some(target)
+                            engine.on_known_transition(slot, target, enters_cs);
                         }
                         DeltaStep::Successor { bytes, hash } => {
-                            match engine.on_transition_hashed(id, act, bytes, hash, enters_cs) {
-                                InternOutcome::Inserted(new_id) => {
-                                    queue.push_back(new_id);
-                                    Some(new_id)
-                                }
-                                InternOutcome::Existing(target) => Some(target),
-                                InternOutcome::Full => None,
+                            let outcome = engine.on_transition(id, slot, bytes, hash, enters_cs);
+                            if let InternOutcome::Inserted(new_id) = outcome {
+                                queue.push_back(new_id);
                             }
                         }
-                    };
-                    if let (false, Some(target)) = (record_graph, target) {
-                        table.entries.push(Successor { slot, target });
                     }
                     engine.stopped
                 },
@@ -691,11 +745,11 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     pub fn run_interned(&mut self) -> ExplorationReport {
         let progress = self.progress;
         let net = &mut *self.net;
-        let mut engine =
-            Engine::new(self.limits, &self.properties, self.record_graph, self.stop_on_violation);
+        let (limits, record, stop) = (self.limits, self.record_graph, self.stop_on_violation);
+        let mut engine = Engine::new(net, limits, &self.properties, record, stop);
         let mut scratch = Vec::new();
         capture_packed(net, &mut scratch);
-        engine.admit_initial(&scratch);
+        engine.admit_initial(&scratch, crate::snapshot::fx_hash(&scratch));
 
         let mut queue: VecDeque<StateId> = VecDeque::new();
         queue.push_back(0);
@@ -717,19 +771,14 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
 
             let mut every_tick_is_self_loop = true;
             for (idx, act) in activations.iter().enumerate() {
-                let (same_as_parent, enters_cs) = execute_transition(
-                    net,
-                    &engine.arena,
-                    id,
-                    *act,
-                    &mut scratch,
-                    engine.record_graph,
-                );
+                let (same_as_parent, enters_cs) =
+                    execute_transition(net, &engine.arena, id, *act, &mut scratch);
                 if idx >= first_tick && !same_as_parent {
                     every_tick_is_self_loop = false;
                 }
-                let admitted = engine.on_transition(id, *act, &scratch, enters_cs);
-                if let Some(new_id) = admitted {
+                let (slot, hash) = (engine.slots.of(*act), crate::snapshot::fx_hash(&scratch));
+                let outcome = engine.on_transition(id, slot, &scratch, hash, enters_cs);
+                if let InternOutcome::Inserted(new_id) = outcome {
                     queue.push_back(new_id);
                 }
                 if engine.stopped {
@@ -866,20 +915,19 @@ fn entered_cs<P: CheckableNode, T: Topology>(net: &Network<P, T>, act: Activatio
 /// Executes `act` from interned state `id` on `net`: restores the parent (borrowing its bytes
 /// from the arena), runs the activation, and captures the successor into `scratch`.  Returns
 /// whether the successor equals the parent (the tick self-loop test) and whether the
-/// activated process entered its critical section (always `false` unless `collect_cs`).
+/// activated process entered its critical section.
 fn execute_transition<P: CheckableNode, T: Topology>(
     net: &mut Network<P, T>,
     arena: &StateArena,
     id: StateId,
     act: Activation,
     scratch: &mut Vec<u8>,
-    collect_cs: bool,
 ) -> (bool, bool) {
     restore_packed(net, arena.get(id));
     net.trace_mut().clear();
     net.execute(act);
     capture_packed(net, scratch);
-    let enters_cs = collect_cs && entered_cs(net, act);
+    let enters_cs = entered_cs(net, act);
     let same_as_parent = scratch[..] == *arena.get(id);
     (same_as_parent, enters_cs)
 }
@@ -887,7 +935,9 @@ fn execute_transition<P: CheckableNode, T: Topology>(
 /// A dense numbering of a network's activations in the canonical expansion order: the
 /// delivery on flat channel `c` (channel `(v, l)` is flat `chan_base[v] + l`) is slot `c`,
 /// the tick of process `v` is slot `channels + v`.  A state's enabled activations, and so
-/// its recorded transitions, come in ascending slot order.
+/// its recorded transitions, come in ascending slot order.  Every slot is below
+/// [`CS_ENTRY`], so it fits a [`Transition`]'s slot field next to the critical-section flag.
+#[derive(Clone, Debug, Default)]
 struct Slots {
     /// Flat channel ids: channel `(v, l)` has flat index `chan_base[v] + l`; `n + 1`
     /// entries, the last being the number of channels.
@@ -906,6 +956,13 @@ impl Slots {
             chan_pos.extend((0..net.topology().degree(v)).map(|l| (v, l)));
             chan_base.push(chan_pos.len());
         }
+        let slots = chan_pos.len() + n;
+        assert!(
+            slots <= CS_ENTRY as usize,
+            "{n} processes and {} channels number {slots} activation slots; a transition \
+             record's slot field holds {CS_ENTRY}",
+            chan_pos.len()
+        );
         Slots { chan_base, chan_pos }
     }
 
@@ -913,7 +970,12 @@ impl Slots {
         self.chan_pos.len()
     }
 
-    /// The slot of `act`.
+    fn processes(&self) -> usize {
+        self.chan_base.len().saturating_sub(1)
+    }
+
+    /// The slot of `act` (below [`CS_ENTRY`] by [`Slots::for_net`]'s check, so the cast
+    /// cannot wrap).
     fn of(&self, act: Activation) -> u32 {
         (match act {
             Activation::Deliver { node, channel } => self.chan_base[node] + channel,
@@ -921,79 +983,18 @@ impl Slots {
         }) as u32
     }
 
-    /// The process activated in `slot`.
-    fn node(&self, slot: u32) -> NodeId {
+    /// The activation in `slot`.
+    fn activation(&self, slot: u32) -> Activation {
         let slot = slot as usize;
         match self.chan_pos.get(slot) {
-            Some(&(node, _)) => node,
-            None => slot - self.channels(),
+            Some(&(node, channel)) => Activation::Deliver { node, channel },
+            None => Activation::Tick { node: slot - self.channels() },
         }
     }
 }
 
-/// One outgoing transition of an expanded state, as the diamond search reads it: the
-/// recorded graph's [`Edge`]s, or the compact [`Successor`]s a run without a graph keeps.
-trait ExpandedEdge {
-    fn slot(&self, slots: &Slots) -> u32;
-    fn target(&self) -> StateId;
-    /// Whether the activated process entered its critical section (recorded graphs only).
-    fn enters_cs(&self) -> bool;
-}
-
-impl ExpandedEdge for Edge {
-    fn slot(&self, slots: &Slots) -> u32 {
-        slots.of(self.action)
-    }
-
-    fn target(&self) -> StateId {
-        self.target
-    }
-
-    fn enters_cs(&self) -> bool {
-        self.enters_cs
-    }
-}
-
-/// One transition in a [`SuccessorTable`]: 8 bytes.
-struct Successor {
-    slot: u32,
-    target: StateId,
-}
-
-impl ExpandedEdge for Successor {
-    fn slot(&self, _: &Slots) -> u32 {
-        self.slot
-    }
-
-    fn target(&self) -> StateId {
-        self.target
-    }
-
-    fn enters_cs(&self) -> bool {
-        false
-    }
-}
-
-/// The transitions of every state a delta run without a recorded graph has expanded —
-/// what a recording run reads off its graph's edges — in the same CSR layout by state id.
-/// A transition the full arena dropped has no target and no entry.
-#[derive(Default)]
-struct SuccessorTable {
-    entries: Vec<Successor>,
-    starts: Vec<u32>,
-}
-
-/// A transition of the state being expanded whose successor a commuting diamond already
-/// names (see [`find_diamonds`]).
-#[derive(Clone, Copy, Debug)]
-struct Diamond {
-    slot: u32,
-    target: StateId,
-    enters_cs: bool,
-}
-
 /// Appends to `out`, in ascending slot order, the transitions of state `id` (BFS parent
-/// `parent`, reached by `via`) whose successors are already known.
+/// `parent`, reached by activation slot `via`) whose successors are already known.
 ///
 /// Let `t2` be an activation of a process other than `via`'s, enabled at the parent, and
 /// let `q` be the parent's `t2`-successor.  The two activations commute: each reads only
@@ -1001,29 +1002,30 @@ struct Diamond {
 /// own state, that head and the tails of its out-channels (one writer per channel, and a
 /// push leaves a non-empty channel's head alone).  So `t2` is enabled at `id` with the same
 /// local effect as at the parent, `via` is enabled at `q` with the same effect as at the
-/// parent, and `id·t2 = q·via`.  When `q` was expanded before `id`, its `via`-edge names
-/// that configuration, and the parent's `t2`-edge says whether `t2` enters a critical
-/// section.  `edges`/`starts` hold the transitions of every state expanded so far, in CSR
+/// parent, and `id·t2 = q·via`.  When `q` was expanded before `id`, its `via`-transition
+/// names that configuration, and the parent's `t2`-transition says whether `t2` enters a
+/// critical section: the diamond is the parent's `t2` record retargeted.
+/// `transitions`/`starts` hold the transitions of every state expanded so far, in CSR
 /// layout; a transition the full arena dropped is absent, so it never completes a diamond.
-fn find_diamonds<E: ExpandedEdge>(
-    edges: &[E],
+fn find_diamonds(
+    transitions: &[Transition],
     starts: &[u32],
     slots: &Slots,
     id: StateId,
-    (parent, via): (StateId, Activation),
-    out: &mut Vec<Diamond>,
+    (parent, via): ParentLink,
+    out: &mut Vec<Transition>,
 ) {
     let range =
         |state: StateId| starts[state as usize] as usize..starts[state as usize + 1] as usize;
-    let via_slot = slots.of(via);
-    for side in &edges[range(parent)] {
-        let (q, slot) = (side.target(), side.slot(slots));
-        if q >= id || slots.node(slot) == via.node() {
+    let via_node = slots.activation(via).node();
+    for side in &transitions[range(parent)] {
+        let q = side.target;
+        if q >= id || slots.activation(side.slot()).node() == via_node {
             continue;
         }
-        let far = &edges[range(q)];
-        if let Ok(i) = far.binary_search_by_key(&via_slot, |edge| edge.slot(slots)) {
-            out.push(Diamond { slot, target: far[i].target(), enters_cs: side.enters_cs() });
+        let far = &transitions[range(q)];
+        if let Ok(i) = far.binary_search_by_key(&via, |t| t.slot()) {
+            out.push(Transition { target: far[i].target, ..*side });
         }
     }
 }
@@ -1037,7 +1039,7 @@ struct DeltaScratch {
     undo: StepUndo<klex_core::Message>,
     activations: Vec<Activation>,
     /// The transitions of the state being expanded that diamonds complete, by slot.
-    diamonds: Vec<Diamond>,
+    diamonds: Vec<Transition>,
     /// The flat channels one executed activation pushed, sorted (one entry per message).
     pushed: Vec<usize>,
     /// Dirty-segment patches: (segment index, span of the new bytes in `seg_buf`), in
@@ -1054,9 +1056,9 @@ struct DeltaScratch {
 }
 
 impl DeltaScratch {
-    fn for_net<P: CheckableNode, T: Topology>(net: &Network<P, T>) -> Self {
+    fn new(slots: Slots) -> Self {
         DeltaScratch {
-            slots: Slots::for_net(net),
+            slots,
             map: SegmentMap::default(),
             terms: Vec::new(),
             undo: StepUndo::new(),
@@ -1300,8 +1302,8 @@ fn splice(
 /// outside its capture breaks the [`CheckableNode`] contract.
 ///
 /// `sink` receives each transition with its slot (see [`Slots`]) and whether its activated
-/// process entered the critical section (always `false` unless `collect_cs`); returning
-/// `true` stops the expansion (remaining activations untried).  Returns
+/// process entered the critical section; returning `true` stops the expansion (remaining
+/// activations untried).  Returns
 /// `(quiescent, stopped)`; `quiescent` means no message was in flight and every tick was a
 /// self-loop — the precondition of a quiescent deadlock.
 fn expand_state_delta<P, T>(
@@ -1309,8 +1311,7 @@ fn expand_state_delta<P, T>(
     scratch: &mut DeltaScratch,
     id: StateId,
     parent_buf: &[u8],
-    collect_cs: bool,
-    sink: &mut dyn FnMut(u32, Activation, DeltaStep<'_>, bool) -> bool,
+    sink: &mut dyn FnMut(u32, DeltaStep<'_>, bool) -> bool,
 ) -> (bool, bool)
 where
     P: CheckableNode,
@@ -1356,7 +1357,7 @@ where
             Activation::Tick { .. } => None,
         };
         let slot = delivered.unwrap_or(slots.channels() + node) as u32;
-        let diamond = diamonds.get(next_diamond).filter(|d| d.slot == slot).copied();
+        let diamond = diamonds.get(next_diamond).filter(|d| d.slot() == slot).copied();
         if let Some(diamond) = diamond {
             next_diamond += 1;
             if idx >= first_tick && diamond.target != id {
@@ -1364,7 +1365,7 @@ where
             }
             if !cfg!(debug_assertions) {
                 let step = DeltaStep::Completed { target: diamond.target, derived: None };
-                if sink(slot, act, step, diamond.enters_cs) {
+                if sink(slot, step, diamond.enters_cs()) {
                     return (false, true);
                 }
                 continue;
@@ -1433,7 +1434,7 @@ where
         }
 
         let same_as_parent = patches.is_empty();
-        let enters_cs = collect_cs && effect.enters_cs;
+        let enters_cs = effect.enters_cs;
         let step = if same_as_parent {
             DeltaStep::SelfLoop
         } else {
@@ -1444,19 +1445,19 @@ where
         let stop = match diamond {
             // Debug builds only: the diamond's successor, derived the normal way.
             Some(diamond) => {
-                debug_assert_eq!(enters_cs, diamond.enters_cs, "{act:?} from state {id}");
+                debug_assert_eq!(enters_cs, diamond.enters_cs(), "{act:?} from state {id}");
                 let derived = match step {
                     DeltaStep::Successor { bytes, .. } => bytes,
                     _ => parent_buf,
                 };
                 let step = DeltaStep::Completed { target: diamond.target, derived: Some(derived) };
-                sink(slot, act, step, diamond.enters_cs)
+                sink(slot, step, diamond.enters_cs())
             }
             None => {
                 if idx >= first_tick && !same_as_parent {
                     every_tick_is_self_loop = false;
                 }
-                sink(slot, act, step, enters_cs)
+                sink(slot, step, enters_cs)
             }
         };
         if stop {
@@ -1469,22 +1470,28 @@ where
 }
 
 /// The shared bookkeeping of an exploration run: the arena, flat per-state vectors, the
-/// report under construction, and the graph recorder.  The delta and interned loops drive
+/// transition table, and the report under construction.  The delta and interned loops drive
 /// exactly this state machine, which is what makes their reports identical.
 struct Engine<'p> {
     limits: Limits,
     properties: &'p [Box<dyn Property>],
+    /// The run's activation numbering: transitions and parent links store slots.
+    slots: Slots,
     record_graph: bool,
     stop_on_violation: bool,
     arena: StateArena,
-    /// `parents[id]` is the BFS predecessor and the activation reaching `id`; id 0 is the
-    /// root and its entry is never read.
-    parents: Vec<(StateId, Activation)>,
+    /// `parents[id]` is the BFS predecessor and the slot of the activation reaching `id`;
+    /// id 0 is the root and its entry is never read.
+    parents: Vec<ParentLink>,
     depths: Vec<u32>,
     violated: Vec<String>,
     report: ExplorationReport,
-    edges: Vec<Edge>,
-    edge_starts: Vec<u32>,
+    /// The transitions of every state expanded so far, in CSR layout by state id: what the
+    /// diamond search reads, and the recorded graph's edges when the run records one.  A
+    /// transition the full arena dropped has no target and no record.
+    transitions: Vec<Transition>,
+    /// `starts[id]` is where `id`'s transitions begin; one entry per expanded state.
+    starts: Vec<u32>,
     /// Facts of every admitted state, recorded with the graph.
     facts: StateFacts,
     /// The one decode of the state being admitted, reused from state to state.
@@ -1494,15 +1501,20 @@ struct Engine<'p> {
 }
 
 impl<'p> Engine<'p> {
-    fn new(
+    /// A fresh engine for exploring `net`.
+    fn new<P: CheckableNode, T: Topology>(
+        net: &Network<P, T>,
         limits: Limits,
         properties: &'p [Box<dyn Property>],
         record_graph: bool,
         stop_on_violation: bool,
     ) -> Self {
+        let slots = Slots::for_net(net);
         Engine {
             limits,
             properties,
+            facts: StateFacts::for_slots(&slots),
+            slots,
             record_graph,
             stop_on_violation,
             arena: StateArena::new(),
@@ -1510,70 +1522,46 @@ impl<'p> Engine<'p> {
             depths: Vec::new(),
             violated: Vec::new(),
             report: ExplorationReport::default(),
-            edges: Vec::new(),
-            edge_starts: Vec::new(),
-            facts: StateFacts::default(),
+            transitions: Vec::new(),
+            starts: Vec::new(),
             decoded: Configuration::default(),
             stopped: false,
         }
     }
 
-    fn admit_initial(&mut self, packed: &[u8]) {
-        self.admit_initial_hashed(packed, crate::snapshot::fx_hash(packed));
-    }
-
-    /// [`Engine::admit_initial`] with a caller-supplied hash.  A run must feed the engine
-    /// one hash scheme throughout (see [`StateArena::intern_capped_hashed`]): the interned
+    /// Admits the initial configuration with its `hash`.  A run must feed the engine one
+    /// hash scheme throughout (see [`StateArena::intern_capped_hashed`]): the interned
     /// engine always passes fx hashes, the delta engine always passes segmented hashes.
-    fn admit_initial_hashed(&mut self, packed: &[u8], hash: u64) {
+    fn admit_initial(&mut self, packed: &[u8], hash: u64) {
         let outcome = self.arena.intern_capped_hashed(packed, hash, usize::MAX);
         debug_assert!(
             outcome == InternOutcome::Inserted(0),
             "the initial configuration must be the first interned"
         );
-        self.parents.push((0, Activation::Tick { node: 0 }));
+        self.parents.push((0, 0));
         self.depths.push(0);
         self.admit(0);
     }
 
-    /// Marks the start of `id`'s expansion (edge bookkeeping relies on id order).
+    /// Marks the start of `id`'s expansion (the table relies on id order).
     fn begin_expansion(&mut self, id: StateId) {
-        if self.record_graph {
-            debug_assert_eq!(self.edge_starts.len(), id as usize);
-            self.edge_starts.push(self.edges.len() as u32);
-        }
+        debug_assert_eq!(self.starts.len(), id as usize);
+        self.starts.push(start_offset(self.transitions.len()));
     }
 
-    /// Records a transition whose successor is already interned.
-    fn on_known_transition(&mut self, action: Activation, target: StateId, enters_cs: bool) {
+    /// Records a transition, by activation slot, whose successor is already interned.
+    fn on_known_transition(&mut self, slot: u32, target: StateId, enters_cs: bool) {
         self.report.transitions += 1;
-        if self.record_graph {
-            self.edges.push(Edge { action, target, enters_cs });
-        }
+        self.transitions.push(Transition::new(slot, target, enters_cs));
     }
 
-    /// Records a transition given the successor's packed bytes; interns them, runs property
-    /// checks when the state is new, and returns the new id when one was admitted.
+    /// Records a transition, by activation slot, given the successor's packed bytes and
+    /// their hash (see [`Engine::admit_initial`]): interns them, runs the property checks
+    /// when the state is new, and returns the arena's outcome.
     fn on_transition(
         &mut self,
         parent: StateId,
-        action: Activation,
-        packed: &[u8],
-        enters_cs: bool,
-    ) -> Option<StateId> {
-        let hash = crate::snapshot::fx_hash(packed);
-        match self.on_transition_hashed(parent, action, packed, hash, enters_cs) {
-            InternOutcome::Inserted(id) => Some(id),
-            InternOutcome::Existing(_) | InternOutcome::Full => None,
-        }
-    }
-
-    /// [`Engine::on_transition`] with a caller-supplied hash (the delta engine's
-    /// incrementally patched segmented hash), returning the arena's outcome.
-    fn on_transition_hashed(
-        &mut self,
-        parent: StateId,
-        action: Activation,
+        slot: u32,
         packed: &[u8],
         hash: u64,
         enters_cs: bool,
@@ -1582,26 +1570,22 @@ impl<'p> Engine<'p> {
         let outcome =
             self.arena.intern_capped_hashed(packed, hash, self.limits.max_configurations);
         let target = match outcome {
-            InternOutcome::Existing(id) => Some(id),
+            InternOutcome::Existing(id) => id,
             InternOutcome::Full => {
                 self.report.truncated = true;
-                None
+                return outcome;
             }
             InternOutcome::Inserted(id) => {
-                self.parents.push((parent, action));
+                self.parents.push((parent, slot));
                 self.depths.push(self.depths[parent as usize] + 1);
                 self.admit(id);
                 if self.stop_on_violation && !self.report.violations.is_empty() {
                     self.stopped = true;
                 }
-                Some(id)
+                id
             }
         };
-        if self.record_graph {
-            if let Some(target) = target {
-                self.edges.push(Edge { action, target, enters_cs });
-            }
-        }
+        self.transitions.push(Transition::new(slot, target, enters_cs));
         outcome
     }
 
@@ -1628,7 +1612,7 @@ impl<'p> Engine<'p> {
         let mut config = std::mem::take(&mut self.decoded);
         unpack_configuration_into(self.arena.get(id), &mut config);
         if self.record_graph {
-            self.facts.record(&config);
+            self.facts.record(&config, &self.slots);
         }
         self.check_properties(id, &config);
         self.decoded = config;
@@ -1656,8 +1640,8 @@ impl<'p> Engine<'p> {
     fn trace_to(&self, mut id: StateId) -> Vec<Activation> {
         let mut trace = Vec::new();
         while id != 0 {
-            let (parent, action) = self.parents[id as usize];
-            trace.push(action);
+            let (parent, slot) = self.parents[id as usize];
+            trace.push(self.slots.activation(slot));
             id = parent;
         }
         trace.reverse();
@@ -1676,14 +1660,14 @@ impl<'p> Engine<'p> {
         };
         let graph = if self.record_graph {
             // States that were never expanded (beyond the depth limit, or abandoned after an
-            // early stop) get empty edge ranges.
-            while self.edge_starts.len() <= self.arena.len() {
-                self.edge_starts.push(self.edges.len() as u32);
-            }
+            // early stop) get empty transition ranges.
+            let end = start_offset(self.transitions.len());
+            self.starts.resize(self.arena.len() + 1, end);
             StateGraph {
                 arena: self.arena,
-                edges: self.edges,
-                edge_starts: self.edge_starts,
+                transitions: self.transitions,
+                starts: self.starts,
+                slots: self.slots,
                 facts: self.facts,
             }
         } else {
@@ -2013,14 +1997,9 @@ mod tests {
         assert_eq!(delta_graph.transition_count(), interned_graph.transition_count());
         for id in 0..delta_graph.len() {
             assert_eq!(delta_graph.packed(id), interned_graph.packed(id), "state {id}");
-            let de = delta_graph.edges(id);
-            let ie = interned_graph.edges(id);
-            assert_eq!(de.len(), ie.len());
-            for (d, i) in de.iter().zip(ie) {
-                assert_eq!(d.action, i.action);
-                assert_eq!(d.target, i.target);
-                assert_eq!(d.enters_cs, i.enters_cs);
-            }
+            let de: Vec<Edge> = delta_graph.edges(id).collect();
+            let ie: Vec<Edge> = interned_graph.edges(id).collect();
+            assert_eq!(de, ie, "state {id}");
         }
     }
 
@@ -2121,13 +2100,27 @@ mod tests {
     }
 
     #[test]
-    fn edges_are_32_bytes_and_name_only_the_activated_process() {
-        assert_eq!(std::mem::size_of::<Edge>(), 32);
+    fn transitions_and_parent_links_are_8_bytes_and_edges_name_only_the_activated_process() {
+        assert_eq!(std::mem::size_of::<Transition>(), 8);
+        assert_eq!(std::mem::size_of::<ParentLink>(), 8);
+        let record = Transition::new(CS_ENTRY - 1, StateId::MAX, true);
+        assert_eq!(
+            (record.slot(), record.target, record.enters_cs()),
+            (CS_ENTRY - 1, StateId::MAX, true)
+        );
+        assert!(!Transition::new(7, 9, false).enters_cs());
+
         let tick = Edge { action: Activation::Tick { node: 4 }, target: 9, enters_cs: true };
         assert_eq!(tick.cs_entry(), Some(4));
         let action = Activation::Deliver { node: 2, channel: 1 };
         let deliver = Edge { action, target: 9, enters_cs: false };
         assert_eq!(deliver.cs_entry(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "a start offset does not fit its 32-bit field")]
+    fn a_start_offset_beyond_32_bits_fails_by_name() {
+        start_offset(u32::MAX as usize + 1);
     }
 
     #[test]
@@ -2156,8 +2149,8 @@ mod tests {
         // it has no room for, so those transitions have no target.  A diamond must never use
         // one as a side: capped runs, with and without the recorded graph (and its liveness
         // pass), still report exactly what the interned oracle reports.  A run without the
-        // graph keeps the same transitions in its successor table, so it completes exactly
-        // as many diamonds as a recording run.
+        // graph keeps the same transition table, so it completes exactly as many diamonds as
+        // a recording run.
         let make = || {
             klex_core::pusher::network(
                 topology::builders::figure3_tree(),
@@ -2185,7 +2178,9 @@ mod tests {
                 assert_eq!(format!("{delta:?}"), format!("{interned:?}"), "{case}");
                 assert_eq!(delta_graph.len(), interned_graph.len(), "{case}");
                 for id in 0..delta_graph.len() {
-                    assert_eq!(delta_graph.edges(id), interned_graph.edges(id), "{case}: {id}");
+                    let delta_edges: Vec<Edge> = delta_graph.edges(id).collect();
+                    let interned_edges: Vec<Edge> = interned_graph.edges(id).collect();
+                    assert_eq!(delta_edges, interned_edges, "{case}: {id}");
                 }
                 completed.push(stats.completed);
             }

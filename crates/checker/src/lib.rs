@@ -43,7 +43,8 @@
 //!   equality in the arena is configuration equality;
 //! * ids are assigned in BFS discovery order, so `depths` is monotone, parent links always
 //!   point to smaller ids, and states are expanded in id order (which is what lets the
-//!   recorded [`StateGraph`] store edges in one flat CSR vector);
+//!   engine, and the recorded [`StateGraph`] it hands its table to, store transitions as
+//!   8-byte records in one flat CSR vector);
 //! * restoring a frontier state borrows its bytes from the arena
 //!   ([`snapshot::restore_packed`]); the hot loop performs no configuration clones and no
 //!   SipHash hashing.

@@ -51,9 +51,9 @@
 //! ([`crate::ExplorationReport::exhaustive`]) — on a truncated graph a cycle may lie beyond
 //! the bound.
 
+use crate::cycles::{PathSearch, Tarjan};
 use crate::explore::StateGraph;
 use crate::snapshot::Configuration;
-use std::collections::VecDeque;
 use treenet::{Activation, NodeId};
 
 /// A lasso witnessing a fair starvation: `stem` leads from the initial configuration to the
@@ -122,7 +122,10 @@ impl LassoWitness {
 /// (in ascending victim order).  Empty when no weakly fair cycle starves any process — a
 /// liveness *proof* when the exploration was exhaustive (see the module docs).
 pub fn find_fair_cycles(graph: &StateGraph) -> Vec<LassoWitness> {
-    (0..graph.processes()).filter_map(|victim| find_fair_cycle_for(graph, victim)).collect()
+    let mut scratch = VictimScratch::default();
+    (0..graph.processes())
+        .filter_map(|victim| find_fair_cycle_for(graph, victim, &mut scratch))
+        .collect()
 }
 
 /// One anchor the witness cycle must pass through to be weakly fair by construction.
@@ -134,17 +137,29 @@ enum Requirement {
     State(usize),
 }
 
-fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitness> {
+/// The graph-sized buffers of one victim's search, allocated once per [`find_fair_cycles`]
+/// call and reused from victim to victim.
+#[derive(Default)]
+struct VictimScratch {
+    /// Whether the victim is an unsatisfied requester, per state.
+    in_scope: Vec<bool>,
+    tarjan: Tarjan,
+    /// Index into the member lists of each component id, `u32::MAX` until it gets one.
+    comp_slot: Vec<u32>,
+}
+
+fn find_fair_cycle_for(
+    graph: &StateGraph,
+    victim: NodeId,
+    scratch: &mut VictimScratch,
+) -> Option<LassoWitness> {
     let n = graph.len();
-    let in_scope: Vec<bool> = (0..n).map(|id| graph.starves(id, victim)).collect();
+    let VictimScratch { in_scope, tarjan, comp_slot } = scratch;
+    graph.starving_scope(victim, in_scope);
     if !in_scope.iter().any(|&s| s) {
         return None;
     }
-    let scc = crate::cycles::tarjan_scc(graph, &in_scope);
-    let mut comp_size = vec![0u32; n];
-    for id in (0..n).filter(|&id| in_scope[id]) {
-        comp_size[scc[id] as usize] += 1;
-    }
+    let (scc, comp_size) = tarjan.components(graph, in_scope);
 
     // Group the scoped states per component, keeping Tarjan's discovery order.  A single
     // state is decided here, without a member list: its only internal edges are its
@@ -153,8 +168,9 @@ fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitnes
     // edge per process, so counting them suffices).  The rare singleton that passes goes
     // through `examine_scc` like any other component.
     let mut members: Vec<Vec<usize>> = Vec::new();
-    let mut comp_slot = vec![u32::MAX; n];
     let mut comp_order: Vec<u32> = Vec::new();
+    comp_slot.clear();
+    comp_slot.resize(comp_size.len(), u32::MAX);
     for id in 0..n {
         if !in_scope[id] {
             continue;
@@ -172,7 +188,7 @@ fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitnes
     }
 
     for (states, &comp) in members.iter().zip(&comp_order) {
-        if let Some(witness) = examine_scc(graph, victim, &in_scope, &scc, comp, states) {
+        if let Some(witness) = examine_scc(graph, victim, in_scope, scc, comp, states) {
             return Some(witness);
         }
     }
@@ -185,7 +201,7 @@ fn find_fair_cycle_for(graph: &StateGraph, victim: NodeId) -> Option<LassoWitnes
 fn singleton_may_be_fair(graph: &StateGraph, id: usize, victim: NodeId) -> bool {
     let mut progress = false;
     let mut ticks = 0;
-    for edge in graph.edges(id).iter().filter(|e| e.target as usize == id) {
+    for edge in graph.edges(id).filter(|e| e.target as usize == id) {
         progress |= edge.cs_entry().is_some_and(|u| u != victim);
         ticks += usize::from(matches!(edge.action, Activation::Tick { .. }));
     }
@@ -211,7 +227,7 @@ fn examine_scc(
     let mut deliver_edge: Vec<Option<(usize, usize)>> = vec![None; graph.channel_count()];
     let mut has_internal_edge = false;
     for &id in states {
-        for (edge_idx, edge) in graph.edges(id).iter().enumerate() {
+        for (edge_idx, edge) in graph.edges(id).enumerate() {
             if !internal(edge.target as usize) {
                 continue;
             }
@@ -332,7 +348,7 @@ impl Walk {
 
     /// Appends edge `edge_idx` of state `from` and returns its target.
     fn take(&mut self, graph: &StateGraph, from: usize, edge_idx: usize) -> usize {
-        let edge = &graph.edges(from)[edge_idx];
+        let edge = graph.edge(from, edge_idx);
         self.actions.push(edge.action);
         self.cs.push(edge.cs_entry().into_iter().collect());
         let target = edge.target as usize;
@@ -354,74 +370,6 @@ impl Walk {
             self.take(graph, src, edge_idx);
         }
         to
-    }
-}
-
-/// Breadth-first shortest-path search over the recorded graph, its buffers shared by every
-/// leg of one witness.  A state is seen by the current search when its stamp equals the
-/// search's generation, so a leg neither allocates nor clears `graph.len()`-sized vectors.
-struct PathSearch {
-    stamp: Vec<u32>,
-    generation: u32,
-    /// How the current search reached each state it has seen: (source state, edge index).
-    prev: Vec<(usize, usize)>,
-    queue: VecDeque<usize>,
-    path: Vec<(usize, usize)>,
-}
-
-impl PathSearch {
-    fn new(graph: &StateGraph) -> Self {
-        PathSearch {
-            stamp: vec![0; graph.len()],
-            generation: 0,
-            prev: vec![(0, 0); graph.len()],
-            queue: VecDeque::new(),
-            path: Vec::new(),
-        }
-    }
-
-    /// The steps (source state, edge index) of a shortest path from `from` to `to` whose
-    /// states after `from` all satisfy `allowed`; empty when `from == to`.  Edges are tried
-    /// in recorded order, so the path is the first one breadth-first search finds.
-    fn shortest(
-        &mut self,
-        graph: &StateGraph,
-        from: usize,
-        to: usize,
-        allowed: impl Fn(usize) -> bool,
-    ) -> &[(usize, usize)] {
-        self.path.clear();
-        if from == to {
-            return &self.path;
-        }
-        self.generation += 1;
-        let generation = self.generation;
-        self.queue.clear();
-        self.stamp[from] = generation;
-        self.queue.push_back(from);
-        'bfs: while let Some(u) = self.queue.pop_front() {
-            for (edge_idx, edge) in graph.edges(u).iter().enumerate() {
-                let v = edge.target as usize;
-                if self.stamp[v] == generation || !allowed(v) {
-                    continue;
-                }
-                self.stamp[v] = generation;
-                self.prev[v] = (u, edge_idx);
-                if v == to {
-                    break 'bfs;
-                }
-                self.queue.push_back(v);
-            }
-        }
-        assert_eq!(self.stamp[to], generation, "state {to} is unreachable from state {from}");
-        let mut cursor = to;
-        while cursor != from {
-            let step = self.prev[cursor];
-            self.path.push(step);
-            cursor = step.0;
-        }
-        self.path.reverse();
-        &self.path
     }
 }
 

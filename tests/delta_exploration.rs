@@ -194,18 +194,37 @@ fn assert_reports_identical(name: &str, delta: &ExplorationReport, interned: &Ex
 
 /// Satellite: the delta engine and the retained interned engine produce identical
 /// reachable-set sizes, frontiers-per-level, and violation reports on the checker-safety
-/// and figure2/figure3 presets.
+/// and figure2/figure3 presets.  Where the preset records a graph (it checks liveness), the
+/// two graphs decode to the same edges — action, target and critical-section entry — state
+/// for state.
 #[test]
 fn delta_and_interned_engines_agree_on_the_paper_presets() {
-    for name in ["checker-safety", "figure2", "figure2-pusher", "figure3-pusher", "figure3-nonstab"] {
+    let mut recorded = 0;
+    for name in [
+        "checker-safety",
+        "checker-liveness",
+        "figure2",
+        "figure2-pusher",
+        "figure3-pusher",
+        "figure3-nonstab",
+    ] {
         let scenario = preset(name).expect("known preset").compile().expect("valid preset");
-        let interned = scenario.check_interned().expect("checkable preset");
-        let delta = scenario.check().expect("checkable preset");
+        let (interned, interned_graph) = scenario.check_with_graph(true).expect("checkable");
+        let (delta, delta_graph) = scenario.check_with_graph(false).expect("checkable preset");
         assert_reports_identical(name, &delta, &interned);
         // `check()` is the delta engine.
         let default_engine = scenario.check().expect("checkable preset");
         assert_reports_identical(name, &default_engine, &delta);
+
+        assert_eq!(delta_graph.len(), interned_graph.len(), "{name}: graph size");
+        assert_eq!(!delta_graph.is_empty(), delta.graph_summary.is_some(), "{name}");
+        recorded += usize::from(!delta_graph.is_empty());
+        for id in 0..delta_graph.len() {
+            assert!(delta_graph.edges(id).eq(interned_graph.edges(id)), "{name}: state {id}");
+        }
+        assert_eq!(delta_graph.transition_count(), interned_graph.transition_count(), "{name}");
     }
+    assert_eq!(recorded, 2, "the liveness presets record their graphs");
 }
 
 /// Cross-engine parity on a seeded random instance built by hand (no scenario lowering).

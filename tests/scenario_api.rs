@@ -309,6 +309,29 @@ fn unit_counts_beyond_u16_are_rejected() {
     assert!(at_limit.is_ok(), "{:?}", at_limit.err());
 }
 
+/// A configuration budget beyond the checker's `u32` state ids is a typed error at
+/// validation, not an id that wraps mid-exploration.  Nothing is explored here.
+#[test]
+fn configuration_budgets_beyond_u32_state_ids_are_rejected() {
+    let with_budget = |max_configurations: usize| {
+        ScenarioSpec::builder("big budget")
+            .topology(TopologySpec::Chain { n: 3 })
+            .kl(1, 2)
+            .check(CheckSpec { max_configurations, ..CheckSpec::default() })
+            .build()
+    };
+    match with_budget(u32::MAX as usize + 1) {
+        Err(ScenarioError::Invalid(msg)) => {
+            assert!(msg.contains("check.max_configurations 4294967296"), "{msg}")
+        }
+        Err(other) => panic!("expected an Invalid error, got {other}"),
+        Ok(_) => panic!("a budget beyond u32 ids was accepted"),
+    }
+    // The boundary itself is accepted, through JSON as well.
+    let at_limit = with_budget(u32::MAX as usize).expect("a budget of u32::MAX is valid");
+    assert!(ScenarioSpec::from_json(&at_limit.spec().to_json()).unwrap().compile().is_ok());
+}
+
 #[test]
 fn out_of_range_victims_are_rejected_for_main_and_warmup_daemons() {
     let base = || {
