@@ -6,7 +6,8 @@
 //! [`klex_core::LiveCensus`]) holds *continuously* for a confirmation window: the
 //! instantaneous predicate can hold transiently while the counter-flushing controller is
 //! still unstable, so a single observation is not evidence of stabilization (see the
-//! discussion in `crates/core/src/ss.rs`).
+//! discussion in `crates/core/src/ss.rs`).  The window is counted by the workspace's one
+//! streak loop, [`treenet::run_sustained`].
 
 use klex_core::{KlConfig, KlInspect, LiveCensus, Message};
 use serde::Serialize;
@@ -43,12 +44,12 @@ impl ConvergenceOutcome {
     }
 }
 
-/// Runs `net` under `daemon` until the legitimacy predicate has held for `window`
+/// Runs `net` under `daemon` until the legitimacy predicate has held across `window`
 /// consecutive activations, or `max_steps` activations have elapsed.
 ///
-/// The returned stabilization time is the activation at which the successful window began.
-/// The daemon is driven one activation at a time through [`Network::step_event`], by way
-/// of the live census.
+/// This is the one streak loop, [`treenet::run_sustained`], reading legitimacy from a
+/// [`LiveCensus`] built on entry and stepped with the daemon.  The returned stabilization
+/// time is the activation at which the successful window began.
 pub fn measure_convergence<P, T>(
     net: &mut Network<P, T>,
     daemon: &mut impl EventScheduler,
@@ -60,9 +61,10 @@ where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
-    let outcome = run_sustained(
+    let mut census = LiveCensus::new(net, cfg);
+    let outcome = treenet::run_sustained(
         net,
-        cfg,
+        &mut census,
         max_steps,
         window,
         |net, census| {
@@ -75,47 +77,6 @@ where
             ConvergenceOutcome::Converged { stabilized_at, confirmed_at: net.now() }
         }
         _ => ConvergenceOutcome::DidNotConverge,
-    }
-}
-
-/// The one sustained-streak loop: runs `step` until `pred` has held after `window`
-/// **consecutive** activations, returning `Satisfied(t)` with `t` the time the streak
-/// *started*, or `Exhausted` after `max_steps` activations.  With `window == 0` it stops the
-/// first time `pred` holds (before any step, if it holds on entry).
-///
-/// `pred` reads legitimacy from the [`LiveCensus`] the loop owns — built from one full scan
-/// on entry, valid because nothing but `step` touches `net` until the loop returns — so
-/// `step` must execute exactly one activation **through** the census
-/// ([`LiveCensus::step`] or [`LiveCensus::track`]).
-pub(crate) fn run_sustained<P, T>(
-    net: &mut Network<P, T>,
-    cfg: &KlConfig,
-    max_steps: u64,
-    window: u64,
-    mut step: impl FnMut(&mut Network<P, T>, &mut LiveCensus),
-    mut pred: impl FnMut(&Network<P, T>, &LiveCensus) -> bool,
-) -> RunOutcome
-where
-    P: Process<Msg = Message> + KlInspect,
-    T: Topology,
-{
-    let mut census = LiveCensus::new(net, cfg);
-    let mut streak_start = None;
-    let mut remaining = max_steps;
-    loop {
-        if pred(net, &census) {
-            let start = *streak_start.get_or_insert(net.now());
-            if net.now() - start >= window {
-                return RunOutcome::Satisfied(start);
-            }
-        } else {
-            streak_start = None;
-        }
-        if remaining == 0 {
-            return RunOutcome::Exhausted(net.now());
-        }
-        remaining -= 1;
-        step(net, &mut census);
     }
 }
 

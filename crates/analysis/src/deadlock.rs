@@ -84,6 +84,11 @@ mod tests {
         }
     }
 
+    /// A Figure-2 preset, compiled: the network starts in the figure's configuration.
+    fn figure2(name: &str) -> crate::scenario::CompiledScenario {
+        crate::scenario::preset(name).expect("bundled preset").compile().expect("validates")
+    }
+
     /// The Figure-2 workload: a=3, b=c=d=2 on the Figure-1 tree with l=5.
     fn figure2_drivers(id: NodeId) -> BoxedDriver {
         match id {
@@ -97,7 +102,7 @@ mod tests {
     fn naive_protocol_deadlocks_in_figure2_configuration() {
         // Start from the exact right-hand configuration of Figure 2: all five tokens
         // reserved by the four requesters, none of which can be satisfied.
-        let mut net = crate::scenarios::figure2_deadlock_config();
+        let mut net = figure2("figure2").build_naive().expect("naive rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, 500_000);
         match verdict {
@@ -112,7 +117,7 @@ mod tests {
     fn pusher_resolves_the_constructed_figure2_deadlock() {
         // From the same configuration (plus the pusher in flight), the pusher-augmented
         // protocol keeps making progress: it never quiesces with blocked requesters.
-        let mut net = crate::scenarios::figure2_deadlock_config_with_pusher();
+        let mut net = figure2("figure2-pusher").build_pusher().expect("pusher rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, 100_000);
         assert!(!verdict.is_deadlock(), "got {verdict:?}");

@@ -1,10 +1,7 @@
-//! Experiment harness: repeated trials, sharded parallel execution, parameter sweeps, and
-//! table rendering.
+//! Experiment harness: sharded repeated trials and table rendering.
 //!
-//! Each experiment in the `bench` crate builds a list of [`Trial`]s (one per parameter
-//! point × seed), runs them — optionally in parallel across OS threads with
-//! [`run_trials_parallel`] — and renders the aggregated [`ExperimentRow`]s as a markdown
-//! table (for reading) and as JSON lines (for machine post-processing).
+//! Results are aggregated into [`ExperimentRow`]s, rendered as a markdown table (for
+//! reading), as JSON lines (for machine post-processing) or as CSV.
 //!
 //! # Sharded trials
 //!
@@ -48,61 +45,6 @@ impl ExperimentRow {
         self.metrics.insert(format!("{key}_max"), summary.max);
         self
     }
-}
-
-/// A single trial: a closure producing named metric values, identified by a seed.
-pub struct Trial {
-    /// Seed identifying (and reproducing) the trial.
-    pub seed: u64,
-    /// The work: returns named metric samples.
-    pub run: Box<dyn FnOnce() -> BTreeMap<String, f64> + Send>,
-}
-
-impl Trial {
-    /// Creates a trial.
-    pub fn new(seed: u64, run: impl FnOnce() -> BTreeMap<String, f64> + Send + 'static) -> Self {
-        Trial { seed, run: Box::new(run) }
-    }
-}
-
-/// Runs trials sequentially, returning each trial's metric map.
-pub fn run_trials(trials: Vec<Trial>) -> Vec<BTreeMap<String, f64>> {
-    trials.into_iter().map(|t| (t.run)()).collect()
-}
-
-/// Runs trials in parallel across up to `threads` OS threads (std scoped threads pulling from
-/// a shared work queue), preserving the input order in the output.
-pub fn run_trials_parallel(trials: Vec<Trial>, threads: usize) -> Vec<BTreeMap<String, f64>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let threads = threads.max(1);
-    if threads == 1 || trials.len() <= 1 {
-        return run_trials(trials);
-    }
-    let n = trials.len();
-    let work: Vec<Mutex<Option<Trial>>> =
-        trials.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<BTreeMap<String, f64>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let trial = work[idx].lock().expect("unpoisoned").take().expect("claimed once");
-                let result = (trial.run)();
-                *slots[idx].lock().expect("unpoisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("unpoisoned").expect("every trial ran"))
-        .collect()
 }
 
 /// Derives the RNG seed of trial `index` from an experiment-level `base_seed`.
@@ -365,34 +307,6 @@ mod tests {
         assert!(row.metrics.contains_key("conv_mean"));
         assert!(row.metrics.contains_key("conv_p95"));
         assert!(row.metrics.contains_key("conv_max"));
-    }
-
-    #[test]
-    fn sequential_and_parallel_trials_agree() {
-        let make = || {
-            (0..8u64)
-                .map(|seed| {
-                    Trial::new(seed, move || {
-                        let mut m = BTreeMap::new();
-                        m.insert("value".to_string(), (seed * seed) as f64);
-                        m
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
-        let seq = run_trials(make());
-        let par = run_trials_parallel(make(), 4);
-        assert_eq!(seq, par);
-        let summary = summarize(&par);
-        assert_eq!(summary["value"].count, 8);
-        assert_eq!(summary["value"].max, 49.0);
-    }
-
-    #[test]
-    fn parallel_with_single_thread_falls_back() {
-        let trials = vec![Trial::new(0, || BTreeMap::from([("x".to_string(), 1.0)]))];
-        let out = run_trials_parallel(trials, 1);
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -23,11 +23,10 @@
 //!   virtual ring, and token-census sparklines;
 //! * [`scenario`] — the unified declarative scenario API: one serde-serializable
 //!   [`scenario::ScenarioSpec`] drives the simulator, the sharded trial harness, and the
-//!   bounded-exhaustive checker (plus the `klex` CLI in the `bench` crate);
-//! * [`scenarios`] — the exact configurations of the paper's figures (now thin wrappers over
-//!   [`scenario::preset`]s), shared by tests, examples and experiments;
-//! * [`harness`] — parameter sweeps, repeated trials (optionally in parallel) and
-//!   markdown/JSONL/CSV rendering of result tables.
+//!   bounded-exhaustive checker (plus the `klex` CLI in the `bench` crate); the exact
+//!   configurations of the paper's figures are its [`scenario::preset`]s;
+//! * [`harness`] — sharded repeated trials and markdown/JSONL/CSV rendering of result
+//!   tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +40,6 @@ pub mod histogram;
 pub mod monitor;
 pub mod progress;
 pub mod scenario;
-pub mod scenarios;
 pub mod snapshot;
 pub mod stats;
 pub mod timeline;
@@ -51,7 +49,7 @@ pub use convergence::{measure_convergence, ConvergenceOutcome};
 pub use coverage::{CoverageSignature, FrontierShape};
 pub use deadlock::{detect_deadlock, DeadlockVerdict};
 pub use fairness::{jains_index, FairnessReport};
-pub use harness::{render_csv, render_markdown_table, ExperimentRow, Trial};
+pub use harness::{render_csv, render_markdown_table, ExperimentRow};
 pub use histogram::Histogram;
 pub use monitor::{MonitorReport, TemporalMonitor, Verdict, MONITOR_NAMES};
 pub use progress::{Counter, MetricsRegistry, NullSink, ProgressSink};

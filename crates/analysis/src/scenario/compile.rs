@@ -21,7 +21,7 @@ use super::spec::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use crate::convergence::{measure_convergence, run_sustained};
+use crate::convergence::measure_convergence;
 use crate::fairness::FairnessReport;
 use crate::harness::{self, ExperimentRow};
 use crate::progress::ProgressSink;
@@ -35,9 +35,10 @@ use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{
     Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EventScheduler, FaultInjector,
-    Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
+    Event, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
     SnapshotRunner, Synchronous, Trace,
 };
+use treenet::run_sustained;
 
 /// Per-epoch fault applier threaded through `drive`'s measured phase: the caller owns the
 /// placement/injector streams so churn events can borrow spec context for donor templates.
@@ -909,11 +910,9 @@ impl CompiledScenario {
         let mut daemon = self.spec.daemon.instantiate(stream, fallback_victim);
         let phase_start = net.now();
         let base_entries = net.trace().cs_entries(None) as u64;
-        // `net.len()`, not the entry-time `n`: a churn campaign may have changed the size.
-        let requesters: Vec<NodeId> =
-            (0..net.len()).filter(|&v| net.node(v).is_unsatisfied_requester()).collect();
-        let requester_base: Vec<u64> =
-            requesters.iter().map(|&v| net.trace().cs_entries(Some(v)) as u64).collect();
+        // The measured phase never clears the trace, so the CS-entry stop rules read only the
+        // events appended since their last observation.
+        let mut entries = EnterCsCursor(net.trace().len());
         // Snapshot instrumentation is assembled only when the spec asks for it: the
         // uninstrumented arms below are exactly the pre-snapshot code paths.
         let mut snapshots = self.spec.snapshots.as_ref().map(|spec| {
@@ -932,34 +931,66 @@ impl CompiledScenario {
             }
             StopSpec::Quiescent { max_steps, grace } => match &mut snapshots {
                 None => treenet::run_until_quiescent(&mut *net, &mut daemon, *max_steps, *grace),
-                Some((runner, monitor)) => treenet::run_until_quiescent_with_snapshots(
-                    &mut *net, &mut daemon, *max_steps, *grace, runner, monitor,
+                Some((runner, monitor)) => treenet::run_until_quiescent_with(
+                    &mut *net,
+                    &mut daemon,
+                    *max_steps,
+                    *grace,
+                    |net, daemon| runner.step(net, daemon, monitor),
                 ),
             },
-            StopSpec::CsEntries { entries, max_steps } => {
-                let target = base_entries + entries;
-                let pred = |net: &Network<P, T>| net.trace().cs_entries(None) as u64 >= target;
+            StopSpec::CsEntries { entries: target, max_steps } => {
+                let mut count = 0u64;
+                let pred = |net: &Network<P, T>, _: &Daemon| {
+                    entries.advance(net.trace(), |_| count += 1);
+                    count >= *target
+                };
                 match &mut snapshots {
-                    None => treenet::run_until(&mut *net, &mut daemon, *max_steps, pred),
-                    Some((runner, monitor)) => treenet::run_until_with_snapshots(
-                        &mut *net, &mut daemon, *max_steps, runner, monitor, pred,
+                    None => run_sustained(
+                        &mut *net,
+                        &mut daemon,
+                        *max_steps,
+                        0,
+                        |net, daemon| {
+                            net.step_event(daemon);
+                        },
+                        pred,
+                    ),
+                    Some((runner, monitor)) => run_sustained(
+                        &mut *net,
+                        &mut daemon,
+                        *max_steps,
+                        0,
+                        |net, daemon| runner.step(net, daemon, monitor),
+                        pred,
                     ),
                 }
             }
             StopSpec::Predicate { name, max_steps, sustained_for } => {
+                // `net.len()`, not the entry-time `n`: a churn campaign may have changed the
+                // size.
+                let mut unserved: Vec<bool> =
+                    (0..net.len()).map(|v| net.node(v).is_unsatisfied_requester()).collect();
+                let mut unserved_count = unserved.iter().filter(|&&u| u).count();
                 let pred = |net: &Network<P, T>, census: &LiveCensus| match name.as_str() {
                     "legitimate" => census.is_legitimate(),
                     "census-complete" => census.census().matches(cfg.l),
-                    "all-requesters-served" => requesters.iter().zip(&requester_base).all(
-                        |(&v, &base)| net.trace().cs_entries(Some(v)) as u64 > base,
-                    ),
+                    "all-requesters-served" => {
+                        entries.advance(net.trace(), |v| {
+                            if std::mem::take(&mut unserved[v]) {
+                                unserved_count -= 1;
+                            }
+                        });
+                        unserved_count == 0
+                    }
                     _ => unreachable!("predicate names are validated at compile time"),
                 };
                 // `sustained_for == 0` is the loop's "first time the predicate holds" case.
+                let mut census = LiveCensus::new(&*net, &cfg);
                 match &mut snapshots {
                     None => run_sustained(
                         &mut *net,
-                        &cfg,
+                        &mut census,
                         *max_steps,
                         *sustained_for,
                         |net, census| {
@@ -969,7 +1000,7 @@ impl CompiledScenario {
                     ),
                     Some((runner, monitor)) => run_sustained(
                         &mut *net,
-                        &cfg,
+                        &mut census,
                         *max_steps,
                         *sustained_for,
                         |net, census| {
@@ -1128,6 +1159,23 @@ impl CompiledScenario {
             );
         }
         metrics
+    }
+}
+
+/// A position in an append-only [`Trace`]: each [`EnterCsCursor::advance`] reads only the
+/// events recorded since the previous one, so a CS-entry stop rule read after every
+/// activation costs O(new events) instead of a rescan of the whole trace.
+struct EnterCsCursor(usize);
+
+impl EnterCsCursor {
+    /// Calls `entered(node)` for every critical-section entry recorded since the last call.
+    fn advance(&mut self, trace: &Trace, mut entered: impl FnMut(NodeId)) {
+        for event in &trace.events()[self.0..] {
+            if matches!(event.event, Event::EnterCs { .. }) {
+                entered(event.node as NodeId);
+            }
+        }
+        self.0 = trace.len();
     }
 }
 

@@ -393,6 +393,7 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treenet::CsState;
 
     #[test]
     fn every_preset_compiles() {
@@ -411,14 +412,39 @@ mod tests {
     }
 
     #[test]
-    fn figure2_preset_encodes_the_paper_configuration() {
+    fn figure_presets_encode_the_paper_configurations() {
         let spec = preset("figure2").unwrap();
         assert_eq!(spec.protocol, ProtocolSpec::Naive);
-        let init = spec.init.expect("figure2 starts from the deadlock");
+        let init = spec.init.clone().expect("figure2 starts from the deadlock");
         assert!(init.bootstrapped_root);
         assert_eq!(init.nodes.len(), 4);
         // The figure's requests over-subscribe the pool.
         let total: usize = FIGURE2_NEEDS.iter().sum();
         assert!(total > spec.config.l);
+
+        // The built network is the figure's right-hand configuration: all five tokens are
+        // reserved by the four requesters (a holds 2 of 3, b, c and d hold 1 of 2), none is
+        // in flight, and nobody else requests.
+        let net = spec.compile().unwrap().build_naive().unwrap();
+        assert_eq!(klex_core::count_tokens(&net).resource, 5);
+        assert_eq!(net.in_flight(), 0);
+        for v in 0..8 {
+            let app = &net.node(v).app;
+            let (state, need, rset) = match v {
+                1 => (CsState::Req, 3, vec![0, 0]),
+                2..=4 => (CsState::Req, 2, vec![0]),
+                _ => (CsState::Out, 0, vec![]),
+            };
+            assert_eq!((app.state, app.need, &app.rset), (state, need, &rset), "node {v}");
+        }
+        // The pusher variant adds the pusher token in flight.
+        let pusher = preset("figure2-pusher").unwrap().compile().unwrap().build_pusher().unwrap();
+        assert_eq!(klex_core::count_tokens(&pusher).pusher, 1);
+
+        // Figure 3: 2-out-of-3 exclusion with needs r=1, a=2, b=1.
+        assert_eq!(FIGURE3_NEEDS, [1, 2, 1]);
+        let spec = preset("figure3-pusher").unwrap();
+        assert_eq!((spec.config.k, spec.config.l), (2, 3));
+        assert_eq!(spec.workload, WorkloadSpec::Needs { needs: FIGURE3_NEEDS.to_vec(), hold: 6 });
     }
 }

@@ -1,8 +1,9 @@
 //! Experiment E10 — ablation of the protocol's mechanisms.
 
-use crate::support::{scheduler, Scale};
+use crate::support::{compiled_preset, scheduler, Scale};
 use crate::ExperimentReport;
 use analysis::convergence::{default_window, measure_convergence};
+use analysis::scenario::preset;
 use analysis::{detect_deadlock, ExperimentRow, FairnessReport};
 use klex_core::{nonstab, ss, KlConfig};
 use treenet::{FaultInjector, FaultPlan, RoundRobin};
@@ -24,12 +25,12 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
 
     // --- Deadlock column: the Figure-2 configuration. -------------------------------------
     let deadlock_of_naive = {
-        let mut net = analysis::scenarios::figure2_deadlock_config();
+        let mut net = compiled_preset("figure2").build_naive().expect("naive rung");
         let mut sched = RoundRobin::new();
         detect_deadlock(&mut net, &mut sched, steps).is_deadlock()
     };
     let deadlock_of_pusher = {
-        let mut net = analysis::scenarios::figure2_deadlock_config_with_pusher();
+        let mut net = compiled_preset("figure2-pusher").build_pusher().expect("pusher rung");
         let mut sched = RoundRobin::new();
         detect_deadlock(&mut net, &mut sched, steps).is_deadlock()
     };
@@ -42,27 +43,24 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
             let mut sched = scheduler(3_000 + seed);
             let trace_entries = match variant {
                 "pusher" => {
-                    let mut net = analysis::scenarios::figure3_pusher_network(6);
+                    let mut net = compiled_preset("figure3-pusher").build_pusher().expect("pusher");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "nonstab" => {
-                    let mut net = analysis::scenarios::figure3_nonstab_network(6);
+                    let mut net = compiled_preset("figure3-nonstab").build_nonstab().expect("nonstab");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "ss" => {
-                    let mut net = analysis::scenarios::figure3_ss_network(6);
+                    let mut net = compiled_preset("figure3-ss").build_ss().expect("ss rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "ss-literal-pusher" => {
-                    let cfg = analysis::scenarios::figure3_config().with_literal_pusher_guard(true);
-                    let mut net = ss::network(
-                        topology::builders::figure3_tree(),
-                        cfg,
-                        analysis::scenarios::figure3_drivers(6),
-                    );
+                    let mut spec = preset("figure3-ss").expect("bundled preset");
+                    spec.config.literal_pusher_guard = true;
+                    let mut net = spec.compile().expect("validates").build_ss().expect("ss rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }

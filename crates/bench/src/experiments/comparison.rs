@@ -3,7 +3,7 @@
 use crate::support::{measure_throughput, scheduler, stabilized_ss_network, Scale, TreeShape};
 use crate::ExperimentReport;
 use analysis::waiting::{max_waiting, waiting_times};
-use analysis::{ExperimentRow, FairnessReport};
+use analysis::{measure_convergence, ExperimentRow, FairnessReport};
 use baselines::{centralized, permission, ring};
 use klex_core::KlConfig;
 use treenet::app::BoxedDriver;
@@ -67,15 +67,13 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             for seed in 0..scale.trials {
                 let mut net = ring::network(n, cfg, all_saturated(1, 3));
                 let mut boot = scheduler(10 + seed);
-                // Stabilize the ring, then measure.
-                let stable = crate::support::run_until_stable(
-                    &mut net,
-                    &mut boot,
-                    &cfg,
-                    scale.max_steps,
-                    analysis::convergence::default_window(n),
-                );
-                if stable.is_none() {
+                // Stabilize the ring, then measure: `default_window(n)` legitimate
+                // observations after activations.  A fresh ring holds no token, so it fails on
+                // entry, and the streak spans one activation fewer.
+                let window = analysis::convergence::default_window(n) - 1;
+                if !measure_convergence(&mut net, &mut boot, &cfg, scale.max_steps, window)
+                    .converged()
+                {
                     continue;
                 }
                 net.trace_mut().clear();

@@ -1,8 +1,7 @@
 //! Experiments E1–E4: the paper's figures, reproduced as executable scenarios.
 
-use crate::support::{scheduler, Scale, TreeShape};
+use crate::support::{compiled_preset, scheduler, Scale, TreeShape};
 use crate::ExperimentReport;
-use analysis::scenarios;
 use analysis::{detect_deadlock, DeadlockVerdict, ExperimentRow, FairnessReport};
 use klex_core::{naive, KlConfig};
 use topology::{Topology, VirtualRing};
@@ -67,7 +66,7 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 
     // Naive protocol: deadlocked forever.
     {
-        let mut net = scenarios::figure2_deadlock_config();
+        let mut net = compiled_preset("figure2").build_naive().expect("naive rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, budget);
         let (deadlocked, blocked) = match &verdict {
@@ -84,7 +83,7 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 
     // Pusher rung: no deadlock, but no fairness guarantee either.
     {
-        let mut net = scenarios::figure2_deadlock_config_with_pusher();
+        let mut net = compiled_preset("figure2-pusher").build_pusher().expect("pusher rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, budget);
         rows.push(
@@ -98,7 +97,7 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
     // Self-stabilizing protocol: treats the configuration as an arbitrary fault and recovers;
     // every requester is eventually served.
     {
-        let mut net = scenarios::figure2_deadlock_config_ss();
+        let mut net = compiled_preset("figure2-ss").build_ss().expect("ss rung");
         let mut sched = RoundRobin::new();
         let served_all = treenet::run_until(&mut net, &mut sched, scale.max_steps, |n| {
             (1..=4).all(|v| n.trace().cs_entries(Some(v)) >= 1)
@@ -126,9 +125,12 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 pub fn e3_livelock(scale: Scale) -> ExperimentReport {
     let mut rows = Vec::new();
     let steps = scale.measure_steps.max(60_000);
-    for (label, kind) in
-        [("+ pusher only", 0u8), ("+ pusher + priority", 1u8), ("self-stabilizing", 2u8)]
-    {
+    for (label, kind, preset) in [
+        ("+ pusher only", 0u8, "figure3-pusher"),
+        ("+ pusher + priority", 1u8, "figure3-nonstab"),
+        ("self-stabilizing", 2u8, "figure3-ss"),
+    ] {
+        let scenario = compiled_preset(preset);
         let mut a_entries = 0.0;
         let mut r_entries = 0.0;
         let mut b_entries = 0.0;
@@ -138,17 +140,17 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
             let mut sched = scheduler(1_000 + seed);
             let report: FairnessReport = match kind {
                 0 => {
-                    let mut net = scenarios::figure3_pusher_network(6);
+                    let mut net = scenario.build_pusher().expect("pusher rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }
                 1 => {
-                    let mut net = scenarios::figure3_nonstab_network(6);
+                    let mut net = scenario.build_nonstab().expect("nonstab rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }
                 _ => {
-                    let mut net = scenarios::figure3_ss_network(6);
+                    let mut net = scenario.build_ss().expect("ss rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }

@@ -2,7 +2,8 @@
 //! kernels.
 
 use analysis::convergence::{default_window, measure_convergence};
-use klex_core::{ss, KlConfig, KlInspect, LiveCensus, Message};
+use analysis::scenario::{preset, CompiledScenario};
+use klex_core::{ss, KlConfig};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{EventScheduler, Network, NodeId, Process, RandomFair};
@@ -84,6 +85,11 @@ impl TreeShape {
     }
 }
 
+/// A bundled preset, compiled (the figures' exact configurations are presets).
+pub fn compiled_preset(name: &str) -> CompiledScenario {
+    preset(name).expect("bundled preset").compile().expect("bundled presets validate")
+}
+
 /// Builds a self-stabilizing network and runs it until it has been legitimate for a full
 /// confirmation window, then clears the trace and metrics so that subsequent measurements see
 /// only post-stabilization behaviour.  Returns `None` if it failed to stabilize within
@@ -128,34 +134,6 @@ where
 /// Convenience: a seeded random scheduler.
 pub fn scheduler(seed: u64) -> RandomFair {
     RandomFair::new(seed)
-}
-
-/// Sustained-legitimacy check used by a few experiments that manage their own run loop.
-pub fn run_until_stable<P, T>(
-    net: &mut Network<P, T>,
-    sched: &mut impl EventScheduler,
-    cfg: &KlConfig,
-    max_steps: u64,
-    window: u64,
-) -> Option<u64>
-where
-    P: Process<Msg = Message> + KlInspect,
-    T: Topology,
-{
-    let mut census = LiveCensus::new(net, cfg);
-    let mut streak: u64 = 0;
-    for _ in 0..max_steps {
-        census.step(net, sched);
-        if census.is_legitimate() {
-            streak += 1;
-            if streak >= window {
-                return Some(net.now() - window);
-            }
-        } else {
-            streak = 0;
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use klex_core::{KlConfig, LiveCensus, Message, SsNode};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
-use treenet::{Network, NodeId, RoundRobin};
+use treenet::{run_sustained, Network, NodeId, RoundRobin};
 
 /// A timeout interval that can never elapse within a bounded exploration.
 pub const DISABLED_TIMEOUT: u64 = u64::MAX / 4;
@@ -61,19 +61,22 @@ pub fn stabilized_ss(
     let mut net = ss_for_checking(tree, cfg, driver_for);
     launch_controller(&mut net);
     let mut sched = RoundRobin::new();
-    let window = (2 * n * (2 * n).saturating_sub(2)).max(8) as u64;
+    // `2n(2n − 2)` legitimate observations, each after an activation.  The launched network
+    // holds no token, so it fails on entry, and the streak spans one activation fewer.
+    let window = (2 * n * (2 * n).saturating_sub(2)).max(8) as u64 - 1;
     let mut census = LiveCensus::new(&net, &cfg);
-    let mut consecutive = 0u64;
-    for _ in 0..max_steps {
-        census.step(&mut net, &mut sched);
-        if census.is_legitimate() {
-            consecutive += 1;
-            if consecutive >= window {
-                return net;
-            }
-        } else {
-            consecutive = 0;
-        }
+    let outcome = run_sustained(
+        &mut net,
+        &mut census,
+        max_steps,
+        window,
+        |net, census| {
+            census.step(net, &mut sched);
+        },
+        |_, census| census.is_legitimate(),
+    );
+    if outcome.is_satisfied() {
+        return net;
     }
     panic!(
         "the protocol did not reach a sustained legitimate configuration within {max_steps} \

@@ -618,9 +618,9 @@ pub fn network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legitimacy::{count_tokens, is_legitimate, safety_holds};
+    use crate::legitimacy::{count_tokens, is_legitimate, safety_holds, LiveCensus};
     use treenet::app::{AppDriver, Idle};
-    use treenet::{run_until, FaultInjector, FaultPlan, RandomFair, RoundRobin};
+    use treenet::{run_sustained, run_until, FaultInjector, FaultPlan, RandomFair, RoundRobin};
 
     struct Fixed {
         units: usize,
@@ -657,19 +657,14 @@ mod tests {
         window: u64,
         cfg: &KlConfig,
     ) -> bool {
-        let mut consecutive = 0u64;
-        for _ in 0..max_steps {
-            net.step_event(sched);
-            if is_legitimate(net, cfg) {
-                consecutive += 1;
-                if consecutive >= window {
-                    return true;
-                }
-            } else {
-                consecutive = 0;
-            }
-        }
-        false
+        // `window` legitimate observations, each after an activation.  A fresh network holds
+        // no token, so it fails on entry, and the streak spans one activation fewer.
+        let mut census = LiveCensus::new(net, cfg);
+        let step = |net: &mut Network<SsNode, OrientedTree>, census: &mut LiveCensus| {
+            census.step(net, sched);
+        };
+        run_sustained(net, &mut census, max_steps, window - 1, step, |_, c| c.is_legitimate())
+            .is_satisfied()
     }
 
     #[test]

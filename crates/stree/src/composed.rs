@@ -19,7 +19,7 @@ use crate::protocol::{self, StConfig};
 use klex_core::{KlConfig, LiveCensus, SsNode};
 use topology::{OrientedTree, RootedGraph};
 use treenet::app::BoxedDriver;
-use treenet::{EventScheduler, Network, NodeId};
+use treenet::{run_sustained, EventScheduler, Network, NodeId};
 
 /// Why a composition attempt failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,25 +115,26 @@ pub fn compose(
     sched: &mut impl EventScheduler,
     budget: CompositionBudget,
 ) -> Result<Composition, CompositionError> {
+    // Both layers count their windows in observations taken after activations.  A fresh
+    // network fails its layer's predicate on entry — no non-root node has a parent yet, and
+    // no token exists yet — so `window` observations are a streak of `window − 1`
+    // activations of the one loop.  (A one-node graph would pass on entry, but cannot
+    // compose: the exclusion layer needs two processes.)
+
     // Layer 1: spanning-tree construction.
     let mut st_net = protocol::network(graph, st_cfg);
-    let mut stable_for = 0u64;
-    let mut st_activations = 0u64;
-    let mut stabilized = false;
-    while st_activations < budget.st_max_steps {
-        st_net.step_event(sched);
-        st_activations += 1;
-        if parents_form_tree(&st_net) && distances_are_exact(&st_net) {
-            stable_for += 1;
-            if stable_for >= budget.st_window {
-                stabilized = true;
-                break;
-            }
-        } else {
-            stable_for = 0;
-        }
-    }
-    if !stabilized {
+    let outcome = run_sustained(
+        &mut st_net,
+        sched,
+        budget.st_max_steps,
+        budget.st_window.saturating_sub(1),
+        |net, sched| {
+            net.step_event(sched);
+        },
+        |net, _| parents_form_tree(net) && distances_are_exact(net),
+    );
+    let st_activations = st_net.now();
+    if outcome.is_exhausted() {
         return Err(CompositionError::SpanningTreeDidNotStabilize { spent: st_activations });
     }
     let st_messages = st_net.metrics().messages_sent;
@@ -147,23 +148,18 @@ pub fn compose(
         driver_for(tree_to_graph[tree_id])
     });
     let mut census = LiveCensus::new(&kl_net, &kl_cfg);
-    let mut kl_activations = 0u64;
-    let mut legitimate_for = 0u64;
-    let mut kl_ok = false;
-    while kl_activations < budget.kl_max_steps {
-        census.step(&mut kl_net, sched);
-        kl_activations += 1;
-        if census.is_legitimate() {
-            legitimate_for += 1;
-            if legitimate_for >= budget.kl_window {
-                kl_ok = true;
-                break;
-            }
-        } else {
-            legitimate_for = 0;
-        }
-    }
-    if !kl_ok {
+    let outcome = run_sustained(
+        &mut kl_net,
+        &mut census,
+        budget.kl_max_steps,
+        budget.kl_window.saturating_sub(1),
+        |net, census| {
+            census.step(net, sched);
+        },
+        |_, census| census.is_legitimate(),
+    );
+    let kl_activations = kl_net.now();
+    if outcome.is_exhausted() {
         return Err(CompositionError::ExclusionDidNotStabilize { spent: kl_activations });
     }
 

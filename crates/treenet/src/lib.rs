@@ -24,9 +24,11 @@
 //! The network incrementally maintains the set of enabled delivery guards (non-empty
 //! channels) and of quiet tick guards ([`engine`]); daemons read it in O(1) through an
 //! [`EnabledShape`].  There is one way to step: [`Network::step_event`] executes one
-//! activation, and [`engine::run`] (re-exported as [`run_for`]), [`run_until`] and
-//! [`run_until_quiescent`] monomorphize daemon + network into one allocation-free loop.
-//! [`snapshot`] interposes Chandy–Lamport cuts on the same loops.
+//! activation, and [`engine::run`] (re-exported as [`run_for`]) monomorphizes daemon +
+//! network into one allocation-free loop.  Every stop rule is the one sustained-streak loop
+//! [`run_sustained`] (step until a predicate has held across a window of activations), with
+//! [`run_until`] and [`run_until_quiescent`] its two plain-daemon forms.  [`snapshot`]
+//! interposes Chandy–Lamport cuts by handing the loops its own step.
 
 //! Transient faults are modelled by [`fault::FaultInjector`], which corrupts local process
 //! state (through the [`fault::Corruptible`] trait), injects bounded channel garbage
@@ -61,8 +63,8 @@ pub use app::{AppDriver, CsState};
 pub use channel::Channel;
 pub use clocks::LamportClocks;
 pub use engine::{
-    run as run_for, run_until, run_until_quiescent, EnabledSet, EnabledShape, EventScheduler,
-    RunOutcome,
+    run as run_for, run_sustained, run_until, run_until_quiescent, run_until_quiescent_with,
+    EnabledSet, EnabledShape, EventScheduler, RunOutcome,
 };
 pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
 pub use metrics::Metrics;
@@ -71,9 +73,8 @@ pub use process::{Context, Event, MessageKind, Note, Process};
 pub use scheduler::{Activation, Adversarial, RandomFair, RoundRobin, Synchronous};
 pub use slab::ChannelSlab;
 pub use snapshot::{
-    run_until_quiescent_with_snapshots, run_until_with_snapshots, run_with_snapshots,
-    InitiatorPolicy, SnapshotMessage,
-    SnapshotObserver, SnapshotPlan, SnapshotRunner,
+    run_with_snapshots, InitiatorPolicy, SnapshotMessage, SnapshotObserver, SnapshotPlan,
+    SnapshotRunner,
 };
 pub use trace::{Trace, TracedEvent};
 

@@ -26,8 +26,13 @@
 //! `on_message` never sees a marker, so protocol behaviour is untouched between marker
 //! activations.  When no snapshot is active the runner's step is the plain fused step plus
 //! one branch, so the configured interval directly bounds the overhead.
+//!
+//! [`run_with_snapshots`] runs a fixed number of steps.  The stop rules have no
+//! snapshot-only twins: a caller hands [`SnapshotRunner::step`] (or
+//! [`SnapshotRunner::step_with`]) to the one streak loop, [`crate::engine::run_sustained`],
+//! or to [`crate::engine::run_until_quiescent_with`].
 
-use crate::engine::{drive_until, drive_until_quiescent, EnabledShape, EventScheduler, RunOutcome};
+use crate::engine::{EnabledShape, EventScheduler};
 use crate::network::{Network, StepEffects};
 use crate::process::Process;
 use crate::scheduler::Activation;
@@ -311,46 +316,4 @@ pub fn run_with_snapshots<P, T, S, O>(
     for _ in 0..steps {
         runner.step(net, daemon, observer);
     }
-}
-
-/// Runs until `pred` holds or `max_steps` activations, with snapshots interposed — the
-/// snapshot-enabled counterpart of [`crate::engine::run_until`].
-pub fn run_until_with_snapshots<P, T, S, O>(
-    net: &mut Network<P, T>,
-    daemon: &mut S,
-    max_steps: u64,
-    runner: &mut SnapshotRunner,
-    observer: &mut O,
-    pred: impl FnMut(&Network<P, T>) -> bool,
-) -> RunOutcome
-where
-    P: Process,
-    P::Msg: SnapshotMessage,
-    T: Topology,
-    S: EventScheduler,
-    O: SnapshotObserver<P>,
-{
-    drive_until(net, max_steps, |net| runner.step(net, daemon, observer), pred)
-}
-
-/// Runs until no message is in flight for `grace` consecutive activations or `max_steps`
-/// activations, with snapshots interposed — the snapshot-enabled counterpart of
-/// [`crate::engine::run_until_quiescent`].  Marker traffic counts as in flight, so each cut
-/// resets the quiet streak: keep `grace` below the snapshot interval.
-pub fn run_until_quiescent_with_snapshots<P, T, S, O>(
-    net: &mut Network<P, T>,
-    daemon: &mut S,
-    max_steps: u64,
-    grace: u64,
-    runner: &mut SnapshotRunner,
-    observer: &mut O,
-) -> RunOutcome
-where
-    P: Process,
-    P::Msg: SnapshotMessage,
-    T: Topology,
-    S: EventScheduler,
-    O: SnapshotObserver<P>,
-{
-    drive_until_quiescent(net, max_steps, grace, |net| runner.step(net, daemon, observer))
 }

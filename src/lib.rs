@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use topology::{OrientedTree, Ring, Topology, VirtualRing};
     pub use treenet::{
-        engine, run_for, run_until, run_until_quiescent, Adversarial, AppDriver, CsState, Event,
-        EventScheduler, FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin,
-        Synchronous,
+        engine, run_for, run_sustained, run_until, run_until_quiescent, Adversarial, AppDriver,
+        CsState, Event, EventScheduler, FaultInjector, FaultPlan, Network, RandomFair,
+        Restartable, RoundRobin, Synchronous,
     };
 }

@@ -115,12 +115,12 @@ fn kl_liveness_with_pinned_processes() {
 #[test]
 fn protocol_ladder_comparison_on_figure2() {
     // The constructed Figure-2 configuration: naive deadlocks, self-stabilizing recovers.
-    let mut naive_net = analysis::scenarios::figure2_deadlock_config();
+    let mut naive_net = preset("figure2").unwrap().compile().unwrap().build_naive().unwrap();
     let mut sched = RoundRobin::new();
     let verdict = analysis::detect_deadlock(&mut naive_net, &mut sched, 200_000);
     assert!(verdict.is_deadlock());
 
-    let mut ss_net = analysis::scenarios::figure2_deadlock_config_ss();
+    let mut ss_net = preset("figure2-ss").unwrap().compile().unwrap().build_ss().unwrap();
     let mut sched = RoundRobin::new();
     let out = run_until(&mut ss_net, &mut sched, 3_000_000, |n| {
         (1..=4).all(|v| n.trace().cs_entries(Some(v)) >= 1)

@@ -12,7 +12,7 @@
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
 
-use analysis::scenario::{preset, CsStateSpec, InjectSpec, MessageSpec, NodeInit};
+use analysis::scenario::{preset, CsStateSpec, InjectSpec, MessageSpec, NodeInit, FIGURE3_NEEDS};
 
 // ---------------------------------------------------------------- serde round-trip proptest
 
@@ -389,7 +389,10 @@ fn scenario_run_equals_hand_wired_execution() {
     // The same regime, wired by hand exactly as pre-scenario code did.
     let tree = topology::builders::figure3_tree();
     let cfg = KlConfig::new(2, 3, 3);
-    let mut net = protocol::ss::network(tree, cfg, analysis::scenarios::figure3_drivers(6));
+    let mut net = protocol::ss::network(tree, cfg, |node| {
+        Box::new(workloads::Heterogeneous { units: FIGURE3_NEEDS[node], hold: 6 })
+            as treenet::app::BoxedDriver
+    });
     let mut sched = RoundRobin::new();
     treenet::run_for(&mut net, &mut sched, 20_000);
 
