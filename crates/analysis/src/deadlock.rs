@@ -73,16 +73,7 @@ mod tests {
     use klex_core::{naive, pusher, KlConfig};
     use treenet::app::{AppDriver, BoxedDriver, Idle};
     use treenet::RoundRobin;
-
-    struct Fixed(usize, u64);
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.0)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= self.1
-        }
-    }
+    use workloads::Saturated;
 
     /// A Figure-2 preset, compiled: the network starts in the figure's configuration.
     fn figure2(name: &str) -> crate::scenario::CompiledScenario {
@@ -92,8 +83,8 @@ mod tests {
     /// The Figure-2 workload: a=3, b=c=d=2 on the Figure-1 tree with l=5.
     fn figure2_drivers(id: NodeId) -> BoxedDriver {
         match id {
-            1 => Box::new(Fixed(3, 5)) as BoxedDriver,
-            2..=4 => Box::new(Fixed(2, 5)) as BoxedDriver,
+            1 => Box::new(Saturated { units: 3, hold: 5 }) as BoxedDriver,
+            2..=4 => Box::new(Saturated { units: 2, hold: 5 }) as BoxedDriver,
             _ => Box::new(Idle) as BoxedDriver,
         }
     }
@@ -102,7 +93,7 @@ mod tests {
     fn naive_protocol_deadlocks_in_figure2_configuration() {
         // Start from the exact right-hand configuration of Figure 2: all five tokens
         // reserved by the four requesters, none of which can be satisfied.
-        let mut net = figure2("figure2").build_naive().expect("naive rung");
+        let mut net = figure2("figure2").build_ladder().expect("naive rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, 500_000);
         match verdict {
@@ -117,7 +108,7 @@ mod tests {
     fn pusher_resolves_the_constructed_figure2_deadlock() {
         // From the same configuration (plus the pusher in flight), the pusher-augmented
         // protocol keeps making progress: it never quiesces with blocked requesters.
-        let mut net = figure2("figure2-pusher").build_pusher().expect("pusher rung");
+        let mut net = figure2("figure2-pusher").build_ladder().expect("pusher rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, 100_000);
         assert!(!verdict.is_deadlock(), "got {verdict:?}");

@@ -28,7 +28,7 @@ use checker::snapshot::CheckableNode;
 use checker::{
     drivers, properties, ExplorationReport, ExploreProgress, Explorer, Limits, StateGraph,
 };
-use klex_core::{naive, nonstab, pusher, ss, KlConfig, Message};
+use klex_core::{ss, KlConfig, Message};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topology::{OrientedTree, Topology};
@@ -86,20 +86,8 @@ impl CompiledScenario {
     ) -> Result<(ExplorationReport, StateGraph), ScenarioError> {
         let spec = self.spec();
         match spec.protocol {
-            ProtocolSpec::Naive => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| naive::network(t, c, d);
-                let mut net = self.lowered_net(construct)?;
-                self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, interned, sink)
-            }
-            ProtocolSpec::Pusher => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| pusher::network(t, c, d);
-                let mut net = self.lowered_net(construct)?;
-                self.apply_schedule_prologue(&mut net, &construct);
-                self.check_net(net, interned, sink)
-            }
-            ProtocolSpec::NonStab => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| nonstab::network(t, c, d);
+            ProtocolSpec::Naive | ProtocolSpec::Pusher | ProtocolSpec::NonStab => {
+                let construct = self.ladder();
                 let mut net = self.lowered_net(construct)?;
                 self.apply_schedule_prologue(&mut net, &construct);
                 self.check_net(net, interned, sink)

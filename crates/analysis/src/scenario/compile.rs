@@ -28,14 +28,14 @@ use crate::progress::ProgressSink;
 use crate::snapshot::{CutVerdict, SnapshotMonitor};
 use crate::stats::Summary;
 use crate::waiting::waiting_times;
-use klex_core::{count_tokens, naive, nonstab, pusher, ss, KlConfig, KlInspect, LiveCensus, Message};
+use klex_core::{count_tokens, ladder, ss, KlConfig, KlInspect, LadderNode, LiveCensus, Message};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{
-    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EventScheduler, FaultInjector,
-    Event, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
+    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EnterCsCursor, EventScheduler,
+    FaultInjector, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
     SnapshotRunner, Synchronous, Trace,
 };
 use treenet::run_sustained;
@@ -155,35 +155,7 @@ pub trait ScenarioNode: Process<Msg = Message> + KlInspect + treenet::Corruptibl
     }
 }
 
-impl ScenarioNode for naive::NaiveNode {
-    fn set_request_state(&mut self, state: CsState, need: usize, rset: Vec<usize>) {
-        self.app.state = state;
-        self.app.need = need;
-        self.app.rset = rset;
-    }
-    fn set_driver(&mut self, driver: BoxedDriver) {
-        self.app.set_driver(driver);
-    }
-    fn mark_bootstrapped(&mut self) {
-        self.bootstrapped = true;
-    }
-}
-
-impl ScenarioNode for pusher::PusherNode {
-    fn set_request_state(&mut self, state: CsState, need: usize, rset: Vec<usize>) {
-        self.app.state = state;
-        self.app.need = need;
-        self.app.rset = rset;
-    }
-    fn set_driver(&mut self, driver: BoxedDriver) {
-        self.app.set_driver(driver);
-    }
-    fn mark_bootstrapped(&mut self) {
-        self.bootstrapped = true;
-    }
-}
-
-impl ScenarioNode for nonstab::NonStabNode {
+impl ScenarioNode for LadderNode {
     fn set_request_state(&mut self, state: CsState, need: usize, rset: Vec<usize>) {
         self.app.state = state;
         self.app.need = need;
@@ -450,18 +422,8 @@ impl CompiledScenario {
         sink: Option<&dyn ProgressSink>,
     ) -> ScenarioOutcome {
         match self.spec.protocol {
-            ProtocolSpec::Naive => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| naive::network(t, c, d);
-                let (mut net, victim) = self.build_tree_net(index, stream, construct);
-                self.drive_tree(&mut net, victim, stream, sink, &construct)
-            }
-            ProtocolSpec::Pusher => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| pusher::network(t, c, d);
-                let (mut net, victim) = self.build_tree_net(index, stream, construct);
-                self.drive_tree(&mut net, victim, stream, sink, &construct)
-            }
-            ProtocolSpec::NonStab => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| nonstab::network(t, c, d);
+            ProtocolSpec::Naive | ProtocolSpec::Pusher | ProtocolSpec::NonStab => {
+                let construct = self.ladder();
                 let (mut net, victim) = self.build_tree_net(index, stream, construct);
                 self.drive_tree(&mut net, victim, stream, sink, &construct)
             }
@@ -565,14 +527,8 @@ impl CompiledScenario {
             sink.map(|sink| TrialObserver { sink, done: AtomicU64::new(0), total: trials });
         let observer = observer.as_ref();
         let per_trial = match self.spec.protocol {
-            ProtocolSpec::Naive => {
-                self.tree_harness_trials(trials, shards, observer, |t, c, d| naive::network(t, c, d))
-            }
-            ProtocolSpec::Pusher => {
-                self.tree_harness_trials(trials, shards, observer, |t, c, d| pusher::network(t, c, d))
-            }
-            ProtocolSpec::NonStab => {
-                self.tree_harness_trials(trials, shards, observer, |t, c, d| nonstab::network(t, c, d))
+            ProtocolSpec::Naive | ProtocolSpec::Pusher | ProtocolSpec::NonStab => {
+                self.tree_harness_trials(trials, shards, observer, self.ladder())
             }
             ProtocolSpec::Ss => {
                 self.tree_harness_trials(trials, shards, observer, |t, c, d| ss::network(t, c, d))
@@ -677,28 +633,31 @@ impl CompiledScenario {
         )
     }
 
-    /// Builds the scenario's network for the naive rung (trial 0, init applied).
-    pub fn build_naive(&self) -> Result<Network<naive::NaiveNode, OrientedTree>, super::ScenarioError> {
-        self.expect_protocol(ProtocolSpec::Naive)?;
-        Ok(self.build_tree_net(0, 0, |t, c, d| naive::network(t, c, d)).0)
+    /// Builds the scenario's network for its token rung — naive, pusher or non-stabilizing
+    /// (trial 0, init applied).
+    pub fn build_ladder(&self) -> Result<Network<LadderNode, OrientedTree>, super::ScenarioError> {
+        self.expect_protocol(self.spec.protocol.rung().is_some(), "naive, pusher or nonstab")?;
+        Ok(self.build_tree_net(0, 0, self.ladder()).0)
     }
 
-    /// Builds the scenario's network for the pusher rung (trial 0, init applied).
-    pub fn build_pusher(&self) -> Result<Network<pusher::PusherNode, OrientedTree>, super::ScenarioError> {
-        self.expect_protocol(ProtocolSpec::Pusher)?;
-        Ok(self.build_tree_net(0, 0, |t, c, d| pusher::network(t, c, d)).0)
-    }
-
-    /// Builds the scenario's network for the non-stabilizing rung (trial 0, init applied).
-    pub fn build_nonstab(&self) -> Result<Network<nonstab::NonStabNode, OrientedTree>, super::ScenarioError> {
-        self.expect_protocol(ProtocolSpec::NonStab)?;
-        Ok(self.build_tree_net(0, 0, |t, c, d| nonstab::network(t, c, d)).0)
+    /// The network constructor of the spec's token rung.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec runs the self-stabilizing protocol or the ring baseline.
+    pub(super) fn ladder(&self) -> impl Copy + Sync + Fn(
+        OrientedTree,
+        KlConfig,
+        &mut dyn FnMut(NodeId) -> BoxedDriver,
+    ) -> Network<LadderNode, OrientedTree> {
+        let rung = self.spec.protocol.rung().expect("a token-rung protocol");
+        move |tree, cfg, drivers| ladder::network(rung, tree, cfg, drivers)
     }
 
     /// Builds the scenario's network for the self-stabilizing protocol (trial 0, init
     /// applied).
     pub fn build_ss(&self) -> Result<Network<ss::SsNode, OrientedTree>, super::ScenarioError> {
-        self.expect_protocol(ProtocolSpec::Ss)?;
+        self.expect_protocol(self.spec.protocol == ProtocolSpec::Ss, "ss")?;
         Ok(self.build_tree_net(0, 0, |t, c, d| ss::network(t, c, d)).0)
     }
 
@@ -712,15 +671,14 @@ impl CompiledScenario {
         self.spec.daemon.instantiate(0, victim)
     }
 
-    fn expect_protocol(&self, expected: ProtocolSpec) -> Result<(), super::ScenarioError> {
-        if self.spec.protocol == expected {
+    fn expect_protocol(&self, holds: bool, expected: &str) -> Result<(), super::ScenarioError> {
+        if holds {
             Ok(())
         } else {
             Err(super::ScenarioError::Invalid(format!(
-                "scenario {:?} runs the {} protocol, not {}",
+                "scenario {:?} runs the {} protocol, not {expected}",
                 self.spec.name,
                 self.spec.protocol.label(),
-                expected.label()
             )))
         }
     }
@@ -912,7 +870,7 @@ impl CompiledScenario {
         let base_entries = net.trace().cs_entries(None) as u64;
         // The measured phase never clears the trace, so the CS-entry stop rules read only the
         // events appended since their last observation.
-        let mut entries = EnterCsCursor(net.trace().len());
+        let mut entries = EnterCsCursor::at_end(net.trace());
         // Snapshot instrumentation is assembled only when the spec asks for it: the
         // uninstrumented arms below are exactly the pre-snapshot code paths.
         let mut snapshots = self.spec.snapshots.as_ref().map(|spec| {
@@ -1159,23 +1117,6 @@ impl CompiledScenario {
             );
         }
         metrics
-    }
-}
-
-/// A position in an append-only [`Trace`]: each [`EnterCsCursor::advance`] reads only the
-/// events recorded since the previous one, so a CS-entry stop rule read after every
-/// activation costs O(new events) instead of a rescan of the whole trace.
-struct EnterCsCursor(usize);
-
-impl EnterCsCursor {
-    /// Calls `entered(node)` for every critical-section entry recorded since the last call.
-    fn advance(&mut self, trace: &Trace, mut entered: impl FnMut(NodeId)) {
-        for event in &trace.events()[self.0..] {
-            if matches!(event.event, Event::EnterCs { .. }) {
-                entered(event.node as NodeId);
-            }
-        }
-        self.0 = trace.len();
     }
 }
 

@@ -425,7 +425,7 @@ mod tests {
         // The built network is the figure's right-hand configuration: all five tokens are
         // reserved by the four requesters (a holds 2 of 3, b, c and d hold 1 of 2), none is
         // in flight, and nobody else requests.
-        let net = spec.compile().unwrap().build_naive().unwrap();
+        let net = spec.compile().unwrap().build_ladder().unwrap();
         assert_eq!(klex_core::count_tokens(&net).resource, 5);
         assert_eq!(net.in_flight(), 0);
         for v in 0..8 {
@@ -438,7 +438,7 @@ mod tests {
             assert_eq!((app.state, app.need, &app.rset), (state, need, &rset), "node {v}");
         }
         // The pusher variant adds the pusher token in flight.
-        let pusher = preset("figure2-pusher").unwrap().compile().unwrap().build_pusher().unwrap();
+        let pusher = preset("figure2-pusher").unwrap().compile().unwrap().build_ladder().unwrap();
         assert_eq!(klex_core::count_tokens(&pusher).pusher, 1);
 
         // Figure 3: 2-out-of-3 exclusion with needs r=1, a=2, b=1.

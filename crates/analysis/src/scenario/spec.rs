@@ -9,6 +9,7 @@
 //! harness, and the bounded-exhaustive checker.
 
 use super::{CompiledScenario, ScenarioError};
+use klex_core::Rung;
 use serde::{Deserialize, Serialize};
 use topology::{OrientedTree, RootedGraph, SpanningTreeMethod, Topology};
 
@@ -174,6 +175,17 @@ impl ProtocolSpec {
             ProtocolSpec::NonStab => "nonstab",
             ProtocolSpec::Ss => "ss",
             ProtocolSpec::Ring => "ring",
+        }
+    }
+
+    /// The token rung a [`klex_core::LadderNode`] runs for this protocol; `None` for the
+    /// self-stabilizing protocol and the ring baseline.
+    pub fn rung(&self) -> Option<Rung> {
+        match self {
+            ProtocolSpec::Naive => Some(Rung::Naive),
+            ProtocolSpec::Pusher => Some(Rung::Pusher),
+            ProtocolSpec::NonStab => Some(Rung::NonStab),
+            ProtocolSpec::Ss | ProtocolSpec::Ring => None,
         }
     }
 }

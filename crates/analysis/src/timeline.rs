@@ -149,25 +149,16 @@ impl CensusRecorder {
 mod tests {
     use super::*;
     use klex_core::KlConfig;
-    use treenet::app::{AppDriver, BoxedDriver};
-    use treenet::{NodeId, RandomFair};
-
-    struct Fixed(usize);
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.0)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= 5
-        }
-    }
+    use treenet::app::BoxedDriver;
+    use treenet::RandomFair;
+    use workloads::Saturated;
 
     #[test]
     fn gantt_shows_requests_and_critical_sections() {
         let tree = topology::builders::figure1_tree();
         let cfg = KlConfig::new(2, 5, 8);
-        let mut net =
-            klex_core::ss::network(tree, cfg, |_| Box::new(Fixed(1)) as BoxedDriver);
+        let drivers = |_| Box::new(Saturated { units: 1, hold: 5 }) as BoxedDriver;
+        let mut net = klex_core::ss::network(tree, cfg, drivers);
         let mut sched = RandomFair::new(7);
         for _ in 0..40_000 {
             net.step_event(&mut sched);
@@ -203,8 +194,8 @@ mod tests {
     fn census_recorder_tracks_fault_and_recovery() {
         let tree = topology::builders::figure1_tree();
         let cfg = KlConfig::new(2, 4, 8);
-        let mut net =
-            klex_core::ss::network(tree, cfg, |_| Box::new(Fixed(1)) as BoxedDriver);
+        let drivers = |_| Box::new(Saturated { units: 1, hold: 5 }) as BoxedDriver;
+        let mut net = klex_core::ss::network(tree, cfg, drivers);
         let mut sched = RandomFair::new(3);
         let mut recorder = CensusRecorder::new();
         // Bootstrap.

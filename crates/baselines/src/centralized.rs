@@ -229,21 +229,10 @@ pub fn network(
 mod tests {
     use super::*;
     use klex_core::legitimacy::safety_holds;
-    use treenet::app::{AppDriver, Idle};
+    use treenet::app::Idle;
     use treenet::{run_until, RandomFair, RoundRobin};
+    use workloads::Saturated;
 
-    struct Fixed {
-        units: usize,
-        hold: u64,
-    }
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.units)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= self.hold
-        }
-    }
 
     #[test]
     fn grants_and_releases_cycle() {
@@ -252,7 +241,7 @@ mod tests {
             if id == 0 {
                 Box::new(Idle) as BoxedDriver
             } else {
-                Box::new(Fixed { units: 2, hold: 5 }) as BoxedDriver
+                Box::new(Saturated { units: 2, hold: 5 }) as BoxedDriver
             }
         });
         let mut sched = RoundRobin::new();
@@ -269,7 +258,7 @@ mod tests {
             if id == 0 {
                 Box::new(Idle) as BoxedDriver
             } else {
-                Box::new(Fixed { units: 3, hold: 7 }) as BoxedDriver
+                Box::new(Saturated { units: 3, hold: 7 }) as BoxedDriver
             }
         });
         let mut sched = RandomFair::new(2);
@@ -286,8 +275,8 @@ mod tests {
         let cfg = KlConfig::new(3, 3, 6);
         let mut net = network(6, cfg, |id| match id {
             0 => Box::new(Idle) as BoxedDriver,
-            1 => Box::new(Fixed { units: 3, hold: 2 }) as BoxedDriver,
-            _ => Box::new(Fixed { units: 1, hold: 2 }) as BoxedDriver,
+            1 => Box::new(Saturated { units: 3, hold: 2 }) as BoxedDriver,
+            _ => Box::new(Saturated { units: 1, hold: 2 }) as BoxedDriver,
         });
         let mut sched = RoundRobin::new();
         let out = run_until(&mut net, &mut sched, 500_000, |n| n.trace().cs_entries(Some(1)) >= 5);

@@ -318,28 +318,17 @@ pub fn network(
 mod tests {
     use super::*;
     use klex_core::legitimacy::safety_holds;
-    use treenet::app::{AppDriver, Idle};
+    use treenet::app::Idle;
     use treenet::{run_until, RandomFair, RoundRobin};
+    use workloads::Saturated;
 
-    struct Fixed {
-        units: usize,
-        hold: u64,
-    }
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.units)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= self.hold
-        }
-    }
 
     #[test]
     fn single_requester_gets_all_units() {
         let cfg = KlConfig::new(3, 5, 6);
         let mut net = network(6, cfg, |id| {
             if id == 3 {
-                Box::new(Fixed { units: 3, hold: 4 }) as BoxedDriver
+                Box::new(Saturated { units: 3, hold: 4 }) as BoxedDriver
             } else {
                 Box::new(Idle) as BoxedDriver
             }
@@ -352,7 +341,7 @@ mod tests {
     #[test]
     fn no_deadlock_under_contention() {
         let cfg = KlConfig::new(2, 3, 5);
-        let mut net = network(5, cfg, |_| Box::new(Fixed { units: 2, hold: 3 }) as BoxedDriver);
+        let mut net = network(5, cfg, |_| Box::new(Saturated { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(4);
         let out = run_until(&mut net, &mut sched, 1_000_000, |n| {
             (0..5).all(|v| n.trace().cs_entries(Some(v)) >= 3)
@@ -363,7 +352,7 @@ mod tests {
     #[test]
     fn never_over_allocates() {
         let cfg = KlConfig::new(2, 4, 6);
-        let mut net = network(6, cfg, |_| Box::new(Fixed { units: 2, hold: 5 }) as BoxedDriver);
+        let mut net = network(6, cfg, |_| Box::new(Saturated { units: 2, hold: 5 }) as BoxedDriver);
         let mut sched = RandomFair::new(8);
         for _ in 0..100_000 {
             net.step_event(&mut sched);
@@ -400,7 +389,7 @@ mod tests {
         let cfg = KlConfig::new(1, 1, 3);
         let mut net = network(3, cfg, |id| {
             if id == 2 {
-                Box::new(Fixed { units: 1, hold: 1 }) as BoxedDriver
+                Box::new(Saturated { units: 1, hold: 1 }) as BoxedDriver
             } else {
                 Box::new(Idle) as BoxedDriver
             }

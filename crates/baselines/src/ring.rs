@@ -317,21 +317,10 @@ mod tests {
     use super::*;
     use klex_core::legitimacy::safety_holds;
     use klex_core::{count_tokens, is_legitimate};
-    use treenet::app::{AppDriver, Idle};
+    use treenet::app::Idle;
     use treenet::{run_until, FaultInjector, FaultPlan, RoundRobin};
+    use workloads::Saturated;
 
-    struct Fixed {
-        units: usize,
-        hold: u64,
-    }
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.units)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= self.hold
-        }
-    }
 
     #[test]
     fn ring_bootstraps_to_l_1_1() {
@@ -349,7 +338,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 6);
         let mut net = network(6, cfg, |id| {
             if id % 2 == 1 {
-                Box::new(Fixed { units: 2, hold: 4 }) as BoxedDriver
+                Box::new(Saturated { units: 2, hold: 4 }) as BoxedDriver
             } else {
                 Box::new(Idle) as BoxedDriver
             }
@@ -377,7 +366,7 @@ mod tests {
     #[test]
     fn ring_safety_under_saturation() {
         let cfg = KlConfig::new(2, 3, 5);
-        let mut net = network(5, cfg, |_| Box::new(Fixed { units: 2, hold: 3 }) as BoxedDriver);
+        let mut net = network(5, cfg, |_| Box::new(Saturated { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RoundRobin::new();
         // Let it stabilize, then check the safety bound continuously.
         treenet::run_for(&mut net, &mut sched, 200_000);

@@ -24,16 +24,13 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
     let steps = scale.measure_steps.max(80_000);
 
     // --- Deadlock column: the Figure-2 configuration. -------------------------------------
-    let deadlock_of_naive = {
-        let mut net = compiled_preset("figure2").build_naive().expect("naive rung");
+    let deadlock_of = |preset: &str| {
+        let mut net = compiled_preset(preset).build_ladder().expect("token rung");
         let mut sched = RoundRobin::new();
         detect_deadlock(&mut net, &mut sched, steps).is_deadlock()
     };
-    let deadlock_of_pusher = {
-        let mut net = compiled_preset("figure2-pusher").build_pusher().expect("pusher rung");
-        let mut sched = RoundRobin::new();
-        detect_deadlock(&mut net, &mut sched, steps).is_deadlock()
-    };
+    let deadlock_of_naive = deadlock_of("figure2");
+    let deadlock_of_pusher = deadlock_of("figure2-pusher");
 
     // --- Starvation column: the Figure-3 scenario. ----------------------------------------
     let starvation_of = |variant: &str| -> (f64, f64) {
@@ -42,13 +39,8 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
         for seed in 0..scale.trials {
             let mut sched = scheduler(3_000 + seed);
             let trace_entries = match variant {
-                "pusher" => {
-                    let mut net = compiled_preset("figure3-pusher").build_pusher().expect("pusher");
-                    treenet::run_for(&mut net, &mut sched, steps);
-                    FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
-                }
-                "nonstab" => {
-                    let mut net = compiled_preset("figure3-nonstab").build_nonstab().expect("nonstab");
+                "figure3-pusher" | "figure3-nonstab" => {
+                    let mut net = compiled_preset(variant).build_ladder().expect("token rung");
                     treenet::run_for(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
@@ -132,8 +124,8 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
         resets / scale.trials as f64
     };
 
-    let (pusher_starved, pusher_entries) = starvation_of("pusher");
-    let (nonstab_starved, nonstab_entries) = starvation_of("nonstab");
+    let (pusher_starved, pusher_entries) = starvation_of("figure3-pusher");
+    let (nonstab_starved, nonstab_entries) = starvation_of("figure3-nonstab");
     let (ss_starved, ss_entries) = starvation_of("ss");
     let (literal_starved, literal_entries) = starvation_of("ss-literal-pusher");
 

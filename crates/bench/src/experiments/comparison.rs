@@ -67,9 +67,9 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             for seed in 0..scale.trials {
                 let mut net = ring::network(n, cfg, all_saturated(1, 3));
                 let mut boot = scheduler(10 + seed);
-                // Stabilize the ring, then measure: `default_window(n)` legitimate
-                // observations after activations.  A fresh ring holds no token, so it fails on
-                // entry, and the streak spans one activation fewer.
+                // Stabilize the ring, then measure.  Its streak spans one activation fewer
+                // than the tree arm's `default_window(n)`: the streak this arm confirmed when
+                // its window still counted observations, kept so the ring row does not move.
                 let window = analysis::convergence::default_window(n) - 1;
                 if !measure_convergence(&mut net, &mut boot, &cfg, scale.max_steps, window)
                     .converged()

@@ -9,7 +9,7 @@
 use crate::ExperimentReport;
 use analysis::ExperimentRow;
 use checker::{cycles, drivers, properties, scenarios, Explorer, Limits};
-use klex_core::KlConfig;
+use klex_core::{ladder, KlConfig, Rung};
 
 use crate::support::Scale;
 
@@ -48,27 +48,18 @@ pub fn e12_exhaustive(scale: Scale) -> ExperimentReport {
 
     // --- Pusher-only versus priority-augmented on the exact Figure-3 instance.
     let fig3_needs = [1usize, 2, 1];
-    for (label, with_priority) in [("pusher-only, figure-3", false), ("with priority, figure-3", true)]
-    {
+    for (label, rung, max_configs) in [
+        ("pusher-only, figure-3", Rung::Pusher, budget),
+        ("with priority, figure-3", Rung::NonStab, budget * 3),
+    ] {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let (report, cycle_len) = if with_priority {
-            let mut net =
-                klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&fig3_needs));
-            let mut explorer =
-                Explorer::new(&mut net).with_limits(limits(budget * 3)).record_graph(true);
-            let report = explorer.run();
-            let cycle = cycles::find_progress_cycle(explorer.graph(), 1);
-            (report, cycle.map(|c| c.len()).unwrap_or(0))
-        } else {
-            let mut net =
-                klex_core::pusher::network(tree, cfg, drivers::from_needs_holding(&fig3_needs));
-            let mut explorer =
-                Explorer::new(&mut net).with_limits(limits(budget)).record_graph(true);
-            let report = explorer.run();
-            let cycle = cycles::find_progress_cycle(explorer.graph(), 1);
-            (report, cycle.map(|c| c.len()).unwrap_or(0))
-        };
+        let mut net =
+            ladder::network(rung, tree, cfg, drivers::from_needs_holding(&fig3_needs));
+        let mut explorer =
+            Explorer::new(&mut net).with_limits(limits(max_configs)).record_graph(true);
+        let report = explorer.run();
+        let cycle_len = cycles::find_progress_cycle(explorer.graph(), 1).map_or(0, |c| c.len());
         rows.push(
             ExperimentRow::new(label)
                 .with("configurations", report.configurations as f64)

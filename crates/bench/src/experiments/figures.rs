@@ -3,10 +3,10 @@
 use crate::support::{compiled_preset, scheduler, Scale, TreeShape};
 use crate::ExperimentReport;
 use analysis::{detect_deadlock, DeadlockVerdict, ExperimentRow, FairnessReport};
-use klex_core::{naive, KlConfig};
+use klex_core::{ladder, naive, KlConfig, Rung};
 use topology::{Topology, VirtualRing};
 use treenet::app::{BoxedDriver, Idle};
-use treenet::RoundRobin;
+use treenet::{EnterCsCursor, RoundRobin};
 
 /// E1 — Figure 1: depth-first token circulation on oriented trees.
 ///
@@ -66,7 +66,7 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 
     // Naive protocol: deadlocked forever.
     {
-        let mut net = compiled_preset("figure2").build_naive().expect("naive rung");
+        let mut net = compiled_preset("figure2").build_ladder().expect("naive rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, budget);
         let (deadlocked, blocked) = match &verdict {
@@ -83,7 +83,7 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 
     // Pusher rung: no deadlock, but no fairness guarantee either.
     {
-        let mut net = compiled_preset("figure2-pusher").build_pusher().expect("pusher rung");
+        let mut net = compiled_preset("figure2-pusher").build_ladder().expect("pusher rung");
         let mut sched = RoundRobin::new();
         let verdict = detect_deadlock(&mut net, &mut sched, budget);
         rows.push(
@@ -99,8 +99,10 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
     {
         let mut net = compiled_preset("figure2-ss").build_ss().expect("ss rung");
         let mut sched = RoundRobin::new();
+        let (mut entries, mut served) = (EnterCsCursor::default(), vec![false; net.len()]);
         let served_all = treenet::run_until(&mut net, &mut sched, scale.max_steps, |n| {
-            (1..=4).all(|v| n.trace().cs_entries(Some(v)) >= 1)
+            entries.advance(n.trace(), |v| served[v] = true);
+            served[1..=4].iter().all(|&s| s)
         });
         rows.push(
             ExperimentRow::new("self-stabilizing (Fig.2 configuration)")
@@ -125,10 +127,10 @@ pub fn e2_deadlock(scale: Scale) -> ExperimentReport {
 pub fn e3_livelock(scale: Scale) -> ExperimentReport {
     let mut rows = Vec::new();
     let steps = scale.measure_steps.max(60_000);
-    for (label, kind, preset) in [
-        ("+ pusher only", 0u8, "figure3-pusher"),
-        ("+ pusher + priority", 1u8, "figure3-nonstab"),
-        ("self-stabilizing", 2u8, "figure3-ss"),
+    for (label, preset) in [
+        ("+ pusher only", "figure3-pusher"),
+        ("+ pusher + priority", "figure3-nonstab"),
+        ("self-stabilizing", "figure3-ss"),
     ] {
         let scenario = compiled_preset(preset);
         let mut a_entries = 0.0;
@@ -138,22 +140,14 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
         let mut a_starved_runs = 0.0;
         for seed in 0..scale.trials {
             let mut sched = scheduler(1_000 + seed);
-            let report: FairnessReport = match kind {
-                0 => {
-                    let mut net = scenario.build_pusher().expect("pusher rung");
-                    treenet::run_for(&mut net, &mut sched, steps);
-                    FairnessReport::from_trace(net.trace(), 3)
-                }
-                1 => {
-                    let mut net = scenario.build_nonstab().expect("nonstab rung");
-                    treenet::run_for(&mut net, &mut sched, steps);
-                    FairnessReport::from_trace(net.trace(), 3)
-                }
-                _ => {
-                    let mut net = scenario.build_ss().expect("ss rung");
-                    treenet::run_for(&mut net, &mut sched, steps);
-                    FairnessReport::from_trace(net.trace(), 3)
-                }
+            let report: FairnessReport = if scenario.spec().protocol.rung().is_some() {
+                let mut net = scenario.build_ladder().expect("token rung");
+                treenet::run_for(&mut net, &mut sched, steps);
+                FairnessReport::from_trace(net.trace(), 3)
+            } else {
+                let mut net = scenario.build_ss().expect("ss rung");
+                treenet::run_for(&mut net, &mut sched, steps);
+                FairnessReport::from_trace(net.trace(), 3)
             };
             r_entries += report.entries_per_node[0] as f64;
             a_entries += report.entries_per_node[1] as f64;
@@ -180,9 +174,10 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
     // each) makes the phenomenon visible under fair scheduling too: without the priority
     // token `a` is repeatedly evicted by the pusher and serves far less; with it, the
     // imbalance largely disappears.
-    for (label, with_priority) in
-        [("tight variant (l=2), pusher only", false), ("tight variant (l=2), pusher + priority", true)]
-    {
+    for (label, rung) in [
+        ("tight variant (l=2), pusher only", Rung::Pusher),
+        ("tight variant (l=2), pusher + priority", Rung::NonStab),
+    ] {
         let cfg = KlConfig::new(2, 2, 3);
         let tree = topology::builders::figure3_tree();
         let needs = [1usize, 2, 1];
@@ -193,19 +188,11 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
             let drivers = |id: usize| {
                 Box::new(workloads::Heterogeneous { units: needs[id], hold: 6 }) as BoxedDriver
             };
-            let (a, rb) = if with_priority {
-                let mut net = klex_core::nonstab::network(tree.clone(), cfg, drivers);
-                treenet::run_for(&mut net, &mut sched, steps);
-                let rep = FairnessReport::from_trace(net.trace(), 3);
-                (rep.entries_per_node[1] as f64, (rep.entries_per_node[0] + rep.entries_per_node[2]) as f64)
-            } else {
-                let mut net = klex_core::pusher::network(tree.clone(), cfg, drivers);
-                treenet::run_for(&mut net, &mut sched, steps);
-                let rep = FairnessReport::from_trace(net.trace(), 3);
-                (rep.entries_per_node[1] as f64, (rep.entries_per_node[0] + rep.entries_per_node[2]) as f64)
-            };
-            a_entries += a;
-            others += rb;
+            let mut net = ladder::network(rung, tree.clone(), cfg, drivers);
+            treenet::run_for(&mut net, &mut sched, steps);
+            let rep = FairnessReport::from_trace(net.trace(), 3);
+            a_entries += rep.entries_per_node[1] as f64;
+            others += (rep.entries_per_node[0] + rep.entries_per_node[2]) as f64;
         }
         let t = scale.trials as f64;
         rows.push(

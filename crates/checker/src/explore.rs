@@ -1757,11 +1757,12 @@ mod tests {
     use crate::properties;
     use klex_core::KlConfig;
     use klex_core::Message;
+    use klex_core::Rung;
     use treenet::CsState;
 
     /// A 2-node chain running the naive protocol with a single resource token, both processes
     /// perpetually requesting one unit: a minimal live instance whose state space is tiny.
-    fn tiny_naive() -> Network<klex_core::naive::NaiveNode, topology::OrientedTree> {
+    fn tiny_naive() -> Network<klex_core::LadderNode, topology::OrientedTree> {
         let tree = topology::builders::chain(2);
         let cfg = KlConfig::new(1, 1, 2);
         klex_core::naive::network(tree, cfg, |_| drivers::AlwaysRequest::boxed(1))
@@ -2069,18 +2070,11 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let fig3 = topology::builders::figure3_tree;
         let holding = || drivers::from_needs_holding(&needs);
-        assert_facts_match_decoding(
-            &recorded_graph(klex_core::naive::network(fig3(), cfg, holding()), 50_000),
-            "naive figure 3",
-        );
-        assert_facts_match_decoding(
-            &recorded_graph(klex_core::pusher::network(fig3(), cfg, holding()), 50_000),
-            "pusher figure 3",
-        );
-        assert_facts_match_decoding(
-            &recorded_graph(klex_core::nonstab::network(fig3(), cfg, holding()), 50_000),
-            "nonstab figure 3",
-        );
+        for rung in Rung::ALL {
+            let net = klex_core::ladder::network(rung, fig3(), cfg, holding());
+            let graph = recorded_graph(net, 50_000);
+            assert_facts_match_decoding(&graph, &format!("{rung:?} figure 3"));
+        }
         let ss = crate::scenarios::ss_for_checking(fig3(), KlConfig::new(2, 3, 3), |_| {
             drivers::AlwaysRequest::boxed(1)
         });

@@ -41,8 +41,9 @@ pub fn launch_controller(net: &mut Network<SsNode, OrientedTree>) {
 }
 
 /// Bootstraps a timeout-disabled network and runs a deterministic fair schedule until the
-/// configuration has been legitimate for `2 · n · (2n − 2)` consecutive activations (long
-/// enough for a full controller circulation at round-robin pace), then returns it.
+/// configuration has been legitimate across `2 · n · (2n − 2) − 1` consecutive activations,
+/// at least 7 (long enough for a full controller circulation at round-robin pace), then
+/// returns it.
 ///
 /// The returned network is a genuine member of the paper's legitimate set and is the intended
 /// starting point for closure exploration.
@@ -61,9 +62,7 @@ pub fn stabilized_ss(
     let mut net = ss_for_checking(tree, cfg, driver_for);
     launch_controller(&mut net);
     let mut sched = RoundRobin::new();
-    // `2n(2n − 2)` legitimate observations, each after an activation.  The launched network
-    // holds no token, so it fails on entry, and the streak spans one activation fewer.
-    let window = (2 * n * (2 * n).saturating_sub(2)).max(8) as u64 - 1;
+    let window = (2 * n * (2 * n).saturating_sub(2)).saturating_sub(1).max(7) as u64;
     let mut census = LiveCensus::new(&net, &cfg);
     let outcome = run_sustained(
         &mut net,

@@ -54,7 +54,7 @@
 
 use klex_core::legitimacy::{NodeShare, TokenCensus};
 use klex_core::ss::SsRole;
-use klex_core::{KlInspect, Message, SsNode};
+use klex_core::{KlInspect, LadderNode, Message, Rung, SsNode};
 use topology::Topology;
 use treenet::{ChannelLabel, CsState, Network, Process};
 
@@ -211,35 +211,7 @@ fn restore_app(app: &mut klex_core::AppSide, state: &NodeState) {
     app.entered_at = 0;
 }
 
-impl CheckableNode for klex_core::naive::NaiveNode {
-    fn capture_state_into(&self, state: &mut NodeState) {
-        capture_app(&self.app, state);
-        state.prio = None;
-        state.bootstrapped = self.bootstrapped;
-        state.ctrl = None;
-    }
-
-    fn restore_state(&mut self, state: &NodeState) {
-        restore_app(&mut self.app, state);
-        self.bootstrapped = state.bootstrapped;
-    }
-}
-
-impl CheckableNode for klex_core::pusher::PusherNode {
-    fn capture_state_into(&self, state: &mut NodeState) {
-        capture_app(&self.app, state);
-        state.prio = None;
-        state.bootstrapped = self.bootstrapped;
-        state.ctrl = None;
-    }
-
-    fn restore_state(&mut self, state: &NodeState) {
-        restore_app(&mut self.app, state);
-        self.bootstrapped = state.bootstrapped;
-    }
-}
-
-impl CheckableNode for klex_core::nonstab::NonStabNode {
+impl CheckableNode for LadderNode {
     fn capture_state_into(&self, state: &mut NodeState) {
         capture_app(&self.app, state);
         state.prio = self.prio;
@@ -249,7 +221,10 @@ impl CheckableNode for klex_core::nonstab::NonStabNode {
 
     fn restore_state(&mut self, state: &NodeState) {
         restore_app(&mut self.app, state);
-        self.prio = state.prio;
+        // Below the non-stabilizing rung there is no priority token to hold.
+        if self.rung() == Rung::NonStab {
+            self.prio = state.prio;
+        }
         self.bootstrapped = state.bootstrapped;
     }
 }
@@ -1237,6 +1212,57 @@ mod tests {
             let mut reference = Vec::new();
             pack_configuration(&capture(&net), &mut reference);
             assert_eq!(scratch, reference);
+        }
+    }
+
+    /// The packed capture of `net` after a catastrophic fault from `seed` (every process
+    /// corrupted, every channel cleared and refilled with garbage), in hex.
+    fn corrupted_capture<P>(mut net: Network<P, topology::OrientedTree>, seed: u64) -> String
+    where
+        P: CheckableNode + treenet::Corruptible,
+    {
+        let cmax = 2;
+        treenet::FaultInjector::new(seed).inject(&mut net, &treenet::FaultPlan::catastrophic(cmax));
+        let mut bytes = Vec::new();
+        capture_packed(&net, &mut bytes);
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins what `Corruptible::corrupt` draws on each token rung, and in which order: a rung
+    /// that drew one value more, one fewer or in another order would corrupt a different
+    /// state and shift every garbage message the injector draws after it.
+    #[test]
+    fn corrupted_captures_are_pinned_per_rung() {
+        let tree = topology::builders::figure3_tree;
+        let cfg = KlConfig::new(2, 3, 3);
+        let drivers = |_| AlwaysRequest::boxed(1);
+        let pinned = [
+            (
+                1u64,
+                "030101020101000000010200000000010101000000000200020201010103010103",
+                "0301010201010001000200010000000001000200000001000202010100010205bc27049d070009000100",
+                "030101020101010001000101010000000000010200000100010002000205bc27049d07000900010001020203",
+            ),
+            (
+                2,
+                "030201000000000100000000000101010000000002010487030009010105fd72010104f6040003020100",
+                "03020100000000000001000000000101010000000002000101010101010104f604000302",
+                "030201000000000001010000000001010100010000000201010104f60400030201000100",
+            ),
+            (
+                3,
+                "0302010200000000000202020000000000000102000000000002000103010105fe61010204b9020004000529b2",
+                "030201020000000100020202000000000002000200000001000201055533020504d605af4a01010529b20100",
+                "0302010200000100000002020000000000020001000000020105fe610204b9020004000529b20100010104fe02000d00",
+            ),
+        ];
+        for (seed, naive, pusher, nonstab) in pinned {
+            let naive_net = klex_core::naive::network(tree(), cfg, drivers);
+            assert_eq!(corrupted_capture(naive_net, seed), naive, "naive, seed {seed}");
+            let pusher_net = klex_core::pusher::network(tree(), cfg, drivers);
+            assert_eq!(corrupted_capture(pusher_net, seed), pusher, "pusher, seed {seed}");
+            let nonstab_net = klex_core::nonstab::network(tree(), cfg, drivers);
+            assert_eq!(corrupted_capture(nonstab_net, seed), nonstab, "nonstab, seed {seed}");
         }
     }
 

@@ -29,10 +29,12 @@
 //! | [`nonstab`] | + 1 priority token | correct k-out-of-ℓ exclusion, **not** fault-tolerant |
 //! | [`ss`] | + counter-flushing controller, bounded counters | **self-stabilizing** (Algorithms 1 & 2) |
 //!
-//! All variants share the message vocabulary ([`message::Message`]), the application
-//! interface ([`node::AppSide`]), and the DFS retransmission rule (a token received on
-//! channel `i` leaves on channel `(i+1) mod Δp`), so experiments can ablate exactly one
-//! mechanism at a time.
+//! The first three rungs are one process type, [`ladder::LadderNode`], whose
+//! [`ladder::Rung`] says which tokens it handles; each rung's module is its network
+//! constructor.  All variants share the message vocabulary ([`message::Message`]), the
+//! application interface ([`node::AppSide`]), and the DFS retransmission rule (a token
+//! received on channel `i` leaves on channel `(i+1) mod Δp`), so experiments can ablate
+//! exactly one mechanism at a time.
 //!
 //! # Faithfulness notes
 //!
@@ -49,6 +51,7 @@
 
 pub mod config;
 pub mod inspect;
+pub mod ladder;
 pub mod legitimacy;
 pub mod message;
 pub mod naive;
@@ -60,6 +63,7 @@ pub mod wire;
 
 pub use config::KlConfig;
 pub use inspect::KlInspect;
+pub use ladder::{LadderNode, Rung};
 pub use legitimacy::{count_tokens, is_legitimate, LiveCensus, TokenCensus};
 pub use message::Message;
 pub use node::AppSide;

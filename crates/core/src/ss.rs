@@ -619,21 +619,10 @@ pub fn network(
 mod tests {
     use super::*;
     use crate::legitimacy::{count_tokens, is_legitimate, safety_holds, LiveCensus};
-    use treenet::app::{AppDriver, Idle};
+    use treenet::app::Idle;
     use treenet::{run_sustained, run_until, FaultInjector, FaultPlan, RandomFair, RoundRobin};
+    use workloads::Saturated;
 
-    struct Fixed {
-        units: usize,
-        hold: u64,
-    }
-    impl AppDriver for Fixed {
-        fn next_request(&mut self, _n: NodeId, _t: u64) -> Option<usize> {
-            Some(self.units)
-        }
-        fn release_cs(&mut self, _n: NodeId, now: u64, e: u64) -> bool {
-            now - e >= self.hold
-        }
-    }
 
     fn idle_net(
         tree: OrientedTree,
@@ -657,13 +646,11 @@ mod tests {
         window: u64,
         cfg: &KlConfig,
     ) -> bool {
-        // `window` legitimate observations, each after an activation.  A fresh network holds
-        // no token, so it fails on entry, and the streak spans one activation fewer.
         let mut census = LiveCensus::new(net, cfg);
         let step = |net: &mut Network<SsNode, OrientedTree>, census: &mut LiveCensus| {
             census.step(net, sched);
         };
-        run_sustained(net, &mut census, max_steps, window - 1, step, |_, c| c.is_legitimate())
+        run_sustained(net, &mut census, max_steps, window, step, |_, c| c.is_legitimate())
             .is_satisfied()
     }
 
@@ -687,7 +674,7 @@ mod tests {
         let cfg = KlConfig::new(2, 4, 7);
         let mut net = idle_net(tree, cfg);
         let mut sched = RoundRobin::new();
-        assert!(run_until_stable(&mut net, &mut sched, 2_000_000, 20_000, &cfg));
+        assert!(run_until_stable(&mut net, &mut sched, 2_000_000, 19_999, &cfg));
         // Closure: once legitimate (sustained), the census never changes again.
         for _ in 0..50_000 {
             net.step_event(&mut sched);
@@ -706,7 +693,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 5);
         let mut net = network(tree, cfg, |id| {
             if id >= 3 {
-                Box::new(Fixed { units: 2, hold: 4 }) as BoxedDriver
+                Box::new(Saturated { units: 2, hold: 4 }) as BoxedDriver
             } else {
                 Box::new(Idle) as BoxedDriver
             }
@@ -780,9 +767,9 @@ mod tests {
         let tree = topology::builders::caterpillar(3, 1);
         let cfg = KlConfig::new(2, 3, 6);
         let mut net =
-            network(tree, cfg, |_| Box::new(Fixed { units: 2, hold: 3 }) as BoxedDriver);
+            network(tree, cfg, |_| Box::new(Saturated { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(5);
-        assert!(run_until_stable(&mut net, &mut sched, 3_000_000, 30_000, &cfg));
+        assert!(run_until_stable(&mut net, &mut sched, 3_000_000, 29_999, &cfg));
         for _ in 0..100_000 {
             net.step_event(&mut sched);
             assert!(safety_holds(&net, &cfg), "unsafe at t={}", net.now());
@@ -860,7 +847,7 @@ mod tests {
         let tree = topology::builders::binary(6);
         let cfg = KlConfig::new(2, 3, 6).with_unbounded_counter(true);
         let mut net =
-            network(tree, cfg, |_| Box::new(Fixed { units: 1, hold: 3 }) as BoxedDriver);
+            network(tree, cfg, |_| Box::new(Saturated { units: 1, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(23);
         let out = run_until(&mut net, &mut sched, 2_000_000, |n| {
             is_legitimate(n, &cfg) && n.trace().cs_entries(None) >= 10

@@ -56,12 +56,12 @@ impl std::error::Error for CompositionError {}
 pub struct CompositionBudget {
     /// Maximum activations for the spanning-tree layer.
     pub st_max_steps: u64,
-    /// The spanning-tree output must be unchanged for this many consecutive activations to be
-    /// considered stable.
+    /// The spanning-tree output must be correct across this many consecutive activations to
+    /// be considered stable (a streak of [`treenet::run_sustained`]).
     pub st_window: u64,
     /// Maximum activations for the exclusion layer.
     pub kl_max_steps: u64,
-    /// The exclusion layer must be legitimate for this many consecutive activations.
+    /// The exclusion layer must be legitimate across this many consecutive activations.
     pub kl_window: u64,
 }
 
@@ -71,9 +71,9 @@ impl CompositionBudget {
         let n = n.max(2) as u64;
         CompositionBudget {
             st_max_steps: 40_000 * n,
-            st_window: 8 * n,
+            st_window: 8 * n - 1,
             kl_max_steps: 80_000 * n,
-            kl_window: 8 * n,
+            kl_window: 8 * n - 1,
         }
     }
 }
@@ -115,19 +115,13 @@ pub fn compose(
     sched: &mut impl EventScheduler,
     budget: CompositionBudget,
 ) -> Result<Composition, CompositionError> {
-    // Both layers count their windows in observations taken after activations.  A fresh
-    // network fails its layer's predicate on entry — no non-root node has a parent yet, and
-    // no token exists yet — so `window` observations are a streak of `window − 1`
-    // activations of the one loop.  (A one-node graph would pass on entry, but cannot
-    // compose: the exclusion layer needs two processes.)
-
     // Layer 1: spanning-tree construction.
     let mut st_net = protocol::network(graph, st_cfg);
     let outcome = run_sustained(
         &mut st_net,
         sched,
         budget.st_max_steps,
-        budget.st_window.saturating_sub(1),
+        budget.st_window,
         |net, sched| {
             net.step_event(sched);
         },
@@ -152,7 +146,7 @@ pub fn compose(
         &mut kl_net,
         &mut census,
         budget.kl_max_steps,
-        budget.kl_window.saturating_sub(1),
+        budget.kl_window,
         |net, census| {
             census.step(net, sched);
         },
@@ -259,7 +253,7 @@ mod tests {
         let st_cfg = StConfig::for_graph(&graph);
         let kl_cfg = KlConfig::new(1, 2, 10);
         let mut sched = RoundRobin::new();
-        let tight = CompositionBudget { st_max_steps: 5, st_window: 3, kl_max_steps: 5, kl_window: 3 };
+        let tight = CompositionBudget { st_max_steps: 5, st_window: 2, kl_max_steps: 5, kl_window: 2 };
         let err = match compose(
             graph,
             st_cfg,

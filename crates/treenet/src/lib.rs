@@ -76,7 +76,7 @@ pub use snapshot::{
     run_with_snapshots, InitiatorPolicy, SnapshotMessage, SnapshotObserver, SnapshotPlan,
     SnapshotRunner,
 };
-pub use trace::{Trace, TracedEvent};
+pub use trace::{EnterCsCursor, Trace, TracedEvent};
 
 /// Re-export of the node identifier type used throughout.
 pub type NodeId = topology::NodeId;

@@ -90,6 +90,30 @@ impl Trace {
     }
 }
 
+/// A position in a [`Trace`]: each [`EnterCsCursor::advance`] reads only the events recorded
+/// since the previous one, so a critical-section-entry stop rule read after every activation
+/// costs O(new events) instead of a rescan of the whole trace.  The trace must not be
+/// cleared while a cursor reads it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EnterCsCursor(usize);
+
+impl EnterCsCursor {
+    /// A cursor past every event `trace` holds now ([`Default`] starts at the beginning).
+    pub fn at_end(trace: &Trace) -> Self {
+        EnterCsCursor(trace.len())
+    }
+
+    /// Calls `entered(node)` for every critical-section entry recorded since the last call.
+    pub fn advance(&mut self, trace: &Trace, mut entered: impl FnMut(NodeId)) {
+        for event in &trace.events()[self.0..] {
+            if matches!(event.event, Event::EnterCs { .. }) {
+                entered(event.node as NodeId);
+            }
+        }
+        self.0 = trace.len();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

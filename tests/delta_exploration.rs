@@ -112,19 +112,10 @@ fn rung_roundtrip(rung: usize, n: usize, seed: u64, corrupt: bool) {
     }
 
     match rung {
-        0 => {
+        0..=2 => {
+            let rung = klex_core::Rung::ALL[rung];
             let mut net =
-                klex_core::naive::network(tree, cfg, drivers::from_needs_holding(&needs));
-            prepare(&mut net, corrupt, seed, &plan);
-        }
-        1 => {
-            let mut net =
-                klex_core::pusher::network(tree, cfg, drivers::from_needs_holding(&needs));
-            prepare(&mut net, corrupt, seed, &plan);
-        }
-        2 => {
-            let mut net =
-                klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&needs));
+                klex_core::ladder::network(rung, tree, cfg, drivers::from_needs_holding(&needs));
             prepare(&mut net, corrupt, seed, &plan);
         }
         _ => {

@@ -18,8 +18,8 @@ use baselines::ring;
 use checker::{properties, CheckableNode};
 use klex_core::legitimacy::{self, safety_holds, NodeShare};
 use klex_core::{
-    count_tokens, is_legitimate, naive, nonstab, pusher, ss, KlConfig, KlInspect, LiveCensus,
-    Message,
+    count_tokens, is_legitimate, ladder, nonstab, ss, KlConfig, KlInspect, LiveCensus, Message,
+    Rung,
 };
 use proptest::prelude::*;
 use topology::Topology;
@@ -119,9 +119,10 @@ proptest! {
         let drivers = workloads::all_uniform(seed, 0.05, k, 12);
         let steps = 1_500;
         match rung {
-            0 => check_live_census(naive::network(tree, cfg, drivers), &cfg, seed, steps),
-            1 => check_live_census(pusher::network(tree, cfg, drivers), &cfg, seed, steps),
-            2 => check_live_census(nonstab::network(tree, cfg, drivers), &cfg, seed, steps),
+            0..=2 => {
+                let net = ladder::network(Rung::ALL[rung], tree, cfg, drivers);
+                check_live_census(net, &cfg, seed, steps)
+            }
             3 => check_live_census(ss::network(tree, cfg, drivers), &cfg, seed, steps),
             _ => check_live_census(ring::network(n, cfg, drivers), &cfg, seed, steps),
         }

@@ -23,11 +23,8 @@
 use analysis::scenario::{Daemon, ScenarioNode};
 use analysis::SnapshotMonitor;
 use checker::snapshot::{capture_packed, restore_packed, CheckableNode};
-use klex_core::naive::NaiveNode;
-use klex_core::nonstab::NonStabNode;
-use klex_core::pusher::PusherNode;
 use klex_core::ss::SsNode;
-use klex_core::{KlConfig, KlInspect, Message};
+use klex_core::{KlConfig, KlInspect, LadderNode, Message, Rung};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,36 +81,30 @@ impl<P: KlInspect> KlInspect for AlwaysRun<P> {
     }
 }
 
-/// One rung of the protocol ladder, constructible per node and printable in full.
-trait Rung: Process<Msg = Message> + KlInspect + Corruptible + Restartable + Sized {
-    fn build(id: NodeId, degree: usize, n: usize, cfg: KlConfig, driver: BoxedDriver) -> Self;
+/// A protocol process under test, constructible per node and printable in full.
+trait Node: Process<Msg = Message> + KlInspect + Corruptible + Restartable + Sized {
+    /// What selects the protocol within the type: the token rung, `()` for the ss node.
+    type Variant: Copy;
+
+    fn build(
+        variant: Self::Variant,
+        id: NodeId,
+        degree: usize,
+        n: usize,
+        cfg: KlConfig,
+        driver: BoxedDriver,
+    ) -> Self;
 
     /// Every protocol variable of the process (the driver is opaque; a driver that diverged
     /// shows in the next request it issues).
     fn fingerprint(&self) -> String;
 }
 
-impl Rung for NaiveNode {
-    fn build(id: NodeId, degree: usize, _n: usize, cfg: KlConfig, driver: BoxedDriver) -> Self {
-        NaiveNode::new(id, degree, cfg, driver)
-    }
-    fn fingerprint(&self) -> String {
-        format!("{:?} entered={} boot={}", self.app, self.app.entered_at, self.bootstrapped)
-    }
-}
+impl Node for LadderNode {
+    type Variant = Rung;
 
-impl Rung for PusherNode {
-    fn build(id: NodeId, degree: usize, _n: usize, cfg: KlConfig, driver: BoxedDriver) -> Self {
-        PusherNode::new(id, degree, cfg, driver)
-    }
-    fn fingerprint(&self) -> String {
-        format!("{:?} entered={} boot={}", self.app, self.app.entered_at, self.bootstrapped)
-    }
-}
-
-impl Rung for NonStabNode {
-    fn build(id: NodeId, degree: usize, _n: usize, cfg: KlConfig, driver: BoxedDriver) -> Self {
-        NonStabNode::new(id, degree, cfg, driver)
+    fn build(rung: Rung, id: NodeId, deg: usize, _: usize, cfg: KlConfig, d: BoxedDriver) -> Self {
+        LadderNode::new(rung, id, deg, cfg, d)
     }
     fn fingerprint(&self) -> String {
         format!(
@@ -123,9 +114,11 @@ impl Rung for NonStabNode {
     }
 }
 
-impl Rung for SsNode {
-    fn build(id: NodeId, degree: usize, n: usize, cfg: KlConfig, driver: BoxedDriver) -> Self {
-        SsNode::new(id, degree, n, cfg, driver)
+impl Node for SsNode {
+    type Variant = ();
+
+    fn build((): (), id: NodeId, degree: usize, n: usize, cfg: KlConfig, d: BoxedDriver) -> Self {
+        SsNode::new(id, degree, n, cfg, d)
     }
     fn fingerprint(&self) -> String {
         // `SsRole`'s `Debug` prints the root's timer too.
@@ -138,7 +131,8 @@ impl Rung for SsNode {
 
 type Net<P> = Network<P, OrientedTree>;
 
-fn build_net<P: Rung, Q: Process>(
+fn build_net<P: Node, Q: Process>(
+    variant: P::Variant,
     tree: &OrientedTree,
     cfg: KlConfig,
     mut driver_for: impl FnMut(NodeId) -> BoxedDriver,
@@ -146,7 +140,8 @@ fn build_net<P: Rung, Q: Process>(
 ) -> Net<Q> {
     let n = tree.len();
     let degrees: Vec<usize> = (0..n).map(|v| tree.degree(v)).collect();
-    Network::new(tree.clone(), |id| wrap(P::build(id, degrees[id], n, cfg, driver_for(id))))
+    let mut build = |id| P::build(variant, id, degrees[id], n, cfg, driver_for(id));
+    Network::new(tree.clone(), |id| wrap(build(id)))
 }
 
 // ------------------------------------------------------------- (a) lock-step differential
@@ -176,7 +171,7 @@ fn hint_scan<P: Process, T: Topology>(net: &Network<P, T>) -> usize {
 
 /// The full comparison after one activation.  `a` is the network as built, `b` runs every
 /// handler; `synced[v]` says `a`'s bit of `v` has been re-derived since the last surgery.
-fn assert_same<P: Rung>(a: &Net<P>, b: &Net<AlwaysRun<P>>, synced: &[bool]) {
+fn assert_same<P: Node>(a: &Net<P>, b: &Net<AlwaysRun<P>>, synced: &[bool]) {
     let at = a.now();
     assert_eq!(at, b.now(), "logical clocks");
     assert_eq!(
@@ -224,11 +219,11 @@ fn assert_same<P: Rung>(a: &Net<P>, b: &Net<AlwaysRun<P>>, synced: &[bool]) {
     }
 }
 
-fn lockstep<P: Rung>(tree: OrientedTree, cfg: KlConfig, case: Case) -> usize {
+fn lockstep<P: Node>(variant: P::Variant, tree: OrientedTree, cfg: KlConfig, case: Case) -> usize {
     let n = tree.len();
     let drivers = || workloads::all_uniform(case.seed, 0.3, cfg.k, 6);
-    let mut a: Net<P> = build_net(&tree, cfg, drivers(), |p| p);
-    let mut b: Net<AlwaysRun<P>> = build_net(&tree, cfg, drivers(), AlwaysRun);
+    let mut a: Net<P> = build_net(variant, &tree, cfg, drivers(), |p| p);
+    let mut b: Net<AlwaysRun<P>> = build_net(variant, &tree, cfg, drivers(), AlwaysRun);
     if case.clocks {
         a.enable_clocks();
         b.enable_clocks();
@@ -333,10 +328,8 @@ proptest! {
             clocks: flags & 4 != 0,
         };
         match rung {
-            0 => lockstep::<NaiveNode>(tree, cfg, case),
-            1 => lockstep::<PusherNode>(tree, cfg, case),
-            2 => lockstep::<NonStabNode>(tree, cfg, case),
-            _ => lockstep::<SsNode>(tree, cfg, case),
+            0..=2 => lockstep::<LadderNode>(Rung::ALL[rung], tree, cfg, case),
+            _ => lockstep::<SsNode>((), tree, cfg, case),
         };
     }
 }
@@ -349,8 +342,9 @@ fn loaded_networks_take_the_quiet_path() {
     let cfg = KlConfig::new(2, 2, 9).with_timeout(30);
     for daemon in 0..4u8 {
         let case = Case { seed: 7, daemon, faults: false, snapshots: false, clocks: false };
-        assert!(lockstep::<NaiveNode>(tree.clone(), cfg, case) > 100, "naive, daemon {daemon}");
-        assert!(lockstep::<SsNode>(tree.clone(), cfg, case) > 100, "ss, daemon {daemon}");
+        let naive = lockstep::<LadderNode>(Rung::Naive, tree.clone(), cfg, case);
+        assert!(naive > 100, "naive, daemon {daemon}");
+        assert!(lockstep::<SsNode>((), tree.clone(), cfg, case) > 100, "ss, daemon {daemon}");
     }
 }
 
@@ -372,14 +366,14 @@ impl AppDriver for Tripwire {
 /// tick on a detached context must send nothing, emit nothing, reach no driver and leave the
 /// process as it was.  `prepare` adds the state `corrupt` does not reach.  Returns how often
 /// the hint held.
-fn check_contract<P: Rung>(seed: u64, prepare: impl Fn(&mut P, u64)) -> usize {
+fn check_contract<P: Node>(variant: P::Variant, seed: u64, prepare: impl Fn(&mut P, u64)) -> usize {
     let (n, degree) = (6, 3);
     let cfg = KlConfig::new(2, 3, n).with_timeout(4);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut held = 0;
     for round in 0..600u64 {
         let id = (round % 3) as NodeId; // the root and two non-roots
-        let mut node = P::build(id, degree, n, cfg, Box::new(Tripwire));
+        let mut node = P::build(variant, id, degree, n, cfg, Box::new(Tripwire));
         node.corrupt(&mut rng);
         prepare(&mut node, round);
         if !node.tick_is_noop() {
@@ -404,10 +398,11 @@ fn check_contract<P: Rung>(seed: u64, prepare: impl Fn(&mut P, u64)) -> usize {
 #[test]
 fn the_hint_keeps_its_contract_on_every_rung() {
     for seed in [1u64, 2, 3] {
-        assert!(check_contract::<NaiveNode>(seed, |p, r| p.bootstrapped = r % 2 == 0) > 20);
-        assert!(check_contract::<PusherNode>(seed, |_, _| {}) > 20);
-        assert!(check_contract::<NonStabNode>(seed, |p, r| p.bootstrapped = r % 2 == 0) > 20);
-        assert!(check_contract::<SsNode>(seed, |_, _| {}) > 20);
+        let flip_boot = |p: &mut LadderNode, r: u64| p.bootstrapped = r.is_multiple_of(2);
+        assert!(check_contract::<LadderNode>(Rung::Naive, seed, flip_boot) > 20);
+        assert!(check_contract::<LadderNode>(Rung::Pusher, seed, |_, _| {}) > 20);
+        assert!(check_contract::<LadderNode>(Rung::NonStab, seed, flip_boot) > 20);
+        assert!(check_contract::<SsNode>((), seed, |_, _| {}) > 20);
     }
 }
 
@@ -417,20 +412,20 @@ fn timers_and_one_time_bootstraps_never_report_the_hint() {
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..200 {
         // The ss root counts every tick towards its timeout, whatever its request state.
-        let mut root = SsNode::build(0, 3, 6, cfg, Box::new(Tripwire));
+        let mut root = SsNode::new(0, 3, 6, cfg, Box::new(Tripwire));
         root.corrupt(&mut rng);
         assert!(!root.tick_is_noop());
         root.set_request_state(CsState::Req, 2, vec![0]);
         assert!(!root.tick_is_noop());
     }
     // A root that has not created its tokens yet still has that to do on its next tick.
-    let mut root = NaiveNode::build(0, 3, 6, cfg, Box::new(Tripwire));
+    let mut root = LadderNode::new(Rung::Naive, 0, 3, cfg, Box::new(Tripwire));
     root.set_request_state(CsState::Req, 2, vec![0]);
     assert!(!root.tick_is_noop());
     root.bootstrapped = true;
     assert!(root.tick_is_noop());
     // `Out` and `In` consult the driver, so they never report it.
-    let mut node = SsNode::build(1, 3, 6, cfg, Box::new(Tripwire));
+    let mut node = SsNode::new(1, 3, 6, cfg, Box::new(Tripwire));
     for state in [CsState::Out, CsState::In] {
         node.set_request_state(state, 2, vec![0]);
         assert!(!node.tick_is_noop(), "{state:?}");

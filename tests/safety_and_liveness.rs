@@ -104,10 +104,10 @@ fn kl_liveness_with_pinned_processes() {
         _ => Box::new(workloads::Heterogeneous { units: 0, hold: 1 }) as Box<dyn AppDriver + Send>,
     });
     let mut sched = RandomFair::new(3);
+    let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), [0usize; 8]);
     let out = run_until(&mut net, &mut sched, 4_000_000, |n| {
-        [1usize, 4, 7].iter().all(|&v| n.trace().cs_entries(Some(v)) >= 3)
-            && n.trace().cs_entries(Some(2)) >= 1
-            && n.trace().cs_entries(Some(5)) >= 1
+        cursor.advance(n.trace(), |v| entries[v] += 1);
+        [1usize, 4, 7].iter().all(|&v| entries[v] >= 3) && entries[2] >= 1 && entries[5] >= 1
     });
     assert!(out.is_satisfied(), "requesters must be served despite the pinned processes");
 }
@@ -115,15 +115,17 @@ fn kl_liveness_with_pinned_processes() {
 #[test]
 fn protocol_ladder_comparison_on_figure2() {
     // The constructed Figure-2 configuration: naive deadlocks, self-stabilizing recovers.
-    let mut naive_net = preset("figure2").unwrap().compile().unwrap().build_naive().unwrap();
+    let mut naive_net = preset("figure2").unwrap().compile().unwrap().build_ladder().unwrap();
     let mut sched = RoundRobin::new();
     let verdict = analysis::detect_deadlock(&mut naive_net, &mut sched, 200_000);
     assert!(verdict.is_deadlock());
 
     let mut ss_net = preset("figure2-ss").unwrap().compile().unwrap().build_ss().unwrap();
     let mut sched = RoundRobin::new();
+    let (mut cursor, mut served) = (treenet::EnterCsCursor::default(), [false; 8]);
     let out = run_until(&mut ss_net, &mut sched, 3_000_000, |n| {
-        (1..=4).all(|v| n.trace().cs_entries(Some(v)) >= 1)
+        cursor.advance(n.trace(), |v| served[v] = true);
+        served[1..=4].iter().all(|&s| s)
     });
     assert!(out.is_satisfied(), "the self-stabilizing protocol recovers from the deadlock state");
 }

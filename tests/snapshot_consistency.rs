@@ -13,7 +13,7 @@
 //! window spans.
 
 use analysis::SnapshotMonitor;
-use klex_core::{count_tokens, naive, nonstab, pusher, ss, KlConfig, KlInspect, Message};
+use klex_core::{count_tokens, ladder, ss, KlConfig, KlInspect, Message, Rung};
 use proptest::prelude::*;
 use topology::OrientedTree;
 use treenet::app::{BoxedDriver, Idle};
@@ -108,9 +108,10 @@ proptest! {
         let steps = 4_000;
         let driver = |_| Box::new(Idle) as BoxedDriver;
         let checked = match rung {
-            0 => check_cut_census(naive::network(tree, cfg, driver), &cfg, interval, rotate, fault, steps),
-            1 => check_cut_census(pusher::network(tree, cfg, driver), &cfg, interval, rotate, fault, steps),
-            2 => check_cut_census(nonstab::network(tree, cfg, driver), &cfg, interval, rotate, fault, steps),
+            0..=2 => {
+                let net = ladder::network(Rung::ALL[rung], tree, cfg, driver);
+                check_cut_census(net, &cfg, interval, rotate, fault, steps)
+            }
             _ => check_cut_census(ss::network(tree, cfg, driver), &cfg, interval, rotate, fault, steps),
         };
         // The budget dwarfs the interval: cuts must both complete and (faults change the
