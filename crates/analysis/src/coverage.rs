@@ -1,7 +1,8 @@
 //! Structural coverage signatures for the differential fuzzer.
 //!
 //! A [`CoverageSignature`] compresses one explored scenario — its
-//! [`checker::ExplorationReport`] plus the simulator's monitor verdicts — into a small,
+//! [`checker::ExplorationReport`], the [`checker::GraphSummary`] of the state graph it
+//! recorded, and the simulator's monitor verdicts — into a small,
 //! deterministic, engine-independent fingerprint of the *shape* of the behaviour it
 //! exercised: how the BFS frontier grew, how the state graph decomposes into strongly
 //! connected components, how full channels got, and which verdict combination the property
@@ -18,7 +19,7 @@
 //! campaigns, shards and hosts.
 
 use crate::monitor::{MonitorReport, Verdict, MONITOR_NAMES};
-use checker::ExplorationReport;
+use checker::{ExplorationReport, GraphSummary};
 
 /// Shape class of the per-level frontier-size sequence of a BFS exploration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -133,9 +134,15 @@ fn log2_class(x: usize) -> u8 {
 }
 
 impl CoverageSignature {
-    /// Extracts the signature of one explored scenario from the checker's report and the
-    /// simulator run's monitor verdicts (pass an empty slice when no monitors ran).
-    pub fn of(report: &ExplorationReport, monitors: &[MonitorReport]) -> CoverageSignature {
+    /// Extracts the signature of one explored scenario from the checker's report, the
+    /// summary of the graph it recorded (the all-zero summary of the empty graph when it
+    /// recorded none), and the simulator run's monitor verdicts (pass an empty slice when no
+    /// monitors ran).
+    pub fn of(
+        report: &ExplorationReport,
+        summary: &GraphSummary,
+        monitors: &[MonitorReport],
+    ) -> CoverageSignature {
         let peak = report.frontier_sizes.iter().copied().max().unwrap_or(0);
         let peak_quarter = if report.frontier_sizes.len() <= 1 {
             0
@@ -148,7 +155,6 @@ impl CoverageSignature {
                 .map_or(0, |(level, _)| level);
             (peak_level * 4 / report.frontier_sizes.len()).min(3) as u8
         };
-        let summary = report.graph_summary.unwrap_or_default();
         let mut monitor_verdicts = ['-'; MONITOR_NAMES.len()];
         for monitor in monitors {
             if let Some(slot) = MONITOR_NAMES.iter().position(|n| *n == monitor.name) {
@@ -247,8 +253,9 @@ mod tests {
     #[test]
     fn signature_of_the_default_report_is_stable() {
         let report = ExplorationReport::default();
-        let sig = CoverageSignature::of(&report, &[]);
-        assert_eq!(sig, CoverageSignature::of(&report, &[]));
+        let summary = GraphSummary::default();
+        let sig = CoverageSignature::of(&report, &summary, &[]);
+        assert_eq!(sig, CoverageSignature::of(&report, &summary, &[]));
         assert_eq!(sig.key(), "s0d0p0pq0-c0g0n0-f0o0-none-----");
     }
 
@@ -267,7 +274,7 @@ mod tests {
                 verdict: Verdict::Satisfied,
             },
         ];
-        let sig = CoverageSignature::of(&report, &monitors);
+        let sig = CoverageSignature::of(&report, &GraphSummary::default(), &monitors);
         assert_eq!(sig.monitor_verdicts, ['S', '-', 'V', '-']);
         assert!(sig.key().ends_with("S-V-"));
     }

@@ -49,7 +49,8 @@ where
     P: Process<Msg = Message> + KlInspect,
     T: Topology,
 {
-    match run_until_quiescent(net, scheduler, max_steps, 4 * net.len() as u64) {
+    // Quiet at 4n consecutive observations: a window of 4n − 1 activations.
+    match run_until_quiescent(net, scheduler, max_steps, 4 * net.len() as u64 - 1) {
         RunOutcome::Quiescent(at) => {
             let blocked: Vec<NodeId> = net
                 .nodes()

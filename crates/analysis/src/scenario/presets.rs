@@ -116,7 +116,7 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
         "figure2" => {
             let mut spec = figure2_base("figure2 — naive deadlock (Fig. 2)", ProtocolSpec::Naive);
             spec.init = Some(figure2_deadlock_init());
-            spec.stop = StopSpec::Quiescent { max_steps: 100_000, grace: 64 };
+            spec.stop = StopSpec::Quiescent { max_steps: 100_000, grace: 63 };
             spec.metrics = vec![
                 "steps".into(),
                 "satisfied".into(),

@@ -626,7 +626,9 @@ pub enum StopSpec {
     Quiescent {
         /// Step budget.
         max_steps: u64,
-        /// Consecutive quiet activations required.
+        /// Consecutive activations the network must stay quiet across, counted like every
+        /// other streak window (`treenet::run_sustained`): 0 stops at the first quiet
+        /// observation, `g` once it has stayed quiet at `g + 1` consecutive observations.
         grace: u64,
     },
     /// Run until this many critical sections have been entered (since the phase started).

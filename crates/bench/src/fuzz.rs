@@ -8,8 +8,8 @@
 //! 1. the **delta** checker engine ([`checker::Explorer::run`]);
 //! 2. the **interned** checker engine ([`checker::Explorer::run_interned`]) — the two
 //!    reports must be identical field for field (states, transitions, per-level frontier
-//!    sizes, violations, deadlocks, fair-cycle lassos, and the recorded
-//!    [`checker::GraphSummary`]);
+//!    sizes, violations, deadlocks, fair-cycle lassos), and so must the
+//!    [`checker::GraphSummary`] of the graphs they recorded;
 //! 3. the **simulator under monitors** ([`analysis::scenario::CompiledScenario::run_monitored`])
 //!    — a monitor-observed safety violation on a concrete execution of a fault-free,
 //!    override-free scenario must be reproduced by the exhaustive exploration (the
@@ -59,7 +59,7 @@ use analysis::harness::{auto_shards, run_sharded, trial_seed};
 use analysis::monitor;
 use analysis::{NullSink, ProgressSink};
 use analysis::scenario::{mutate_spec, random_spec, GenLimits, ScenarioSpec, StopSpec};
-use checker::ExplorationReport;
+use checker::{ExplorationReport, GraphSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -552,10 +552,22 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
         .compile()
         .map_err(|e| format!("generated spec failed to validate: {e}"))?;
 
-    let delta = scenario.check().map_err(|e| format!("delta lowering failed: {e}"))?;
-    let interned =
-        scenario.check_interned().map_err(|e| format!("interned lowering failed: {e}"))?;
+    // Each engine's graph is summarized and dropped as soon as its run returns.
+    let summarized = |interned| {
+        scenario
+            .check_with_graph(interned)
+            .map(|(report, graph)| (report, GraphSummary::of(&graph)))
+    };
+    let (delta, summary) = summarized(false).map_err(|e| format!("delta lowering failed: {e}"))?;
+    let (interned, interned_summary) =
+        summarized(true).map_err(|e| format!("interned lowering failed: {e}"))?;
     compare_reports("delta", &delta, "interned", &interned)?;
+    if summary != interned_summary {
+        return Err(format!(
+            "delta/interned mismatch in graph_summary: delta {summary:?} vs interned \
+             {interned_summary:?}"
+        ));
+    }
 
     // The simulator run, monitored.  Monitors are advisory on faulty scenarios (a fault can
     // legitimately break the safety bounds); on fault-free, override-free scenarios whose
@@ -606,7 +618,7 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
         liveness_violation: !delta.live(),
         safety_violation: checker_safety_violated,
         differential_oracle: oracle_applies,
-        signature: CoverageSignature::of(&delta, &monitors),
+        signature: CoverageSignature::of(&delta, &summary, &monitors),
     })
 }
 
@@ -645,13 +657,6 @@ fn compare_reports(
             "frontier_sizes",
             format!("{:?}", left.frontier_sizes),
             format!("{:?}", right.frontier_sizes),
-        );
-    }
-    if left.graph_summary != right.graph_summary {
-        return mismatch(
-            "graph_summary",
-            format!("{:?}", left.graph_summary),
-            format!("{:?}", right.graph_summary),
         );
     }
     let violations = |r: &ExplorationReport| -> Vec<(String, usize)> {

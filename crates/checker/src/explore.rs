@@ -48,13 +48,21 @@
 //!   [`crate::snapshot::segment_term`]s (computed once per state, and only when some
 //!   successor is spliced) — a transition that changed nothing is a self-loop and skips
 //!   interning entirely;
-//! * per-state bookkeeping (8-byte parent links of parent id and activation slot, depths,
-//!   the transition table's starts) lives in flat vectors indexed by state id, shared by
-//!   the report and the recorded [`StateGraph`]; slots are decoded back to activations only
-//!   at the edges of the engine — traces, [`StateGraph::edges`];
-//! * a full [`Configuration`] is decoded **once per admitted state**, into a reused buffer,
-//!   for the property checks and (when the graph is recorded) the per-state facts the graph
-//!   analyses read; otherwise only witnesses decode.
+//! * per-state bookkeeping (8-byte parent links of parent id and activation slot, the
+//!   transition table's starts) lives in flat vectors indexed by state id, shared by the
+//!   report and the recorded [`StateGraph`]; ids are assigned in BFS order, so the queue is
+//!   an id range and each depth one id range, stored as its first id; slots are decoded
+//!   back to activations only at the edges of the engine — traces, [`StateGraph::edges`];
+//! * **no admitted state is decoded**.  The property checks read a 32-byte
+//!   `properties::Tally` (token census, units in use, processes over `k`, messages
+//!   in flight) that rides in the BFS queue: a successor's tally is its parent's plus a
+//!   change the memo records once per entry, at its miss.  The recorded graph's per-state
+//!   facts (starving processes, non-empty channels) are the parent's, patched by the
+//!   transition's activated process and touched channels.  Only the initial state, a state
+//!   whose tally fails a property (to word the violation) and a quiescent state with a
+//!   blocked requester (to name them) decode — every quiescent state when no graph is
+//!   recorded, since then nothing else says who starves; debug builds also decode every
+//!   admitted state and assert that the tally and the facts match.
 //!
 //! The memo and the diamonds are sound exactly when the [`CheckableNode`] contract holds —
 //! equal captures behave identically — so debug builds (every `cargo test`) derive every
@@ -72,16 +80,18 @@
 //! activation is expanded.  It is bounded by [`Limits`]; if a limit is hit the report's
 //! `truncated` flag is set and absence of violations is only meaningful up to that bound.
 
-use crate::properties::Property;
+use crate::properties::{Property, Tally};
 use crate::snapshot::{capture_packed, restore_packed, CheckableNode, Configuration, NodeState};
 use crate::snapshot::{
-    encode_node_segment, map_packed, message_len, segment_term, unpack_configuration_into,
-    write_message, write_varint, SegmentMap,
+    encode_node_segment, map_packed, message_len, read_head, segment_term,
+    unpack_configuration_into, write_message, write_varint, SegmentMap,
 };
 use crate::snapshot::{InternOutcome, StateArena, StateId};
+use klex_core::legitimacy::NodeShare;
+use klex_core::KlInspect;
 use std::collections::VecDeque;
 use topology::Topology;
-use treenet::{Activation, CsState, Network, NodeId, StepUndo};
+use treenet::{Activation, Network, NodeId, StepUndo};
 
 /// Exploration bounds.
 #[derive(Clone, Copy, Debug)]
@@ -201,8 +211,9 @@ fn start_offset(len: usize) -> u32 {
 /// decodes the slots into [`Edge`]s through the graph's activation numbering.  Next to each
 /// state the graph keeps the facts the cycle analyses and [`GraphSummary`] read — which
 /// processes are unsatisfied requesters, which channels hold a message — recorded when the
-/// state was admitted, from the one decode the explorer performs per state, so no analysis
-/// decodes a state again.
+/// state was admitted: the delta explorer patches its parent's facts with the transition's
+/// recorded change, the interned oracle reads them off its decode, and no analysis decodes
+/// a state again.
 #[derive(Clone, Debug, Default)]
 pub struct StateGraph {
     arena: StateArena,
@@ -251,7 +262,7 @@ impl StateFacts {
         let base = self.starving.len();
         self.starving.resize(base + self.node_words, 0);
         for (v, s) in config.nodes.iter().enumerate() {
-            if s.cs == CsState::Req && s.rset.len() < s.need {
+            if s.is_unsatisfied_requester() {
                 self.starving[base + v / 64] |= 1 << (v % 64);
             }
         }
@@ -269,6 +280,39 @@ impl StateFacts {
             }
         }
         self.max_in_flight = self.max_in_flight.max(in_flight);
+    }
+
+    /// Appends the facts of the next state, reached from the recorded state `parent` by a
+    /// transition that changed `change.node`'s starving bit to `change.starving` and left
+    /// each channel of `change.channels` with its listed length; `in_flight` is the new
+    /// state's message count.  Nothing is decoded: the words are the parent's, patched.
+    fn record_patched(&mut self, parent: StateId, change: &Change<'_>, in_flight: usize) {
+        fn set(words: &mut [u64], bit: usize, on: bool) {
+            let mask = 1u64 << (bit % 64);
+            if on {
+                words[bit / 64] |= mask;
+            } else {
+                words[bit / 64] &= !mask;
+            }
+        }
+        let parent = parent as usize;
+        let base = self.starving.len();
+        self.starving.extend_from_within(parent * self.node_words..(parent + 1) * self.node_words);
+        set(&mut self.starving[base..], change.node, change.starving);
+        let base = self.chan_nonempty.len();
+        let words = parent * self.chan_words..(parent + 1) * self.chan_words;
+        self.chan_nonempty.extend_from_within(words);
+        for &(flat, len) in change.channels {
+            set(&mut self.chan_nonempty[base..], flat as usize, len > 0);
+            self.max_channel_occupancy = self.max_channel_occupancy.max(len as usize);
+        }
+        self.max_in_flight = self.max_in_flight.max(in_flight);
+    }
+
+    /// The starving and non-empty-channel words of state `id`.
+    fn words(&self, id: usize) -> (&[u64], &[u64]) {
+        let (nw, cw) = (self.node_words, self.chan_words);
+        (&self.starving[id * nw..][..nw], &self.chan_nonempty[id * cw..][..cw])
     }
 }
 
@@ -369,15 +413,15 @@ impl StateGraph {
     }
 }
 
-/// Cheap structural facts about the recorded state graph, exported on
-/// [`ExplorationReport::graph_summary`] when graph recording was enabled.
+/// Cheap structural facts about a recorded state graph, computed on request by
+/// [`GraphSummary::of`].
 ///
 /// These are the checker-side raw features of the fuzzer's coverage signature (see
 /// `analysis::coverage`): strongly-connected-component structure and channel-occupancy
-/// extremes summarize the *shape* of the explored graph in a handful of integers, cheaply
-/// (one linear Tarjan pass; the occupancy maxima come from the per-configuration decode the
-/// explorer performs anyway when it admits a state).  Identical across engines — the graphs
-/// are identical by the parity contract, and the summary is a pure function of the graph.
+/// extremes summarize the *shape* of the explored graph in a handful of integers (one
+/// linear Tarjan pass; the occupancy maxima are facts recorded as states were admitted).
+/// Identical across engines — the graphs are identical by the parity contract, and the
+/// summary is a pure function of the graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphSummary {
     /// Number of strongly connected components of the recorded graph.
@@ -476,11 +520,6 @@ pub struct ExplorationReport {
     /// Bytes of packed configuration data held by the state arena when the run finished
     /// (its peak: the arena only grows during a run).
     pub arena_bytes: usize,
-    /// Structural summary of the recorded state graph (SCC structure, channel-occupancy
-    /// extremes); `None` unless graph recording ([`Explorer::record_graph`] or
-    /// [`Explorer::check_liveness`]) was enabled.  Engine-independent, like every other
-    /// field.
-    pub graph_summary: Option<GraphSummary>,
 }
 
 impl ExplorationReport {
@@ -538,7 +577,7 @@ pub const PROGRESS_STRIDE: usize = 256;
 pub struct Explorer<'a, P: CheckableNode, T: Topology> {
     net: &'a mut Network<P, T>,
     limits: Limits,
-    properties: Vec<Box<dyn Property>>,
+    properties: Vec<Property>,
     record_graph: bool,
     stop_on_violation: bool,
     check_liveness: bool,
@@ -575,7 +614,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     }
 
     /// Registers a property to check on every visited configuration.
-    pub fn with_property(mut self, property: Box<dyn Property>) -> Self {
+    pub fn with_property(mut self, property: Property) -> Self {
         self.properties.push(property);
         self
     }
@@ -659,30 +698,31 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         let net = &mut *self.net;
         let (limits, record, stop) = (self.limits, self.record_graph, self.stop_on_violation);
         let mut engine = Engine::new(net, limits, &self.properties, record, stop);
-        let mut scratch = DeltaScratch::new(engine.slots.clone());
+        let mut scratch = DeltaScratch::new(engine.slots.clone(), engine.k);
         let mut completed = 0usize;
 
         let mut parent_buf = Vec::new();
         capture_packed(net, &mut parent_buf);
         map_packed(&parent_buf, &mut scratch.map);
         let h_initial = compute_terms(&parent_buf, &scratch.map, &mut scratch.terms);
-        engine.admit_initial(&parent_buf, h_initial);
+        let initial = engine.admit_initial(&parent_buf, h_initial);
 
-        let mut queue: VecDeque<StateId> = VecDeque::new();
-        queue.push_back(0);
+        // States are expanded in id order, the order BFS discovers them, so the BFS queue is
+        // the range of ids from `next` up; it holds their tallies, from which their
+        // successors' follow.
+        let mut tallies = VecDeque::from([initial]);
+        let mut next: StateId = 0;
 
         let mut ticker = ProgressTicker::new(progress);
-        'outer: while let Some(id) = queue.pop_front() {
+        'outer: while let Some(tally) = tallies.pop_front() {
+            let id = next;
+            next += 1;
             if ticker.observe(&mut engine) {
                 break 'outer;
             }
-            let depth = engine.depths[id as usize] as usize;
-            engine.report.max_depth = engine.report.max_depth.max(depth);
-            if depth >= engine.limits.max_depth {
-                engine.report.truncated = true;
+            if !engine.begin_expansion(id) {
                 continue;
             }
-            engine.begin_expansion(id);
             scratch.diamonds.clear();
             if id != 0 {
                 let via = engine.parents[id as usize];
@@ -716,11 +756,11 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                             completed += 1;
                             engine.on_known_transition(slot, target, enters_cs);
                         }
-                        DeltaStep::Successor { bytes, hash } => {
-                            let outcome = engine.on_transition(id, slot, bytes, hash, enters_cs);
-                            if let InternOutcome::Inserted(new_id) = outcome {
-                                queue.push_back(new_id);
-                            }
+                        DeltaStep::Successor { bytes, hash, change } => {
+                            let admit = Admit::Carry(tally, &change);
+                            let fresh =
+                                engine.on_transition(id, slot, bytes, hash, enters_cs, admit);
+                            tallies.extend(fresh.map(|(_, tally)| tally));
                         }
                     }
                     engine.stopped
@@ -735,7 +775,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         }
 
         ticker.finish(&engine);
-        let stats = DeltaStats { misses: scratch.memo.misses, completed };
+        let stats = DeltaStats { misses: scratch.memo.misses, completed, decodes: engine.decodes };
         (self.finish_run(engine.finish()), stats)
     }
 
@@ -751,21 +791,19 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
         capture_packed(net, &mut scratch);
         engine.admit_initial(&scratch, crate::snapshot::fx_hash(&scratch));
 
-        let mut queue: VecDeque<StateId> = VecDeque::new();
-        queue.push_back(0);
+        // As in the delta engine, the BFS queue is the range of ids from `next` up.
+        let mut next: StateId = 0;
 
         let mut ticker = ProgressTicker::new(progress);
-        'outer: while let Some(id) = queue.pop_front() {
+        'outer: while (next as usize) < engine.arena.len() {
+            let id = next;
+            next += 1;
             if ticker.observe(&mut engine) {
                 break 'outer;
             }
-            let depth = engine.depths[id as usize] as usize;
-            engine.report.max_depth = engine.report.max_depth.max(depth);
-            if depth >= engine.limits.max_depth {
-                engine.report.truncated = true;
+            if !engine.begin_expansion(id) {
                 continue;
             }
-            engine.begin_expansion(id);
 
             let (activations, first_tick) = enumerate_activations(net, &engine.arena, id);
 
@@ -777,10 +815,7 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
                     every_tick_is_self_loop = false;
                 }
                 let (slot, hash) = (engine.slots.of(*act), crate::snapshot::fx_hash(&scratch));
-                let outcome = engine.on_transition(id, slot, &scratch, hash, enters_cs);
-                if let InternOutcome::Inserted(new_id) = outcome {
-                    queue.push_back(new_id);
-                }
+                engine.on_transition(id, slot, &scratch, hash, enters_cs, Admit::Decode);
                 if engine.stopped {
                     break 'outer;
                 }
@@ -800,9 +835,6 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     /// (they record identical graphs).
     fn finish_run(&mut self, (mut report, graph): (ExplorationReport, StateGraph)) -> ExplorationReport {
         self.graph = graph;
-        if self.record_graph {
-            report.graph_summary = Some(GraphSummary::of(&self.graph));
-        }
         if self.check_liveness {
             report.liveness = crate::liveness::find_fair_cycles(&self.graph);
         }
@@ -818,6 +850,8 @@ struct DeltaStats {
     misses: usize,
     /// Transitions whose successor a commuting diamond named (see [`find_diamonds`]).
     completed: usize,
+    /// Configurations the engine decoded, not counting the debug builds' oracle.
+    decodes: usize,
 }
 
 /// Per-loop progress bookkeeping shared by the delta and interned engines: polls
@@ -1034,6 +1068,8 @@ fn find_diamonds(
 /// per state.
 struct DeltaScratch {
     slots: Slots,
+    /// The `k` the run's tallies count processes over (see [`Engine::k`]).
+    k: usize,
     map: SegmentMap,
     terms: Vec<u64>,
     undo: StepUndo<klex_core::Message>,
@@ -1045,6 +1081,8 @@ struct DeltaScratch {
     /// Dirty-segment patches: (segment index, span of the new bytes in `seg_buf`), in
     /// ascending parent-span order.
     patches: Vec<(usize, usize, usize)>,
+    /// The new length of every channel in `patches`, by flat index.
+    lengths: Vec<(u32, u32)>,
     seg_buf: Vec<u8>,
     succ_buf: Vec<u8>,
     key: Vec<u8>,
@@ -1056,9 +1094,10 @@ struct DeltaScratch {
 }
 
 impl DeltaScratch {
-    fn new(slots: Slots) -> Self {
+    fn new(slots: Slots, k: usize) -> Self {
         DeltaScratch {
             slots,
+            k,
             map: SegmentMap::default(),
             terms: Vec::new(),
             undo: StepUndo::new(),
@@ -1066,6 +1105,7 @@ impl DeltaScratch {
             diamonds: Vec::new(),
             pushed: Vec::new(),
             patches: Vec::new(),
+            lengths: Vec::new(),
             seg_buf: Vec::new(),
             succ_buf: Vec::new(),
             key: Vec::new(),
@@ -1088,6 +1128,10 @@ struct Effect {
     /// The channels it pushed, as a range of [`TransitionMemo::pushes`], in ascending flat
     /// channel order.
     pushes: (u32, u32),
+    /// What it adds to a configuration's tally ([`Tally::change`]).
+    tally: Tally,
+    /// True when the activated process is an unsatisfied requester afterwards.
+    starving: bool,
 }
 
 /// The messages one activation appended to one channel.
@@ -1139,15 +1183,19 @@ impl TransitionMemo {
 
     /// Appends the effect of the activation `net` just executed (recorded in `undo`; the
     /// trace was cleared before it) and returns it.  `parent_node` is the activated node's
-    /// segment before the activation.
+    /// segment before the activation, `saved` its state, and `head` the delivered message's
+    /// bytes (empty for a tick); the tally change counts processes over `k`.
     #[allow(clippy::too_many_arguments)]
     fn record<P: CheckableNode, T: Topology>(
         &mut self,
         net: &Network<P, T>,
         act: Activation,
         parent_node: &[u8],
+        saved: &NodeState,
+        head: &[u8],
         undo: &StepUndo<klex_core::Message>,
         slots: &Slots,
+        k: usize,
         pushed: &mut Vec<usize>,
         probe: &mut NodeState,
     ) -> Effect {
@@ -1163,12 +1211,14 @@ impl TransitionMemo {
         pushed.extend(undo.sent_channels().iter().map(|&(v, l)| slots.chan_base[v] + l));
         pushed.sort_unstable();
         let push_start = self.pushes.len();
+        let mut sent = Tally::default();
         for run in pushed.chunk_by(|a, b| a == b) {
             let (v, l) = slots.chan_pos[run[0]];
             let channel = net.channel(v, l);
             let start = self.bytes.len();
             for msg in channel.iter().skip(channel.len() - run.len()) {
                 write_message(&mut self.bytes, msg);
+                sent = sent.plus(Tally::of_messages([msg]));
             }
             self.pushes.push(Push {
                 flat: run[0] as u32,
@@ -1176,10 +1226,14 @@ impl TransitionMemo {
                 bytes: (start as u32, self.bytes.len() as u32),
             });
         }
+        let consumed = (!head.is_empty()).then(|| read_head(head));
+        let (before, after) = (NodeShare::of(saved), NodeShare::of(&*probe));
         Effect {
             node,
             enters_cs: entered_cs(net, act),
             pushes: (push_start as u32, self.pushes.len() as u32),
+            tally: Tally::change(before, after, consumed.as_ref(), sent, k),
+            starving: probe.is_unsatisfied_requester(),
         }
     }
 
@@ -1198,6 +1252,7 @@ impl TransitionMemo {
     /// True when two recorded effects change the configuration identically.
     fn same_effect(&self, a: &Effect, b: &Effect) -> bool {
         a.enters_cs == b.enters_cs
+            && (a.tally, a.starving) == (b.tally, b.starving)
             && self.node_bytes(a) == self.node_bytes(b)
             && self.pushes(a).len() == self.pushes(b).len()
             && self.pushes(a).iter().zip(self.pushes(b)).all(|(x, y)| {
@@ -1217,17 +1272,33 @@ enum DeltaStep<'a> {
     /// the sink to check against `target`'s.
     Completed { target: StateId, derived: Option<&'a [u8]> },
     /// A proper successor: spliced packed bytes plus the incrementally patched segmented
-    /// hash.  The bytes borrow the expansion's scratch buffer — copy to retain.
-    Successor { bytes: &'a [u8], hash: u64 },
+    /// hash, and what admitting it reads besides.  The bytes borrow the expansion's scratch
+    /// buffer — copy to retain.
+    Successor { bytes: &'a [u8], hash: u64, change: Change<'a> },
+}
+
+/// What a transition changed that admitting its successor reads, besides the bytes: the
+/// change of the tally, the activated process's starving bit, and the new length of every
+/// channel it touched.
+struct Change<'a> {
+    /// The tally's change ([`Tally::change`]).
+    tally: Tally,
+    /// The activated process.
+    node: NodeId,
+    /// True when it is an unsatisfied requester in the successor.
+    starving: bool,
+    /// `(flat channel, new length)` of the delivered and the pushed channels.
+    channels: &'a [(u32, u32)],
 }
 
 /// Appends to `seg_buf` the new segment of flat channel `flat` — the parent's messages
 /// without the head when `pop`, then `appended` (`count` encoded messages) — and records
-/// the patch.
+/// the patch and the channel's new length.
 #[allow(clippy::too_many_arguments)]
 fn patch_channel(
     seg_buf: &mut Vec<u8>,
     patches: &mut Vec<(usize, usize, usize)>,
+    lengths: &mut Vec<(u32, u32)>,
     map: &SegmentMap,
     parent_buf: &[u8],
     flat: usize,
@@ -1246,6 +1317,7 @@ fn patch_channel(
     seg_buf.extend_from_slice(messages);
     seg_buf.extend_from_slice(appended);
     patches.push((map.channel_segment(flat), start, seg_buf.len()));
+    lengths.push((flat as u32, len as u32));
 }
 
 /// Splices the dirty segments `patches` (their new bytes in `seg_buf`) into a copy of the
@@ -1325,7 +1397,9 @@ where
         activations,
         diamonds,
         pushed,
+        k,
         patches,
+        lengths,
         seg_buf,
         succ_buf,
         key,
@@ -1388,7 +1462,8 @@ where
             net.trace_mut().clear();
             net.node(node).capture_state_into(saved);
             net.execute_undoable(act, undo);
-            let effect = memo.record(net, act, parent_node, undo, slots, pushed, probe);
+            let effect =
+                memo.record(net, act, parent_node, saved, head, undo, slots, *k, pushed, probe);
             if fresh {
                 debug_assert_eq!(key_id as usize, memo.effects.len());
                 memo.misses += 1;
@@ -1414,6 +1489,7 @@ where
         // `patches` in ascending span order for the splice.
         seg_buf.clear();
         patches.clear();
+        lengths.clear();
         if effect.node.0 != effect.node.1 {
             seg_buf.extend_from_slice(memo.node_bytes(&effect));
             patches.push((map.node_segment(node), 0, seg_buf.len()));
@@ -1422,15 +1498,14 @@ where
         for push in memo.pushes(&effect) {
             let flat = push.flat as usize;
             if let Some(popped) = pending_pop.filter(|&popped| popped < flat) {
-                patch_channel(seg_buf, patches, map, parent_buf, popped, true, 0, &[]);
+                patch_channel(seg_buf, patches, lengths, map, parent_buf, popped, true, 0, &[]);
                 pending_pop = None;
             }
-            let appended = memo.push_bytes(push);
-            let count = push.count as usize;
-            patch_channel(seg_buf, patches, map, parent_buf, flat, false, count, appended);
+            let (appended, count) = (memo.push_bytes(push), push.count as usize);
+            patch_channel(seg_buf, patches, lengths, map, parent_buf, flat, false, count, appended);
         }
         if let Some(popped) = pending_pop {
-            patch_channel(seg_buf, patches, map, parent_buf, popped, true, 0, &[]);
+            patch_channel(seg_buf, patches, lengths, map, parent_buf, popped, true, 0, &[]);
         }
 
         let same_as_parent = patches.is_empty();
@@ -1440,7 +1515,9 @@ where
         } else {
             let h_parent = *h_parent.get_or_insert_with(|| compute_terms(parent_buf, map, terms));
             let hash = splice(parent_buf, map, patches, seg_buf, terms, h_parent, succ_buf);
-            DeltaStep::Successor { bytes: succ_buf.as_slice(), hash }
+            let (tally, starving) = (effect.tally, effect.starving);
+            let change = Change { tally, node, starving, channels: lengths.as_slice() };
+            DeltaStep::Successor { bytes: succ_buf.as_slice(), hash, change }
         };
         let stop = match diamond {
             // Debug builds only: the diamond's successor, derived the normal way.
@@ -1469,12 +1546,24 @@ where
     (first_tick == 0 && every_tick_is_self_loop, false)
 }
 
+/// How [`Engine::on_transition`] admits a successor it interns for the first time.
+enum Admit<'a> {
+    /// Decode it and read its tally and facts off the decode: the interned oracle.
+    Decode,
+    /// Add the transition's [`Change`] to the parent's tally and recorded facts: the delta
+    /// engine, which decodes nothing.
+    Carry(Tally, &'a Change<'a>),
+}
+
 /// The shared bookkeeping of an exploration run: the arena, flat per-state vectors, the
 /// transition table, and the report under construction.  The delta and interned loops drive
 /// exactly this state machine, which is what makes their reports identical.
 struct Engine<'p> {
     limits: Limits,
-    properties: &'p [Box<dyn Property>],
+    properties: &'p [Property],
+    /// The `k` the run's tallies count processes over: the smallest `k` a property reads
+    /// (so a tally's safe verdict is safe for every property; see [`Property::holds`]).
+    k: usize,
     /// The run's activation numbering: transitions and parent links store slots.
     slots: Slots,
     record_graph: bool,
@@ -1483,8 +1572,12 @@ struct Engine<'p> {
     /// `parents[id]` is the BFS predecessor and the slot of the activation reaching `id`;
     /// id 0 is the root and its entry is never read.
     parents: Vec<ParentLink>,
-    depths: Vec<u32>,
-    violated: Vec<String>,
+    /// `levels[d]` is the first id at BFS depth `d`: ids are assigned in discovery order,
+    /// so each depth is one id range.
+    levels: Vec<u32>,
+    /// The depth of the state being expanded.
+    level: usize,
+    violated: Vec<&'static str>,
     report: ExplorationReport,
     /// The transitions of every state expanded so far, in CSR layout by state id: what the
     /// diamond search reads, and the recorded graph's edges when the run records one.  A
@@ -1494,8 +1587,15 @@ struct Engine<'p> {
     starts: Vec<u32>,
     /// Facts of every admitted state, recorded with the graph.
     facts: StateFacts,
-    /// The one decode of the state being admitted, reused from state to state.
+    /// The interned oracle's decode of the state being admitted, reused from state to state.
     decoded: Configuration,
+    /// Configurations decoded so far, not counting the debug builds' oracle.
+    decodes: usize,
+    /// Debug builds: the recorded facts' two running maxima (in flight, one channel's
+    /// occupancy), folded from decodes alone, for the oracle to compare with the patched
+    /// ones.
+    #[cfg(debug_assertions)]
+    decoded_maxima: (usize, usize),
     /// Set when `stop_on_violation` fires; callers abandon the remaining work.
     stopped: bool,
 }
@@ -1505,7 +1605,7 @@ impl<'p> Engine<'p> {
     fn new<P: CheckableNode, T: Topology>(
         net: &Network<P, T>,
         limits: Limits,
-        properties: &'p [Box<dyn Property>],
+        properties: &'p [Property],
         record_graph: bool,
         stop_on_violation: bool,
     ) -> Self {
@@ -1513,40 +1613,66 @@ impl<'p> Engine<'p> {
         Engine {
             limits,
             properties,
+            k: properties.iter().filter_map(Property::k).min().unwrap_or(usize::MAX),
             facts: StateFacts::for_slots(&slots),
             slots,
             record_graph,
             stop_on_violation,
             arena: StateArena::new(),
             parents: Vec::new(),
-            depths: Vec::new(),
+            levels: Vec::new(),
+            level: 0,
             violated: Vec::new(),
             report: ExplorationReport::default(),
             transitions: Vec::new(),
             starts: Vec::new(),
             decoded: Configuration::default(),
+            decodes: 0,
+            #[cfg(debug_assertions)]
+            decoded_maxima: (0, 0),
             stopped: false,
         }
     }
 
-    /// Admits the initial configuration with its `hash`.  A run must feed the engine one
-    /// hash scheme throughout (see [`StateArena::intern_capped_hashed`]): the interned
-    /// engine always passes fx hashes, the delta engine always passes segmented hashes.
-    fn admit_initial(&mut self, packed: &[u8], hash: u64) {
+    /// True when nothing reads a state's tally or facts: no property, no recorded graph.
+    fn blind(&self) -> bool {
+        self.properties.is_empty() && !self.record_graph
+    }
+
+    /// Admits the initial configuration with its `hash`, decoding it, and returns its tally.
+    /// A run must feed the engine one hash scheme throughout (see
+    /// [`StateArena::intern_capped_hashed`]): the interned engine always passes fx hashes,
+    /// the delta engine always passes segmented hashes.
+    fn admit_initial(&mut self, packed: &[u8], hash: u64) -> Tally {
         let outcome = self.arena.intern_capped_hashed(packed, hash, usize::MAX);
         debug_assert!(
             outcome == InternOutcome::Inserted(0),
             "the initial configuration must be the first interned"
         );
         self.parents.push((0, 0));
-        self.depths.push(0);
-        self.admit(0);
+        self.levels.push(0);
+        self.admit_decoded(0)
     }
 
-    /// Marks the start of `id`'s expansion (the table relies on id order).
-    fn begin_expansion(&mut self, id: StateId) {
+    /// Starts the expansion of `id`, the next state in id order (the table relies on it),
+    /// unless `id` lies at the depth limit: then the run is truncated and `false` returned.
+    fn begin_expansion(&mut self, id: StateId) -> bool {
+        while self.levels.get(self.level + 1).is_some_and(|&start| start <= id) {
+            self.level += 1;
+        }
+        self.report.max_depth = self.report.max_depth.max(self.level);
+        if self.level >= self.limits.max_depth {
+            self.report.truncated = true;
+            return false;
+        }
         debug_assert_eq!(self.starts.len(), id as usize);
         self.starts.push(start_offset(self.transitions.len()));
+        true
+    }
+
+    /// The BFS depth of state `id`.
+    fn depth(&self, id: StateId) -> usize {
+        self.levels.partition_point(|&start| start <= id) - 1
     }
 
     /// Records a transition, by activation slot, whose successor is already interned.
@@ -1556,8 +1682,9 @@ impl<'p> Engine<'p> {
     }
 
     /// Records a transition, by activation slot, given the successor's packed bytes and
-    /// their hash (see [`Engine::admit_initial`]): interns them, runs the property checks
-    /// when the state is new, and returns the arena's outcome.
+    /// their hash (see [`Engine::admit_initial`]): interns them and, when the state is new,
+    /// admits it as `admit` says — its tally, recorded facts and property checks — and
+    /// returns its id and tally.
     fn on_transition(
         &mut self,
         parent: StateId,
@@ -1565,70 +1692,163 @@ impl<'p> Engine<'p> {
         packed: &[u8],
         hash: u64,
         enters_cs: bool,
-    ) -> InternOutcome {
+        admit: Admit<'_>,
+    ) -> Option<(StateId, Tally)> {
         self.report.transitions += 1;
         let outcome =
             self.arena.intern_capped_hashed(packed, hash, self.limits.max_configurations);
-        let target = match outcome {
-            InternOutcome::Existing(id) => id,
+        let (target, fresh) = match outcome {
+            InternOutcome::Existing(id) => (id, None),
             InternOutcome::Full => {
                 self.report.truncated = true;
-                return outcome;
+                return None;
             }
             InternOutcome::Inserted(id) => {
+                debug_assert_eq!(self.depth(parent), self.level, "{parent} is being expanded");
                 self.parents.push((parent, slot));
-                self.depths.push(self.depths[parent as usize] + 1);
-                self.admit(id);
+                if self.level + 1 == self.levels.len() {
+                    self.levels.push(id);
+                }
+                let tally = match admit {
+                    Admit::Decode => self.admit_decoded(id),
+                    Admit::Carry(tally, change) => self.admit_carried(id, parent, tally, change),
+                };
                 if self.stop_on_violation && !self.report.violations.is_empty() {
                     self.stopped = true;
                 }
-                id
+                (id, Some((id, tally)))
             }
         };
         self.transitions.push(Transition::new(slot, target, enters_cs));
-        outcome
+        fresh
     }
 
-    /// Emits a deadlock witness for a quiescent state with unsatisfiable requesters.
+    /// Emits a deadlock witness for a quiescent state with unsatisfiable requesters.  A
+    /// recorded graph's starving words already say whether there are any; without one, the
+    /// state is decoded to find out.
     fn on_quiescent(&mut self, id: StateId) {
-        let config = self.arena.config(id);
+        if self.record_graph && self.facts.words(id as usize).0.iter().all(|&w| w == 0) {
+            return;
+        }
+        let config = self.decode(id);
         let blocked = config.unsatisfied_requesters();
         if !blocked.is_empty() {
             self.report.deadlocks.push(DeadlockWitness {
                 blocked,
-                depth: self.depths[id as usize] as usize,
+                depth: self.depth(id),
                 trace: self.trace_to(id),
                 config,
             });
         }
     }
 
-    /// Decodes the newly admitted state `id` — the only decode a state gets — records its
-    /// facts when the graph is kept, and checks the properties on it.
-    fn admit(&mut self, id: StateId) {
-        if self.properties.is_empty() && !self.record_graph {
-            return;
-        }
-        let mut config = std::mem::take(&mut self.decoded);
-        unpack_configuration_into(self.arena.get(id), &mut config);
-        if self.record_graph {
-            self.facts.record(&config, &self.slots);
-        }
-        self.check_properties(id, &config);
-        self.decoded = config;
+    /// Decodes state `id`, for a witness or a failed tally verdict.
+    fn decode(&mut self, id: StateId) -> Configuration {
+        self.decodes += 1;
+        self.arena.config(id)
     }
 
-    fn check_properties(&mut self, id: StateId, config: &Configuration) {
+    /// Admits state `id` by decoding it: its tally and recorded facts are read off the
+    /// decode, into a buffer reused from state to state.  The interned oracle admits every
+    /// state this way, the delta engine only the initial one.
+    fn admit_decoded(&mut self, id: StateId) -> Tally {
+        if self.blind() {
+            return Tally::default();
+        }
+        let mut config = std::mem::take(&mut self.decoded);
+        self.decodes += 1;
+        unpack_configuration_into(self.arena.get(id), &mut config);
+        let tally = Tally::of(&config, self.k);
+        if self.record_graph {
+            self.facts.record(&config, &self.slots);
+            #[cfg(debug_assertions)]
+            self.fold_decoded_facts(&config);
+        }
+        self.check_properties(id, &tally, Some(&config));
+        self.decoded = config;
+        tally
+    }
+
+    /// Admits state `id`, reached from `parent` (whose tally is `tally`) by a transition
+    /// that made `change`, without decoding it: its tally is the parent's plus the change,
+    /// its facts the parent's patched.  Debug builds decode it anyway and assert both.
+    fn admit_carried(
+        &mut self,
+        id: StateId,
+        parent: StateId,
+        tally: Tally,
+        change: &Change<'_>,
+    ) -> Tally {
+        let tally = tally.plus(change.tally);
+        if self.blind() {
+            return tally;
+        }
+        if self.record_graph {
+            self.facts.record_patched(parent, change, tally.in_flight());
+        }
+        #[cfg(debug_assertions)]
+        self.assert_carried_facts(id, parent, &tally);
+        self.check_properties(id, &tally, None);
+        tally
+    }
+
+    /// The debug builds' oracle of [`Engine::admit_carried`]: decodes `id` and panics when
+    /// the carried tally or the patched fact words differ from what the decode says.
+    #[cfg(debug_assertions)]
+    fn assert_carried_facts(&mut self, id: StateId, parent: StateId, tally: &Tally) {
+        let config = self.arena.config(id);
+        assert_eq!(
+            *tally,
+            Tally::of(&config, self.k),
+            "state {id}: the tally carried from state {parent} differs from its decode's"
+        );
+        if self.record_graph {
+            let decoded = self.fold_decoded_facts(&config);
+            assert_eq!(
+                self.facts.words(id as usize),
+                decoded.words(0),
+                "state {id}: the facts patched from state {parent} differ from its decode's"
+            );
+            assert_eq!(
+                (self.facts.max_in_flight, self.facts.max_channel_occupancy),
+                self.decoded_maxima,
+                "state {id}: the running maxima patched from state {parent} differ from the \
+                 decodes'"
+            );
+        }
+    }
+
+    /// Debug builds: the facts of the decoded `config` alone, whose maxima are folded into
+    /// [`Engine::decoded_maxima`].
+    #[cfg(debug_assertions)]
+    fn fold_decoded_facts(&mut self, config: &Configuration) -> StateFacts {
+        let mut decoded = StateFacts::for_slots(&self.slots);
+        decoded.record(config, &self.slots);
+        let (in_flight, occupancy) = &mut self.decoded_maxima;
+        *in_flight = (*in_flight).max(decoded.max_in_flight);
+        *occupancy = (*occupancy).max(decoded.max_channel_occupancy);
+        decoded
+    }
+
+    /// Judges every property not yet violated on the tally of the newly admitted state `id`.
+    /// A failed verdict is confirmed, and the violation worded, on the configuration:
+    /// `decoded` when the caller holds it, else one decode of `id`.
+    fn check_properties(&mut self, id: StateId, tally: &Tally, decoded: Option<&Configuration>) {
+        let mut own = None;
         for property in self.properties {
-            if self.violated.iter().any(|name| name == property.name()) {
+            if property.holds(tally) || self.violated.contains(&property.name()) {
                 continue;
             }
+            let config = match decoded {
+                Some(config) => config,
+                None => own.get_or_insert_with(|| self.decode(id)),
+            };
             if let Err(detail) = property.check(config) {
-                self.violated.push(property.name().to_string());
+                self.violated.push(property.name());
                 self.report.violations.push(Violation {
                     property: property.name().to_string(),
                     detail,
-                    depth: self.depths[id as usize] as usize,
+                    depth: self.depth(id),
                     trace: self.trace_to(id),
                     config: config.clone(),
                 });
@@ -1651,13 +1871,9 @@ impl<'p> Engine<'p> {
     fn finish(mut self) -> (ExplorationReport, StateGraph) {
         self.report.configurations = self.arena.len();
         self.report.arena_bytes = self.arena.bytes_used();
-        self.report.frontier_sizes = {
-            let mut sizes = vec![0usize; self.depths.iter().max().map_or(0, |&d| d as usize + 1)];
-            for &d in &self.depths {
-                sizes[d as usize] += 1;
-            }
-            sizes
-        };
+        let ends = self.levels.iter().skip(1).copied().chain([self.arena.len() as u32]);
+        self.report.frontier_sizes =
+            self.levels.iter().zip(ends).map(|(start, end)| (end - start) as usize).collect();
         let graph = if self.record_graph {
             // States that were never expanded (beyond the depth limit, or abandoned after an
             // early stop) get empty transition ranges.
@@ -1794,28 +2010,23 @@ mod tests {
 
     #[test]
     fn violations_carry_shortest_traces() {
-        // A property that is violated as soon as any process enters its critical section.
-        // Instantaneous critical sections (AlwaysRequest) are invisible in captured
-        // configurations (entry and exit happen within one activation), so use drivers that
-        // hold the critical section across an activation.
+        // Safety with ℓ = 0 is violated as soon as any process uses a unit in its critical
+        // section.  Instantaneous critical sections (AlwaysRequest) are invisible in
+        // captured configurations (entry and exit happen within one activation), so use
+        // drivers that hold the critical section across an activation.
+        let cfg = KlConfig::new(1, 1, 2);
         let make = || {
             let tree = topology::builders::chain(2);
-            let cfg = KlConfig::new(1, 1, 2);
             klex_core::naive::network(tree, cfg, |_| drivers::HoldOneActivation::boxed(1))
         };
         let mut net = make();
         let report = Explorer::new(&mut net)
             .with_limits(Limits { max_configurations: 50_000, max_depth: usize::MAX })
-            .with_property(properties::property("never-enter", |c| {
-                if c.nodes.iter().any(|s| s.cs == CsState::In) {
-                    Err("a process entered its critical section".into())
-                } else {
-                    Ok(())
-                }
-            }))
+            .with_property(properties::safety(KlConfig { l: 0, ..cfg }))
             .run();
         assert_eq!(report.violations.len(), 1);
         let violation = &report.violations[0];
+        assert_eq!(violation.detail, "1 units in use but l = 0");
         assert!(!violation.trace.is_empty());
         assert_eq!(violation.trace.len(), violation.depth);
         assert!(violation.config.nodes.iter().any(|s| s.cs == CsState::In));
@@ -1917,6 +2128,57 @@ mod tests {
             "the exploration should cover a non-trivial reachable set, got {}",
             report.configurations
         );
+    }
+
+    #[test]
+    fn a_clean_exploration_decodes_only_its_initial_configuration() {
+        // Closure on the stabilized Figure-3 instance with graph recording: every admitted
+        // state's tally and facts are carried from its parent, so outside the debug oracle
+        // the run decodes the initial configuration and nothing else.
+        let tree = topology::builders::figure3_tree();
+        let cfg = KlConfig::new(2, 2, 3).with_cmax(0);
+        let mut net = crate::scenarios::stabilized_ss(
+            tree,
+            cfg,
+            |_| drivers::AlwaysRequest::boxed(1),
+            500_000,
+        );
+        let (report, stats) = Explorer::new(&mut net)
+            .with_limits(Limits { max_configurations: 150_000, max_depth: usize::MAX })
+            .with_property(properties::legitimate(cfg))
+            .with_property(properties::safety(cfg))
+            .record_graph(true)
+            .run_delta();
+        assert!(report.ok() && report.deadlock_free() && report.exhaustive());
+        assert!(report.configurations > 100, "{} configurations", report.configurations);
+        assert_eq!(stats.decodes, 1);
+    }
+
+    #[test]
+    fn a_quiescent_state_without_a_blocked_requester_is_decoded_only_without_a_graph() {
+        // Process 0 takes the only unit and keeps it while process 1 never asks: a quiescent
+        // configuration with no requester blocked.  Without a recorded graph the engine
+        // decodes it to find out; with one, the starving words already say so.
+        let cfg = KlConfig::new(1, 1, 2);
+        let run = |record| {
+            let mut net = klex_core::naive::network(topology::builders::chain(2), cfg, |v| {
+                if v == 0 {
+                    drivers::RequestAndHold::boxed(1)
+                } else {
+                    drivers::NeverRequest::boxed()
+                }
+            });
+            Explorer::new(&mut net)
+                .with_limits(Limits { max_configurations: 50_000, max_depth: usize::MAX })
+                .with_property(properties::safety(cfg))
+                .record_graph(record)
+                .run_delta()
+        };
+        let (unrecorded, unrecorded_stats) = run(false);
+        let (recorded, stats) = run(true);
+        assert!(unrecorded.deadlock_free() && recorded.deadlock_free());
+        assert!(unrecorded_stats.decodes > 1, "the quiescent states are decoded");
+        assert_eq!(stats.decodes, 1);
     }
 
     #[test]

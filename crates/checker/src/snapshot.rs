@@ -35,9 +35,9 @@
 //! configuration is stored exactly once in one contiguous buffer and identified by a dense
 //! `u32` id, with an open-addressing table over 64-bit fx hashes replacing the old
 //! `HashMap<Configuration, usize>`.  [`unpack_configuration_into`] recovers a full
-//! [`Configuration`] into a reused buffer — the explorer decodes each admitted state once,
-//! for its property checks and recorded-graph facts — and [`unpack_configuration`] into a
-//! fresh one, for witnesses.
+//! [`Configuration`] into a reused buffer — the interned oracle decodes each admitted state
+//! once, for its property checks and recorded-graph facts, which the delta explorer carries
+//! along BFS edges instead — and [`unpack_configuration`] into a fresh one, for witnesses.
 //!
 //! # Segments and incremental hashing
 //!
@@ -717,6 +717,11 @@ pub(crate) fn message_len(bytes: &[u8]) -> usize {
         6 => 5,
         other => panic!("corrupt packed configuration: message tag {other}"),
     }
+}
+
+/// Decodes the encoded message at the start of `bytes` (a channel's head).
+pub(crate) fn read_head(mut bytes: &[u8]) -> Message {
+    read_message(&mut bytes)
 }
 
 // --------------------------------------------------------------- segment map & delta hashing

@@ -491,10 +491,11 @@ pub fn run_until_quiescent<P: Process, T: Topology, S: EventScheduler>(
 /// snapshots passes [`crate::SnapshotRunner::step`]; marker traffic counts as in flight, so
 /// each cut restarts the quiet streak).
 ///
-/// `grace` counts quiet observations, one before each activation: `grace` of them span
-/// `grace − 1` activations of [`run_sustained`] (`grace` 0 behaves like 1).  A network still
-/// quiet when the budget runs out is `Quiescent` too; `Quiescent` carries the time the run
-/// stopped, not the time the quiet streak started.
+/// `grace` counts activations, as every window of [`run_sustained`] does: the run stops once
+/// the network has been quiet at every observation across `grace` consecutive activations
+/// (`grace` 0 stops at the first quiet observation).  A network still quiet when the budget
+/// runs out is `Quiescent` too; `Quiescent` carries the time the run stopped, not the time
+/// the quiet streak started.
 pub fn run_until_quiescent_with<P: Process, T: Topology, C>(
     net: &mut Network<P, T>,
     carried: &mut C,
@@ -503,7 +504,7 @@ pub fn run_until_quiescent_with<P: Process, T: Topology, C>(
     step: impl FnMut(&mut Network<P, T>, &mut C),
 ) -> RunOutcome {
     let quiet = |net: &Network<P, T>, _: &C| net.in_flight() == 0;
-    match run_sustained(net, carried, max_steps, grace.saturating_sub(1), step, quiet) {
+    match run_sustained(net, carried, max_steps, grace, step, quiet) {
         RunOutcome::Exhausted(at) if net.in_flight() > 0 => RunOutcome::Exhausted(at),
         _ => RunOutcome::Quiescent(net.now()),
     }
@@ -777,18 +778,27 @@ mod tests {
         assert_eq!(scripted(0, 0, |_| false), (RunOutcome::Exhausted(0), 0, 1));
     }
 
+    /// [`run_until_quiescent`] on a network that never sends, so it is quiet at every
+    /// observation.
+    fn quiet(max_steps: u64, grace: u64) -> RunOutcome {
+        let mut silent = Network::new(builders::chain(3), |id| Limited {
+            is_root: id == 0,
+            to_send: 0,
+            seen: 0,
+        });
+        run_until_quiescent(&mut silent, &mut RoundRobin::new(), max_steps, grace)
+    }
+
     #[test]
-    fn quiescence_counts_grace_observations_and_keeps_a_quiet_budget_end() {
-        // A network that never sends is quiet at every observation.
-        let silent = || {
-            Network::new(builders::chain(3), |id| Limited { is_root: id == 0, to_send: 0, seen: 0 })
-        };
-        let quiet = |max_steps, grace| {
-            run_until_quiescent(&mut silent(), &mut RoundRobin::new(), max_steps, grace)
-        };
-        assert_eq!(quiet(100, 5), RunOutcome::Quiescent(4), "5 observations span 4 activations");
-        assert_eq!(quiet(100, 1), RunOutcome::Quiescent(0));
-        assert_eq!(quiet(100, 0), RunOutcome::Quiescent(0), "grace 0 behaves like 1");
+    fn grace_zero_and_grace_one_stop_at_different_activations() {
+        // `grace` is a window of `run_sustained`: 0 stops on entry, 1 one activation later.
+        assert_eq!(quiet(100, 0), RunOutcome::Quiescent(0));
+        assert_eq!(quiet(100, 1), RunOutcome::Quiescent(1));
+    }
+
+    #[test]
+    fn quiescence_grace_counts_activations_and_keeps_a_quiet_budget_end() {
+        assert_eq!(quiet(100, 5), RunOutcome::Quiescent(5), "a grace of 5 spans 5 activations");
         // The budget runs out before the grace period: still quiet, so still quiescent.
         assert_eq!(quiet(2, 5), RunOutcome::Quiescent(2));
         assert_eq!(quiet(0, 5), RunOutcome::Quiescent(0));

@@ -131,7 +131,11 @@ fn theorem1_convergence_times_are_pinned_on_the_reuse_and_rebuild_paths() {
                 .run_harness(shards)
                 .per_trial
                 .iter()
-                .map(|trial| trial["convergence_activations"] as u64)
+                .enumerate()
+                .map(|(i, trial)| match trial.get("convergence_activations") {
+                    Some(&time) => time as u64,
+                    None => panic!("{path} path at {shards} shard(s): trial {i} did not converge"),
+                })
                 .collect();
             assert_eq!(times, expected, "{path} path at {shards} shard(s)");
         }
@@ -140,6 +144,45 @@ fn theorem1_convergence_times_are_pinned_on_the_reuse_and_rebuild_paths() {
 
 const PINNED_REUSE: [u64; 5] = [4257, 5160, 8897, 7424, 7853];
 const PINNED_REBUILD: [u64; 5] = [12497, 6486, 7908, 4682, 12517];
+
+/// Stabilizes the self-stabilizing protocol on a 9-node binary tree, forges exactly one
+/// extra `token`, and asserts that the protocol removes it: legitimacy is sustained again
+/// and the census is back to (ℓ, 1, 1).  The root's reset guard (Algorithm 1, line 46)
+/// must fire on a surplus of one, of each kind on its own.
+fn assert_recovers_from_one_surplus(token: Message) {
+    let tree = topology::builders::binary(9);
+    let n = tree.len();
+    let cfg = KlConfig::new(2, 4, n);
+    let mut net = protocol::ss::network(tree, cfg, workloads::all_saturated(1, 5));
+    let mut sched = RandomFair::new(55);
+    let boot = measure_convergence(&mut net, &mut sched, &cfg, 4_000_000, 2_000);
+    assert!(boot.converged(), "{token:?}: the protocol did not stabilize");
+
+    net.inject_into(4, 0, token);
+    let census = count_tokens(&net);
+    let surplus = [census.resource - cfg.l, census.pusher - 1, census.priority - 1];
+    assert_eq!(surplus.iter().sum::<usize>(), 1, "{token:?}: exactly one token is forged");
+    assert!(!is_legitimate(&net, &cfg));
+    let out = measure_convergence(&mut net, &mut sched, &cfg, 6_000_000, 2_000);
+    assert!(out.converged(), "{token:?}: a lone surplus token is never removed");
+    let census = count_tokens(&net);
+    assert!(census.matches(cfg.l), "{token:?}: census {census:?} is not (ℓ, 1, 1)");
+}
+
+#[test]
+fn recovers_from_one_surplus_pusher() {
+    assert_recovers_from_one_surplus(Message::PushT);
+}
+
+#[test]
+fn recovers_from_one_surplus_priority_token() {
+    assert_recovers_from_one_surplus(Message::PrioT);
+}
+
+#[test]
+fn recovers_from_one_surplus_resource_token() {
+    assert_recovers_from_one_surplus(Message::ResT);
+}
 
 #[test]
 fn recovers_from_forged_token_surplus_and_total_loss() {

@@ -11,11 +11,13 @@
 //!    the segmented hash — checked as a property over all four protocol rungs, random trees,
 //!    and fault-corrupted starting configurations.
 //! 2. **Report parity** — the delta and interned engines produce identical reachable-set
-//!    sizes, per-level frontier sizes, violation and deadlock witnesses, graph summaries and
-//!    fair-cycle lassos, field for field: on the paper-anchored scenario presets
-//!    (`checker-safety`, the `figure2` family, the `figure3` family) and as a property over
-//!    random ≤7-node scenarios on all four protocol rungs with safety and liveness checking
-//!    enabled.  The fuzzer's coverage signature is therefore engine-independent too.
+//!    sizes, per-level frontier sizes, violation and deadlock witnesses, fair-cycle lassos
+//!    and the summaries of the graphs they record, field for field: on the paper-anchored
+//!    scenario presets (`checker-safety`, the `figure2` family, the `figure3` family), on
+//!    one violating instance per property (the delta engine judges properties on a carried
+//!    tally, the interned one on a decode), and as a property over random ≤7-node scenarios
+//!    on all four protocol rungs with safety and liveness checking enabled.  The fuzzer's
+//!    coverage signature is therefore engine-independent too.
 //!
 //! The same file pins the harness trial-reuse path: resetting one network in place across
 //! trials must be observationally identical to rebuilding it per trial.
@@ -26,11 +28,12 @@ use analysis::scenario::{
     preset, CheckSpec, CompiledScenario, DaemonSpec, ProtocolSpec, ScenarioSpec, StopSpec,
     TopologySpec, WorkloadSpec,
 };
+use checker::properties::{exact_census, legitimate, no_garbage, safety};
 use checker::snapshot::{
     capture_packed, map_packed, restore_packed, segmented_hash, CheckableNode, SegmentMap,
 };
-use checker::{drivers, ExplorationReport, Explorer, Limits};
-use klex_core::KlConfig;
+use checker::{drivers, ExplorationReport, Explorer, GraphSummary, Limits, Property};
+use klex_core::{KlConfig, LadderNode, Message};
 use proptest::prelude::*;
 use topology::{OrientedTree, Topology};
 use treenet::{Activation, Corruptible, FaultInjector, FaultPlan, Network, StepUndo};
@@ -167,7 +170,6 @@ fn assert_reports_identical(name: &str, delta: &ExplorationReport, interned: &Ex
         assert_eq!(d.trace, i.trace, "{name}: deadlock trace");
         assert_eq!(d.config, i.config, "{name}: deadlocked configuration");
     }
-    assert_eq!(delta.graph_summary, interned.graph_summary, "{name}: graph summary");
     assert_eq!(delta.liveness.len(), interned.liveness.len(), "{name}: lasso count");
     for (d, i) in delta.liveness.iter().zip(&interned.liveness) {
         assert_eq!(d.victim, i.victim, "{name}: lasso victim");
@@ -208,7 +210,9 @@ fn delta_and_interned_engines_agree_on_the_paper_presets() {
         assert_reports_identical(name, &default_engine, &delta);
 
         assert_eq!(delta_graph.len(), interned_graph.len(), "{name}: graph size");
-        assert_eq!(!delta_graph.is_empty(), delta.graph_summary.is_some(), "{name}");
+        let summary = GraphSummary::of(&delta_graph);
+        assert_eq!(summary, GraphSummary::of(&interned_graph), "{name}: graph summary");
+        assert_eq!(delta_graph.is_empty(), summary == GraphSummary::default(), "{name}");
         recorded += usize::from(!delta_graph.is_empty());
         for id in 0..delta_graph.len() {
             assert!(delta_graph.edges(id).eq(interned_graph.edges(id)), "{name}: state {id}");
@@ -233,6 +237,100 @@ fn delta_and_interned_agree_on_a_random_tree() {
     assert!(delta.exhaustive());
     let interned = Explorer::new(&mut make()).with_limits(limits).run_interned();
     assert_reports_identical("delta-vs-interned", &delta, &interned);
+}
+
+/// Explores `make()` with `properties` through both engines, asserts the two reports are
+/// identical (property, detail, depth, trace and configuration of every violation among
+/// them) and returns the delta engine's.
+fn violation_parity<P: CheckableNode>(
+    name: &str,
+    make: impl Fn() -> Network<P, OrientedTree>,
+    properties: &[Property],
+    continue_on_violation: bool,
+) -> ExplorationReport {
+    let explorer = |net| {
+        let limits = Limits { max_configurations: 200_000, max_depth: usize::MAX };
+        let mut explorer = Explorer::new(net).with_limits(limits);
+        for property in properties {
+            explorer = explorer.with_property(*property);
+        }
+        if continue_on_violation {
+            explorer = explorer.continue_on_violation();
+        }
+        explorer
+    };
+    let (mut delta_net, mut interned_net) = (make(), make());
+    let delta = explorer(&mut delta_net).run();
+    let interned = explorer(&mut interned_net).run_interned();
+    assert_reports_identical(name, &delta, &interned);
+    assert!(!delta.violations.is_empty(), "{name}: no violation");
+    delta
+}
+
+/// The non-stabilizing rung on Figure 3 with a legitimate token population, (ℓ, 1, 1),
+/// placed in flight before the root's one-time bootstrap: the root's first tick creates a
+/// second population, so the census turns inexact at depth 1.
+fn nonstab_with_a_second_population(garbage: bool) -> Network<LadderNode, OrientedTree> {
+    let cfg = KlConfig::new(2, 3, 3);
+    let needs = [1usize, 2, 1];
+    let tree = topology::builders::figure3_tree();
+    let mut net = klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&needs));
+    let tokens = [Message::ResT, Message::ResT, Message::ResT, Message::PushT, Message::PrioT];
+    for msg in tokens {
+        net.inject_from(0, 0, msg);
+    }
+    if garbage {
+        net.inject_from(1, 0, Message::Garbage(9));
+    }
+    net
+}
+
+/// Each property the explorer judges on its carried tally reports, through both engines, the
+/// same first violation, worded from the decoded configuration: at depth > 0 for every
+/// clause a protocol transition can break (no transition creates a garbage message, so
+/// `no-garbage` can only fail at the start), and for all four together when the run
+/// continues past each violation.
+#[test]
+fn every_property_reports_the_same_first_violation_through_both_engines() {
+    let cfg = KlConfig::new(2, 2, 3);
+    let needs = [0usize, 2, 2];
+    let chain = || {
+        let drivers = drivers::from_needs_holding(&needs);
+        klex_core::naive::network(topology::builders::chain(3), cfg, drivers)
+    };
+    let over_k = safety(KlConfig { k: 1, ..cfg });
+    let report = violation_parity("safety, per-process clause", chain, &[over_k], false);
+    assert!(report.violations[0].depth > 0);
+    assert!(report.violations[0].detail.ends_with("reserves 2 tokens but k = 1"));
+
+    let holding = || {
+        let tree = topology::builders::chain(2);
+        klex_core::naive::network(tree, cfg, |_| drivers::HoldOneActivation::boxed(1))
+    };
+    let no_units = safety(KlConfig { l: 0, ..cfg });
+    let report = violation_parity("safety, global clause", holding, &[no_units], false);
+    assert!(report.violations[0].depth > 0);
+    assert_eq!(report.violations[0].detail, "1 units in use but l = 0");
+
+    let cfg = KlConfig::new(2, 3, 3);
+    let second = || nonstab_with_a_second_population(false);
+    for property in [exact_census(cfg), legitimate(cfg)] {
+        let report = violation_parity(property.name(), second, &[property], false);
+        assert_eq!(report.violations[0].depth, 1, "{}", property.name());
+        let expected = "census is (6 resource, 2 pusher, 2 priority), expected (3, 1, 1)";
+        assert_eq!(report.violations[0].detail, expected, "{}", property.name());
+    }
+
+    let dirty = || nonstab_with_a_second_population(true);
+    let all = [no_garbage(), exact_census(cfg), legitimate(cfg), safety(KlConfig { k: 1, ..cfg })];
+    let report = violation_parity("all four, continued", dirty, &all, true);
+    let found: Vec<(&str, usize)> =
+        report.violations.iter().map(|v| (v.property.as_str(), v.depth)).collect();
+    assert_eq!(found.len(), 4, "{found:?}");
+    assert!(found[..2].contains(&("no-garbage", 0)) && found[..2].contains(&("legitimate", 0)));
+    assert_eq!(found[2], ("exact-census", 1), "{found:?}");
+    assert_eq!(found[3].0, "safety", "{found:?}");
+    assert!(found[3].1 > 1, "{found:?}");
 }
 
 /// One random checkable scenario: a seeded random tree on one of the four protocol rungs,
@@ -273,7 +371,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// The delta engine's report is identical to the interned oracle's — counters,
-    /// witnesses, and lassos — on random small scenarios.
+    /// witnesses, and lassos — on random small scenarios, and so are the summaries of the
+    /// graphs the two engines record (the delta engine patches its graph facts from the
+    /// parent's; the oracle records them from a decode).
     #[test]
     fn delta_engine_matches_interned_on_random_scenarios(
         rung in 0usize..4,
@@ -288,9 +388,18 @@ proptest! {
         let needs: Vec<usize> = needs_seed.iter().take(n).map(|u| u.min(&k)).copied().collect();
         let spec = random_scenario(rung, n, seed, l, k, needs, hold);
         let scenario = spec.compile().expect("generated scenario validates");
-        let delta = scenario.check().expect("tree rungs lower into the checker");
-        let interned = scenario.check_interned().expect("same lowering");
-        assert_reports_identical(&scenario.spec().name, &delta, &interned);
+        let name = &scenario.spec().name;
+        let (delta, delta_graph) =
+            scenario.check_with_graph(false).expect("tree rungs lower into the checker");
+        let (interned, interned_graph) = scenario.check_with_graph(true).expect("same lowering");
+        assert_reports_identical(name, &delta, &interned);
+        prop_assert!(!delta_graph.is_empty(), "{}: liveness records a graph", name);
+        prop_assert_eq!(
+            GraphSummary::of(&delta_graph),
+            GraphSummary::of(&interned_graph),
+            "{}: graph summary",
+            name
+        );
     }
 }
 
@@ -306,13 +415,11 @@ fn coverage_signatures_are_engine_independent() {
         let scenario = spec.compile().expect("scenario validates");
         let name = &scenario.spec().name;
         let (_, monitors) = scenario.run_monitored();
-        let delta = scenario.check().expect("tree rungs lower into the checker");
-        let interned = scenario.check_interned().expect("same lowering");
-        assert_eq!(
-            CoverageSignature::of(&delta, &monitors).key(),
-            CoverageSignature::of(&interned, &monitors).key(),
-            "{name}: interned"
-        );
+        let signature = |interned| {
+            let (report, graph) = scenario.check_with_graph(interned).expect("tree rungs lower");
+            CoverageSignature::of(&report, &GraphSummary::of(&graph), &monitors).key()
+        };
+        assert_eq!(signature(false), signature(true), "{name}: interned");
     }
 }
 
