@@ -105,24 +105,6 @@ impl Histogram {
         self.total - self.exhausted
     }
 
-    /// Number of samples strictly below `value` (bucket resolution: `value` is rounded down
-    /// to a bucket edge).
-    pub fn count_below(&self, value: u64) -> u64 {
-        let full_buckets = ((value.min(self.high)) / self.bucket_width) as usize;
-        self.counts.iter().take(full_buckets).sum()
-    }
-
-    /// The fraction of *measured* samples strictly below `value` (0 when the histogram has
-    /// no measured samples); exhausted trials are excluded — they carry no value to
-    /// compare.
-    pub fn fraction_below(&self, value: u64) -> f64 {
-        if self.measured() == 0 {
-            0.0
-        } else {
-            self.count_below(value) as f64 / self.measured() as f64
-        }
-    }
-
     /// Nearest-rank quantile over the *measured* samples, computed from the buckets
     /// (bucket upper edge of the bucket in which the quantile falls; overflow reports
     /// `high`).  Exhausted trials are excluded.
@@ -242,10 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below_and_quantile_agree_on_simple_data() {
+    fn quantiles_on_simple_data() {
         let samples: Vec<u64> = (0..100).collect();
         let h = Histogram::of(&samples, 10);
-        assert!((h.fraction_below(50) - 0.5).abs() < 0.11, "{}", h.fraction_below(50));
         let median = h.quantile(0.5);
         assert!((40..=60).contains(&median), "median bucket edge was {median}");
         assert!(h.quantile(1.0) >= median);
@@ -266,7 +247,6 @@ mod tests {
     fn empty_histogram_is_well_behaved() {
         let h = Histogram::with_range(10, 2);
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.fraction_below(10), 0.0);
     }
 
     #[test]
@@ -312,9 +292,8 @@ mod tests {
         // even the one whose (meaningless) time would have fit the range.
         assert_eq!(h.counts.iter().sum::<u64>(), 2);
         assert_eq!(h.overflow, 0);
-        // Quantiles and fractions are over the measured samples only.
+        // Quantiles are over the measured samples only.
         assert_eq!(h.quantile(1.0), 100);
-        assert!((h.fraction_below(50) - 0.5).abs() < f64::EPSILON);
         // The rendering reports the exhausted bucket explicitly.
         assert!(h.render(10).contains("exhausted"));
     }

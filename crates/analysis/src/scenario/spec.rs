@@ -1165,12 +1165,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the full snapshot spec.
-    pub fn snapshot_spec(mut self, snapshots: SnapshotSpec) -> Self {
-        self.spec.snapshots = Some(snapshots);
-        self
-    }
-
     /// Sets the stop condition.
     pub fn stop(mut self, stop: StopSpec) -> Self {
         self.spec.stop = stop;

@@ -245,8 +245,11 @@ mod tests {
             }
         });
         let mut sched = RoundRobin::new();
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 500_000, |n| {
-            (1..6).all(|v| n.trace().cs_entries(Some(v)) >= 3)
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[1..6].iter().all(|&e| e >= 3)
         });
         assert!(out.is_satisfied(), "every client repeatedly enters its CS");
     }
@@ -279,7 +282,12 @@ mod tests {
             _ => Box::new(Saturated { units: 1, hold: 2 }) as BoxedDriver,
         });
         let mut sched = RoundRobin::new();
-        let out = run_until(&mut net, &mut sched, 500_000, |n| n.trace().cs_entries(Some(1)) >= 5);
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
+        let out = run_until(&mut net, &mut sched, 500_000, |n| {
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[1] >= 5
+        });
         assert!(out.is_satisfied(), "the k-unit requester must not starve under FIFO");
     }
 

@@ -334,7 +334,12 @@ mod tests {
             }
         });
         let mut sched = RoundRobin::new();
-        let out = run_until(&mut net, &mut sched, 300_000, |n| n.trace().cs_entries(Some(3)) >= 3);
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
+        let out = run_until(&mut net, &mut sched, 300_000, |n| {
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[3] >= 3
+        });
         assert!(out.is_satisfied());
     }
 
@@ -343,8 +348,11 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 5);
         let mut net = network(5, cfg, |_| Box::new(Saturated { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(4);
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 1_000_000, |n| {
-            (0..5).all(|v| n.trace().cs_entries(Some(v)) >= 3)
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries.iter().all(|&e| e >= 3)
         });
         assert!(out.is_satisfied(), "ordered acquisition must be deadlock- and starvation-free");
     }
@@ -406,7 +414,11 @@ mod tests {
         }
         // With the only protocol message lost, nothing is ever retransmitted: the requester
         // stays blocked forever.
-        let out = run_until(&mut net, &mut sched, 100_000, |n| n.trace().cs_entries(Some(2)) >= 1);
+        let (mut cursor, mut entered) = (treenet::EnterCsCursor::default(), false);
+        let out = run_until(&mut net, &mut sched, 100_000, |n| {
+            cursor.advance(n.trace(), |v| entered |= v == 2);
+            entered
+        });
         assert!(!out.is_satisfied(), "a lost message permanently blocks the permission baseline");
     }
 }

@@ -623,72 +623,28 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
 }
 
 /// Field-for-field comparison of two engines' reports, labeled for the error message.
+/// Violations, deadlocks and lassos are compared as whole records: detail, trace and
+/// configuration included.
 fn compare_reports(
     ln: &str,
     left: &ExplorationReport,
     rn: &str,
     right: &ExplorationReport,
 ) -> Result<(), String> {
-    let mismatch = |what: &str, l: String, r: String| {
-        Err(format!("{ln}/{rn} mismatch in {what}: {ln} {l} vs {rn} {r}"))
-    };
-    if left.configurations != right.configurations {
-        return mismatch(
-            "configurations",
-            left.configurations.to_string(),
-            right.configurations.to_string(),
-        );
+    macro_rules! same {
+        ($($field:ident),+) => {$(
+            if left.$field != right.$field {
+                return Err(format!(
+                    "{ln}/{rn} mismatch in {}: {ln} {:?} vs {rn} {:?}",
+                    stringify!($field),
+                    left.$field,
+                    right.$field
+                ));
+            }
+        )+};
     }
-    if left.transitions != right.transitions {
-        return mismatch(
-            "transitions",
-            left.transitions.to_string(),
-            right.transitions.to_string(),
-        );
-    }
-    if left.max_depth != right.max_depth {
-        return mismatch("max_depth", left.max_depth.to_string(), right.max_depth.to_string());
-    }
-    if left.truncated != right.truncated {
-        return mismatch("truncated", left.truncated.to_string(), right.truncated.to_string());
-    }
-    if left.frontier_sizes != right.frontier_sizes {
-        return mismatch(
-            "frontier_sizes",
-            format!("{:?}", left.frontier_sizes),
-            format!("{:?}", right.frontier_sizes),
-        );
-    }
-    let violations = |r: &ExplorationReport| -> Vec<(String, usize)> {
-        r.violations.iter().map(|v| (v.property.clone(), v.depth)).collect()
-    };
-    if violations(left) != violations(right) {
-        return mismatch(
-            "violations",
-            format!("{:?}", violations(left)),
-            format!("{:?}", violations(right)),
-        );
-    }
-    let deadlocks = |r: &ExplorationReport| -> Vec<(usize, Vec<usize>)> {
-        r.deadlocks.iter().map(|d| (d.depth, d.blocked.clone())).collect()
-    };
-    if deadlocks(left) != deadlocks(right) {
-        return mismatch(
-            "deadlocks",
-            format!("{:?}", deadlocks(left)),
-            format!("{:?}", deadlocks(right)),
-        );
-    }
-    let lassos = |r: &ExplorationReport| -> Vec<(usize, usize, usize)> {
-        r.liveness.iter().map(|w| (w.victim, w.stem_len(), w.cycle_len())).collect()
-    };
-    if lassos(left) != lassos(right) {
-        return mismatch(
-            "liveness lassos",
-            format!("{:?}", lassos(left)),
-            format!("{:?}", lassos(right)),
-        );
-    }
+    same!(configurations, transitions, max_depth, truncated, frontier_sizes);
+    same!(violations, deadlocks, liveness);
     Ok(())
 }
 
@@ -829,6 +785,23 @@ mod tests {
             out_dir: std::env::temp_dir(),
             ..FuzzOptions::new(7)
         }
+    }
+
+    #[test]
+    fn compare_reports_sees_a_violation_detail() {
+        let violation = checker::Violation {
+            property: "safety".into(),
+            detail: "process 1 holds 3 > k = 2 units".into(),
+            depth: 4,
+            trace: Vec::new(),
+            config: checker::Configuration::default(),
+        };
+        let left = ExplorationReport { violations: vec![violation], ..Default::default() };
+        assert_eq!(compare_reports("delta", &left, "interned", &left), Ok(()));
+        let mut right = left.clone();
+        right.violations[0].detail = "process 1 holds 4 > k = 2 units".into();
+        let err = compare_reports("delta", &left, "interned", &right).unwrap_err();
+        assert!(err.starts_with("delta/interned mismatch in violations:"), "{err}");
     }
 
     #[test]

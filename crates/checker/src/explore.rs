@@ -109,7 +109,7 @@ impl Default for Limits {
 }
 
 /// A property violation, with the shortest activation sequence that reaches it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Name of the violated property.
     pub property: String,
@@ -125,7 +125,7 @@ pub struct Violation {
 
 /// A reachable configuration in which requesters are blocked forever: no message is in flight
 /// and no process activation changes the configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeadlockWitness {
     /// Processes whose requests can never be satisfied from this configuration.
     pub blocked: Vec<NodeId>,

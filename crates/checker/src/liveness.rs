@@ -60,7 +60,7 @@ use treenet::{Activation, NodeId};
 /// cycle entry, and repeating `cycle` forever is a weakly fair execution along which
 /// `victim` remains an unsatisfied requester while `progress_nodes` keep entering their
 /// critical sections.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LassoWitness {
     /// The starved process.
     pub victim: NodeId,

@@ -860,7 +860,7 @@ pub(crate) fn fx_hash(bytes: &[u8]) -> u64 {
 /// A dense identifier of an interned configuration.
 pub type StateId = u32;
 
-/// The result of [`StateArena::intern_capped`].
+/// The result of [`StateArena::intern_capped_hashed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InternOutcome {
     /// The configuration was already interned under this id.
@@ -921,59 +921,24 @@ impl StateArena {
         unpack_configuration(self.get(id))
     }
 
-    /// Looks up previously interned bytes without modifying the arena.
-    pub fn lookup(&self, packed: &[u8]) -> Option<StateId> {
-        self.lookup_hashed(packed, fx_hash(packed))
-    }
-
-    /// Like [`StateArena::lookup`], with the key's hash supplied by the caller (the delta
-    /// engine's incrementally maintained [`segmented_hash`]).  See
-    /// [`StateArena::intern_capped_hashed`] for the one-scheme-per-arena rule.
-    pub fn lookup_hashed(&self, packed: &[u8], hash: u64) -> Option<StateId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            match self.slots[slot] {
-                0 => return None,
-                stored => {
-                    let id = stored - 1;
-                    if self.hashes[id as usize] == hash && self.get(id) == packed {
-                        return Some(id);
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Interns `packed`, returning its id and whether it was newly inserted.
+    /// Interns `packed` under its fx hash, returning its id and whether it was newly
+    /// inserted.
     pub fn intern(&mut self, packed: &[u8]) -> (StateId, bool) {
-        match self.intern_capped(packed, usize::MAX) {
+        match self.intern_capped_hashed(packed, fx_hash(packed), usize::MAX) {
             InternOutcome::Existing(id) => (id, false),
             InternOutcome::Inserted(id) => (id, true),
             InternOutcome::Full => unreachable!("uncapped intern cannot be full"),
         }
     }
 
-    /// Interns `packed` unless doing so would grow the arena beyond `cap` states: one hash
-    /// and one table probe decide between "already present", "inserted", and "over the cap"
-    /// (the hot-loop shape — a separate `lookup` + `intern` would hash and probe twice).
-    pub fn intern_capped(&mut self, packed: &[u8], cap: usize) -> InternOutcome {
-        self.intern_capped_hashed(packed, fx_hash(packed), cap)
-    }
-
-    /// Like [`StateArena::intern_capped`], with the key's hash supplied by the caller.
+    /// Interns `packed` under the caller's `hash` unless doing so would grow the arena
+    /// beyond `cap` states: one table probe decides between "already present", "inserted",
+    /// and "over the cap".
     ///
-    /// **One hash scheme per arena.**  The table stores whatever hash accompanied each
-    /// insertion and compares it against whatever hash accompanies each probe, so every
-    /// operation on one arena must use the *same* key function: either let every call
-    /// compute the fx hash (the [`StateArena::intern_capped`]/[`StateArena::lookup`]
-    /// wrappers — the interned engine), or supply [`segmented_hash`] values everywhere (the
-    /// delta engine, which maintains them incrementally).  Mixing schemes makes equal
-    /// configurations invisible to each other and silently double-interns them.
+    /// **One hash scheme per arena.**  The table compares each probe's hash against the
+    /// hash stored at insertion, so every call on one arena must pass the same key
+    /// function: fx hashes (the interned engine, the memo's key arena) or [`segmented_hash`]
+    /// values (the delta engine).  Mixing them silently double-interns equal configurations.
     pub fn intern_capped_hashed(&mut self, packed: &[u8], hash: u64, cap: usize) -> InternOutcome {
         if self.slots.is_empty() {
             self.grow_slots(64);
@@ -1437,8 +1402,7 @@ mod tests {
             assert_eq!(outcome, InternOutcome::Inserted(i as u32));
         }
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(arena.lookup_hashed(key, fx_hash(key)), Some(i as u32));
-            assert_eq!(arena.lookup(key), Some(i as u32));
+            assert_eq!(arena.intern(key), (i as u32, false));
         }
     }
 
@@ -1460,14 +1424,12 @@ mod tests {
             ids.push(id);
         }
         assert_eq!(arena.len(), configs.len());
-        // Re-interning and lookup both find the original ids; bytes are preserved.
+        // Re-interning finds the original ids; bytes are preserved.
         for (bytes, &id) in packed.iter().zip(&ids) {
             assert_eq!(arena.intern(bytes), (id, false));
-            assert_eq!(arena.lookup(bytes), Some(id));
             assert_eq!(arena.get(id), &bytes[..]);
         }
         assert_eq!(arena.len(), configs.len());
-        assert!(arena.lookup(b"not a packed configuration").is_none());
     }
 
     #[test]
@@ -1485,7 +1447,7 @@ mod tests {
             keys.push(bytes);
         }
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(arena.lookup(key), Some(i as u32));
+            assert_eq!(arena.intern(key), (i as u32, false));
         }
         assert_eq!(arena.len(), 5_000);
         assert!(arena.bytes_used() >= 5_000 * 11);

@@ -59,7 +59,6 @@ pub mod node;
 pub mod nonstab;
 pub mod pusher;
 pub mod ss;
-pub mod wire;
 
 pub use config::KlConfig;
 pub use inspect::KlInspect;

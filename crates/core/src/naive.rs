@@ -63,7 +63,11 @@ mod tests {
             }
         });
         let mut sched = RoundRobin::new();
-        let out = run_until(&mut net, &mut sched, 50_000, |n| n.trace().cs_entries(Some(5)) >= 1);
+        let (mut cursor, mut entered) = (treenet::EnterCsCursor::default(), false);
+        let out = run_until(&mut net, &mut sched, 50_000, |n| {
+            cursor.advance(n.trace(), |v| entered |= v == 5);
+            entered
+        });
         assert!(out.is_satisfied(), "a lone requester must eventually enter its critical section");
         // After the CS the tokens are back in circulation: total count is still l.
         assert_eq!(count_tokens(&net).resource, cfg.l);

@@ -56,8 +56,11 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let mut net = network(tree, cfg, figure3_workload);
         let mut sched = RoundRobin::new();
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 500_000, |n| {
-            n.trace().cs_entries(Some(1)) >= 5
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[1] >= 5
         });
         assert!(
             out.is_satisfied(),
@@ -75,8 +78,11 @@ mod tests {
             _ => Box::new(Idle) as BoxedDriver,
         });
         let mut sched = RandomFair::new(7);
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 800_000, |n| {
-            (1..=4).all(|v| n.trace().cs_entries(Some(v)) >= 2)
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[1..=4].iter().all(|&e| e >= 2)
         });
         assert!(out.is_satisfied(), "fairness: every requester repeatedly enters its CS");
     }

@@ -59,9 +59,12 @@ mod tests {
         // The pusher only guarantees *deadlock freedom*, not fairness (that is rung 3's job):
         // critical sections keep being entered, by more than one requester, even though the
         // requests over-subscribe the 5 tokens.
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 400_000, |n| {
-            n.trace().cs_entries(None) >= 10
-                && (1..=4).filter(|&v| n.trace().cs_entries(Some(v)) >= 1).count() >= 2
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries.iter().sum::<usize>() >= 10
+                && entries[1..=4].iter().filter(|&&e| e >= 1).count() >= 2
         });
         assert!(out.is_satisfied(), "the pusher must prevent the Figure-2 deadlock");
     }

@@ -699,8 +699,11 @@ mod tests {
             }
         });
         let mut sched = RandomFair::new(11);
+        let (mut cursor, mut entries) =
+            (treenet::EnterCsCursor::default(), vec![0usize; net.len()]);
         let out = run_until(&mut net, &mut sched, 2_000_000, |n| {
-            n.trace().cs_entries(Some(3)) >= 3 && n.trace().cs_entries(Some(4)) >= 3
+            cursor.advance(n.trace(), |v| entries[v] += 1);
+            entries[3] >= 3 && entries[4] >= 3
         });
         assert!(out.is_satisfied(), "requesters must repeatedly enter their critical sections");
     }
@@ -849,8 +852,10 @@ mod tests {
         let mut net =
             network(tree, cfg, |_| Box::new(Saturated { units: 1, hold: 3 }) as BoxedDriver);
         let mut sched = RandomFair::new(23);
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), 0);
         let out = run_until(&mut net, &mut sched, 2_000_000, |n| {
-            is_legitimate(n, &cfg) && n.trace().cs_entries(None) >= 10
+            cursor.advance(n.trace(), |_| entries += 1);
+            is_legitimate(n, &cfg) && entries >= 10
         });
         assert!(out.is_satisfied(), "the unbounded-counter variant must bootstrap and serve");
     }

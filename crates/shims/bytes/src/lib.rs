@@ -1,6 +1,6 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! Implements the subset the wire codec uses: [`BytesMut`] as a growable buffer with the
+//! Implements a small subset: [`BytesMut`] as a growable buffer with the
 //! little-endian `put_*` methods, [`Bytes`] as an immutable byte container, and [`Buf`] as a
 //! cursor over `&[u8]` with the little-endian `get_*` methods.
 

@@ -74,12 +74,6 @@ impl StConfig {
         StConfig { n: graph.len(), beacon_interval: 2 * max_degree as u64 + 2 }
     }
 
-    /// Overrides the beacon interval (clamped to at least 1).
-    pub fn with_beacon_interval(mut self, interval: u64) -> Self {
-        self.beacon_interval = interval.max(1);
-        self
-    }
-
     /// The sentinel value standing for "unreachable / unknown" in the bounded distance domain.
     pub fn infinity(&self) -> usize {
         self.n
@@ -327,6 +321,5 @@ mod tests {
         let cfg = StConfig::for_graph(&star);
         assert_eq!(cfg.infinity(), 5);
         assert_eq!(cfg.beacon_interval, 2 * 4 + 2);
-        assert_eq!(cfg.with_beacon_interval(0).beacon_interval, 1);
     }
 }

@@ -166,13 +166,6 @@ impl RootedGraph {
             .unwrap_or_else(|| panic!("{peer} is not a neighbour of {v}"))
     }
 
-    /// The graph's diameter-bounding quantity used by the spanning-tree protocol: every
-    /// correct distance value lies in `0..len()`, so `len()` itself serves as the "infinity"
-    /// sentinel of bounded-memory distance variables.
-    pub fn distance_bound(&self) -> usize {
-        self.n
-    }
-
     /// Hop distances from the root computed offline by BFS (ground truth for the distributed
     /// spanning-tree protocol's stabilized `dist` variables).
     pub fn bfs_distances(&self) -> Vec<usize> {
@@ -340,7 +333,7 @@ mod tests {
         let (tree, map) = g.spanning_tree(SpanningTreeMethod::Bfs);
         for v in 0..g.len() {
             assert_eq!(dist[v], tree.depth(map[v]), "node {v}");
-            assert!(dist[v] < g.distance_bound());
+            assert!(dist[v] < g.len());
         }
     }
 

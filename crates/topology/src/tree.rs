@@ -219,20 +219,6 @@ impl OrientedTree {
         order
     }
 
-    /// All nodes sorted by depth (BFS order).
-    pub fn bfs_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.len());
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(self.root());
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &c in &self.children[v] {
-                queue.push_back(c);
-            }
-        }
-        order
-    }
-
     /// Maximum degree over all nodes.
     pub fn max_degree(&self) -> usize {
         (0..self.len()).map(|v| self.degree(v)).max().unwrap_or(0)
@@ -448,15 +434,6 @@ mod tests {
         for v in order {
             assert!(!seen[v]);
             seen[v] = true;
-        }
-    }
-
-    #[test]
-    fn bfs_order_is_sorted_by_depth() {
-        let t = builders::random_tree(25, 7);
-        let order = t.bfs_order();
-        for w in order.windows(2) {
-            assert!(t.depth(w[0]) <= t.depth(w[1]));
         }
     }
 

@@ -12,7 +12,7 @@
 //!
 //! [`AppDriver`] is the simulator-side embodiment of the application: protocol nodes consult
 //! it on every tick to learn when to issue a new request (`Out → Req`) and when a critical
-//! section is finished (`ReleaseCS()`).  Concrete drivers (saturated, random, scripted, ...)
+//! section is finished (`ReleaseCS()`).  Concrete drivers (saturated, random, cyclic, ...)
 //! live in the `workloads` crate.
 
 use crate::NodeId;
@@ -29,18 +29,6 @@ pub enum CsState {
     Req,
     /// Executing the critical section, holding the granted resource units.
     In,
-}
-
-
-impl CsState {
-    /// True if the transition `from → to` is one the model allows.
-    ///
-    /// Allowed: `Out → Req` (application), `Req → In` (protocol), `In → Out` (protocol), and
-    /// staying in the same state.  Everything else (e.g. `In → Req`) is forbidden.
-    pub fn transition_allowed(from: CsState, to: CsState) -> bool {
-        use CsState::*;
-        matches!((from, to), (Out, Req) | (Req, In) | (In, Out)) || from == to
-    }
 }
 
 /// The application driving one (or all) processes: decides when to request resource units and
@@ -91,18 +79,6 @@ impl AppDriver for BoxedDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allowed_transitions_match_the_model() {
-        use CsState::*;
-        assert!(CsState::transition_allowed(Out, Req));
-        assert!(CsState::transition_allowed(Req, In));
-        assert!(CsState::transition_allowed(In, Out));
-        assert!(CsState::transition_allowed(Out, Out));
-        assert!(!CsState::transition_allowed(In, Req));
-        assert!(!CsState::transition_allowed(Req, Out));
-        assert!(!CsState::transition_allowed(Out, In));
-    }
 
     #[test]
     fn idle_driver_never_requests() {

@@ -143,11 +143,6 @@ impl SnapshotRunner {
         self.markers_sent
     }
 
-    /// True while a cut is being assembled.
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// True when the next call to [`SnapshotRunner::step`] will initiate a snapshot (used
     /// by the oracle tests to capture the instantaneous pre-initiation census).
     pub fn initiation_due(&self, now: u64) -> bool {

@@ -79,11 +79,6 @@ impl Trace {
             .count()
     }
 
-    /// Events emitted by `node`, in order.
-    pub fn of_node(&self, node: NodeId) -> impl Iterator<Item = &TracedEvent> {
-        self.events.iter().filter(move |e| e.node as NodeId == node)
-    }
-
     /// Events within the half-open logical-time window `[from, to)`.
     pub fn in_window(&self, from: u64, to: u64) -> impl Iterator<Item = &TracedEvent> {
         self.events.iter().filter(move |e| e.at >= from && e.at < to)
@@ -139,9 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn node_and_window_filters() {
+    fn window_filter() {
         let t = sample();
-        assert_eq!(t.of_node(1).count(), 2);
         assert_eq!(t.in_window(0, 6).count(), 3);
         assert_eq!(t.in_window(9, 13).count(), 2);
     }

@@ -12,9 +12,7 @@
 //! | [`Saturated`] | always requesting a fixed number of units | waiting-time worst cases (Theorem 2) |
 //! | [`UniformRandom`] | requests with probability `p` per tick, uniform size `1..=max units` | throughput sweeps |
 //! | [`Hotspot`] | a few hot nodes request large amounts frequently, others rarely | contention studies |
-//! | [`Bursty`] | alternating active/idle phases | convergence under load swings |
 //! | [`Heterogeneous`] | a fixed per-node request size | Figure 2 / Figure 3 scenarios |
-//! | [`Scripted`] | an explicit list of (time, units, hold) requests | exact figure reproductions |
 //! | [`PinnedInCs`] | requests once and never releases | (k,ℓ)-liveness experiments |
 //! | [`SkewedNeeds`] | heterogeneous request sizes, geometrically skewed toward 1 unit | the intro's mixed audio/video-bandwidth motivation |
 //! | [`ThinkTime`] | closed loop: request, hold, then think for a random interval | steady-state service studies |
@@ -123,40 +121,6 @@ impl AppDriver for Hotspot {
     }
 }
 
-/// Bursty workload: alternates between an *active* phase (behaves like [`Saturated`]) and an
-/// *idle* phase (no requests), with configurable phase lengths.
-#[derive(Clone, Debug)]
-pub struct Bursty {
-    /// Units requested during active phases.
-    pub units: usize,
-    /// Critical-section duration.
-    pub hold: u64,
-    /// Length of the active phase, in activations.
-    pub active_len: u64,
-    /// Length of the idle phase, in activations.
-    pub idle_len: u64,
-    /// Phase offset so different nodes do not burst in lockstep.
-    pub offset: u64,
-}
-
-impl AppDriver for Bursty {
-    fn next_request(&mut self, _node: NodeId, now: u64) -> Option<usize> {
-        let period = self.active_len + self.idle_len;
-        if period == 0 {
-            return None;
-        }
-        let phase = (now + self.offset) % period;
-        if phase < self.active_len {
-            Some(self.units)
-        } else {
-            None
-        }
-    }
-    fn release_cs(&mut self, _node: NodeId, now: u64, entered_at: u64) -> bool {
-        now.saturating_sub(entered_at) >= self.hold
-    }
-}
-
 /// A fixed request size per node, repeated forever; `0` units means the node never requests.
 ///
 /// This is the driver behind the paper's figure scenarios (e.g. needs 3/2/2/2 in Figure 2).
@@ -178,40 +142,6 @@ impl AppDriver for Heterogeneous {
     }
     fn release_cs(&mut self, _node: NodeId, now: u64, entered_at: u64) -> bool {
         now.saturating_sub(entered_at) >= self.hold
-    }
-}
-
-/// An explicit script of requests: each entry is `(not_before, units, hold)`; the next entry
-/// fires at the first tick at or after `not_before` once the previous critical section is
-/// over.  After the script is exhausted the node stays idle.
-#[derive(Clone, Debug)]
-pub struct Scripted {
-    script: Vec<(u64, usize, u64)>,
-    next: usize,
-    current_hold: u64,
-}
-
-impl Scripted {
-    /// Creates a scripted driver from `(not_before, units, hold)` entries (must be sorted by
-    /// `not_before`).
-    pub fn new(script: Vec<(u64, usize, u64)>) -> Self {
-        Scripted { script, next: 0, current_hold: 0 }
-    }
-}
-
-impl AppDriver for Scripted {
-    fn next_request(&mut self, _node: NodeId, now: u64) -> Option<usize> {
-        if let Some(&(at, units, hold)) = self.script.get(self.next) {
-            if now >= at {
-                self.next += 1;
-                self.current_hold = hold;
-                return Some(units);
-            }
-        }
-        None
-    }
-    fn release_cs(&mut self, _node: NodeId, now: u64, entered_at: u64) -> bool {
-        now.saturating_sub(entered_at) >= self.current_hold
     }
 }
 
@@ -461,25 +391,6 @@ pub fn all_think_time(
     }
 }
 
-/// Convenience: the hotspot assignment used by contention studies — nodes listed in `hot`
-/// saturate with `hot_units`-unit requests, all others request a single unit rarely.
-pub fn hotspot_assignment(
-    seed: u64,
-    hot: &[NodeId],
-    hot_units: usize,
-    hot_hold: u64,
-) -> impl FnMut(NodeId) -> BoxedDriver + '_ {
-    move |node| {
-        let is_hot = hot.contains(&node);
-        Box::new(Hotspot::new(
-            seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(node as u64),
-            is_hot,
-            hot_units,
-            hot_hold,
-        )) as BoxedDriver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,32 +435,11 @@ mod tests {
     }
 
     #[test]
-    fn bursty_alternates_phases() {
-        let mut d = Bursty { units: 2, hold: 1, active_len: 10, idle_len: 10, offset: 0 };
-        assert!(d.next_request(0, 0).is_some());
-        assert!(d.next_request(0, 9).is_some());
-        assert!(d.next_request(0, 10).is_none());
-        assert!(d.next_request(0, 19).is_none());
-        assert!(d.next_request(0, 20).is_some());
-    }
-
-    #[test]
     fn heterogeneous_zero_units_is_idle() {
         let mut d = Heterogeneous { units: 0, hold: 1 };
         assert!(d.next_request(0, 0).is_none());
         let mut d2 = Heterogeneous { units: 2, hold: 1 };
         assert_eq!(d2.next_request(0, 0), Some(2));
-    }
-
-    #[test]
-    fn scripted_fires_in_order_then_stops() {
-        let mut d = Scripted::new(vec![(5, 1, 2), (10, 3, 4)]);
-        assert!(d.next_request(0, 0).is_none());
-        assert_eq!(d.next_request(0, 6), Some(1));
-        assert!(d.release_cs(0, 8, 6));
-        assert_eq!(d.next_request(0, 12), Some(3));
-        assert!(!d.release_cs(0, 14, 12));
-        assert!(d.next_request(0, 100).is_none(), "script exhausted");
     }
 
     #[test]
@@ -651,17 +541,6 @@ mod tests {
         // Different seeds give different think times after the first release.
         assert!(a.release_cs(0, 2, 0));
         assert!(b.release_cs(1, 2, 0));
-    }
-
-    #[test]
-    fn hotspot_assignment_marks_listed_nodes_as_hot() {
-        let hot = [2usize];
-        let mut f = hotspot_assignment(9, &hot, 3, 5);
-        let mut hot_driver = f(2);
-        let mut cold_driver = f(0);
-        assert_eq!(hot_driver.next_request(2, 0), Some(3), "hot nodes saturate");
-        let cold_requests = (0..100).filter(|&t| cold_driver.next_request(0, t).is_some()).count();
-        assert!(cold_requests < 20, "cold nodes request rarely");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`treenet`] — the asynchronous message-passing simulator (schedulers, fault injection,
 //!   traces, metrics).
 //! * [`protocol`] (`klex-core`) — the paper's protocol ladder, culminating in the
-//!   self-stabilizing Algorithms 1 & 2, plus the binary wire format.
+//!   self-stabilizing Algorithms 1 & 2.
 //! * [`workloads`] — application drivers.
 //! * [`baselines`] — ring-based, centralized and permission-based comparators.
 //! * [`analysis`] — waiting time, convergence, fairness, deadlock detection, histograms,

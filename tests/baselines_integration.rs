@@ -17,8 +17,10 @@ fn all_protocols_serve_the_same_workload() {
         let tree = topology::builders::random_tree(n, 1);
         let mut net = protocol::ss::network(tree, cfg, workloads::all_saturated(1, 4));
         let mut sched = RandomFair::new(1);
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), vec![0usize; n]);
         let out = run_until(&mut net, &mut sched, 4_000_000, |net| {
-            (0..n).all(|v| net.trace().cs_entries(Some(v)) >= 2)
+            cursor.advance(net.trace(), |v| entries[v] += 1);
+            entries.iter().all(|&e| e >= 2)
         });
         assert!(out.is_satisfied(), "tree protocol must serve everyone");
     }
@@ -27,8 +29,10 @@ fn all_protocols_serve_the_same_workload() {
     {
         let mut net = baselines::ring::network(n, cfg, workloads::all_saturated(1, 4));
         let mut sched = RandomFair::new(2);
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), vec![0usize; n]);
         let out = run_until(&mut net, &mut sched, 4_000_000, |net| {
-            (0..n).all(|v| net.trace().cs_entries(Some(v)) >= 2)
+            cursor.advance(net.trace(), |v| entries[v] += 1);
+            entries.iter().all(|&e| e >= 2)
         });
         assert!(out.is_satisfied(), "ring baseline must serve everyone");
     }
@@ -44,8 +48,10 @@ fn all_protocols_serve_the_same_workload() {
             }
         });
         let mut sched = RandomFair::new(3);
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), vec![0usize; n]);
         let out = run_until(&mut net, &mut sched, 1_000_000, |net| {
-            (1..n).all(|v| net.trace().cs_entries(Some(v)) >= 2)
+            cursor.advance(net.trace(), |v| entries[v] += 1);
+            entries[1..].iter().all(|&e| e >= 2)
         });
         assert!(out.is_satisfied(), "centralized coordinator must serve everyone");
     }
@@ -54,8 +60,10 @@ fn all_protocols_serve_the_same_workload() {
     {
         let mut net = baselines::permission::network(n, cfg, workloads::all_saturated(1, 4));
         let mut sched = RandomFair::new(4);
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), vec![0usize; n]);
         let out = run_until(&mut net, &mut sched, 2_000_000, |net| {
-            (0..n).all(|v| net.trace().cs_entries(Some(v)) >= 2)
+            cursor.advance(net.trace(), |v| entries[v] += 1);
+            entries.iter().all(|&e| e >= 2)
         });
         assert!(out.is_satisfied(), "arbiter baseline must serve everyone");
     }

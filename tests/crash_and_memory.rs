@@ -40,8 +40,10 @@ fn crash_of_any_single_process_is_absorbed() {
         let out = measure_convergence(&mut net, &mut sched, &cfg, 4_000_000, 2_000);
         assert!(out.converged(), "crash of process {victim} was not absorbed");
         // The crashed process itself is served again afterwards.
+        let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), 0);
         let served = run_until(&mut net, &mut sched, 2_000_000, |net| {
-            net.trace().cs_entries(Some(victim)) >= 2
+            cursor.advance(net.trace(), |v| entries += usize::from(v == victim));
+            entries >= 2
         });
         assert!(served.is_satisfied(), "process {victim} starved after its crash");
     }
@@ -69,8 +71,10 @@ fn repeated_crash_waves_do_not_break_safety_or_service() {
     }
     // After the last wave the protocol still serves everybody.
     net.trace_mut().clear();
+    let (mut cursor, mut entered) = (treenet::EnterCsCursor::default(), vec![false; n]);
     let served = run_until(&mut net, &mut sched, 3_000_000, |net| {
-        (0..n).all(|v| net.trace().cs_entries(Some(v)) >= 1)
+        cursor.advance(net.trace(), |v| entered[v] = true);
+        entered.iter().all(|&e| e)
     });
     assert!(served.is_satisfied(), "some process starved after the crash waves");
 }
@@ -116,7 +120,11 @@ fn unbounded_counter_variant_works_through_the_facade() {
 
     // And it still serves the skewed workload afterwards.
     net.trace_mut().clear();
-    let served = run_until(&mut net, &mut sched, 2_000_000, |net| net.trace().cs_entries(None) >= 20);
+    let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), 0);
+    let served = run_until(&mut net, &mut sched, 2_000_000, |net| {
+        cursor.advance(net.trace(), |_| entries += 1);
+        entries >= 20
+    });
     assert!(served.is_satisfied());
 }
 

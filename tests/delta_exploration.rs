@@ -155,34 +155,9 @@ fn assert_reports_identical(name: &str, delta: &ExplorationReport, interned: &Ex
     assert_eq!(delta.max_depth, interned.max_depth, "{name}: max depth");
     assert_eq!(delta.frontier_sizes, interned.frontier_sizes, "{name}: frontiers per level");
     assert_eq!(delta.truncated, interned.truncated, "{name}: truncation");
-    assert_eq!(delta.violations.len(), interned.violations.len(), "{name}: violation count");
-    for (d, i) in delta.violations.iter().zip(&interned.violations) {
-        assert_eq!(d.property, i.property, "{name}: violated property");
-        assert_eq!(d.detail, i.detail, "{name}: violation detail");
-        assert_eq!(d.depth, i.depth, "{name}: violation depth");
-        assert_eq!(d.trace, i.trace, "{name}: violation trace");
-        assert_eq!(d.config, i.config, "{name}: violating configuration");
-    }
-    assert_eq!(delta.deadlocks.len(), interned.deadlocks.len(), "{name}: deadlock count");
-    for (d, i) in delta.deadlocks.iter().zip(&interned.deadlocks) {
-        assert_eq!(d.blocked, i.blocked, "{name}: blocked set");
-        assert_eq!(d.depth, i.depth, "{name}: deadlock depth");
-        assert_eq!(d.trace, i.trace, "{name}: deadlock trace");
-        assert_eq!(d.config, i.config, "{name}: deadlocked configuration");
-    }
-    assert_eq!(delta.liveness.len(), interned.liveness.len(), "{name}: lasso count");
-    for (d, i) in delta.liveness.iter().zip(&interned.liveness) {
-        assert_eq!(d.victim, i.victim, "{name}: lasso victim");
-        assert_eq!(d.stem, i.stem, "{name}: lasso stem activations");
-        assert_eq!(d.stem_states, i.stem_states, "{name}: lasso stem states");
-        assert_eq!(d.cycle, i.cycle, "{name}: lasso cycle activations");
-        assert_eq!(d.cycle_states, i.cycle_states, "{name}: lasso cycle states");
-        assert_eq!(d.progress_nodes, i.progress_nodes, "{name}: lasso progress nodes");
-        assert_eq!(d.stem_configs, i.stem_configs, "{name}: lasso stem configurations");
-        assert_eq!(d.cycle_configs, i.cycle_configs, "{name}: lasso cycle configurations");
-        assert_eq!(d.stem_cs, i.stem_cs, "{name}: lasso stem CS entries");
-        assert_eq!(d.cycle_cs, i.cycle_cs, "{name}: lasso cycle CS entries");
-    }
+    assert_eq!(delta.violations, interned.violations, "{name}: violations");
+    assert_eq!(delta.deadlocks, interned.deadlocks, "{name}: deadlocks");
+    assert_eq!(delta.liveness, interned.liveness, "{name}: liveness lassos");
 }
 
 /// Satellite: the delta engine and the retained interned engine produce identical

@@ -90,41 +90,9 @@ proptest! {
     }
 }
 
-// --------------------------------------------------------------- wire-format and graph properties
-
-/// Strategy: any protocol message, including controller messages with extreme field values.
-fn message_strategy() -> impl Strategy<Value = protocol::Message> {
-    prop_oneof![
-        Just(protocol::Message::ResT),
-        Just(protocol::Message::PushT),
-        Just(protocol::Message::PrioT),
-        (any::<u64>(), any::<bool>(), any::<u64>(), 0u8..=2)
-            .prop_map(|(c, r, pt, ppr)| protocol::Message::Ctrl { c, r, pt, ppr }),
-        any::<u16>().prop_map(protocol::Message::Garbage),
-    ]
-}
+// --------------------------------------------------------------- graph properties
 
 proptest! {
-    #[test]
-    fn wire_roundtrip_is_identity(msg in message_strategy()) {
-        let frame = protocol::wire::encode(&msg);
-        prop_assert_eq!(frame.len(), protocol::wire::encoded_len(&msg));
-        prop_assert_eq!(protocol::wire::decode(&frame), Ok(msg));
-        prop_assert_eq!(protocol::wire::decode_lossy(&frame), msg);
-    }
-
-    #[test]
-    fn lossy_decode_never_panics_and_is_deterministic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let a = protocol::wire::decode_lossy(&bytes);
-        let b = protocol::wire::decode_lossy(&bytes);
-        prop_assert_eq!(a, b);
-        // Strict decoding either agrees with the lossy result or reports an error.
-        match protocol::wire::decode(&bytes) {
-            Ok(msg) => prop_assert_eq!(msg, a),
-            Err(_) => prop_assert!(matches!(a, protocol::Message::Garbage(_))),
-        }
-    }
-
     #[test]
     fn rooted_graph_channel_labels_are_involutive(
         n in 2usize..=24,

@@ -423,8 +423,10 @@ fn scenario_predicate_run_equals_hand_wired_run_until() {
     let cfg = KlConfig::new(1, 2, 4);
     let mut net = protocol::ss::network(tree, cfg, workloads::all_saturated(1, 3));
     let mut sched = RoundRobin::new();
+    let (mut cursor, mut entries) = (treenet::EnterCsCursor::default(), 0);
     let hand = treenet::run_until(&mut net, &mut sched, 2_000_000, |n| {
-        n.trace().cs_entries(None) >= 8
+        cursor.advance(n.trace(), |_| entries += 1);
+        entries >= 8
     });
     assert_eq!(outcome.outcome, hand);
     assert_eq!(outcome.trace.events(), net.trace().events());
