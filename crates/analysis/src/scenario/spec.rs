@@ -917,6 +917,14 @@ impl ScenarioSpec {
                 if node_init.node >= n {
                     return err(format!("init node {} is out of range (n = {n})", node_init.node));
                 }
+                // Every other source of `Need` (drivers, corruption, the fuzzer) stays in
+                // 0..=k; a larger one reads as a process over its k bound.
+                if node_init.need > self.config.k {
+                    return err(format!(
+                        "init need {} of node {} exceeds k = {}",
+                        node_init.need, node_init.node, self.config.k
+                    ));
+                }
                 let degree = tree.degree(node_init.node);
                 if let Some(l) = node_init.rset.iter().find(|&&l| l >= degree) {
                     return err(format!(

@@ -353,6 +353,25 @@ fn out_of_range_victims_are_rejected_for_main_and_warmup_daemons() {
     assert!(matches!(warmup, Err(ScenarioError::Invalid(_))));
 }
 
+/// An init override may ask for any `Need` up to k, like a driver; k + 1 would read as a
+/// process over its k bound, a safety violation the protocol never made.
+#[test]
+fn init_needs_beyond_k_are_rejected() {
+    let with_need = |need: usize| {
+        let mut spec = preset("checker-safety").expect("bundled preset");
+        let init = spec.init.get_or_insert_with(InitSpec::default);
+        init.nodes = vec![NodeInit { node: 1, state: CsStateSpec::Req, need, rset: vec![] }];
+        spec.compile()
+    };
+    let k = preset("checker-safety").expect("bundled preset").config.k;
+    assert!(with_need(k).is_ok(), "{:?}", with_need(k).err());
+    match with_need(k + 1) {
+        Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("of node 1 exceeds k"), "{msg}"),
+        Err(other) => panic!("expected an Invalid error, got {other}"),
+        Ok(_) => panic!("need k + 1 was accepted"),
+    }
+}
+
 /// A victim list that names every node, one of them twice, leaves the adversary no one else
 /// to schedule: it falls back to the round-robin decisions instead of searching for a
 /// non-victim forever, on the simulator and on the harness.
