@@ -9,15 +9,12 @@
 //! 2. the bundled daemon stepped one activation at a time with `Network::step_event`,
 //! 3. the bundled daemon through the fused loop `engine::run_observed`,
 //!
-//! must produce **identical activation sequences, traces, and metrics**.  A proptest
-//! additionally checks the enabled-set invariant itself — tick-guard clause included —
-//! against brute-force recomputation after arbitrary execution, injection and
-//! channel-surgery histories.
+//! must produce **identical activation sequences, traces, and metrics**.  The enabled-set
+//! invariant itself is re-derived by brute force after every activation in `tests/lockstep.rs`.
 
 use kl_exclusion::prelude::*;
-use proptest::prelude::*;
 use treenet::engine;
-use treenet::{Activation, EventScheduler, NodeId, Process, Synchronous};
+use treenet::{Activation, EventScheduler, NodeId, Synchronous};
 use workloads::UniformRandom;
 
 type SsNet = Network<SsNode, OrientedTree>;
@@ -324,103 +321,6 @@ fn adversarial_is_trace_equivalent_across_shapes() {
                 |net| reference.next(net),
                 || Adversarial::new(victims.clone(), 7),
             );
-        }
-    }
-}
-
-// ------------------------------------------------------------- enabled-set invariant checks
-
-/// Brute-force recomputation of everything the enabled set claims to know, compared entry
-/// by entry against the maintained structure.
-fn assert_enabled_invariant(net: &SsNet) {
-    let es = net.enabled_set();
-    let mut total_in_flight = 0usize;
-    let mut expected_enabled = std::collections::BTreeSet::new();
-    for v in 0..net.len() {
-        let degree = net.topology().degree(v);
-        assert_eq!(es.degree(v), degree, "node {v}: degree mismatch");
-        let non_empty: Vec<usize> =
-            (0..degree).filter(|&c| !net.channel(v, c).is_empty()).collect();
-        total_in_flight += (0..degree).map(|c| net.channel(v, c).len()).sum::<usize>();
-        assert_eq!(
-            es.deliverable_count(v),
-            non_empty.len(),
-            "node {v}: deliverable_count mismatch"
-        );
-        for (i, &c) in non_empty.iter().enumerate() {
-            assert_eq!(es.nth_deliverable(v, i), Some(c), "node {v}: nth_deliverable({i})");
-        }
-        assert_eq!(es.nth_deliverable(v, non_empty.len()), None, "node {v}: nth past end");
-        for start in 0..degree {
-            let expected = (0..degree)
-                .map(|off| (start + off) % degree)
-                .find(|&c| !net.channel(v, c).is_empty());
-            assert_eq!(
-                es.next_deliverable_from(v, start),
-                expected,
-                "node {v}: next_deliverable_from({start})"
-            );
-        }
-        if !non_empty.is_empty() {
-            expected_enabled.insert(v);
-        }
-        // The tick-guard clause: a quiet bit is only ever set on a process whose hint holds.
-        assert!(
-            !es.tick_is_quiet(v) || net.node(v).tick_is_noop(),
-            "node {v}: quiet bit set but tick_is_noop() is false"
-        );
-    }
-    let quiet = (0..net.len()).filter(|&v| es.tick_is_quiet(v)).count();
-    assert_eq!(net.blocked_processes(), quiet, "Network::blocked_processes mismatch");
-    assert_eq!(es.in_flight() as usize, total_in_flight, "in-flight total mismatch");
-    assert_eq!(es.enabled_len(), expected_enabled.len(), "enabled list length mismatch");
-    let listed: std::collections::BTreeSet<usize> =
-        (0..es.enabled_len()).map(|i| es.enabled_node(i)).collect();
-    assert_eq!(listed, expected_enabled, "enabled list contents mismatch");
-    assert_eq!(net.in_flight(), total_in_flight, "Network::in_flight mismatch");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// After an arbitrary history of scheduled steps, fault injections and direct channel
-    /// surgery, the maintained enabled set equals the brute-force recomputed guard set.
-    #[test]
-    fn enabled_set_always_equals_brute_force(
-        n in 3usize..=14,
-        tree_seed in any::<u64>(),
-        run_seed in any::<u64>(),
-    ) {
-        let tree = topology::builders::random_tree(n, tree_seed);
-        let mut net = scenario(tree, run_seed);
-        assert_enabled_invariant(&net);
-
-        let mut sched = RandomFair::new(run_seed ^ 0xABCD);
-        for phase in 0..6u64 {
-            for _ in 0..500 {
-                net.step_event(&mut sched);
-            }
-            // Direct surgery through every mutation path the network exposes.
-            let v = (run_seed.wrapping_mul(phase + 1) % n as u64) as usize;
-            let degree = net.topology().degree(v);
-            if degree > 0 {
-                let l = (phase as usize) % degree;
-                net.inject_into(v, l, Message::Garbage(7));
-                net.inject_from(v, l, Message::ResT);
-                let mut ch = net.channel_mut(v, l);
-                if ch.len() > 1 {
-                    ch.remove(0);
-                }
-                if phase.is_multiple_of(3) {
-                    ch.clear();
-                }
-                drop(ch);
-            }
-            if phase == 4 {
-                let mut injector = FaultInjector::new(run_seed.wrapping_add(phase));
-                injector.inject(&mut net, &FaultPlan::catastrophic(2));
-            }
-            assert_enabled_invariant(&net);
         }
     }
 }

@@ -291,34 +291,6 @@ proptest! {
     }
 }
 
-/// Brute-force re-derivation of the enabled-set bookkeeping plus the per-channel
-/// conservation law — the invariants every fault-schedule event must preserve.
-fn assert_net_consistent<P: treenet::Process>(net: &treenet::Network<P, OrientedTree>) {
-    let enabled = net.enabled_set();
-    let mut in_flight = 0usize;
-    for v in 0..net.len() {
-        let degree = net.topology().degree(v);
-        assert_eq!(enabled.degree(v), degree, "node {v} degree");
-        assert_eq!(net.degree(v), degree, "node {v} slab degree");
-        let nonempty: Vec<usize> =
-            (0..degree).filter(|&l| !net.channel(v, l).is_empty()).collect();
-        assert_eq!(enabled.deliverable_count(v), nonempty.len(), "node {v} deliverable count");
-        for (i, &l) in nonempty.iter().enumerate() {
-            assert_eq!(enabled.nth_deliverable(v, i), Some(l), "node {v} slot {i}");
-        }
-        for l in 0..degree {
-            let ch = net.channel(v, l);
-            assert_eq!(
-                ch.enqueued(),
-                ch.delivered() + ch.lost() + ch.len() as u64,
-                "conservation law at node {v} channel {l}"
-            );
-        }
-        in_flight += (0..degree).map(|l| net.channel(v, l).len()).sum::<usize>();
-    }
-    assert_eq!(net.in_flight(), in_flight, "in-flight census");
-}
-
 // ------------------------------------------------------------------- protocol-level properties
 
 proptest! {
@@ -372,104 +344,6 @@ proptest! {
         injector.inject(&mut net, &plan);
         let out = measure_convergence(&mut net, &mut sched, &cfg, 6_000_000, 2_000);
         prop_assert!(out.converged());
-    }
-
-    /// Every event of the fault-schedule engine — transient corruption, message bursts,
-    /// crash-restarts, and topology churn with state carryover — preserves the per-channel
-    /// conservation law (`enqueued == delivered + lost + len`) and leaves the enabled-set
-    /// bookkeeping exactly re-derivable from the channels, after the event and after the
-    /// protocol keeps running on the (possibly reshaped) network.
-    #[test]
-    fn fault_and_churn_events_preserve_conservation_and_the_enabled_set(
-        seed in any::<u64>(),
-        n in 3usize..=9,
-        events in proptest::collection::vec((0u8..6, any::<u64>()), 1..8),
-    ) {
-        let cfg = KlConfig::new(1, 2, n);
-        let tree = topology::builders::random_tree(n, seed);
-        let mut net = protocol::ss::network(tree, cfg, workloads::all_saturated(1, 4));
-        let mut sched = RoundRobin::new();
-        let mut injector = FaultInjector::new(seed ^ 0xFA17);
-        let donor_net =
-            |tree: OrientedTree| protocol::ss::network(tree, cfg, workloads::all_saturated(1, 4));
-
-        // Let traffic build up before the campaign starts.
-        for _ in 0..200u32 {
-            net.step_event(&mut sched);
-        }
-        assert_net_consistent(&net);
-
-        for (op, draw) in events {
-            let draw = draw as usize;
-            match op {
-                // A transient fault touching state and channels alike.
-                0 => {
-                    injector.inject(&mut net, &FaultPlan {
-                        corrupt_node_prob: 0.5,
-                        channel_garbage_max: 2,
-                        drop_prob: 0.3,
-                        duplicate_prob: 0.3,
-                        clear_channel_prob: 0.2,
-                    });
-                }
-                // A message-only burst.
-                1 => {
-                    injector.inject(&mut net, &FaultPlan {
-                        corrupt_node_prob: 0.0,
-                        channel_garbage_max: 1,
-                        drop_prob: 0.5,
-                        duplicate_prob: 0.5,
-                        clear_channel_prob: 0.0,
-                    });
-                }
-                // A crash-restart, alternately losing the victim's incoming channels.
-                2 => {
-                    injector.crash_random(&mut net, 1, draw.is_multiple_of(2));
-                }
-                // Churn: a leaf joins under an arbitrary parent…
-                3 => {
-                    let parent = draw % net.len();
-                    let new_tree = net.topology().with_leaf_added(parent);
-                    let map: Vec<Option<usize>> =
-                        (0..net.len()).map(Some).chain([None]).collect();
-                    net.rebuild_from(donor_net(new_tree), &map);
-                }
-                // …a non-root leaf leaves (skipped at the 2-process minimum)…
-                4 => {
-                    if net.len() > 2 {
-                        let leaves: Vec<usize> =
-                            (1..net.len()).filter(|&v| net.topology().is_leaf(v)).collect();
-                        let (new_tree, old_of_new) =
-                            net.topology().with_leaf_removed(leaves[draw % leaves.len()]);
-                        let map: Vec<Option<usize>> =
-                            old_of_new.into_iter().map(Some).collect();
-                        net.rebuild_from(donor_net(new_tree), &map);
-                    }
-                }
-                // …or an edge is rewired (skipped when the tree admits no rewiring).
-                _ => {
-                    let tree = net.topology().clone();
-                    let m = tree.len();
-                    let pairs: Vec<(usize, usize)> = (1..m)
-                        .flat_map(|v| (0..m).map(move |u| (v, u)))
-                        .filter(|&(v, u)| {
-                            u != v && tree.parent(v) != Some(u) && !tree.in_subtree(u, v)
-                        })
-                        .collect();
-                    if !pairs.is_empty() {
-                        let (v, u) = pairs[draw % pairs.len()];
-                        let map: Vec<Option<usize>> = (0..m).map(Some).collect();
-                        net.rebuild_from(donor_net(tree.with_edge_rewired(v, u)), &map);
-                    }
-                }
-            }
-            assert_net_consistent(&net);
-            // The network keeps running correctly after every event.
-            for _ in 0..100u32 {
-                net.step_event(&mut sched);
-            }
-            assert_net_consistent(&net);
-        }
     }
 
     /// Token conservation for the non-stabilizing rung: without faults the ℓ resource tokens
