@@ -47,8 +47,7 @@ impl FairnessReport {
                 _ => {}
             }
         }
-        let starved: Vec<NodeId> =
-            (0..n).filter(|&v| requests[v] > 0 && entries[v] == 0).collect();
+        let starved: Vec<NodeId> = (0..n).filter(|&v| requests[v] > 0 && entries[v] == 0).collect();
         let requesters: Vec<f64> =
             (0..n).filter(|&v| requests[v] > 0).map(|v| entries[v] as f64).collect();
         FairnessReport {

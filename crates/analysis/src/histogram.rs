@@ -164,19 +164,20 @@ impl Histogram {
             }
             let lo = idx as u64 * self.bucket_width;
             let hi = lo + self.bucket_width;
-            let bar = "#".repeat(((count as f64 / max_count as f64) * width as f64).ceil() as usize);
+            let bar =
+                "#".repeat(((count as f64 / max_count as f64) * width as f64).ceil() as usize);
             out.push_str(&format!("[{lo:>8} .. {hi:>8}) {count:>6} {bar}\n"));
         }
         if self.overflow > 0 {
-            let bar = "#".repeat(
-                ((self.overflow as f64 / max_count as f64) * width as f64).ceil() as usize,
-            );
+            let bar = "#"
+                .repeat(((self.overflow as f64 / max_count as f64) * width as f64).ceil() as usize);
             out.push_str(&format!("[{:>8} ..     +inf) {:>6} {bar}\n", self.high, self.overflow));
         }
         if self.exhausted > 0 {
-            let bar = "#".repeat(
-                ((self.exhausted as f64 / max_count as f64) * width as f64).ceil() as usize,
-            );
+            let bar =
+                "#".repeat(
+                    ((self.exhausted as f64 / max_count as f64) * width as f64).ceil() as usize
+                );
             out.push_str(&format!("(exhausted, no value) {:>6} {bar}\n", self.exhausted));
         }
         if out.is_empty() {

@@ -107,8 +107,9 @@ impl CompiledScenario {
                     STABILIZATION_BUDGET,
                 );
                 drop(drivers);
-                let construct =
-                    |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| checker::scenarios::ss_for_checking(t, c, d);
+                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| {
+                    checker::scenarios::ss_for_checking(t, c, d)
+                };
                 self.apply_schedule_prologue(&mut net, &construct);
                 self.check_net(net, interned, sink)
             }
@@ -120,8 +121,7 @@ impl CompiledScenario {
                 // Without its timer the protocol cannot bootstrap on its own; hand it the
                 // controller message the first timeout would have sent — unless the spec
                 // already places its own messages in flight.
-                let inject_bootstrap =
-                    spec.init.as_ref().is_none_or(|init| init.inject.is_empty());
+                let inject_bootstrap = spec.init.as_ref().is_none_or(|init| init.inject.is_empty());
                 if inject_bootstrap {
                     let root = 0;
                     net.inject_from(root, 0, Message::Ctrl { c: 0, r: false, pt: 0, ppr: 0 });
@@ -205,7 +205,10 @@ impl CompiledScenario {
     }
 
     /// Configures an explorer over `net` with the spec's limits and properties.
-    fn lowered_explorer<'n, P>(&self, net: &'n mut Network<P, OrientedTree>) -> Explorer<'n, P, OrientedTree>
+    fn lowered_explorer<'n, P>(
+        &self,
+        net: &'n mut Network<P, OrientedTree>,
+    ) -> Explorer<'n, P, OrientedTree>
     where
         P: CheckableNode,
     {
@@ -216,8 +219,7 @@ impl CompiledScenario {
             max_depth: if spec.check.max_depth == 0 { usize::MAX } else { spec.check.max_depth },
         };
         let liveness = spec.check.properties.iter().any(|p| p == "liveness");
-        let mut explorer =
-            Explorer::new(net).with_limits(limits).check_liveness(liveness);
+        let mut explorer = Explorer::new(net).with_limits(limits).check_liveness(liveness);
         for property in &spec.check.properties {
             let property = match property.as_str() {
                 "safety" => properties::safety(cfg),

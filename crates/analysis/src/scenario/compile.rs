@@ -16,11 +16,7 @@
 //! count (the discipline inherited from [`crate::harness::run_sharded`]).
 
 use super::schedule;
-use super::spec::{
-    DaemonSpec, FaultEventSpec, ProtocolSpec, ScenarioSpec, StopSpec, WorkloadSpec,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use super::spec::{DaemonSpec, FaultEventSpec, ProtocolSpec, ScenarioSpec, StopSpec, WorkloadSpec};
 use crate::convergence::measure_convergence;
 use crate::fairness::FairnessReport;
 use crate::harness::{self, ExperimentRow};
@@ -29,16 +25,18 @@ use crate::snapshot::{CutVerdict, SnapshotMonitor};
 use crate::stats::Summary;
 use crate::waiting::waiting_times;
 use klex_core::{count_tokens, ladder, ss, KlConfig, KlInspect, LadderNode, LiveCensus, Message};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
+use treenet::run_sustained;
 use treenet::{
     Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EnterCsCursor, EventScheduler,
     FaultInjector, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotObserver,
     SnapshotRunner, Synchronous, Trace,
 };
-use treenet::run_sustained;
 
 /// Per-epoch fault applier threaded through `drive`'s measured phase: the caller owns the
 /// placement/injector streams so churn events can borrow spec context for donor templates.
@@ -104,9 +102,14 @@ impl WorkloadSpec {
                 let (units, hold) = (*units, *hold);
                 Box::new(move |_| Box::new(workloads::Saturated { units, hold }) as BoxedDriver)
             }
-            WorkloadSpec::Uniform { seed, p_request, max_units, max_hold } => Box::new(
-                workloads::all_uniform(seed.wrapping_add(stream), *p_request, *max_units, *max_hold),
-            ),
+            WorkloadSpec::Uniform { seed, p_request, max_units, max_hold } => {
+                Box::new(workloads::all_uniform(
+                    seed.wrapping_add(stream),
+                    *p_request,
+                    *max_units,
+                    *max_hold,
+                ))
+            }
             WorkloadSpec::Needs { needs, hold } => {
                 let hold = *hold;
                 Box::new(move |node| {
@@ -428,7 +431,8 @@ impl CompiledScenario {
                 self.drive_tree(&mut net, victim, stream, sink, &construct)
             }
             ProtocolSpec::Ss => {
-                let construct = |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| ss::network(t, c, d);
+                let construct =
+                    |t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| ss::network(t, c, d);
                 let (mut net, victim) = self.build_tree_net(index, stream, construct);
                 self.drive_tree(&mut net, victim, stream, sink, &construct)
             }
@@ -438,25 +442,26 @@ impl CompiledScenario {
                 let cfg = self.spec.config.to_kl(net.len());
                 // The ring baseline has no churn/crash support (validated away); the only
                 // schedule epochs reaching it are injector-driven.
-                let mut apply = |net: &mut Network<baselines::ring::RingSsNode, topology::Ring>,
-                                 event: &FaultEventSpec,
-                                 _placement: &mut StdRng,
-                                 injector: &mut FaultInjector| match event {
-                    FaultEventSpec::Transient { plan } => {
-                        injector.inject(net, &plan.to_plan(&cfg));
-                    }
-                    FaultEventSpec::MessageBurst { drop, duplicate, garbage } => {
-                        let plan = treenet::FaultPlan {
-                            corrupt_node_prob: 0.0,
-                            channel_garbage_max: *garbage,
-                            drop_prob: *drop,
-                            duplicate_prob: *duplicate,
-                            clear_channel_prob: 0.0,
-                        };
-                        injector.inject(net, &plan);
-                    }
-                    _ => unreachable!("tree-only fault epochs are rejected at compile time"),
-                };
+                let mut apply =
+                    |net: &mut Network<baselines::ring::RingSsNode, topology::Ring>,
+                     event: &FaultEventSpec,
+                     _placement: &mut StdRng,
+                     injector: &mut FaultInjector| match event {
+                        FaultEventSpec::Transient { plan } => {
+                            injector.inject(net, &plan.to_plan(&cfg));
+                        }
+                        FaultEventSpec::MessageBurst { drop, duplicate, garbage } => {
+                            let plan = treenet::FaultPlan {
+                                corrupt_node_prob: 0.0,
+                                channel_garbage_max: *garbage,
+                                drop_prob: *drop,
+                                duplicate_prob: *duplicate,
+                                clear_channel_prob: 0.0,
+                            };
+                            injector.inject(net, &plan);
+                        }
+                        _ => unreachable!("tree-only fault epochs are rejected at compile time"),
+                    };
                 self.drive(&mut net, victim, stream, sink, &mut apply)
             }
         }
@@ -583,7 +588,13 @@ impl CompiledScenario {
                 let (mut net, victim) =
                     self.build_tree_net(index, stream, |t, c, d| construct(t, c, d));
                 let metrics = self
-                    .drive_tree(&mut net, victim, stream, None, &|t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| construct(t, c, d))
+                    .drive_tree(
+                        &mut net,
+                        victim,
+                        stream,
+                        None,
+                        &|t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| construct(t, c, d),
+                    )
                     .metrics;
                 if let Some(observer) = observer {
                     observer.completed_one();
@@ -623,7 +634,13 @@ impl CompiledScenario {
                     }
                 };
                 let metrics = self
-                    .drive_tree(net, victim, stream, None, &|t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| construct(t, c, d))
+                    .drive_tree(
+                        net,
+                        victim,
+                        stream,
+                        None,
+                        &|t, c, d: &mut dyn FnMut(NodeId) -> BoxedDriver| construct(t, c, d),
+                    )
                     .metrics;
                 if let Some(observer) = observer {
                     observer.completed_one();
@@ -645,7 +662,11 @@ impl CompiledScenario {
     /// # Panics
     ///
     /// Panics if the spec runs the self-stabilizing protocol or the ring baseline.
-    pub(super) fn ladder(&self) -> impl Copy + Sync + Fn(
+    pub(super) fn ladder(
+        &self,
+    ) -> impl Copy
+           + Sync
+           + Fn(
         OrientedTree,
         KlConfig,
         &mut dyn FnMut(NodeId) -> BoxedDriver,
@@ -685,7 +706,12 @@ impl CompiledScenario {
 
     /// Builds a tree-protocol network via `construct`, applies the init overrides, and
     /// returns it with the adversarial fallback victim (deepest node).
-    fn build_tree_net<P, F>(&self, index: u64, stream: u64, construct: F) -> (Network<P, OrientedTree>, NodeId)
+    fn build_tree_net<P, F>(
+        &self,
+        index: u64,
+        stream: u64,
+        construct: F,
+    ) -> (Network<P, OrientedTree>, NodeId)
     where
         P: ScenarioNode,
         F: FnOnce(
@@ -829,8 +855,7 @@ impl CompiledScenario {
             if !sched.epochs.is_empty() {
                 let mut placement =
                     StdRng::seed_from_u64(schedule::placement_seed(sched.seed, stream));
-                let mut injector =
-                    FaultInjector::new(schedule::injector_seed(sched.seed, stream));
+                let mut injector = FaultInjector::new(schedule::injector_seed(sched.seed, stream));
                 let mut daemon = self.spec.daemon.instantiate(stream, fallback_victim);
                 let total = sched.epochs.len() as u64;
                 for (i, event) in sched.epochs.iter().enumerate() {
@@ -1044,9 +1069,9 @@ impl CompiledScenario {
                 "cs_entries" => Some((net.trace().cs_entries(None) as u64 - base_entries) as f64),
                 "messages_sent" => Some(net.metrics().messages_sent as f64),
                 "in_flight" => Some(net.in_flight() as f64),
-                "blocked_requesters" => Some(
-                    (0..n).filter(|&v| net.node(v).is_unsatisfied_requester()).count() as f64,
-                ),
+                "blocked_requesters" => {
+                    Some((0..n).filter(|&v| net.node(v).is_unsatisfied_requester()).count() as f64)
+                }
                 "jain_index" => Some(FairnessReport::from_trace(net.trace(), n).jain_index),
                 // Omitted (not reported as 0) when no request was satisfied, so trials
                 // without waiting records are excluded from harness summaries instead of
@@ -1073,7 +1098,9 @@ impl CompiledScenario {
                 }
                 "resource_tokens" => census.map(|c| c.resource as f64),
                 "census_matches" => census.map(|c| f64::from(u8::from(c.matches(cfg.l)))),
-                "epochs_total" | "epochs_converged" | "epoch_convergence_mean"
+                "epochs_total"
+                | "epochs_converged"
+                | "epoch_convergence_mean"
                 | "epoch_convergence_max" => None, // inserted below for schedule runs
                 "snapshots_taken" | "snapshots_clean" => None, // inserted below for snapshot runs
                 _ => unreachable!("metric names are validated at compile time"),

@@ -51,14 +51,12 @@ pub use compile::{
     ScenarioOutcome,
 };
 pub use mutate::{mutate_spec, random_spec, GenLimits};
-pub use presets::{
-    figure2_deadlock_init, preset, FIGURE2_NEEDS, FIGURE3_NEEDS, PRESET_NAMES,
-};
+pub use presets::{figure2_deadlock_init, preset, FIGURE2_NEEDS, FIGURE3_NEEDS, PRESET_NAMES};
 pub use spec::{
-    is_metric_name, CheckSpec, ConfigSpec, CsStateSpec, DaemonSpec, FaultEventSpec,
-    FaultPlanSpec, FaultScheduleSpec, FaultSpec, InitSpec, InitiatorSpec, InjectSpec,
-    MessageSpec, NodeInit, ProtocolSpec, ScenarioBuilder, ScenarioSpec, SnapshotSpec, StopSpec,
-    TopologySpec, WarmupSpec, WorkloadSpec, DEFAULT_METRICS, METRIC_NAMES,
+    is_metric_name, CheckSpec, ConfigSpec, CsStateSpec, DaemonSpec, FaultEventSpec, FaultPlanSpec,
+    FaultScheduleSpec, FaultSpec, InitSpec, InitiatorSpec, InjectSpec, MessageSpec, NodeInit,
+    ProtocolSpec, ScenarioBuilder, ScenarioSpec, SnapshotSpec, StopSpec, TopologySpec, WarmupSpec,
+    WorkloadSpec, DEFAULT_METRICS, METRIC_NAMES,
 };
 
 use std::fmt;

@@ -360,7 +360,9 @@ fn clamp_workload_units(spec: &mut ScenarioSpec) {
 
 fn swap_fault(spec: &mut ScenarioSpec, rng: &mut StdRng) {
     spec.fault = match spec.fault {
-        None => Some(super::spec::FaultSpec { seed: rng.gen::<u64>(), plan: random_fault_plan(rng) }),
+        None => {
+            Some(super::spec::FaultSpec { seed: rng.gen::<u64>(), plan: random_fault_plan(rng) })
+        }
         Some(_) if rng.gen_bool(0.5) => None,
         Some(ref fault) => Some(super::spec::FaultSpec {
             seed: rng.gen::<u64>(),
@@ -382,11 +384,8 @@ fn flip_init(spec: &mut ScenarioSpec, rng: &mut StdRng) {
         // Start the non-self-stabilizing rungs from an already-bootstrapped root: the
         // ℓ fresh tokens are never created, so token-starved structure becomes reachable.
         ProtocolSpec::Naive | ProtocolSpec::Pusher | ProtocolSpec::NonStab => {
-            spec.init = Some(InitSpec {
-                bootstrapped_root: true,
-                nodes: Vec::new(),
-                inject: Vec::new(),
-            });
+            spec.init =
+                Some(InitSpec { bootstrapped_root: true, nodes: Vec::new(), inject: Vec::new() });
         }
         // On the ss rung, place a garbage message in flight instead (channel 0 exists at
         // every node of a ≥2-process tree): exercises the no-hidden-timer bootstrap path
@@ -478,12 +477,8 @@ mod tests {
     fn ring_and_stateful_specs_are_normalized_into_the_checkable_subset() {
         let mut base = random_spec(&mut StdRng::seed_from_u64(7), &GenLimits::default(), "ring");
         base.protocol = ProtocolSpec::Ring;
-        base.workload = WorkloadSpec::Uniform {
-            seed: 1,
-            p_request: 0.5,
-            max_units: 1,
-            max_hold: 3,
-        };
+        base.workload =
+            WorkloadSpec::Uniform { seed: 1, p_request: 0.5, max_units: 1, max_hold: 3 };
         let mutant = mutate_spec(&base, &mut StdRng::seed_from_u64(8), &GenLimits::default());
         assert!(!matches!(mutant.protocol, ProtocolSpec::Ring));
         assert!(matches!(

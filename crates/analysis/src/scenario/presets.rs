@@ -7,7 +7,7 @@
 
 use super::spec::{
     CheckSpec, ConfigSpec, CsStateSpec, DaemonSpec, FaultEventSpec, FaultPlanSpec,
-    FaultScheduleSpec, InitSpec, MessageSpec, NodeInit, InjectSpec, ProtocolSpec, ScenarioSpec,
+    FaultScheduleSpec, InitSpec, InjectSpec, MessageSpec, NodeInit, ProtocolSpec, ScenarioSpec,
     StopSpec, TopologySpec, WarmupSpec, WorkloadSpec,
 };
 
@@ -143,8 +143,7 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
         // arbitrary initial configuration; the controller repairs it and every requester is
         // eventually served.
         "figure2-ss" => {
-            let mut spec =
-                figure2_base("figure2 — self-stabilizing recovery", ProtocolSpec::Ss);
+            let mut spec = figure2_base("figure2 — self-stabilizing recovery", ProtocolSpec::Ss);
             let mut init = figure2_deadlock_init();
             init.bootstrapped_root = false;
             spec.init = Some(init);
@@ -190,7 +189,12 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
             .topology(TopologySpec::Random { n: 9, seed: 7 })
             .protocol(ProtocolSpec::Ss)
             .kl(2, 4)
-            .workload(WorkloadSpec::Uniform { seed: 11, p_request: 0.01, max_units: 2, max_hold: 20 })
+            .workload(WorkloadSpec::Uniform {
+                seed: 11,
+                p_request: 0.01,
+                max_units: 2,
+                max_hold: 20,
+            })
             .daemon(DaemonSpec::RandomFair { seed: 50 })
             .warmup(1_500_000)
             .fault(900, FaultPlanSpec::Catastrophic)
@@ -238,7 +242,12 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
             .topology(TopologySpec::Chain { n: 9 })
             .protocol(ProtocolSpec::Ss)
             .config(ConfigSpec::new(2, 4).with_cmax(0).with_unbounded_counter(true))
-            .workload(WorkloadSpec::Uniform { seed: 3, p_request: 0.01, max_units: 2, max_hold: 20 })
+            .workload(WorkloadSpec::Uniform {
+                seed: 3,
+                p_request: 0.01,
+                max_units: 2,
+                max_hold: 20,
+            })
             .daemon(DaemonSpec::RandomFair { seed: 1_400 })
             .warmup(1_500_000)
             .fault(77, FaultPlanSpec::Catastrophic)

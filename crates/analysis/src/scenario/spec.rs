@@ -141,7 +141,8 @@ impl TopologySpec {
                 builders::random_bounded_degree(n, max_children, seed.wrapping_add(stream))
             }
             TopologySpec::SpanningTree { n, extra_edges, seed } => {
-                let graph = RootedGraph::random_connected(n, extra_edges, seed.wrapping_add(stream));
+                let graph =
+                    RootedGraph::random_connected(n, extra_edges, seed.wrapping_add(stream));
                 graph.spanning_tree(SpanningTreeMethod::Bfs).0
             }
             TopologySpec::Figure1 => builders::figure1_tree(),
@@ -809,9 +810,7 @@ impl ScenarioSpec {
     /// True when the fault schedule contains a topology-churn epoch (the network's shape
     /// changes mid-run).
     pub fn has_churn(&self) -> bool {
-        self.fault_schedule
-            .as_ref()
-            .is_some_and(|s| s.epochs.iter().any(FaultEventSpec::is_churn))
+        self.fault_schedule.as_ref().is_some_and(|s| s.epochs.iter().any(FaultEventSpec::is_churn))
     }
 
     /// The metric selection in effect (the default set when none was chosen).
@@ -890,12 +889,10 @@ impl ScenarioSpec {
                 && self.trials > 1
                 && !(init.nodes.is_empty() && init.inject.is_empty())
             {
-                return err(
-                    "init overrides address concrete nodes/channels, which cannot be \
+                return err("init overrides address concrete nodes/channels, which cannot be \
                      validated across the per-trial trees of a seeded topology; use a \
                      deterministic topology or trials = 1"
-                        .into(),
-                );
+                    .into());
             }
             if init.bootstrapped_root
                 && !matches!(
@@ -970,7 +967,9 @@ impl ScenarioSpec {
         }
         if let Some(schedule) = &self.fault_schedule {
             if !schedule.epochs.is_empty() && schedule.max_steps == 0 {
-                return err("fault-schedule re-convergence budget (max_steps) must be positive".into());
+                return err(
+                    "fault-schedule re-convergence budget (max_steps) must be positive".into()
+                );
             }
             if schedule.window == Some(0) {
                 return err("fault-schedule window must be at least 1 when set".into());
@@ -1052,11 +1051,9 @@ impl ScenarioSpec {
                 ));
             }
             if self.init.is_some() {
-                return err(
-                    "check.from_legitimate replaces the initial configuration with a \
+                return err("check.from_legitimate replaces the initial configuration with a \
                      stabilized one; init overrides would be discarded"
-                        .into(),
-                );
+                    .into());
             }
         }
         Ok(())

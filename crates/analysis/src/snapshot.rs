@@ -156,9 +156,8 @@ mod tests {
         let cfg = KlConfig::new(1, 2, 8);
         let mut net = ss::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut daemon = treenet::RoundRobin::new();
-        let warm = treenet::run_until(&mut net, &mut daemon, 500_000, |net| {
-            is_legitimate(net, &cfg)
-        });
+        let warm =
+            treenet::run_until(&mut net, &mut daemon, 500_000, |net| is_legitimate(net, &cfg));
         assert!(warm.is_satisfied(), "ss must stabilize before the snapshot phase");
 
         let mut runner =

@@ -226,10 +226,9 @@ mod tests {
         let recorder = CensusRecorder::new();
         assert!(recorder.render_sparklines(10).contains("no samples"));
         let mut loaded = CensusRecorder::new();
-        loaded.samples.push((
-            0,
-            TokenCensus { resource: 12, pusher: 1, priority: 0, ctrl: 1, garbage: 0 },
-        ));
+        loaded
+            .samples
+            .push((0, TokenCensus { resource: 12, pusher: 1, priority: 0, ctrl: 1, garbage: 0 }));
         let sparks = loaded.render_sparklines(5);
         assert!(sparks.lines().next().unwrap().contains('+'));
     }

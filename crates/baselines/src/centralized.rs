@@ -16,7 +16,9 @@ use rand::Rng;
 use std::collections::VecDeque;
 use topology::OrientedTree;
 use treenet::app::BoxedDriver;
-use treenet::{ChannelLabel, Context, Corruptible, CsState, Event, MessageKind, Network, NodeId, Process};
+use treenet::{
+    ChannelLabel, Context, Corruptible, CsState, Event, MessageKind, Network, NodeId, Process,
+};
 
 /// Messages of the centralized allocator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,8 +85,11 @@ pub struct CentralizedNode {
 impl CentralizedNode {
     /// Creates the process for `node`; node 0 becomes the coordinator and never requests.
     pub fn new(node: NodeId, cfg: KlConfig, driver: BoxedDriver) -> Self {
-        let coordinator =
-            if node == 0 { Some(Coordinator { free: cfg.l, pending: VecDeque::new() }) } else { None };
+        let coordinator = if node == 0 {
+            Some(Coordinator { free: cfg.l, pending: VecDeque::new() })
+        } else {
+            None
+        };
         CentralizedNode {
             cfg,
             node,
@@ -116,7 +121,12 @@ impl CentralizedNode {
 impl Process for CentralizedNode {
     type Msg = CoordMessage;
 
-    fn on_message(&mut self, from: ChannelLabel, msg: CoordMessage, ctx: &mut Context<'_, CoordMessage>) {
+    fn on_message(
+        &mut self,
+        from: ChannelLabel,
+        msg: CoordMessage,
+        ctx: &mut Context<'_, CoordMessage>,
+    ) {
         match (self.coordinator.is_some(), msg) {
             (true, CoordMessage::Request { units }) => {
                 if let Some(coord) = &mut self.coordinator {
@@ -232,7 +242,6 @@ mod tests {
     use treenet::app::Idle;
     use treenet::{run_until, RandomFair, RoundRobin};
     use workloads::Saturated;
-
 
     #[test]
     fn grants_and_releases_cycle() {

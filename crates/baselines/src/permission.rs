@@ -25,7 +25,9 @@ use rand::Rng;
 use std::collections::VecDeque;
 use topology::Complete;
 use treenet::app::BoxedDriver;
-use treenet::{ChannelLabel, Context, Corruptible, CsState, Event, MessageKind, Network, NodeId, Process};
+use treenet::{
+    ChannelLabel, Context, Corruptible, CsState, Event, MessageKind, Network, NodeId, Process,
+};
 
 /// Messages of the arbiter baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -321,7 +323,6 @@ mod tests {
     use treenet::app::Idle;
     use treenet::{run_until, RandomFair, RoundRobin};
     use workloads::Saturated;
-
 
     #[test]
     fn single_requester_gets_all_units() {

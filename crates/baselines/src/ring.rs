@@ -321,7 +321,6 @@ mod tests {
     use treenet::{run_until, FaultInjector, FaultPlan, RoundRobin};
     use workloads::Saturated;
 
-
     #[test]
     fn ring_bootstraps_to_l_1_1() {
         let cfg = KlConfig::new(2, 4, 8);

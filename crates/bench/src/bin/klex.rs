@@ -35,8 +35,7 @@ use bench::{experiments, history, ExperimentReport, Scale};
 use std::process::ExitCode;
 
 const EXPERIMENTS: [&str; 15] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
 ];
 
 fn usage() -> &'static str {
@@ -172,8 +171,9 @@ fn load_scenario(
     let mut spec = if let Some(spec) = preset(source) {
         spec
     } else {
-        let text = std::fs::read_to_string(source)
-            .map_err(|e| format!("`{source}` is neither a preset (try `klex list`) nor a readable file: {e}"))?;
+        let text = std::fs::read_to_string(source).map_err(|e| {
+            format!("`{source}` is neither a preset (try `klex list`) nor a readable file: {e}")
+        })?;
         ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?
     };
     if let Some(path) = schedule_path {
@@ -203,9 +203,8 @@ fn run_command(args: &[String]) -> ExitCode {
     let mut snapshots: Option<Option<u64>> = None;
     let mut iter = args[1..].iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value =
+            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         let result = match arg.as_str() {
             "--backend" => {
                 value("--backend").and_then(|v| Backend::parse(&v)).map(|v| request.backend = v)
@@ -218,9 +217,7 @@ fn run_command(args: &[String]) -> ExitCode {
                 request.bench = true;
                 Ok(())
             }
-            "--fault-schedule" => {
-                value("--fault-schedule").map(|v| schedule_path = Some(v))
-            }
+            "--fault-schedule" => value("--fault-schedule").map(|v| schedule_path = Some(v)),
             "--snapshots" => {
                 // An explicit `--snapshot-interval` wins regardless of flag order.
                 if snapshots.is_none() {
@@ -229,16 +226,14 @@ fn run_command(args: &[String]) -> ExitCode {
                 Ok(())
             }
             "--snapshot-interval" => value("--snapshot-interval").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| e.to_string())
-                    .and_then(|v| {
-                        if v == 0 {
-                            Err("--snapshot-interval must be positive".to_string())
-                        } else {
-                            snapshots = Some(Some(v));
-                            Ok(())
-                        }
-                    })
+                v.parse::<u64>().map_err(|e| e.to_string()).and_then(|v| {
+                    if v == 0 {
+                        Err("--snapshot-interval must be positive".to_string())
+                    } else {
+                        snapshots = Some(Some(v));
+                        Ok(())
+                    }
+                })
             }),
             other => Err(format!("unknown option `{other}`")),
         };
@@ -298,9 +293,8 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value =
+            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         let result = match arg.as_str() {
             "--smoke" => Ok(()),
             "--seed" => value("--seed")
@@ -451,11 +445,7 @@ fn experiment_command(args: &[String]) -> ExitCode {
             _ => return None,
         })
     };
-    let names: Vec<&str> = if name == "all" {
-        EXPERIMENTS.to_vec()
-    } else {
-        vec![name.as_str()]
-    };
+    let names: Vec<&str> = if name == "all" { EXPERIMENTS.to_vec() } else { vec![name.as_str()] };
     for name in names {
         match run(name, scale.clone()) {
             Some(report) => {
@@ -480,9 +470,8 @@ fn serve_command(args: &[String]) -> ExitCode {
     let mut opts = ServeOptions::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value =
+            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         let result = match arg.as_str() {
             "--addr" => value("--addr").map(|v| opts.addr = v),
             "--workers" => value("--workers")
@@ -546,9 +535,8 @@ fn submit_command(args: &[String]) -> ExitCode {
     let mut fuzz_fields: Vec<String> = Vec::new();
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value =
+            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         let result = match arg.as_str() {
             "--fuzz" => {
                 fuzz = true;

@@ -40,9 +40,13 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             for seed in 0..scale.trials {
                 let tree = TreeShape::Random.build(n, seed);
                 let mut boot = scheduler(10 + seed);
-                let Some(mut net) =
-                    stabilized_ss_network(tree, cfg, all_saturated(1, 3), &mut boot, scale.max_steps)
-                else {
+                let Some(mut net) = stabilized_ss_network(
+                    tree,
+                    cfg,
+                    all_saturated(1, 3),
+                    &mut boot,
+                    scale.max_steps,
+                ) else {
                     continue;
                 };
                 let mut sched = scheduler(100 + seed);
@@ -53,7 +57,10 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             }
             rows.push(
                 ExperimentRow::new(format!("tree (this paper) n={n} l={l}"))
-                    .with("cs_entries_per_1k_steps", entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0)
+                    .with(
+                        "cs_entries_per_1k_steps",
+                        entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0,
+                    )
                     .with("messages_per_cs_entry", per_entry(messages_total, entries_total))
                     .with("worst_waiting", worst_wait as f64),
             );
@@ -86,7 +93,10 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             }
             rows.push(
                 ExperimentRow::new(format!("ring (Datta–Hadid–Villain style) n={n} l={l}"))
-                    .with("cs_entries_per_1k_steps", entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0)
+                    .with(
+                        "cs_entries_per_1k_steps",
+                        entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0,
+                    )
                     .with("messages_per_cs_entry", per_entry(messages_total, entries_total))
                     .with("worst_waiting", worst_wait as f64),
             );
@@ -113,7 +123,10 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             }
             rows.push(
                 ExperimentRow::new(format!("centralized coordinator n={n} l={l}"))
-                    .with("cs_entries_per_1k_steps", entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0)
+                    .with(
+                        "cs_entries_per_1k_steps",
+                        entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0,
+                    )
                     .with("messages_per_cs_entry", per_entry(messages_total, entries_total))
                     .with("worst_waiting", worst_wait as f64),
             );
@@ -134,7 +147,10 @@ pub fn e8_tree_vs_ring(scale: Scale) -> ExperimentReport {
             }
             rows.push(
                 ExperimentRow::new(format!("per-unit arbiters n={n} l={l}"))
-                    .with("cs_entries_per_1k_steps", entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0)
+                    .with(
+                        "cs_entries_per_1k_steps",
+                        entries_total as f64 / (steps * scale.trials) as f64 * 1_000.0,
+                    )
                     .with("messages_per_cs_entry", per_entry(messages_total, entries_total))
                     .with("worst_waiting", worst_wait as f64),
             );

@@ -42,9 +42,7 @@ impl Victims {
         match self {
             Victims::OneLeaf => injector.crash(net, &[n - 1], lose_incoming).nodes_crashed,
             Victims::Root => injector.crash(net, &[0], lose_incoming).nodes_crashed,
-            Victims::HalfRandom => {
-                injector.crash_random(net, n / 2, lose_incoming).1.nodes_crashed
-            }
+            Victims::HalfRandom => injector.crash_random(net, n / 2, lose_incoming).1.nodes_crashed,
             Victims::All => {
                 let all: Vec<NodeId> = (0..n).collect();
                 injector.crash(net, &all, lose_incoming).nodes_crashed

@@ -54,8 +54,7 @@ pub fn e12_exhaustive(scale: Scale) -> ExperimentReport {
     ] {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let mut net =
-            ladder::network(rung, tree, cfg, drivers::from_needs_holding(&fig3_needs));
+        let mut net = ladder::network(rung, tree, cfg, drivers::from_needs_holding(&fig3_needs));
         let mut explorer =
             Explorer::new(&mut net).with_limits(limits(max_configs)).record_graph(true);
         let report = explorer.run();
@@ -76,12 +75,8 @@ pub fn e12_exhaustive(scale: Scale) -> ExperimentReport {
         ("ss closure, chain n=3, l=2", topology::builders::chain(3), 2usize),
     ] {
         let cfg = KlConfig::new(2, l, 3).with_cmax(0);
-        let mut net = scenarios::stabilized_ss(
-            tree,
-            cfg,
-            |_| drivers::AlwaysRequest::boxed(1),
-            500_000,
-        );
+        let mut net =
+            scenarios::stabilized_ss(tree, cfg, |_| drivers::AlwaysRequest::boxed(1), 500_000);
         let report = Explorer::new(&mut net)
             .with_limits(limits(budget))
             .with_property(properties::legitimate(cfg))

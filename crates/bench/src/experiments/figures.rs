@@ -224,24 +224,25 @@ pub fn e4_virtual_ring(scale: Scale) -> ExperimentReport {
     {
         let tree = topology::builders::figure1_tree();
         let ring = VirtualRing::of(&tree);
-        let expected: Vec<usize> = ["r", "a", "b", "a", "c", "a", "r", "d", "e", "d", "f", "d", "g", "d"]
-            .iter()
-            .map(|s| topology::builders::figure1_node(s))
-            .collect();
+        let expected: Vec<usize> =
+            ["r", "a", "b", "a", "c", "a", "r", "d", "e", "d", "f", "d", "g", "d"]
+                .iter()
+                .map(|s| topology::builders::figure1_node(s))
+                .collect();
         rows.push(
             ExperimentRow::new("figure-1 tree: sequence r a b a c a r d e d f d g d")
                 .with("ring_len", ring.len() as f64)
-                .with("sequence_matches_paper", f64::from(u8::from(ring.node_sequence() == expected))),
+                .with(
+                    "sequence_matches_paper",
+                    f64::from(u8::from(ring.node_sequence() == expected)),
+                ),
         );
     }
     for &n in &scale.sizes {
         for shape in TreeShape::all() {
             let tree = shape.build(n, 11);
             let ring = VirtualRing::of(&tree);
-            let ecc = (0..n)
-                .filter_map(|v| ring.ring_distance(tree.root(), v))
-                .max()
-                .unwrap_or(0);
+            let ecc = (0..n).filter_map(|v| ring.ring_distance(tree.root(), v)).max().unwrap_or(0);
             rows.push(
                 ExperimentRow::new(format!("{} n={n}", shape.label()))
                     .with("ring_len", ring.len() as f64)
@@ -250,5 +251,8 @@ pub fn e4_virtual_ring(scale: Scale) -> ExperimentReport {
             );
         }
     }
-    ExperimentReport { title: "E4 — Figure 4: the virtual ring of an oriented tree".to_string(), rows }
+    ExperimentReport {
+        title: "E4 — Figure 4: the virtual ring of an oriented tree".to_string(),
+        rows,
+    }
 }

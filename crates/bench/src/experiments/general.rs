@@ -22,7 +22,8 @@ pub fn e11_general_networks(scale: Scale) -> ExperimentReport {
     for &n in &scale.sizes {
         // Densities: a bare tree (0 extra edges), a sparse mesh (n/2 chords), a dense mesh
         // (2n chords).
-        for (density_label, extra) in [("tree", 0usize), ("sparse-mesh", n / 2), ("dense-mesh", 2 * n)]
+        for (density_label, extra) in
+            [("tree", 0usize), ("sparse-mesh", n / 2), ("dense-mesh", 2 * n)]
         {
             let l = (n / 2).clamp(2, 6);
             let k = (l / 2).max(1);
@@ -36,15 +37,11 @@ pub fn e11_general_networks(scale: Scale) -> ExperimentReport {
                 let graph = RootedGraph::random_connected(n, extra, 1_000 + seed);
                 let kl_cfg = KlConfig::new(k, l, n);
                 let mut sched = scheduler(40_000 + seed);
-                let composition = match compose_with_defaults(
-                    graph,
-                    kl_cfg,
-                    all_saturated(k, 10),
-                    &mut sched,
-                ) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
+                let composition =
+                    match compose_with_defaults(graph, kl_cfg, all_saturated(k, 10), &mut sched) {
+                        Ok(c) => c,
+                        Err(_) => continue,
+                    };
                 stabilized += 1;
                 st_acts.push(composition.st_activations);
                 st_msgs.push(composition.st_messages);

@@ -88,8 +88,7 @@ pub fn e5_convergence(scale: Scale) -> ExperimentReport {
         }
     }
     ExperimentReport {
-        title: "E5 — Theorem 1: convergence time after transient faults (activations)"
-            .to_string(),
+        title: "E5 — Theorem 1: convergence time after transient faults (activations)".to_string(),
         rows,
     }
 }

@@ -65,16 +65,10 @@ pub fn e6_waiting_time(scale: Scale) -> ExperimentReport {
                     .compile()
                     .expect("the E6 scenario validates");
                 let report = scenario.run_harness(auto_shards());
-                let worst = report
-                    .summaries
-                    .get("waiting_max")
-                    .map(|summary| summary.max)
-                    .unwrap_or(0.0);
-                let mean = report
-                    .summaries
-                    .get("waiting_mean")
-                    .map(|summary| summary.mean)
-                    .unwrap_or(0.0);
+                let worst =
+                    report.summaries.get("waiting_max").map(|summary| summary.max).unwrap_or(0.0);
+                let mean =
+                    report.summaries.get("waiting_mean").map(|summary| summary.mean).unwrap_or(0.0);
                 rows.push(
                     ExperimentRow::new(report.label)
                         .with("bound_l(2n-3)^2", bound)
@@ -86,9 +80,8 @@ pub fn e6_waiting_time(scale: Scale) -> ExperimentReport {
         }
     }
     ExperimentReport {
-        title:
-            "E6 — Theorem 2: waiting time (CS entries by others per satisfied request) vs bound"
-                .to_string(),
+        title: "E6 — Theorem 2: waiting time (CS entries by others per satisfied request) vs bound"
+            .to_string(),
         rows,
     }
 }

@@ -26,17 +26,11 @@ use topology::Topology;
 use treenet::{Event, Note};
 
 /// Deletes every in-flight controller message — the fault class the timeout exists for.
-fn drop_all_controllers(
-    net: &mut treenet::Network<ss::SsNode, topology::OrientedTree>,
-) {
+fn drop_all_controllers(net: &mut treenet::Network<ss::SsNode, topology::OrientedTree>) {
     for v in 0..net.len() {
         for l in 0..net.topology().degree(v) {
-            let kept: Vec<Message> = net
-                .channel(v, l)
-                .iter()
-                .copied()
-                .filter(|m| !m.is_ctrl())
-                .collect();
+            let kept: Vec<Message> =
+                net.channel(v, l).iter().copied().filter(|m| !m.is_ctrl()).collect();
             let mut ch = net.channel_mut(v, l);
             ch.clear();
             for m in kept {
@@ -142,8 +136,9 @@ pub fn e13_timeout_sweep(scale: Scale) -> ExperimentReport {
         );
     }
     ExperimentReport {
-        title: "E13 — controller-timeout ablation (duplicate traffic vs recovery from controller loss)"
-            .to_string(),
+        title:
+            "E13 — controller-timeout ablation (duplicate traffic vs recovery from controller loss)"
+                .to_string(),
         rows,
     }
 }

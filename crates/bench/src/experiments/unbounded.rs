@@ -4,9 +4,7 @@
 use crate::support::{Scale, TreeShape};
 use crate::ExperimentReport;
 use analysis::convergence::{default_window, measure_convergence};
-use analysis::scenario::{
-    ConfigSpec, DaemonSpec, ProtocolSpec, ScenarioSpec, WorkloadSpec,
-};
+use analysis::scenario::{ConfigSpec, DaemonSpec, ProtocolSpec, ScenarioSpec, WorkloadSpec};
 use analysis::{ExperimentRow, Summary};
 use klex_core::{ss, KlConfig, Message};
 use topology::Topology;

@@ -57,8 +57,8 @@
 use analysis::coverage::CoverageSignature;
 use analysis::harness::{auto_shards, run_sharded, trial_seed};
 use analysis::monitor;
-use analysis::{NullSink, ProgressSink};
 use analysis::scenario::{mutate_spec, random_spec, GenLimits, ScenarioSpec, StopSpec};
+use analysis::{NullSink, ProgressSink};
 use checker::{ExplorationReport, GraphSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -341,7 +341,8 @@ impl Corpus {
     /// Writes the manifest and every spec file; a no-op for in-memory corpora.
     pub fn save(&self) -> Result<(), String> {
         let Some(dir) = &self.dir else { return Ok(()) };
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let mut manifest = String::from("{\n  \"version\": 1,\n  \"entries\": [\n");
         for (i, entry) in self.entries.values().enumerate() {
             // Keys and file names come from CoverageSignature::key()/fnv64: no characters
@@ -513,8 +514,7 @@ fn generate_one(
     let mut spec = draw(&mut rng);
     if opts.guided {
         for _ in 0..GUIDED_REDRAWS {
-            let (tries, novel) =
-                strata.get(&stratum_of(&spec)).copied().unwrap_or((0, 0));
+            let (tries, novel) = strata.get(&stratum_of(&spec)).copied().unwrap_or((0, 0));
             if tries < STRATUM_MIN_TRIES {
                 break; // Not enough evidence to call the stratum depleted.
             }
@@ -547,10 +547,8 @@ fn generate_one(
 /// Nothing reads `_threads`: it was the worker count of the removed parallel checker arm
 /// and stays only so existing callers compile; ROADMAP item 9 removes it.
 pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, String> {
-    let scenario = spec
-        .clone()
-        .compile()
-        .map_err(|e| format!("generated spec failed to validate: {e}"))?;
+    let scenario =
+        spec.clone().compile().map_err(|e| format!("generated spec failed to validate: {e}"))?;
 
     // Each engine's graph is summarized and dropped as soon as its run returns.
     let summarized = |interned| {

@@ -159,8 +159,7 @@ fn metrics(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> 
     let [queued, running, done, failed, cancelled] = shared.jobs.counts();
     let uptime = shared.uptime_secs().max(1e-9);
     let states = counter("klex_states_explored_total");
-    let scenarios =
-        counter("klex_trials_completed_total") + counter("klex_fuzz_scenarios_total");
+    let scenarios = counter("klex_trials_completed_total") + counter("klex_fuzz_scenarios_total");
     let samples = [
         Sample::counter("klex_http_requests_total", counter("klex_http_requests_total")),
         Sample::counter("klex_jobs_submitted_total", counter("klex_jobs_submitted_total")),

@@ -75,11 +75,7 @@ fn event_key(line: &str) -> Option<(u64, u64)> {
 /// a terminal state) are deduped by position among unstamped lines.  A drop after the
 /// job reached a terminal state is not an error; the final status is fetched and
 /// returned as if the stream had ended cleanly.
-pub fn watch(
-    addr: &str,
-    id: u64,
-    on_line: &mut dyn FnMut(&str),
-) -> Result<Value, String> {
+pub fn watch(addr: &str, id: u64, on_line: &mut dyn FnMut(&str)) -> Result<Value, String> {
     // Newest stamped line delivered; replays are lines with the same boot and seq ≤ this.
     let mut last_seen: Option<(u64, u64)> = None;
     // Unstamped (result-row) lines delivered so far — replayed verbatim from the start
@@ -90,25 +86,22 @@ pub fn watch(
     loop {
         let mut fresh = 0usize;
         let mut rows_replayed = 0usize;
-        let mut relay = |line: &str| {
-            match event_key(line) {
-                Some((boot, seq)) => {
-                    let replay =
-                        matches!(last_seen, Some((b, s)) if boot == b && seq <= s);
-                    if !replay {
-                        last_seen = Some((boot, seq));
-                        fresh += 1;
-                        on_line(line);
-                    }
+        let mut relay = |line: &str| match event_key(line) {
+            Some((boot, seq)) => {
+                let replay = matches!(last_seen, Some((b, s)) if boot == b && seq <= s);
+                if !replay {
+                    last_seen = Some((boot, seq));
+                    fresh += 1;
+                    on_line(line);
                 }
-                None => {
-                    if rows_replayed < rows_delivered {
-                        rows_replayed += 1;
-                    } else {
-                        rows_delivered += 1;
-                        fresh += 1;
-                        on_line(line);
-                    }
+            }
+            None => {
+                if rows_replayed < rows_delivered {
+                    rows_replayed += 1;
+                } else {
+                    rows_delivered += 1;
+                    fresh += 1;
+                    on_line(line);
                 }
             }
         };

@@ -62,10 +62,8 @@ pub fn read_request(stream: &TcpStream) -> Result<Option<Request>, String> {
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad Content-Length {value:?}"))?;
+                content_length =
+                    value.trim().parse().map_err(|_| format!("bad Content-Length {value:?}"))?;
             }
         }
     }

@@ -175,7 +175,11 @@ impl JobTable {
     }
 
     /// Enqueues a job, returning its id and cancel flag.
-    pub fn submit(&self, name: String, kind: JobKind) -> Result<(u64, Arc<AtomicBool>), SubmitError> {
+    pub fn submit(
+        &self,
+        name: String,
+        kind: JobKind,
+    ) -> Result<(u64, Arc<AtomicBool>), SubmitError> {
         let mut state = self.lock();
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -382,7 +386,6 @@ impl JobTable {
         self.worker_wake.notify_all();
         self.watchers.notify_all();
     }
-
 }
 
 /// A value in a progress event line.

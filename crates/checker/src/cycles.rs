@@ -308,11 +308,8 @@ mod tests {
         // large requester `a` is forced to release — hence the holding drivers.
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let net = klex_core::pusher::network(
-            tree,
-            cfg,
-            drivers::from_needs_holding(&figure3_needs()),
-        );
+        let net =
+            klex_core::pusher::network(tree, cfg, drivers::from_needs_holding(&figure3_needs()));
         let (report, graph) = explore_figure3(net, 600_000);
         assert!(report.exhaustive(), "Figure-3 state space must fit the limits");
         let witness = find_progress_cycle(&graph, 1)
@@ -342,11 +339,8 @@ mod tests {
     fn priority_token_removes_the_starvation_cycle_on_figure3() {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let net = klex_core::nonstab::network(
-            tree,
-            cfg,
-            drivers::from_needs_holding(&figure3_needs()),
-        );
+        let net =
+            klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&figure3_needs()));
         let (report, graph) = explore_figure3(net, 1_500_000);
         assert!(report.exhaustive(), "Figure-3 state space must fit the limits");
         assert!(

@@ -833,7 +833,10 @@ impl<'a, P: CheckableNode, T: Topology> Explorer<'a, P, T> {
     /// Stores the recorded graph and runs the optional liveness pass — the single exit path
     /// of both engines, so delta and interned runs report identical liveness witnesses
     /// (they record identical graphs).
-    fn finish_run(&mut self, (mut report, graph): (ExplorationReport, StateGraph)) -> ExplorationReport {
+    fn finish_run(
+        &mut self,
+        (mut report, graph): (ExplorationReport, StateGraph),
+    ) -> ExplorationReport {
         self.graph = graph;
         if self.check_liveness {
             report.liveness = crate::liveness::find_fair_cycles(&self.graph);
@@ -933,11 +936,8 @@ fn compute_terms(packed: &[u8], map: &SegmentMap, terms: &mut Vec<u64>) -> u64 {
 /// just executed (the trace was cleared before it).  Only the activated process runs, so
 /// the trace holds at most one `EnterCs`, and it is that process's.
 fn entered_cs<P: CheckableNode, T: Topology>(net: &Network<P, T>, act: Activation) -> bool {
-    let mut entries = net
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.event, treenet::Event::EnterCs { .. }));
+    let mut entries =
+        net.trace().events().iter().filter(|e| matches!(e.event, treenet::Event::EnterCs { .. }));
     let Some(entry) = entries.next() else { return false };
     debug_assert!(
         entry.node as NodeId == act.node() && entries.next().is_none(),
@@ -1695,8 +1695,7 @@ impl<'p> Engine<'p> {
         admit: Admit<'_>,
     ) -> Option<(StateId, Tally)> {
         self.report.transitions += 1;
-        let outcome =
-            self.arena.intern_capped_hashed(packed, hash, self.limits.max_configurations);
+        let outcome = self.arena.intern_capped_hashed(packed, hash, self.limits.max_configurations);
         let (target, fresh) = match outcome {
             InternOutcome::Existing(id) => (id, None),
             InternOutcome::Full => {
@@ -2233,8 +2232,7 @@ mod tests {
         };
 
         let mut net = make();
-        let mut interned_explorer =
-            Explorer::new(&mut net).with_limits(limits).record_graph(true);
+        let mut interned_explorer = Explorer::new(&mut net).with_limits(limits).record_graph(true);
         let interned = interned_explorer.run_interned();
         let interned_graph = interned_explorer.into_graph();
 
@@ -2490,7 +2488,11 @@ mod tests {
         let cfg = KlConfig::new(2, 2, 3);
         let needs = [0usize, 2, 2];
         let make = || {
-            klex_core::naive::network(topology::builders::chain(3), cfg, drivers::from_needs(&needs))
+            klex_core::naive::network(
+                topology::builders::chain(3),
+                cfg,
+                drivers::from_needs(&needs),
+            )
         };
         let base = baseline::explore(&mut make(), limits);
         assert!(!base.truncated);

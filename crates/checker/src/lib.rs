@@ -86,15 +86,14 @@ pub mod scenarios;
 pub mod snapshot;
 
 pub use cycles::{find_progress_cycle, CycleWitness};
-pub use liveness::{find_fair_cycles, LassoWitness};
 pub use explore::{
-    DeadlockWitness, Edge, ExplorationReport, ExploreProgress, Explorer,
-    GraphSummary, Limits, StateGraph, Violation,
+    DeadlockWitness, Edge, ExplorationReport, ExploreProgress, Explorer, GraphSummary, Limits,
+    StateGraph, Violation,
 };
+pub use liveness::{find_fair_cycles, LassoWitness};
 pub use properties::Property;
 pub use snapshot::{
-    capture, capture_packed, map_packed, pack_configuration, restore, restore_packed,
-    segment_term, segmented_hash, unpack_configuration,
-    unpack_configuration_into, CheckableNode, Configuration, CtrlState, InternOutcome, NodeState,
-    SegmentMap, StateArena, StateId,
+    capture, capture_packed, map_packed, pack_configuration, restore, restore_packed, segment_term,
+    segmented_hash, unpack_configuration, unpack_configuration_into, CheckableNode, Configuration,
+    CtrlState, InternOutcome, NodeState, SegmentMap, StateArena, StateId,
 };

@@ -401,11 +401,8 @@ mod tests {
     fn pusher_only_protocol_has_a_fair_starvation_lasso_on_figure3() {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let net = klex_core::pusher::network(
-            tree,
-            cfg,
-            drivers::from_needs_holding(&figure3_needs()),
-        );
+        let net =
+            klex_core::pusher::network(tree, cfg, drivers::from_needs_holding(&figure3_needs()));
         let report = explore_with_liveness(net, 600_000);
         assert!(report.exhaustive(), "Figure-3 state space must fit the limits");
         assert!(!report.live(), "the pusher-only protocol livelocks on Figure 3");
@@ -437,14 +434,11 @@ mod tests {
         }
         // ...and every channel is either delivered or observed empty along the cycle.
         let channels: Vec<(usize, usize)> = (0..witness.cycle_configs[0].channels.len())
-            .flat_map(|v| {
-                (0..witness.cycle_configs[0].channels[v].len()).map(move |l| (v, l))
-            })
+            .flat_map(|v| (0..witness.cycle_configs[0].channels[v].len()).map(move |l| (v, l)))
             .collect();
         for (v, l) in channels {
             let delivered = witness.cycle.contains(&Activation::Deliver { node: v, channel: l });
-            let empty_somewhere =
-                witness.cycle_configs.iter().any(|c| c.channels[v][l].is_empty());
+            let empty_somewhere = witness.cycle_configs.iter().any(|c| c.channels[v][l].is_empty());
             assert!(
                 delivered || empty_somewhere,
                 "channel ({v},{l}) must be delivered or observed empty along the cycle"
@@ -485,11 +479,8 @@ mod tests {
     fn priority_token_removes_the_fair_lasso_on_figure3() {
         let tree = topology::builders::figure3_tree();
         let cfg = KlConfig::new(2, 3, 3);
-        let net = klex_core::nonstab::network(
-            tree,
-            cfg,
-            drivers::from_needs_holding(&figure3_needs()),
-        );
+        let net =
+            klex_core::nonstab::network(tree, cfg, drivers::from_needs_holding(&figure3_needs()));
         let report = explore_with_liveness(net, 1_500_000);
         assert!(report.exhaustive());
         assert!(report.live(), "with the priority token no fair cycle starves anyone");
@@ -506,15 +497,10 @@ mod tests {
         };
         let limits = Limits { max_configurations: 600_000, max_depth: usize::MAX };
         let mut net = make();
-        let delta = Explorer::new(&mut net)
-            .with_limits(limits)
-            .check_liveness(true)
-            .run();
+        let delta = Explorer::new(&mut net).with_limits(limits).check_liveness(true).run();
         let mut net = make();
-        let interned = Explorer::new(&mut net)
-            .with_limits(limits)
-            .check_liveness(true)
-            .run_interned();
+        let interned =
+            Explorer::new(&mut net).with_limits(limits).check_liveness(true).run_interned();
         assert_eq!(delta.liveness.len(), interned.liveness.len());
         for (d, i) in delta.liveness.iter().zip(&interned.liveness) {
             assert_eq!(d.victim, i.victim);

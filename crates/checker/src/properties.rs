@@ -269,10 +269,7 @@ mod tests {
         );
         assert!(judged(safety(kl(2, 3)), &ok).is_ok());
 
-        let hoarder = config(
-            vec![node(CsState::Req, 2, vec![0, 0, 1], None)],
-            vec![vec![vec![]]],
-        );
+        let hoarder = config(vec![node(CsState::Req, 2, vec![0, 0, 1], None)], vec![vec![vec![]]]);
         let err = judged(safety(kl(2, 3)), &hoarder).unwrap_err();
         assert_eq!(err, "process 0 reserves 3 tokens but k = 2");
     }
@@ -280,10 +277,7 @@ mod tests {
     #[test]
     fn safety_rejects_global_overuse() {
         let too_many = config(
-            vec![
-                node(CsState::In, 2, vec![0, 0], None),
-                node(CsState::In, 2, vec![0, 0], None),
-            ],
+            vec![node(CsState::In, 2, vec![0, 0], None), node(CsState::In, 2, vec![0, 0], None)],
             vec![vec![vec![]], vec![vec![]]],
         );
         let err = judged(safety(kl(2, 3)), &too_many).unwrap_err();
@@ -294,10 +288,7 @@ mod tests {
     fn exact_census_counts_held_and_in_flight_tokens() {
         let c = config(
             vec![node(CsState::Req, 2, vec![0], Some(0)), node(CsState::Out, 0, vec![], None)],
-            vec![
-                vec![vec![Message::ResT, Message::PushT]],
-                vec![vec![Message::ResT]],
-            ],
+            vec![vec![vec![Message::ResT, Message::PushT]], vec![vec![Message::ResT]]],
         );
         // 1 reserved + 2 in flight = 3 resource tokens; 1 pusher; 1 held priority.
         assert!(judged(exact_census(kl(2, 3)), &c).is_ok());
@@ -321,7 +312,13 @@ mod tests {
         let c = config(
             vec![node(CsState::Out, 0, vec![], None), node(CsState::Out, 0, vec![], None)],
             vec![
-                vec![vec![Message::ResT, Message::ResT, Message::ResT, Message::PushT, Message::PrioT]],
+                vec![vec![
+                    Message::ResT,
+                    Message::ResT,
+                    Message::ResT,
+                    Message::PushT,
+                    Message::PrioT,
+                ]],
                 vec![vec![]],
             ],
         );

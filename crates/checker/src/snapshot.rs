@@ -251,7 +251,10 @@ impl CheckableNode for SsNode {
         restore_app(&mut self.app, state);
         self.prio = state.prio;
         match (&mut self.role, &state.ctrl) {
-            (SsRole::Root(r), Some(CtrlState::Root { my_c, succ, reset, s_token, s_push, s_prio })) => {
+            (
+                SsRole::Root(r),
+                Some(CtrlState::Root { my_c, succ, reset, s_token, s_push, s_prio }),
+            ) => {
                 r.my_c = *my_c;
                 r.succ = *succ;
                 r.reset = *reset;
@@ -1395,8 +1398,7 @@ mod tests {
     #[test]
     fn hashed_arena_ops_agree_with_the_default_scheme_when_given_fx_hashes() {
         let mut arena = StateArena::new();
-        let keys: Vec<Vec<u8>> =
-            (0..64u32).map(|i| i.to_le_bytes().repeat(3)).collect();
+        let keys: Vec<Vec<u8>> = (0..64u32).map(|i| i.to_le_bytes().repeat(3)).collect();
         for (i, key) in keys.iter().enumerate() {
             let outcome = arena.intern_capped_hashed(key, fx_hash(key), usize::MAX);
             assert_eq!(outcome, InternOutcome::Inserted(i as u32));

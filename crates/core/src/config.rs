@@ -162,10 +162,8 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let c = KlConfig::new(1, 2, 4)
-            .with_cmax(5)
-            .with_timeout(999)
-            .with_literal_pusher_guard(true);
+        let c =
+            KlConfig::new(1, 2, 4).with_cmax(5).with_timeout(999).with_literal_pusher_guard(true);
         assert_eq!(c.cmax, 5);
         assert_eq!(c.timeout_interval, 999);
         assert!(c.literal_pusher_guard);

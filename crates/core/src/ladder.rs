@@ -65,7 +65,13 @@ impl LadderNode {
     ///
     /// The root (node 0) creates the rung's tokens on its first activation; there is no
     /// fault-tolerance mechanism, so these rungs assume a clean start.
-    pub fn new(rung: Rung, node: NodeId, degree: usize, cfg: KlConfig, driver: BoxedDriver) -> Self {
+    pub fn new(
+        rung: Rung,
+        node: NodeId,
+        degree: usize,
+        cfg: KlConfig,
+        driver: BoxedDriver,
+    ) -> Self {
         LadderNode {
             rung,
             cfg,
@@ -93,8 +99,7 @@ impl LadderNode {
             Rung::NonStab => self.prio.is_none(),
             _ => true,
         };
-        let must_release =
-            prio_cond && !self.app.can_enter() && self.app.state != CsState::In;
+        let must_release = prio_cond && !self.app.can_enter() && self.app.state != CsState::In;
         if must_release {
             for label in self.app.take_reserved() {
                 ctx.send_next(label, Message::ResT);

@@ -39,7 +39,6 @@ mod tests {
     use treenet::{run_until, RandomFair, RoundRobin};
     use workloads::Saturated;
 
-
     /// Figure 3 workload on the 3-node tree: r and b request 1 unit, a requests 2, with
     /// l = 3 and k = 2 (2-out-of-3 exclusion).
     fn figure3_workload(id: NodeId) -> BoxedDriver {

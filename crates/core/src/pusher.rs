@@ -40,7 +40,6 @@ mod tests {
     use treenet::{run_until, RoundRobin};
     use workloads::Saturated;
 
-
     /// The Figure 2 deadlock workload: needs 3/2/2/2 on the figure-1 tree with l = 5, k = 3.
     fn figure2_workload(id: NodeId) -> BoxedDriver {
         match id {

@@ -211,11 +211,8 @@ impl SsNode {
         // Corrected guard: a process releases its reservations only if it does NOT hold the
         // priority token (and is neither in nor about to enter its critical section).  The
         // literal guard from the paper's listing is available for the ablation study.
-        let prio_cond = if self.cfg.literal_pusher_guard {
-            self.prio.is_some()
-        } else {
-            self.prio.is_none()
-        };
+        let prio_cond =
+            if self.cfg.literal_pusher_guard { self.prio.is_some() } else { self.prio.is_none() };
         let must_release = prio_cond && !self.app.can_enter() && self.app.state != CsState::In;
         if must_release {
             let released = self.app.take_reserved();
@@ -573,8 +570,7 @@ impl Corruptible for SsNode {
         let cfg = self.cfg;
         let degree = self.degree;
         self.app.corrupt(&cfg, degree, rng);
-        self.prio =
-            if rng.gen_bool(0.5) { Some(rng.gen_range(0..degree.max(1))) } else { None };
+        self.prio = if rng.gen_bool(0.5) { Some(rng.gen_range(0..degree.max(1))) } else { None };
         match &mut self.role {
             SsRole::Root(r) => {
                 r.my_c = rng.gen_range(0..self.counter_modulus);
@@ -623,11 +619,7 @@ mod tests {
     use treenet::{run_sustained, run_until, FaultInjector, FaultPlan, RandomFair, RoundRobin};
     use workloads::Saturated;
 
-
-    fn idle_net(
-        tree: OrientedTree,
-        cfg: KlConfig,
-    ) -> Network<SsNode, OrientedTree> {
+    fn idle_net(tree: OrientedTree, cfg: KlConfig) -> Network<SsNode, OrientedTree> {
         network(tree, cfg, |_| Box::new(Idle) as BoxedDriver)
     }
 
@@ -1066,8 +1058,7 @@ mod controller_unit_tests {
             r.succ = 1;
             r.s_token = 1;
         }
-        let (_, events) =
-            deliver(&mut root, 1, Message::Ctrl { c: 1, r: false, pt: 1, ppr: 0 }, 2);
+        let (_, events) = deliver(&mut root, 1, Message::Ctrl { c: 1, r: false, pt: 1, ppr: 0 }, 2);
         assert!(
             events.iter().any(|e| matches!(e, Event::Note(Note::ResetStart))),
             "the following circulation must detect the surplus and reset"
@@ -1134,8 +1125,7 @@ mod controller_unit_tests {
         node.app.state = CsState::Req;
         node.app.need = 2;
         node.app.rset = vec![0, 0];
-        let (out, _) =
-            deliver(&mut node, 0, Message::Ctrl { c: 4, r: false, pt: 2, ppr: 0 }, 2);
+        let (out, _) = deliver(&mut node, 0, Message::Ctrl { c: 4, r: false, pt: 2, ppr: 0 }, 2);
         match out[0].1 {
             Message::Ctrl { pt, .. } => assert_eq!(pt, 3, "min(2 + 2, l + 1) = 3"),
             ref other => panic!("expected a controller, got {other:?}"),

@@ -33,10 +33,7 @@ impl Default for ProptestConfig {
 impl ProptestConfig {
     /// The effective case count: the config's, unless `PROPTEST_CASES` overrides it.
     pub fn effective_cases(&self) -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(self.cases)
+        std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(self.cases)
     }
 }
 
@@ -245,8 +242,8 @@ pub mod collection {
 pub mod prelude {
     pub use crate::collection;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any,
-        BoxedStrategy, Just, ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any, BoxedStrategy,
+        Just, ProptestConfig, Strategy,
     };
 }
 

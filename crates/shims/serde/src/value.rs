@@ -70,9 +70,7 @@ impl Value {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Integer(i) => i64::try_from(*i).ok(),
-            Value::Number(n)
-                if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 =>
-            {
+            Value::Number(n) if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 => {
                 Some(*n as i64)
             }
             _ => None,

@@ -35,12 +35,8 @@ fn text(s: &str) -> Value {
 
 #[test]
 fn derived_deserialize_reads_what_derived_serialize_writes() {
-    let shapes = vec![
-        Shape::Dot,
-        Shape::Tagged(7),
-        Shape::Pair(9, "p".into()),
-        Shape::Square { side: 3 },
-    ];
+    let shapes =
+        vec![Shape::Dot, Shape::Tagged(7), Shape::Pair(9, "p".into()), Shape::Square { side: 3 }];
     let json = r#"["Dot",{"Tagged":7},{"Pair":[9,"p"]},{"Square":{"side":3}}]"#;
     assert_eq!(to_json(&shapes), json);
     let written = Value::Array(vec![

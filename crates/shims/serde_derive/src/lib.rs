@@ -53,9 +53,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             code.push_str("out.push('}');");
             code
         }
-        Shape::TupleStruct(1) => {
-            "serde::Serialize::serialize_json(&self.0, out);".to_string()
-        }
+        Shape::TupleStruct(1) => "serde::Serialize::serialize_json(&self.0, out);".to_string(),
         Shape::TupleStruct(n) => {
             let mut code = String::from("out.push('[');\n");
             for i in 0..n {
@@ -134,10 +132,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse_item(input);
     let body = match shape {
-        Shape::NamedStruct(fields) => format!(
-            "let obj = serde::de::object(v)?;\nOk({name} {{ {} }})",
-            field_inits(&fields)
-        ),
+        Shape::NamedStruct(fields) => {
+            format!("let obj = serde::de::object(v)?;\nOk({name} {{ {} }})", field_inits(&fields))
+        }
         Shape::Enum(variants) => {
             let payload = "serde::de::payload(tag, payload)?";
             let mut arms = String::new();

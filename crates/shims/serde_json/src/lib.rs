@@ -193,17 +193,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| Error("invalid number".into()))?;
+    let text =
+        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error("invalid number".into()))?;
     // Integer literals are kept exact (f64 would corrupt 64-bit values beyond 2^53).
     if !text.contains(['.', 'e', 'E']) {
         if let Ok(i) = text.parse::<i128>() {
             return Ok(Value::Integer(i));
         }
     }
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| Error(format!("invalid number `{text}`")))
+    text.parse::<f64>().map(Value::Number).map_err(|_| Error(format!("invalid number `{text}`")))
 }
 
 #[cfg(test)]
@@ -212,8 +210,7 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = from_str(r#"{"label":"x","metrics":{"m":1.5},"ok":true,"xs":[1,2,null]}"#)
-            .unwrap();
+        let v = from_str(r#"{"label":"x","metrics":{"m":1.5},"ok":true,"xs":[1,2,null]}"#).unwrap();
         assert_eq!(v["label"], "x");
         assert_eq!(v["metrics"]["m"], 1.5);
         assert_eq!(v["ok"], true);

@@ -132,8 +132,8 @@ pub fn compose(
         return Err(CompositionError::SpanningTreeDidNotStabilize { spent: st_activations });
     }
     let st_messages = st_net.metrics().messages_sent;
-    let extracted = extract_tree(&st_net)
-        .expect("a stabilized spanning-tree network must yield a tree");
+    let extracted =
+        extract_tree(&st_net).expect("a stabilized spanning-tree network must yield a tree");
 
     // Layer 2: the exclusion protocol on the extracted tree, with drivers translated from
     // graph ids to tree ids.
@@ -253,7 +253,8 @@ mod tests {
         let st_cfg = StConfig::for_graph(&graph);
         let kl_cfg = KlConfig::new(1, 2, 10);
         let mut sched = RoundRobin::new();
-        let tight = CompositionBudget { st_max_steps: 5, st_window: 2, kl_max_steps: 5, kl_window: 2 };
+        let tight =
+            CompositionBudget { st_max_steps: 5, st_window: 2, kl_max_steps: 5, kl_window: 2 };
         let err = match compose(
             graph,
             st_cfg,

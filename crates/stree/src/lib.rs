@@ -42,6 +42,10 @@ pub mod composed;
 pub mod extract;
 pub mod protocol;
 
-pub use composed::{compose, compose_with_defaults, Composition, CompositionBudget, CompositionError};
-pub use extract::{distances_are_exact, extract_tree, parent_map, parents_form_tree, ExtractedTree};
+pub use composed::{
+    compose, compose_with_defaults, Composition, CompositionBudget, CompositionError,
+};
+pub use extract::{
+    distances_are_exact, extract_tree, parent_map, parents_form_tree, ExtractedTree,
+};
 pub use protocol::{network, network_with_defaults, Beacon, StConfig, StNode};

@@ -19,8 +19,7 @@ use crate::NodeId;
 use serde::Serialize;
 
 /// The application-visible state of a process, as defined in Section 2 of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
-#[derive(Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum CsState {
     /// Not requesting and not using any resource unit.
     #[default]

@@ -332,7 +332,10 @@ mod tests {
         }
         law(&ch);
         assert_eq!(ch.len(), 3 * INLINE_CAPACITY);
-        assert_eq!(ch.iter().copied().collect::<Vec<_>>(), (0..3 * INLINE_CAPACITY).collect::<Vec<_>>());
+        assert_eq!(
+            ch.iter().copied().collect::<Vec<_>>(),
+            (0..3 * INLINE_CAPACITY).collect::<Vec<_>>()
+        );
         for i in 0..3 * INLINE_CAPACITY {
             assert_eq!(ch.pop(), Some(i));
         }
@@ -466,10 +469,7 @@ mod tests {
         }
         ch.insert(2, 100); // inline region
         ch.insert(6, 200); // spill region
-        assert_eq!(
-            ch.iter().copied().collect::<Vec<_>>(),
-            vec![0, 1, 100, 2, 3, 4, 200, 5, 6]
-        );
+        assert_eq!(ch.iter().copied().collect::<Vec<_>>(), vec![0, 1, 100, 2, 3, 4, 200, 5, 6]);
         law(&ch);
         assert_eq!(ch.remove(2), Some(100)); // inline region
         assert_eq!(ch.remove(5), Some(200)); // spill region

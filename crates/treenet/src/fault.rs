@@ -162,8 +162,7 @@ impl FaultInjector {
                     let len = net.channel(v, l).len();
                     // Walk backwards so removals do not disturb earlier indices.
                     for idx in (0..len).rev() {
-                        if plan.drop_prob > 0.0
-                            && self.rng.gen_bool(plan.drop_prob.clamp(0.0, 1.0))
+                        if plan.drop_prob > 0.0 && self.rng.gen_bool(plan.drop_prob.clamp(0.0, 1.0))
                         {
                             net.channel_mut(v, l).remove(idx);
                             report.messages_dropped += 1;

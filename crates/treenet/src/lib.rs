@@ -66,7 +66,9 @@ pub use engine::{
     run as run_for, run_sustained, run_until, run_until_quiescent, run_until_quiescent_with,
     EnabledSet, EnabledShape, EventScheduler, RunOutcome,
 };
-pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
+pub use fault::{
+    ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable,
+};
 pub use metrics::Metrics;
 pub use network::{ChannelMut, Network, StepEffects, StepUndo};
 pub use process::{Context, Event, MessageKind, Note, Process};

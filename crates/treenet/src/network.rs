@@ -464,7 +464,11 @@ impl<P: Process, T: Topology> Network<P, T> {
 
     /// Executes `activation` exactly like [`Network::execute`], reporting the consumed and
     /// the sent messages to `effects` as they happen (see [`StepEffects`]).
-    pub fn execute_with<E: StepEffects<P::Msg>>(&mut self, activation: Activation, effects: &mut E) {
+    pub fn execute_with<E: StepEffects<P::Msg>>(
+        &mut self,
+        activation: Activation,
+        effects: &mut E,
+    ) {
         self.now += 1;
         self.metrics.activations += 1;
         let node = match activation {
@@ -703,11 +707,12 @@ impl<P: Process, T: Topology> Network<P, T> {
             // outlive a local restart, exactly as they outlive a crash.
             for l in 0..degree {
                 let Some(old_peer) = old_of_new[new_topo.endpoint(v, l).0] else { continue };
-                let survived = (0..old_topo.degree(ov))
-                    .find(|&ol| old_topo.endpoint(ov, ol).0 == old_peer);
+                let survived =
+                    (0..old_topo.degree(ov)).find(|&ol| old_topo.endpoint(ov, ol).0 == old_peer);
                 if let Some(ol) = survived {
-                    channels[v][l] =
-                        Some(old_channels[ov][ol].take().expect("each old channel is claimed once"));
+                    channels[v][l] = Some(
+                        old_channels[ov][ol].take().expect("each old channel is claimed once"),
+                    );
                 }
             }
         }
@@ -797,8 +802,7 @@ mod tests {
         }
     }
 
-    fn forwarder_net(
-    ) -> Network<Forwarder, topology::OrientedTree> {
+    fn forwarder_net() -> Network<Forwarder, topology::OrientedTree> {
         let tree = builders::figure1_tree();
         Network::new(tree, |id| Forwarder { is_root: id == 0, started: false, received: vec![] })
     }

@@ -293,7 +293,11 @@ mod tests {
         set
     }
 
-    fn activations(daemon: &mut impl EventScheduler, set: &EnabledSet, steps: usize) -> Vec<Activation> {
+    fn activations(
+        daemon: &mut impl EventScheduler,
+        set: &EnabledSet,
+        steps: usize,
+    ) -> Vec<Activation> {
         (0..steps).map(|_| daemon.next_event(&EnabledShape::new(set))).collect()
     }
 

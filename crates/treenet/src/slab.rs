@@ -194,8 +194,11 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         slab.get_mut(3, 0).push(7);
-        let found: Vec<(NodeId, ChannelLabel, usize)> =
-            slab.iter().filter(|(_, _, ch)| !ch.is_empty()).map(|(v, l, ch)| (v, l, ch.len())).collect();
+        let found: Vec<(NodeId, ChannelLabel, usize)> = slab
+            .iter()
+            .filter(|(_, _, ch)| !ch.is_empty())
+            .map(|(v, l, ch)| (v, l, ch.len()))
+            .collect();
         assert_eq!(found, vec![(3, 0, 1)]);
     }
 

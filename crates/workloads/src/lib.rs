@@ -100,7 +100,12 @@ pub struct Hotspot {
 impl Hotspot {
     /// Creates the driver for one node; `hot` selects the aggressive behaviour.
     pub fn new(seed: u64, hot: bool, hot_units: usize, hot_hold: u64) -> Self {
-        Hotspot { inner: UniformRandom::new(seed, 0.02, 1, hot_hold.max(1)), hot, hot_units, hot_hold }
+        Hotspot {
+            inner: UniformRandom::new(seed, 0.02, 1, hot_hold.max(1)),
+            hot,
+            hot_units,
+            hot_hold,
+        }
     }
 }
 

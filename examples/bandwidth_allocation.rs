@@ -24,8 +24,17 @@ fn main() {
     let n = 15usize;
     // Traffic mix per node id: HD video (4 units) on nodes divisible by 5, standard video
     // (2) on even nodes, audio (1) elsewhere; every stream stays open for 20 activations.
-    let needs: Vec<usize> =
-        (0..n).map(|id| if id % 5 == 0 { 4 } else if id % 2 == 0 { 2 } else { 1 }).collect();
+    let needs: Vec<usize> = (0..n)
+        .map(|id| {
+            if id % 5 == 0 {
+                4
+            } else if id % 2 == 0 {
+                2
+            } else {
+                1
+            }
+        })
+        .collect();
 
     let scenario = Scenario::builder("bandwidth allocation")
         .topology(TopologySpec::Binary { n })

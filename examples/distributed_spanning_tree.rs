@@ -44,13 +44,9 @@ fn main() {
     // protocol on top of it.  Workload: every process keeps requesting 2 of the 5 units.
     let kl = KlConfig::new(3, 5, n);
     let mut sched = RandomFair::new(99);
-    let mut composition = compose_with_defaults(
-        graph.clone(),
-        kl,
-        workloads::all_saturated(2, 8),
-        &mut sched,
-    )
-    .expect("the composition stabilizes");
+    let mut composition =
+        compose_with_defaults(graph.clone(), kl, workloads::all_saturated(2, 8), &mut sched)
+            .expect("the composition stabilizes");
 
     println!("\nspanning-tree layer:");
     println!(

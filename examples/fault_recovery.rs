@@ -92,6 +92,9 @@ fn main() {
     net.trace_mut().clear();
     run_for(&mut net, &mut sched, 150_000);
     let fairness = FairnessReport::from_trace(net.trace(), net.len());
-    println!("critical sections in the 150k activations after recovery: {}", fairness.total_entries());
+    println!(
+        "critical sections in the 150k activations after recovery: {}",
+        fairness.total_entries()
+    );
     assert!(count_tokens(&net).matches(cfg.l));
 }

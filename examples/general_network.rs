@@ -64,9 +64,7 @@ fn main() {
     let graph_root = graph.root();
     println!(
         "graph node {} (the root) is tree node {} and entered its CS {} times",
-        graph_root,
-        mapping[graph_root],
-        fairness.entries_per_node[mapping[graph_root]]
+        graph_root, mapping[graph_root], fairness.entries_per_node[mapping[graph_root]]
     );
     assert_eq!(outcome.metric("resource_tokens"), Some(4.0), "census must match l = 4");
     assert_eq!(outcome.metric("census_matches"), Some(1.0), "exactly (ℓ, 1, 1) tokens");

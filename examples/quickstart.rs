@@ -29,13 +29,7 @@ fn main() {
         .daemon(DaemonSpec::RandomFair { seed: 2024 })
         .warmup_spec(WarmupSpec { max_steps: 2_000_000, window: Some(2_000), daemon: None })
         .stop(StopSpec::Steps { steps: 200_000 })
-        .metrics(&[
-            "cs_entries",
-            "messages_sent",
-            "jain_index",
-            "waiting_max",
-            "resource_tokens",
-        ])
+        .metrics(&["cs_entries", "messages_sent", "jain_index", "waiting_max", "resource_tokens"])
         .build()
         .expect("the quickstart scenario validates");
 

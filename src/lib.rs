@@ -72,13 +72,12 @@ pub mod prelude {
         FairnessReport, Histogram, MonitorReport, Summary, Verdict,
     };
     pub use klex_core::{
-        count_tokens, is_legitimate, KlConfig, KlInspect, LiveCensus, Message, SsNode,
-        TokenCensus,
+        count_tokens, is_legitimate, KlConfig, KlInspect, LiveCensus, Message, SsNode, TokenCensus,
     };
     pub use topology::{OrientedTree, Ring, Topology, VirtualRing};
     pub use treenet::{
         engine, run_for, run_sustained, run_until, run_until_quiescent, Adversarial, AppDriver,
-        CsState, Event, EventScheduler, FaultInjector, FaultPlan, Network, RandomFair,
-        Restartable, RoundRobin, Synchronous,
+        CsState, Event, EventScheduler, FaultInjector, FaultPlan, Network, RandomFair, Restartable,
+        RoundRobin, Synchronous,
     };
 }

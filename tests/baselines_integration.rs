@@ -74,8 +74,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
     let n = 7usize;
     let cfg = KlConfig::new(2, 3, n);
     let driver = |id: usize| {
-        Box::new(workloads::Saturated { units: (id % 2) + 1, hold: 5 })
-            as Box<dyn AppDriver + Send>
+        Box::new(workloads::Saturated { units: (id % 2) + 1, hold: 5 }) as Box<dyn AppDriver + Send>
     };
 
     {

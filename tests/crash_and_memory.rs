@@ -109,7 +109,11 @@ fn unbounded_counter_variant_works_through_the_facade() {
     for v in 0..8usize {
         for l in 0..net.topology().degree(v) {
             for stamp in 0..15u64 {
-                net.inject_into(v, l, protocol::Message::Ctrl { c: stamp, r: false, pt: 1, ppr: 1 });
+                net.inject_into(
+                    v,
+                    l,
+                    protocol::Message::Ctrl { c: stamp, r: false, pt: 1, ppr: 1 },
+                );
             }
             net.inject_into(v, l, protocol::Message::ResT);
             net.inject_into(v, l, protocol::Message::PrioT);
@@ -138,8 +142,9 @@ fn new_workload_drivers_are_served_and_starvation_free() {
     let mut net = protocol::ss::network(tree, cfg, |id| match id % 3 {
         0 => Box::new(workloads::SkewedNeeds::new(id as u64, 0.3, 3, 0.5, 4))
             as Box<dyn AppDriver + Send>,
-        1 => Box::new(workloads::ThinkTime::new(id as u64, 2, 5, 5, 25))
-            as Box<dyn AppDriver + Send>,
+        1 => {
+            Box::new(workloads::ThinkTime::new(id as u64, 2, 5, 5, 25)) as Box<dyn AppDriver + Send>
+        }
         _ => Box::new(workloads::Cyclic::new(vec![(1, 3), (3, 6), (2, 2)]))
             as Box<dyn AppDriver + Send>,
     });

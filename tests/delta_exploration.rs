@@ -122,11 +122,8 @@ fn rung_roundtrip(rung: usize, n: usize, seed: u64, corrupt: bool) {
             prepare(&mut net, corrupt, seed, &plan);
         }
         _ => {
-            let mut net = checker::scenarios::ss_for_checking(
-                tree,
-                cfg,
-                drivers::from_needs_holding(&needs),
-            );
+            let mut net =
+                checker::scenarios::ss_for_checking(tree, cfg, drivers::from_needs_holding(&needs));
             prepare(&mut net, corrupt, seed, &plan);
         }
     }

@@ -83,8 +83,7 @@ fn starvation_cycle_exists_without_priority_and_not_with_it() {
     let cycle = cycles::find_progress_cycle(explorer.graph(), 1);
     assert!(cycle.is_some(), "pusher-only: process a can be starved forever");
 
-    let mut prio_net =
-        protocol::nonstab::network(tree, cfg, drivers::from_needs_holding(&needs));
+    let mut prio_net = protocol::nonstab::network(tree, cfg, drivers::from_needs_holding(&needs));
     let mut explorer =
         Explorer::new(&mut prio_net).with_limits(wide_limits(2_000_000)).record_graph(true);
     assert!(explorer.run().exhaustive());

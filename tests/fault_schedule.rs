@@ -30,9 +30,9 @@ fn churn_campaign_reports_per_epoch_convergence_on_sim_and_harness() {
     // The campaign is the point: every epoch of this tuned preset re-converges, and the
     // times land in the metrics block alongside the aggregate campaign metrics.
     for (i, epoch) in sim.epochs.iter().enumerate() {
-        let time = epoch.convergence.unwrap_or_else(|| {
-            panic!("epoch {i} [{}] failed to re-converge", epoch.event)
-        });
+        let time = epoch
+            .convergence
+            .unwrap_or_else(|| panic!("epoch {i} [{}] failed to re-converge", epoch.event));
         assert_eq!(sim.metric(&format!("epoch{i}_convergence")), Some(time as f64));
     }
     assert_eq!(sim.metric("epochs_total"), Some(sim.epochs.len() as f64));
@@ -64,7 +64,11 @@ fn fault_gauntlet_recovers_from_every_epoch() {
     let sim = scenario.run();
     assert_eq!(sim.epochs.len(), 3);
     assert_eq!(sim.metric("epochs_converged"), Some(3.0));
-    assert!(sim.outcome.is_satisfied() || sim.metric("satisfied") == Some(1.0), "{:?}", sim.outcome);
+    assert!(
+        sim.outcome.is_satisfied() || sim.metric("satisfied") == Some(1.0),
+        "{:?}",
+        sim.outcome
+    );
 }
 
 /// A schedule-bearing spec survives the JSON round trip (the `klex run <file>` path) and

@@ -117,7 +117,8 @@ fn composition_reports_budget_exhaustion_instead_of_panicking() {
     let st = StConfig::for_graph(&graph);
     let kl = KlConfig::new(1, 2, 12);
     let mut sched = RoundRobin::new();
-    let budget = CompositionBudget { st_max_steps: 10, st_window: 4, kl_max_steps: 10, kl_window: 4 };
+    let budget =
+        CompositionBudget { st_max_steps: 10, st_window: 4, kl_max_steps: 10, kl_window: 4 };
     let result = compose(
         graph,
         st,

@@ -58,8 +58,7 @@ fn every_request_size_up_to_k_is_served() {
     let cfg = KlConfig::new(4, 6, n);
     // Node i requests (i mod 4) + 1 units: all sizes 1..=k are exercised.
     let mut net = protocol::ss::network(tree, cfg, |id| {
-        Box::new(workloads::Saturated { units: (id % 4) + 1, hold: 6 })
-            as Box<dyn AppDriver + Send>
+        Box::new(workloads::Saturated { units: (id % 4) + 1, hold: 6 }) as Box<dyn AppDriver + Send>
     });
     let mut sched = RandomFair::new(5);
     stabilize(&mut net, &mut sched, &cfg);

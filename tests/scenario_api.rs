@@ -23,12 +23,9 @@ fn topology_strategy() -> impl Strategy<Value = TopologySpec> {
         (2usize..40).prop_map(|n| TopologySpec::Chain { n }),
         (2usize..40).prop_map(|n| TopologySpec::Star { n }),
         ((2usize..40), any::<u64>()).prop_map(|(n, seed)| TopologySpec::Random { n, seed }),
-        ((3usize..30), (1usize..4), any::<u64>())
-            .prop_map(|(n, max_children, seed)| TopologySpec::BoundedDegree {
-                n,
-                max_children,
-                seed
-            }),
+        ((3usize..30), (1usize..4), any::<u64>()).prop_map(|(n, max_children, seed)| {
+            TopologySpec::BoundedDegree { n, max_children, seed }
+        }),
         ((4usize..20), (0usize..8), any::<u64>())
             .prop_map(|(n, extra_edges, seed)| TopologySpec::SpanningTree { n, extra_edges, seed }),
     ]
@@ -334,14 +331,9 @@ fn configuration_budgets_beyond_u32_state_ids_are_rejected() {
 
 #[test]
 fn out_of_range_victims_are_rejected_for_main_and_warmup_daemons() {
-    let base = || {
-        ScenarioSpec::builder("bad victims")
-            .topology(TopologySpec::Chain { n: 4 })
-            .kl(1, 2)
-    };
-    let main = base()
-        .daemon(DaemonSpec::Adversarial { victims: vec![99], patience: 2 })
-        .build();
+    let base =
+        || ScenarioSpec::builder("bad victims").topology(TopologySpec::Chain { n: 4 }).kl(1, 2);
+    let main = base().daemon(DaemonSpec::Adversarial { victims: vec![99], patience: 2 }).build();
     assert!(matches!(main, Err(ScenarioError::Invalid(_))));
     let warmup = base()
         .warmup_spec(WarmupSpec {
@@ -417,10 +409,7 @@ fn scenario_run_equals_hand_wired_execution() {
 
     assert_eq!(outcome.trace.events(), net.trace().events(), "traces must be identical");
     assert_eq!(outcome.ended_at, net.now());
-    assert_eq!(
-        outcome.metric("cs_entries").unwrap() as usize,
-        net.trace().cs_entries(None),
-    );
+    assert_eq!(outcome.metric("cs_entries").unwrap() as usize, net.trace().cs_entries(None),);
 }
 
 /// The same consistency through the predicate stop rule (run_until).

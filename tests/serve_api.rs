@@ -12,12 +12,7 @@ use std::time::{Duration, Instant};
 
 /// Starts a daemon on an ephemeral loopback port and returns it with its dial address.
 fn start(workers: usize) -> (Server, String) {
-    let opts = ServeOptions {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_cap: 64,
-        seed: 7,
-    };
+    let opts = ServeOptions { addr: "127.0.0.1:0".to_string(), workers, queue_cap: 64, seed: 7 };
     let server = Server::start(&opts).expect("bind an ephemeral loopback port");
     let addr = server.addr().to_string();
     (server, addr)
@@ -69,12 +64,12 @@ fn concurrent_submissions_all_stream_to_completion() {
         // The stream carries lifecycle events and finishes with the result rows (one JSON
         // object per line, no `event` key).
         assert!(
-            lines.iter().any(|l| l.contains("\"event\": \"state\"")
-                || l.contains("\"event\":\"state\"")),
+            lines
+                .iter()
+                .any(|l| l.contains("\"event\": \"state\"") || l.contains("\"event\":\"state\"")),
             "job {id} streamed no state event: {lines:?}"
         );
-        let rows: Vec<&String> =
-            lines.iter().filter(|l| !l.contains("\"event\"")).collect();
+        let rows: Vec<&String> = lines.iter().filter(|l| !l.contains("\"event\"")).collect();
         assert!(!rows.is_empty(), "job {id} streamed no result rows");
         for row in rows {
             serde_json::from_str(row).expect("result rows are JSONL");
@@ -156,8 +151,8 @@ fn snapshot_jobs_stream_per_cut_events_and_verdict_metrics() {
     let body = format!("{{\"spec\": {}, \"backend\": \"sim\"}}", spec.to_json());
     let id = client::submit(&addr, &body).expect("submit");
     let mut lines = Vec::new();
-    let doc = client::watch(&addr, id, &mut |line: &str| lines.push(line.to_string()))
-        .expect("watch");
+    let doc =
+        client::watch(&addr, id, &mut |line: &str| lines.push(line.to_string())).expect("watch");
     assert_eq!(doc.get("state").and_then(Value::as_str), Some("done"));
     assert!(
         lines.iter().any(|l| l.contains("\"phase\":\"snapshot\"")),
@@ -259,10 +254,16 @@ fn watch_survives_a_daemon_bounce_without_dropping_or_duplicating_events() {
         listener,
         vec![
             // Incarnation A streams five events, then dies mid-stream.
-            Script::Stream { lines: (0..5).map(|s| stamped(old_boot, s)).collect(), complete: false },
+            Script::Stream {
+                lines: (0..5).map(|s| stamped(old_boot, s)).collect(),
+                complete: false,
+            },
             Script::Status { state: "running" }, // the watcher's terminal-drop check
             // Still incarnation A: full replay plus two new events, then dies again.
-            Script::Stream { lines: (0..7).map(|s| stamped(old_boot, s)).collect(), complete: false },
+            Script::Stream {
+                lines: (0..7).map(|s| stamped(old_boot, s)).collect(),
+                complete: false,
+            },
             Script::Status { state: "running" },
             // Incarnation B — the bounced daemon: same job id, fresh buffer, fresh boot
             // id, seq numbers overlapping A's, then the unstamped result row.
