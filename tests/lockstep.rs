@@ -591,7 +591,8 @@ impl<P: Node, T: Shape> Walk<P, T> {
         if case.forged {
             // Surplus tokens, garbage and a marker nobody is waiting for (with snapshots on,
             // the runner would take a stray marker for its own cut's), then one delivery of
-            // each and two more on the emptied channel, which degrade to ticks.
+            // each and two more, which find the channel empty (or holding the fresh runner's
+            // first marker) and degrade to ticks.
             let node = target(self.a.net.len());
             let mut forged = vec![Message::ResT, Message::PrioT, Message::Garbage(7)];
             if !matches!(case.protocol, Protocol::Ladder(Rung::Naive)) {
