@@ -23,7 +23,7 @@
 //! # The enabled-set invariant
 //!
 //! After every mutation of the network the following holds (this is what the lock-step walk
-//! in `tests/lockstep.rs` checks against brute force after every activation and surgery):
+//! in `tests/lockstep_walk/` checks against brute force after every activation and surgery):
 //!
 //! > bit `(v, c)` is set **iff** channel `c` of node `v` is non-empty; `count(v)` equals the
 //! > number of set bits of `v`; node `v` is in the dense enabled list **iff** `count(v) > 0`;

@@ -10,9 +10,14 @@
 //! 3. the bundled daemon through the fused loop `engine::run_observed`,
 //!
 //! must produce **identical activation sequences, traces, and metrics**.  The enabled-set
-//! invariant itself is re-derived by brute force after every activation in `tests/lockstep.rs`.
+//! invariant itself is re-derived by brute force after every activation and every channel
+//! surgery by the lock-step walk (`lockstep_walk`), drawn from below.
+
+mod lockstep_walk;
 
 use kl_exclusion::prelude::*;
+use lockstep_walk::{RACED, SURGERY};
+use proptest::prelude::*;
 use treenet::engine;
 use treenet::{Activation, EventScheduler, NodeId, Synchronous};
 use workloads::UniformRandom;
@@ -322,5 +327,18 @@ fn adversarial_is_trace_equivalent_across_shapes() {
                 || Adversarial::new(victims.clone(), 7),
             );
         }
+    }
+}
+
+proptest! {
+    // Whole-protocol runs with an O(n · Δ²) pass per activation: a reduced case count.
+    #![proptest_config(ProptestConfig { cases: 20, .. ProptestConfig::default() })]
+
+    /// The lock-step walk with `inject_into`, `inject_from` and `channel_mut` surgery and a
+    /// delivery aimed at a channel that may be empty between every two phases: after every
+    /// activation the enabled set equals its brute-force re-derivation.
+    #[test]
+    fn enabled_set_always_equals_brute_force(draw in lockstep_walk::draws(SURGERY | RACED)) {
+        draw.walk();
     }
 }

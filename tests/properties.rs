@@ -3,7 +3,10 @@
 //! The expensive properties (whole-protocol runs) use a reduced number of cases; the cheap
 //! structural ones use proptest's default.
 
+mod lockstep_walk;
+
 use kl_exclusion::prelude::*;
+use lockstep_walk::{CHURN, CRASHES, FAULTS};
 use proptest::prelude::*;
 use protocol::legitimacy::safety_holds;
 
@@ -373,5 +376,22 @@ proptest! {
             prop_assert_eq!(census.resource, cfg.l);
             prop_assert_eq!(census.pusher + census.priority, 2);
         }
+    }
+}
+
+proptest! {
+    // Whole-protocol runs with an O(n · Δ²) pass per activation: a reduced case count.
+    #![proptest_config(ProptestConfig { cases: 20, .. ProptestConfig::default() })]
+
+    /// Fault plans, crashes and churn (a leaf joins, a leaf leaves, an edge is rewired)
+    /// between phases of a lock-step walk: after every event and every activation the slab
+    /// degrees match the topology, every channel keeps `enqueued = delivered + lost + len`,
+    /// and the enabled set equals its brute-force re-derivation (with the walk's other
+    /// trackers).
+    #[test]
+    fn fault_and_churn_events_preserve_conservation_and_the_enabled_set(
+        draw in lockstep_walk::draws(FAULTS | CRASHES | CHURN),
+    ) {
+        draw.walk();
     }
 }
