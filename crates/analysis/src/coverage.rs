@@ -18,7 +18,7 @@
 //! specs always produce identical signatures, which makes corpus keys stable across
 //! campaigns, shards and hosts.
 
-use crate::monitor::{MonitorReport, Verdict, MONITOR_NAMES};
+use crate::monitor::{Monitor, MonitorReport, Verdict};
 use checker::{ExplorationReport, GraphSummary};
 
 /// Shape class of the per-level frontier-size sequence of a BFS exploration.
@@ -123,9 +123,9 @@ pub struct CoverageSignature {
     pub deadlock: bool,
     /// The fair-cycle pass found a starvation lasso.
     pub lasso: bool,
-    /// Per-monitor verdict combination, one code per [`MONITOR_NAMES`] entry in canonical
+    /// Per-monitor verdict combination, one code per [`Monitor::ALL`] entry in canonical
     /// order: `S`atisfied, `I`nconclusive, `V`iolated, `-` (monitor not run).
-    pub monitor_verdicts: [char; MONITOR_NAMES.len()],
+    pub monitor_verdicts: [char; Monitor::ALL.len()],
 }
 
 /// log₂ bucket of a count: 0 → 0, 1 → 1, 2–3 → 2, 4–7 → 3, …
@@ -155,15 +155,13 @@ impl CoverageSignature {
                 .map_or(0, |(level, _)| level);
             (peak_level * 4 / report.frontier_sizes.len()).min(3) as u8
         };
-        let mut monitor_verdicts = ['-'; MONITOR_NAMES.len()];
-        for monitor in monitors {
-            if let Some(slot) = MONITOR_NAMES.iter().position(|n| *n == monitor.name) {
-                monitor_verdicts[slot] = match monitor.verdict {
-                    Verdict::Satisfied => 'S',
-                    Verdict::Inconclusive => 'I',
-                    Verdict::Violated(_) => 'V',
-                };
-            }
+        let mut monitor_verdicts = ['-'; Monitor::ALL.len()];
+        for report in monitors {
+            monitor_verdicts[report.monitor as usize] = match report.verdict {
+                Verdict::Satisfied => 'S',
+                Verdict::Inconclusive => 'I',
+                Verdict::Violated(_) => 'V',
+            };
         }
         CoverageSignature {
             states_class: log2_class(report.configurations),
@@ -264,15 +262,10 @@ mod tests {
         let report = ExplorationReport::default();
         let monitors = vec![
             MonitorReport {
-                name: "l-availability".to_string(),
-                property: String::new(),
+                monitor: Monitor::LAvailability,
                 verdict: Verdict::Violated("x".to_string()),
             },
-            MonitorReport {
-                name: "request-eventually-cs".to_string(),
-                property: String::new(),
-                verdict: Verdict::Satisfied,
-            },
+            MonitorReport { monitor: Monitor::RequestEventuallyCS, verdict: Verdict::Satisfied },
         ];
         let sig = CoverageSignature::of(&report, &GraphSummary::default(), &monitors);
         assert_eq!(sig.monitor_verdicts, ['S', '-', 'V', '-']);

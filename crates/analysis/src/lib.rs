@@ -10,9 +10,9 @@
 //! * [`snapshot`] — cut-level safety verdicts ([`snapshot::CutVerdict`]) over the
 //!   in-simulation Chandy–Lamport snapshots assembled by [`treenet::SnapshotRunner`]
 //!   (continuous per-activation safety is [`klex_core::LiveCensus`]);
-//! * [`monitor`] — streaming temporal monitors (request-eventually-CS, at-most-k-in-CS,
-//!   ℓ-availability, convergence-witnessed) with one verdict abstraction over simulator
-//!   traces and checker lassos;
+//! * [`monitor`] — the temporal monitors ([`Monitor`]: request-eventually-CS,
+//!   at-most-k-in-CS, ℓ-availability, convergence-witnessed), judged by one streaming
+//!   [`Observer`] over simulator traces and checker lassos;
 //! * [`coverage`] — structural coverage signatures over exploration reports and monitor
 //!   verdicts, the novelty metric of the coverage-guided fuzz campaign;
 //! * [`fairness`] — per-process service counts, starvation detection and Jain's index;
@@ -51,7 +51,7 @@ pub use deadlock::{detect_deadlock, DeadlockVerdict};
 pub use fairness::{jains_index, FairnessReport};
 pub use harness::{render_csv, render_markdown_table, ExperimentRow};
 pub use histogram::Histogram;
-pub use monitor::{MonitorReport, TemporalMonitor, Verdict, MONITOR_NAMES};
+pub use monitor::{Monitor, MonitorReport, Observer, Verdict};
 pub use progress::{Counter, MetricsRegistry, NullSink, ProgressSink};
 pub use scenario::{CompiledScenario, Scenario, ScenarioError, ScenarioSpec};
 pub use snapshot::{CutVerdict, SnapshotMonitor};

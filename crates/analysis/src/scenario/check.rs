@@ -26,7 +26,7 @@ use super::ScenarioError;
 use crate::progress::ProgressSink;
 use checker::snapshot::CheckableNode;
 use checker::{
-    drivers, properties, ExplorationReport, ExploreProgress, Explorer, Limits, StateGraph,
+    drivers, ExplorationReport, ExploreProgress, Explorer, Limits, Property, StateGraph,
 };
 use klex_core::{ss, KlConfig, Message};
 use rand::rngs::StdRng;
@@ -218,18 +218,12 @@ impl CompiledScenario {
             max_configurations: spec.check.max_configurations,
             max_depth: if spec.check.max_depth == 0 { usize::MAX } else { spec.check.max_depth },
         };
-        let liveness = spec.check.properties.iter().any(|p| p == "liveness");
-        let mut explorer = Explorer::new(net).with_limits(limits).check_liveness(liveness);
-        for property in &spec.check.properties {
-            let property = match property.as_str() {
-                "safety" => properties::safety(cfg),
-                "exact-census" => properties::exact_census(cfg),
-                "no-garbage" => properties::no_garbage(),
-                "legitimate" => properties::legitimate(cfg),
-                // Temporal, handled by the post-exploration fair-cycle pass.
-                "liveness" => continue,
-                _ => unreachable!("property names are validated at compile time"),
-            };
+        let mut explorer =
+            Explorer::new(net).with_limits(limits).check_liveness(spec.check.liveness());
+        // `liveness` names no `Property`: the post-exploration fair-cycle pass handles it.
+        for property in
+            spec.check.properties.iter().filter_map(|name| Property::from_name(name, cfg))
+        {
             explorer = explorer.with_property(property);
         }
         explorer

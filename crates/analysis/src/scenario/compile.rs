@@ -376,38 +376,32 @@ impl CompiledScenario {
     /// `legitimate`-predicate stop) contribute [`crate::monitor::MonitorEvent::Legitimate`]
     /// observations, and the stream ends finitely at the run's end time.
     pub fn monitor_outcome(&self, outcome: &ScenarioOutcome) -> Vec<crate::monitor::MonitorReport> {
-        use crate::monitor::{self, MonitorEvent, StreamEnd};
-        let mut monitors: Vec<Box<dyn crate::monitor::TemporalMonitor>> = self
-            .spec
-            .properties
-            .iter()
-            .map(|name| {
-                monitor::monitor_for(name, self.spec.config.k, self.spec.config.l)
-                    .expect("monitor names are validated at compile time")
-            })
-            .collect();
+        use crate::monitor::{self, Monitor, MonitorEvent, Observer, StreamEnd};
+        let monitors: Vec<Monitor> =
+            self.spec.properties.iter().filter_map(|name| Monitor::from_name(name)).collect();
+        if monitors.is_empty() {
+            return Vec::new();
+        }
+        let mut observer = Observer::new(self.spec.config.k, self.spec.config.l);
         if let Some(at) = outcome.warmup_activations {
-            monitor::observe_all(&mut monitors, &MonitorEvent::Legitimate { at });
+            observer.observe(&MonitorEvent::Legitimate { at });
         }
         // Every re-converged fault epoch is a witnessed legitimacy point: a multi-epoch
-        // campaign certifies `ConvergenceWitnessed` once per recovery.
+        // campaign certifies `convergence-witnessed` once per recovery.
         for epoch in &outcome.epochs {
             if let Some(convergence) = epoch.convergence {
-                monitor::observe_all(
-                    &mut monitors,
-                    &MonitorEvent::Legitimate { at: epoch.started_at + convergence },
-                );
+                observer.observe(&MonitorEvent::Legitimate { at: epoch.started_at + convergence });
             }
         }
-        monitor::feed_trace(&mut monitors, &outcome.trace);
+        monitor::feed_trace(&mut observer, &outcome.trace);
         if let StopSpec::Predicate { name, .. } = &self.spec.stop {
             if name == "legitimate" && outcome.outcome.is_satisfied() {
                 if let Some(at) = outcome.outcome.time() {
-                    monitor::observe_all(&mut monitors, &MonitorEvent::Legitimate { at });
+                    observer.observe(&MonitorEvent::Legitimate { at });
                 }
             }
         }
-        monitor::finish_all(&mut monitors, StreamEnd::Finite { at: outcome.ended_at })
+        monitor::finish_all(&mut observer, &monitors, StreamEnd::Finite { at: outcome.ended_at })
     }
 
     /// Runs one trial: `index` offsets random-topology seeds, `stream` offsets workload,

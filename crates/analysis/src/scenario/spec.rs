@@ -9,6 +9,8 @@
 //! harness, and the bounded-exhaustive checker.
 
 use super::{CompiledScenario, ScenarioError};
+use crate::monitor::Monitor;
+use checker::Property;
 use klex_core::Rung;
 use serde::{Deserialize, Serialize};
 use topology::{OrientedTree, RootedGraph, SpanningTreeMethod, Topology};
@@ -680,9 +682,14 @@ pub struct CheckSpec {
 }
 
 impl CheckSpec {
-    /// The names accepted in [`CheckSpec::properties`].
-    pub const PROPERTIES: [&'static str; 5] =
-        ["safety", "exact-census", "no-garbage", "legitimate", "liveness"];
+    /// The temporal property name in [`CheckSpec::properties`]; every other name is a
+    /// [`checker::Property`].
+    pub const LIVENESS: &'static str = "liveness";
+
+    /// True when [`CheckSpec::properties`] asks for the fair-cycle pass.
+    pub fn liveness(&self) -> bool {
+        self.properties.iter().any(|p| p == Self::LIVENESS)
+    }
 }
 
 impl Default for CheckSpec {
@@ -772,7 +779,7 @@ pub struct ScenarioSpec {
     /// Metric selection (empty = [`DEFAULT_METRICS`]; optional in JSON).
     #[serde(default)]
     pub metrics: Vec<String>,
-    /// Temporal monitors evaluated on simulator runs ([`crate::monitor::MONITOR_NAMES`]):
+    /// Temporal monitors evaluated on simulator runs ([`crate::monitor::Monitor::name`]s):
     /// the paper property (or properties) this scenario certifies, as data.  Empty = no
     /// monitoring; optional in JSON.
     #[serde(default)]
@@ -1019,11 +1026,9 @@ impl ScenarioSpec {
             }
         }
         for monitor in &self.properties {
-            if !crate::monitor::MONITOR_NAMES.contains(&monitor.as_str()) {
-                return err(format!(
-                    "unknown property monitor {monitor:?} (known: {:?})",
-                    crate::monitor::MONITOR_NAMES
-                ));
+            if Monitor::from_name(monitor).is_none() {
+                let known = Monitor::ALL.map(Monitor::name);
+                return err(format!("unknown property monitor {monitor:?} (known: {known:?})"));
             }
         }
         // The checker numbers configurations with `u32` ids.
@@ -1034,12 +1039,15 @@ impl ScenarioSpec {
                 u32::MAX
             ));
         }
+        let cfg = self.config.to_kl(n);
         for property in &self.check.properties {
-            if !CheckSpec::PROPERTIES.contains(&property.as_str()) {
-                return err(format!(
-                    "unknown check property {property:?} (known: {:?})",
-                    CheckSpec::PROPERTIES
-                ));
+            if property != CheckSpec::LIVENESS && Property::from_name(property, cfg).is_none() {
+                let known: Vec<&str> = Property::all(cfg)
+                    .iter()
+                    .map(Property::name)
+                    .chain([CheckSpec::LIVENESS])
+                    .collect();
+                return err(format!("unknown check property {property:?} (known: {known:?})"));
             }
         }
         if self.check.from_legitimate {
@@ -1182,7 +1190,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the temporal monitors ([`crate::monitor::MONITOR_NAMES`]) simulator runs
+    /// Selects the temporal monitors ([`crate::monitor::Monitor::name`]s) simulator runs
     /// evaluate — the paper properties this scenario certifies.
     pub fn properties(mut self, properties: &[&str]) -> Self {
         self.spec.properties = properties.iter().map(|p| p.to_string()).collect();

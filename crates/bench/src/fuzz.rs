@@ -56,7 +56,7 @@
 
 use analysis::coverage::CoverageSignature;
 use analysis::harness::{auto_shards, run_sharded, trial_seed};
-use analysis::monitor;
+use analysis::monitor::{self, Monitor};
 use analysis::scenario::{mutate_spec, random_spec, GenLimits, ScenarioSpec, StopSpec};
 use analysis::{NullSink, ProgressSink};
 use checker::{ExplorationReport, GraphSummary};
@@ -583,12 +583,13 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
     if oracle_applies {
         for report in &monitors {
             let safety_monitor =
-                report.name == "at-most-k-in-cs" || report.name == "l-availability";
+                matches!(report.monitor, Monitor::AtMostKInCS | Monitor::LAvailability);
             if safety_monitor && report.verdict.is_violated() && !checker_safety_violated {
                 return Err(format!(
                     "monitor/checker mismatch: simulator monitor {} reports {:?} but the \
                      exhaustive exploration found no safety violation",
-                    report.name, report.verdict
+                    report.monitor.name(),
+                    report.verdict
                 ));
             }
         }
@@ -596,16 +597,14 @@ pub fn evaluate(spec: &ScenarioSpec, _threads: usize) -> Result<Evaluation, Stri
 
     // A checker lasso must be re-confirmed by the streaming monitors replaying it.
     if let Some(witness) = delta.liveness.first() {
-        let mut replay: Vec<Box<dyn monitor::TemporalMonitor>> = ["request-eventually-cs"]
-            .iter()
-            .map(|name| monitor::monitor_for(name, spec.config.k, spec.config.l).expect("known"))
-            .collect();
-        let verdicts = monitor::feed_lasso(&mut replay, witness);
-        if !verdicts[0].verdict.is_violated() {
+        let mut replay = monitor::Observer::new(spec.config.k, spec.config.l);
+        monitor::feed_lasso(&mut replay, witness);
+        let verdict = replay.verdict(Monitor::RequestEventuallyCS);
+        if !verdict.is_violated() {
             return Err(format!(
                 "monitor/checker mismatch: the checker reports a fair starvation lasso for \
                  process {} but the request-eventually-cs monitor replaying it returns {:?}",
-                witness.victim, verdicts[0].verdict
+                witness.victim, verdict
             ));
         }
     }

@@ -108,10 +108,11 @@ pub fn run_rows(
         }
         // One column per declared temporal monitor: 1 satisfied, 0 inconclusive,
         // -1 violated (details go to the notes below the table).
-        for monitor in &monitors {
-            row = row.with(&format!("mon:{}", monitor.name), monitor.verdict.score());
-            if let analysis::Verdict::Violated(detail) = &monitor.verdict {
-                product.notes.push(format!("monitor {} VIOLATED: {detail}", monitor.name));
+        for report in &monitors {
+            let name = report.monitor.name();
+            row = row.with(&format!("mon:{name}"), report.verdict.score());
+            if let analysis::Verdict::Violated(detail) = &report.verdict {
+                product.notes.push(format!("monitor {name} VIOLATED: {detail}"));
             }
         }
         product.rows.push(row);
@@ -156,7 +157,7 @@ pub fn run_rows(
                     .with("exhaustive", f64::from(u8::from(report.exhaustive())))
                     .with("violations", report.violations.len() as f64)
                     .with("deadlocks", report.deadlocks.len() as f64);
-                if scenario.spec().check.properties.iter().any(|p| p == "liveness") {
+                if scenario.spec().check.liveness() {
                     row = row.with("liveness_violations", report.liveness.len() as f64);
                     for witness in &report.liveness {
                         product.notes.push(format!("fair starvation lasso: {}", witness.render()));

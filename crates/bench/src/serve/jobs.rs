@@ -12,7 +12,7 @@ use crate::runner::RunRequest;
 use analysis::scenario::ScenarioSpec;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Distinguishes daemon incarnations within and across processes.  Every event line
@@ -160,7 +160,9 @@ impl JobTable {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TableState> {
-        self.state.lock().expect("unpoisoned job table")
+        // A panic while the lock is held must not wedge the daemon: later callers take the
+        // table as the panicking holder left it.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends `line` to a job's event log, stamped with this daemon's boot id and the
@@ -231,7 +233,7 @@ impl JobTable {
                 self.watchers.notify_all();
                 return Some(claimed);
             }
-            state = self.worker_wake.wait(state).expect("unpoisoned job table");
+            state = self.worker_wake.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -359,7 +361,7 @@ impl JobTable {
                 return Some((job.events[from.min(job.events.len())..].to_vec(), job.state));
             }
             let (next, wait) =
-                self.watchers.wait_timeout(state, timeout).expect("unpoisoned job table");
+                self.watchers.wait_timeout(state, timeout).unwrap_or_else(PoisonError::into_inner);
             state = next;
             if wait.timed_out() {
                 let job = state.jobs.get(&id)?;
@@ -484,6 +486,25 @@ mod tests {
         table.request_shutdown();
         assert_eq!(waiter.join().unwrap().map(|(id, _, _)| id), None);
         assert_eq!(table.submit("late".into(), run_kind()).unwrap_err(), SubmitError::ShuttingDown);
+    }
+
+    #[test]
+    fn a_poisoned_table_still_accepts_and_reports_jobs() {
+        let table = Arc::new(JobTable::new(4));
+        let poisoner = Arc::clone(&table);
+        std::thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("a worker dies holding the table lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(table.state.is_poisoned());
+        let (id, _) = table.submit("after".into(), run_kind()).unwrap();
+        assert_eq!(table.snapshot(id).unwrap().state, JobState::Queued);
+        let (claimed, _, _) = table.claim_next().unwrap();
+        assert_eq!(claimed, id);
+        let (events, state) = table.wait_events(id, 0, Duration::ZERO).unwrap();
+        assert_eq!((events.len(), state), (1, JobState::Running));
     }
 
     #[test]

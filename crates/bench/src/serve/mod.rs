@@ -44,7 +44,7 @@ use jobs::{event_line, EventValue, JobTable};
 use serde_json::Value;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -191,10 +191,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some((id, kind, cancel)) = shared.jobs.claim_next() {
         shared.workers_busy.fetch_add(1, Ordering::Relaxed);
         let sink = JobSink::new(shared, id, cancel);
-        let outcome = match kind {
+        let outcome = catch_job_panic(|| match kind {
             JobKind::Run { spec, request } => execute_run(shared, id, &spec, &request, &sink),
             JobKind::Fuzz { opts } => execute_fuzz(&opts, &sink),
-        };
+        });
         match &outcome {
             Ok(_) => shared.registry.add("klex_jobs_done_total", 1),
             Err(_) => shared.registry.add("klex_jobs_failed_total", 1),
@@ -205,6 +205,19 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.jobs.finish(id, outcome);
         shared.workers_busy.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// Runs one job, turning a panic into the job's error (with the panic's message), so a
+/// faulty job fails alone instead of taking its worker down.
+fn catch_job_panic(job: impl FnOnce() -> Result<String, String>) -> Result<String, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-text panic payload");
+        Err(format!("job panicked: {text}"))
+    })
 }
 
 /// Executes a run job: compile, run the shared row builder, render the rows exactly as
@@ -301,7 +314,7 @@ impl<'a> JobSink<'a> {
 impl ProgressSink for JobSink<'_> {
     fn progress(&self, phase: &str, done: u64, total: u64) {
         let (counted, evented) = {
-            let mut marks = self.marks.lock().expect("unpoisoned sink marks");
+            let mut marks = self.marks.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = marks.entry(phase.to_string()).or_insert((0, 0));
             let delta = done.saturating_sub(slot.0);
             slot.0 = slot.0.max(done);
@@ -438,5 +451,14 @@ mod tests {
         assert!(parse_job(r#"{"preset": "no-such"}"#, 0).is_err());
         assert!(parse_job(r#"{"backend": "sim"}"#, 0).is_err());
         assert!(parse_job("not json", 0).is_err());
+    }
+
+    #[test]
+    fn a_panicking_job_becomes_a_failed_job() {
+        let error = catch_job_panic(|| panic!("boom")).unwrap_err();
+        assert!(error.contains("boom"), "{error}");
+        let formatted = catch_job_panic(|| panic!("spec {} broke", 7)).unwrap_err();
+        assert!(formatted.contains("spec 7 broke"), "{formatted}");
+        assert_eq!(catch_job_panic(|| Ok("rows".into())), Ok("rows".to_string()));
     }
 }

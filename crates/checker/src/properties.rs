@@ -50,6 +50,22 @@ pub enum Property {
 }
 
 impl Property {
+    /// Every property over `cfg`, in declaration order.
+    pub fn all(cfg: KlConfig) -> [Property; 4] {
+        [
+            Property::Safety(cfg),
+            Property::ExactCensus(cfg),
+            Property::NoGarbage,
+            Property::Legitimate(cfg),
+        ]
+    }
+
+    /// The property called `name` (see [`Property::name`]) over `cfg`; `None` for unknown
+    /// names.
+    pub fn from_name(name: &str, cfg: KlConfig) -> Option<Property> {
+        Property::all(cfg).into_iter().find(|property| property.name() == name)
+    }
+
     /// Short name used in reports and specs (e.g. `"safety"`).
     pub fn name(&self) -> &'static str {
         match self {

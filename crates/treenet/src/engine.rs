@@ -48,8 +48,8 @@
 //!
 //! The bit is refreshed from the activated process at the end of every activation that runs
 //! it, and cleared by every path that hands out `&mut P` or replaces processes:
-//! `Network::node_mut`, `reset_trial`, `reset_from` and `rebuild_from` — with the
-//! activation itself, the five places `network.rs` mutates a process.  A tick (or a delivery
+//! `Network::node_mut`, `reset_trial` and `rebuild_from` — with the activation itself, the
+//! four places `network.rs` mutates a process.  A tick (or a delivery
 //! that raced an empty channel) on a quiet node advances the clock, the activation and tick
 //! counters and the node's Lamport clock and returns, without touching the topology, the
 //! channel slab, the process, or the scratch buffers.  Daemons never see the bits

@@ -83,11 +83,6 @@ impl<M> StepUndo<M> {
         StepUndo { delivered: None, sent: Vec::new() }
     }
 
-    /// The channel whose head was consumed by the recorded activation, if any.
-    pub fn delivered_channel(&self) -> Option<(NodeId, ChannelLabel)> {
-        self.delivered.as_ref().map(|&(node, label, _)| (node, label))
-    }
-
     /// The channels pushed by the recorded activation, in push order (a channel appears once
     /// per message pushed onto it).
     pub fn sent_channels(&self) -> &[(NodeId, ChannelLabel)] {
@@ -595,52 +590,6 @@ impl<P: Process, T: Topology> Network<P, T> {
         self.reset_runtime();
     }
 
-    /// Resets this network to match `template` (same topology shape required), reusing every
-    /// allocation: processes are cloned from the template's, channel contents are copied,
-    /// and the clock copies the template's.  The trace and metrics restart at zero, as do
-    /// the per-channel traffic counters — the reset network is a fresh *trial* of the
-    /// template's configuration, not a forensic copy of its history.
-    ///
-    /// Use [`Network::reset_trial`] instead when per-trial state (e.g. a seeded driver)
-    /// cannot be cloned from a template.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `template`'s shape (node count or channel degrees) differs.
-    pub fn reset_from(&mut self, template: &Network<P, T>)
-    where
-        P: Clone,
-        P::Msg: Clone,
-    {
-        assert_eq!(
-            self.nodes.len(),
-            template.nodes.len(),
-            "reset_from requires identically shaped networks"
-        );
-        self.nodes.clone_from(&template.nodes);
-        self.reset_runtime();
-        for v in 0..self.nodes.len() {
-            assert_eq!(
-                template.slab.degree(v),
-                self.slab.degree(v),
-                "reset_from requires identical degrees (node {v})"
-            );
-            for l in 0..self.slab.degree(v) {
-                let src = template.slab.get(v, l);
-                let dst = self.slab.get_mut(v, l);
-                for msg in src.iter() {
-                    dst.push(msg.clone());
-                }
-                let len = dst.len();
-                self.enabled.note_len(v, l, len);
-                if let Some(clocks) = self.clocks.as_deref_mut() {
-                    clocks.resync(self.slab.flat(v, l), len);
-                }
-            }
-        }
-        self.now = template.now;
-    }
-
     /// Rebuilds this network over the (churned) topology of `donor`, carrying state over —
     /// the topology-churn primitive of the fault-schedule engine.
     ///
@@ -875,7 +824,7 @@ mod tests {
 
         let mut undo = StepUndo::new();
         net.execute_undoable(Activation::Deliver { node: 0, channel: 0 }, &mut undo);
-        assert_eq!(undo.delivered_channel(), Some((0, 0)));
+        assert!(undo.delivered.is_some());
         // Two pushes: the forwarded token, plus the root's first-tick initial message
         // (on_tick runs within the same activation).
         assert_eq!(undo.sent_channels().len(), 2);
@@ -892,7 +841,7 @@ mod tests {
         assert_eq!(after, before, "channel contents are restored bit-exactly");
         assert_eq!(net.in_flight(), in_flight, "the enabled set is re-synchronized");
         // The record drained; reverting again is a no-op.
-        assert_eq!(undo.delivered_channel(), None);
+        assert!(undo.delivered.is_none());
         assert!(undo.sent_channels().is_empty());
         net.revert(&mut undo);
         assert_eq!(net.in_flight(), in_flight);
@@ -904,7 +853,7 @@ mod tests {
         let mut undo = StepUndo::new();
         // The root's first tick emits the initial message.
         net.execute_undoable(Activation::Tick { node: 0 }, &mut undo);
-        assert_eq!(undo.delivered_channel(), None);
+        assert!(undo.delivered.is_none());
         assert_eq!(undo.sent_channels().len(), 1);
         net.revert(&mut undo);
         assert_eq!(net.in_flight(), 0);
@@ -1047,33 +996,6 @@ mod tests {
         let donor = Network::new(builders::figure1_tree(), fresh_forwarder);
         let map: Vec<Option<NodeId>> = vec![Some(0); 8];
         net.rebuild_from(donor, &map);
-    }
-
-    #[test]
-    fn reset_from_clones_template_state_and_reuses_the_network() {
-        // Template: a pristine network with one injected message.
-        let mut template = forwarder_net();
-        template.inject_into(4, 0, Num(7));
-        // Worn-out network: run it far away from the template's state.
-        let mut net = forwarder_net();
-        let mut sched = RoundRobin::new();
-        for _ in 0..400 {
-            net.step_event(&mut sched);
-        }
-        net.reset_from(&template);
-        assert_eq!(net.now(), template.now());
-        assert_eq!(net.in_flight(), 1);
-        assert_eq!(net.channel(4, 0).iter().map(|m| m.0).collect::<Vec<_>>(), vec![7]);
-        assert_eq!(net.metrics().activations, 0, "metrics restart at zero");
-        // Both copies now run identically.
-        let mut s1 = RoundRobin::new();
-        let mut s2 = RoundRobin::new();
-        for _ in 0..300 {
-            assert_eq!(net.step_event(&mut s1), template.step_event(&mut s2));
-        }
-        for v in 0..net.len() {
-            assert_eq!(net.node(v).received, template.node(v).received);
-        }
     }
 
     #[test]

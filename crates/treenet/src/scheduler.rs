@@ -182,8 +182,10 @@ impl EventScheduler for Synchronous {
         let node = self.cursor;
         self.cursor = (self.cursor + 1) % n;
         match self.round[node] {
-            Some(channel) => Activation::Deliver { node, channel },
-            None => Activation::Tick { node },
+            // A same-size reshape (`Network::rebuild_from`) mid-round can lower the degree
+            // under a held label; such a channel no longer exists, so the node ticks.
+            Some(channel) if channel < shape.degree(node) => Activation::Deliver { node, channel },
+            _ => Activation::Tick { node },
         }
     }
 }
@@ -390,6 +392,29 @@ mod tests {
                 Activation::Deliver { node: 2, channel: 0 },
                 Activation::Deliver { node: 0, channel: 1 },
                 Activation::Deliver { node: 1, channel: 2 },
+            ]
+        );
+    }
+
+    #[test]
+    fn synchronous_drops_a_held_label_past_a_lowered_degree() {
+        let mut set = set();
+        set.note_len(1, 2, 1);
+        let mut s = Synchronous::new();
+        // The round holds channel 2 for node 1 ...
+        assert_eq!(activations(&mut s, &set, 1), vec![Activation::Deliver { node: 0, channel: 1 }]);
+        // ... when a same-size reshape lowers node 1's degree from 3 to 2 mid-round.
+        let mut reshaped = EnabledSet::new(&[2, 2, 2]);
+        reshaped.note_len(1, 1, 1);
+        assert_eq!(activations(&mut s, &reshaped, 1), vec![Activation::Tick { node: 1 }]);
+        // A held label still in range is delivered (an emptied channel degrades to a tick
+        // in the network); the next round re-snapshots the new shape.
+        assert_eq!(
+            activations(&mut s, &reshaped, 3),
+            vec![
+                Activation::Deliver { node: 2, channel: 0 },
+                Activation::Tick { node: 0 },
+                Activation::Deliver { node: 1, channel: 1 },
             ]
         );
     }

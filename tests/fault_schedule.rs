@@ -86,6 +86,26 @@ fn schedule_bearing_specs_round_trip_through_json() {
     assert_eq!(original.metrics, replayed.metrics);
 }
 
+/// Regression: the synchronous daemon holds a round of channel labels, and a rewire that
+/// keeps the network's size lowers a degree under one of them.  On this campaign (the
+/// `churn-campaign` preset under `Synchronous` with eight rewires, schedule seed 6) the
+/// held label once named a channel past the new degree and the simulator panicked.
+#[test]
+fn synchronous_daemon_survives_same_size_rewires() {
+    let mut spec = preset("churn-campaign").expect("bundled preset");
+    spec.daemon = DaemonSpec::Synchronous;
+    spec.warmup = Some(WarmupSpec { max_steps: 200_000, ..spec.warmup.expect("warmup") });
+    spec.fault_schedule = Some(FaultScheduleSpec {
+        seed: 6,
+        epochs: vec![FaultEventSpec::RewireEdge; 8],
+        max_steps: 200_000,
+        window: None,
+    });
+    let sim = spec.compile().expect("compiles").run();
+    assert_eq!(sim.epochs.len(), 8);
+    assert!(sim.epochs.iter().all(|e| e.event == "rewire-edge"));
+}
+
 /// Field-for-field identity of two exploration reports (mirrors the parity suites).
 fn assert_reports_identical(name: &str, a: &ExplorationReport, b: &ExplorationReport) {
     assert_eq!(a.configurations, b.configurations, "{name}: reachable-set size");

@@ -6,7 +6,7 @@
 
 use kl_exclusion::prelude::*;
 
-use analysis::monitor;
+use analysis::monitor::{self, Monitor};
 use analysis::scenario::preset;
 
 /// The fair-cycle regression gate, positive half: the Figure-3 instance under the
@@ -82,16 +82,13 @@ fn monitors_confirm_the_checker_lasso() {
     let spec = preset("checker-liveness").unwrap();
     let report = spec.clone().compile().unwrap().check().unwrap();
     let witness = report.liveness.first().expect("lasso found");
-    let mut monitors: Vec<Box<dyn monitor::TemporalMonitor>> = monitor::MONITOR_NAMES
-        .iter()
-        .map(|name| monitor::monitor_for(name, spec.config.k, spec.config.l).unwrap())
-        .collect();
-    let verdicts = monitor::feed_lasso(&mut monitors, witness);
-    let liveness = verdicts.iter().find(|r| r.name == "request-eventually-cs").unwrap();
-    assert!(liveness.verdict.is_violated(), "{verdicts:?}");
-    for safety in ["at-most-k-in-cs", "l-availability"] {
-        let verdict = &verdicts.iter().find(|r| r.name == safety).unwrap().verdict;
-        assert!(!verdict.is_violated(), "{safety}: {verdict:?}");
+    let mut observer = monitor::Observer::new(spec.config.k, spec.config.l);
+    monitor::feed_lasso(&mut observer, witness);
+    let liveness = observer.verdict(Monitor::RequestEventuallyCS);
+    assert!(liveness.is_violated(), "{liveness:?}");
+    for safety in [Monitor::AtMostKInCS, Monitor::LAvailability] {
+        let verdict = observer.verdict(safety);
+        assert!(!verdict.is_violated(), "{}: {verdict:?}", safety.name());
     }
 }
 
@@ -105,13 +102,13 @@ fn simulator_monitors_certify_the_declared_properties() {
         .expect("preset validates")
         .run_monitored();
     assert!(outcome.outcome.is_satisfied());
-    let names: Vec<&str> = monitors.iter().map(|m| m.name.as_str()).collect();
+    let names: Vec<&str> = monitors.iter().map(|m| m.monitor.name()).collect();
     assert_eq!(names, ["request-eventually-cs", "at-most-k-in-cs", "l-availability"]);
     for report in &monitors {
         assert!(
             !report.verdict.is_violated(),
             "{}: {:?} — the self-stabilizing rung must not violate its certificates",
-            report.name,
+            report.monitor.name(),
             report.verdict
         );
     }
